@@ -4,7 +4,8 @@ The T-side fundamental solutions Z1, Z2 of -y'' + q y = lambda y, with
 Z1(T) = Z2'(T) = 1 and Z1'(T) = Z2(T) = 0, are integrated from T down to 0
 by scipy's DOP853 at rtol 1e-12.  Every atom, point form and density edge
 is a segment end, so those values are exact integrator states, and each
-density integral rides along as an extra state J' = d(x) y.  The potential
+density integral rides along as an extra state J' = d(x) y, together with
+its size without cancellation, K' = |d(x) y|.  The potential
 and the forms come from the benchmark's own plain descriptions, never from
 the library's objects, so no code is shared with the program under test.
 
@@ -63,12 +64,13 @@ def _density_line(f: FormData, a: float, b: float):
 
 
 def z_form_values(coeffs, T: float, lam: complex, forms):
-    """Per form: (U(Z1), U(Z2), scale) at one lambda.
+    """Per form: (U(Z1), U(Z2), scale of U(Z1), scale of U(Z2)) at one lambda.
 
-    q(x) = sum_k coeffs[k] cos(k pi x / T).  `scale` is the largest
-    magnitude among the form's terms (jump, atoms, density integral), the
-    size a rounding or discretisation error is relative to when the terms
-    cancel.
+    q(x) = sum_k coeffs[k] cos(k pi x / T).  A scale is the largest
+    magnitude among the form's terms applied to that solution alone: the
+    jump and atom terms, and int |d y| for the density, which is what a
+    quadrature error is relative to when the integrand oscillates.  Z2 is
+    about |rho| times smaller than Z1, so each part keeps its own scale.
     """
     c = np.asarray(coeffs, dtype=complex)
     k = np.arange(len(c)) * (math.pi / T)
@@ -76,7 +78,7 @@ def z_form_values(coeffs, T: float, lam: complex, forms):
     dens = [f for f in forms if f.density]
     n_dens = len(dens)
 
-    state = np.zeros(4 + 2 * n_dens, dtype=complex)
+    state = np.zeros(4 + 4 * n_dens, dtype=complex)
     state[0] = 1.0  # Z1
     state[3] = 1.0  # Z2'
     at = {T: state[:4].copy()}
@@ -93,8 +95,10 @@ def z_form_values(coeffs, T: float, lam: complex, forms):
             out[3] = qx * s[2]
             for j, (m, b0) in enumerate(lines):
                 d = m * x + b0
-                out[4 + 2 * j] = d * s[0]
-                out[5 + 2 * j] = d * s[2]
+                out[4 + 4 * j] = d * s[0]
+                out[5 + 4 * j] = d * s[2]
+                out[6 + 4 * j] = abs(d * s[0])
+                out[7 + 4 * j] = abs(d * s[2])
             return out
 
         atol = 1e-14 * max(1.0, float(np.abs(state).max()))
@@ -114,17 +118,19 @@ def z_form_values(coeffs, T: float, lam: complex, forms):
             x0, order = f.point
             v = nearest(float(x0))
             u = v[[0, 2]] if order == 0 else v[[1, 3]]
-            out.append((complex(u[0]), complex(u[1]), float(np.abs(u).max())))
+            out.append((complex(u[0]), complex(u[1]), float(abs(u[0])), float(abs(u[1]))))
             continue
         terms = [f.jump * at[0.0][[0, 2]]]
         terms += [w * nearest(float(t))[[0, 2]] for t, w in f.atoms]
+        sizes = [np.abs(t) for t in terms]
         if f.density:
-            # the integral ran from T down to 0, so it carries the opposite sign
-            terms.append(-state[4 + 2 * j : 6 + 2 * j])
+            # the integrals ran from T down to 0, so they carry the opposite sign
+            terms.append(-state[4 + 4 * j : 6 + 4 * j])
+            sizes.append(np.abs(state[6 + 4 * j : 8 + 4 * j]))
             j += 1
         total = np.sum(terms, axis=0)
-        scale = max(float(np.abs(t).max()) for t in terms)
-        out.append((complex(total[0]), complex(total[1]), scale))
+        scale = np.max(sizes, axis=0)
+        out.append((complex(total[0]), complex(total[1]), float(scale[0]), float(scale[1])))
     return out
 
 
@@ -135,12 +141,12 @@ def characteristic_values(coeffs, T: float, lam: complex, form1: FormData, form2
     its scale is the size of the two products, which is what limits the
     accuracy of any 2x2 determinant in floating point.
     """
-    (u11, u12, s1), (u21, u22, s2) = z_form_values(coeffs, T, lam, (form1, form2))
+    (u11, u12, s11, s12), (u21, u22, _, s22) = z_form_values(coeffs, T, lam, (form1, form2))
     return {
         "omega": (u11 * u22 - u12 * u21, abs(u11 * u22) + abs(u12 * u21)),
-        "delta1": (-u12, s1),
-        "delta2": (-u22, s2),
-        "delta11": (u11, s1),
+        "delta1": (-u12, s12),
+        "delta2": (-u22, s22),
+        "delta11": (u11, s11),
     }
 
 
@@ -164,7 +170,7 @@ def self_test() -> None:
     worst = 0.0
     for lam in (3.7 + 0.4j, -50.0 + 10.0j, 190.0 - 30.0j):
         rho = _rho(lam)
-        (z1, z2, _), (a1, a2, _) = z_form_values([0.0], T, lam, (at_zero, atom_and_density))
+        (z1, z2, _, _), (a1, a2, _, _) = z_form_values([0.0], T, lam, (at_zero, atom_and_density))
         exact = {
             "Z1(0)": (z1, np.cos(rho * T)),
             "Z2(0)": (z2, -np.sin(rho * T) / rho),

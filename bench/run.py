@@ -13,8 +13,9 @@ round of ops, and prints the per-layer metrics with the tracing overhead;
 the spans go to bench/out/.
 
 Numerics run single-threaded: the thread caps below are set before numpy
-loads.  Every op is checked outside the timed region; a check that fails
-makes "correct" false, and an op that raises counts as failed.
+loads.  Every op is checked outside the timed region, the warm-up op too; a
+check that fails makes "correct" false, and an op that raises counts as
+failed.  The reference integrator's self-test runs once, before any timing.
 """
 
 import os
@@ -63,24 +64,35 @@ class Runner:
         self.failed = 0
         self.faults: list[str] = []
 
-    def op(self, i: int, record: bool = True) -> None:
+    def _check(self, i: int, args, result) -> None:
+        for fault in self.w.check(args, result):
+            self.faults.append(f"op {i}: {fault}")
+
+    def warm_up(self) -> float:
+        """Op 0, timed but not counted as an op; returns the call's wall time.
+
+        An error here ends the run, since no op of the workload can then be
+        trusted to work.
+        """
+        args = self.w.inputs(0)
+        t = time.perf_counter()
+        result = self.w.call(args)
+        dt = time.perf_counter() - t
+        self._check(0, args, result)
+        return dt
+
+    def op(self, i: int) -> None:
         args = self.w.inputs(i)
-        if record:
-            self.attempted += 1
+        self.attempted += 1
         t = time.perf_counter()
         try:
             result = self.w.call(args)
         except Exception as exc:  # a library error is a failed op, not a crash
-            if not record:
-                raise
             self.failed += 1
             print(f"op {i} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return
-        dt = time.perf_counter() - t
-        if record:
-            self.times.append(dt)
-        for fault in self.w.check(args, result):
-            self.faults.append(f"op {i}: {fault}")
+        self.times.append(time.perf_counter() - t)
+        self._check(i, args, result)
 
     def run_for(self, seconds: float) -> None:
         """Ops 0, 1, 2, ... until `seconds` of wall time have passed."""
@@ -96,15 +108,17 @@ class Runner:
 def _setup(runner: Runner, seed: int, repeats: int) -> float:
     """Median wall time of `repeats` set-ups, each input generation plus a warm-up op.
 
-    The warm-up op is checked but not timed as an op, so first-call costs
-    stay out of the op timings.  The inputs of the last set-up are kept.
+    Only the workload's set-up and the warm-up call are timed; the warm-up's
+    check runs after its timer stops.  The warm-up op is not an op of the run,
+    so first-call costs stay out of the op timings.  The inputs of the last
+    set-up are kept.
     """
     times = []
     for _ in range(repeats):
         t = time.perf_counter()
         runner.w.setup(seed)
-        runner.op(0, record=False)
-        times.append(time.perf_counter() - t)
+        made = time.perf_counter() - t
+        times.append(made + runner.warm_up())
     return statistics.median(times)
 
 
@@ -133,7 +147,7 @@ def measure_traced(workload, lib, seed: int, seconds: float, name: str) -> tuple
     with tracer.installed(sites), tracer.span("setup") as setup_root:
         workload.setup(seed)
     runner = Runner(workload)
-    runner.op(0, record=False)
+    runner.warm_up()
     runner.run_for(seconds / 2)
     untraced = statistics.median(runner.times)
     roots, traced_times = [], []
@@ -169,12 +183,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     lib = _import_library()
+    import oracle
     import workloads
 
     import_s = time.perf_counter() - _T0
     if args.workload not in workloads.WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; choose from {sorted(workloads.WORKLOADS)}")
     workload = workloads.WORKLOADS[args.workload](lib)
+    oracle.self_test()
     if args.trace:
         runner, metrics = measure_traced(workload, lib, args.seed, args.seconds, args.workload)
     else:

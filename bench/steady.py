@@ -1,22 +1,22 @@
 """Steadiness check: two sets of benchmark runs of the same code, compared.
 
-    python3 bench/steady.py --runs 10 --seconds 20
-    python3 bench/steady.py --workloads spectrum --runs 5 --sets 1
+    python3 bench/steady.py
 
-Each run is its own process, `bench/run.py --trace 0`, with its own seed:
-set k, run r uses seed base + 1000 k + r.  Runs interleave the workloads so
-that slow drift of the machine reaches all of them alike.  For every
-workload and end-to-end metric the command prints each set's median and
-quartiles (`statistics.quantiles(values, n=4)`), the quartile spread as a
-share of the median, and how much worse the second median is than the
-first, against the bound in BENCHMARK.json.  Spreads of setup_s are shown
-but, like the bound rule they serve, not held to the bound.  Raw results go
-to bench/out/steady-<time>.json.
+Runs every workload in BENCHMARK.json ten times per set, in two sets, for
+run_seconds each.  Each run is its own process, `bench/run.py --trace 0`,
+with its own seed: seeds 1-10 in set 1 and 1001-1010 in set 2.  Runs
+interleave the workloads so that slow drift of the machine reaches all of
+them alike.  For every workload and end-to-end metric the command prints
+each set's median and quartiles (`statistics.quantiles(values, n=4)`), the
+quartile spread as a share of the median, and how much worse the second
+median is than the first, against the bound in BENCHMARK.json.  Spreads of
+setup_s are shown but, like the bound rule they serve, not held to the
+bound.  The share of failed ops must be the same in both sets.  Raw results
+go to bench/out/steady-<time>.json.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -25,6 +25,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 10
+SET_SEEDS = (1, 1001)  # first seed of each set
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
@@ -60,9 +62,8 @@ def report(results: dict, bench: dict) -> bool:
                   f"ops/run {min(r['attempted'] for r in runs)}-{max(r['attempted'] for r in runs)}, "
                   f"wall/run {min(walls):.1f}-{max(walls):.1f} s")
             ok &= correct
-        if len(sets) > 1:
-            shares = [sum(r["failed"] for r in s) / sum(r["attempted"] for r in s) for s in sets]
-            ok &= len(set(shares)) == 1
+        shares = [sum(r["failed"] for r in s) / sum(r["attempted"] for r in s) for s in sets]
+        ok &= len(set(shares)) == 1
         print(f"  {'metric':12s} {'set':>3s} {'median':>11s} {'q1':>11s} {'q3':>11s} "
               f"{'spread':>7s} {'bound':>6s} {'worse':>7s}")
         for m in bench["end_to_end"]:
@@ -88,25 +89,15 @@ def report(results: dict, bench: dict) -> bool:
     return ok
 
 
-def main(argv=None) -> int:
+def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workloads", default=",".join(names))
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    ap.add_argument("--seed", type=int, default=1, help="base seed")
-    args = ap.parse_args(argv)
-    chosen = args.workloads.split(",")
-    if args.runs < 2:
-        ap.error("quartiles need at least two runs")
-
-    results = {w: [[] for _ in range(args.sets)] for w in chosen}
-    for k in range(args.sets):
-        for r in range(args.runs):
-            for w in chosen:
-                res = run_once(w, args.seed + 1000 * k + r, args.seconds)
+    seconds = bench["run_seconds"]
+    results = {w: [[] for _ in SET_SEEDS] for w in names}
+    for k, base in enumerate(SET_SEEDS):
+        for r in range(RUNS):
+            for w in names:
+                res = run_once(w, base + r, seconds)
                 results[w][k].append(res)
                 print(f"set {k + 1} run {r + 1} {w}: " + ", ".join(
                     f"{n}={v['value']:.4g}" for n, v in res["metrics"].items()

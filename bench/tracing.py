@@ -83,15 +83,13 @@ class Tracer:
     def installed(self, sites):
         """Replace every (owner, attribute) in `sites` while the block runs.
 
-        A site missing from the library is skipped, so its metrics read 0
-        instead of the run failing.
+        A site missing from the library raises, so a renamed layer cannot
+        pass for one the workload never reaches.
         """
         saved = []
         try:
             for owner, attr, make in sites:
-                original = getattr(owner, attr, None)
-                if original is None:
-                    continue
+                original = getattr(owner, attr)
                 saved.append((owner, attr, original))
                 setattr(owner, attr, make(self, original))
             yield

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from oracle import FormData, characteristic_values, self_test, z_form_values
+from oracle import FormData, characteristic_values, z_form_values
 
 T = math.pi
 _SETUP = 1_000_003  # rng stream for set-up data, apart from op indices
@@ -83,14 +83,15 @@ class Forward(Workload):
     problems = 4
     sample = 3  # lambda per op checked against the oracle, lambda_0 among them
     # Densities are integrated by the trapezoid rule on the sweep grid, so
-    # form values carry errors far above the grid's 1e-10 phase target; the
-    # worst miss measured on 64 checked lambda was 7.7e-7 (omega), and 1e-5
-    # leaves a 10x margin while any wrong weight or sign misses by O(1).
+    # form values carry errors near h^2 |rho|^2 / 12 ~ 2e-6 at the rim, far
+    # above the grid's 1e-10 phase target.  The worst miss measured on 108
+    # checked lambda was 2.1e-6 (delta2, largest at the rim; omega 4.1e-7,
+    # delta1 and delta11 1.7e-7); 1e-5 leaves a 5x margin while any wrong
+    # weight or sign misses by O(1).
     rtol = 1e-5
     traced_ops = 4
 
     def setup(self, seed: int):
-        self_test()
         rng = _rng(seed, _SETUP)
         self.seed = seed
         self.pool = []
@@ -148,13 +149,14 @@ class Spectrum(Workload):
     box = (0.5, 20.0, -2.0, 2.0)
     atoms = ((1.1, 0.6 + 0.2j), (2.3, -0.3 + 0.1j))  # base atoms of form1
     which = "delta1"
-    # |delta1| at a reported zero, relative to its largest term; the finder
-    # stops at |delta1| <= 1e-8 (1 + |lambda|)^(1/2) exp(Im rho T).
-    vanish_tol = 1e-5
+    # |delta1| at a reported zero, relative to the largest term of U1(Z2).
+    # The finder stops at |delta1| <= 1e-8 (1 + |lambda|)^(1/2) exp(Im rho T),
+    # about 1e-8 (1 + |lambda|) <= 2.1e-7 of that scale in this box; the
+    # worst measured over 12 ops was 1.5e-10.
+    vanish_tol = 1e-6
     traced_ops = 3
 
     def setup(self, seed: int):
-        self_test()
         self.seed = seed
         self.search_box = self.lib.spectrum_finder.SearchBox(*self.box)
 
@@ -189,7 +191,7 @@ class Spectrum(Workload):
             re_min, re_max, im_min, im_max = self.box
             if not (re_min <= z.real <= re_max and im_min <= z.imag <= im_max):
                 faults.append(f"zero {z:.8g} lies outside the box")
-            (_, u12, scale), _ = z_form_values(problem.coeffs, T, z, (problem.form1, problem.form2))
+            (_, u12, _, scale), _ = z_form_values(problem.coeffs, T, z, (problem.form1, problem.form2))
             if not abs(u12) <= self.vanish_tol * scale:
                 faults.append(f"reference delta1({z:.8g}) = {abs(u12):.2e}, scale {scale:.2e}")
         return faults
