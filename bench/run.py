@@ -5,9 +5,11 @@
 Runs from the repository root and imports the package from ./src.  With
 --trace 0 it prints the end-to-end metrics: setup_s (import, then the
 median of three set-ups, each input generation including spectral data plus
-one warm-up op), op_p50_s (median wall time of one op, timed around the
-library call only), ops_per_s (ops per second of op time) and peak_rss_mb
-(this process's peak resident set).  With --trace 1 it
+one warm-up op), op_p50_s (median time of one op, timed around the library
+call only), ops_per_s (ops per second of op time) and peak_rss_mb (this
+process's peak resident set).  Set-up and op times are wall times scaled to
+the speed of a reference host by a probe run either side of them (see
+Probe); the unscaled median op time goes to stderr.  With --trace 1 it
 traces one set-up, then runs untraced ops for half the time and one traced
 round of ops, and prints the per-layer metrics with the tracing overhead;
 the spans go to bench/out/.
@@ -34,6 +36,8 @@ import statistics  # noqa: E402
 import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 SETUP_REPEATS = 3
 _MODULES = ("ode_core", "potential", "measure", "characteristic", "spectrum_finder", "inversion")
@@ -43,7 +47,6 @@ def _import_library() -> types.SimpleNamespace:
     """The package's modules, imported from this checkout's src/ and nowhere else."""
     src = ROOT / "src"
     sys.path.insert(0, str(src))
-    import numpy  # noqa: F401
     import scipy.integrate  # noqa: F401
 
     pkg = importlib.import_module("nonlocal_sl")
@@ -54,15 +57,67 @@ def _import_library() -> types.SimpleNamespace:
     )
 
 
+class Probe:
+    """A fixed computation that gauges how fast the host runs right now.
+
+    The host is shared: other tenants' load makes the same op take up to a
+    third longer for seconds to minutes at a time, alike for every workload.
+    The probe uses no library code.  Like the library's sweeps it is Python
+    loops of small numpy updates, each stored: one on 2x256 values, as in a
+    batch sweep, and one on 2 values, as in a single-lambda sweep, where
+    call overhead is all the cost; then plain interpreter work.  Its wall
+    time on the reference host is REFERENCE_S, so a wall time times
+    REFERENCE_S over the probe's time at that moment is the time the
+    reference host would have taken.
+    """
+
+    REFERENCE_S = 0.008  # median wall time of one probe on the host in bench/README.md
+    _LOOP = 10_000
+
+    def __init__(self):
+        self._wide = np.empty((400, 2, 256), complex)
+        self._narrow = np.empty((2000, 2), complex)
+
+    @staticmethod
+    def _sweep(store: np.ndarray) -> None:
+        y = np.ones(store.shape[1:], complex)
+        for k in range(len(store)):
+            y = y * (1.0001 + 0.0001j) + 1e-3j
+            store[k] = y
+
+    def __call__(self) -> float:
+        """Wall time of one probe."""
+        t = time.perf_counter()
+        self._sweep(self._wide)
+        self._sweep(self._narrow)
+        total = 0
+        for i in range(self._LOOP):
+            total += i
+        return time.perf_counter() - t
+
+
 class Runner:
-    """Times ops of one workload and checks each result outside the timing."""
+    """Times ops of one workload and checks each result outside the timing.
+
+    A probe runs right before and right after every op; the op's time is
+    its wall time scaled by REFERENCE_S over the mean of the two probes, so
+    host slowdowns common to probe and op cancel.
+    """
 
     def __init__(self, workload):
         self.w = workload
-        self.times: list[float] = []
+        self.probe = Probe()
+        for _ in range(3):  # the first probes run slow
+            self.probe()
+        self.times: list[float] = []  # scaled op times, the op_p50_s samples
+        self.wall_times: list[float] = []
         self.attempted = 0
         self.failed = 0
         self.faults: list[str] = []
+
+    def scale(self, wall: float, before: float) -> float:
+        """`wall` in reference-host seconds, from the probe run `before` it and one run now."""
+        return wall * Probe.REFERENCE_S * 2 / (before + self.probe())
 
     def _check(self, i: int, args, result) -> None:
         for fault in self.w.check(args, result):
@@ -84,6 +139,7 @@ class Runner:
     def op(self, i: int) -> None:
         args = self.w.inputs(i)
         self.attempted += 1
+        before = self.probe()
         t = time.perf_counter()
         try:
             result = self.w.call(args)
@@ -91,7 +147,9 @@ class Runner:
             self.failed += 1
             print(f"op {i} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return
-        self.times.append(time.perf_counter() - t)
+        wall = time.perf_counter() - t
+        self.times.append(self.scale(wall, before))
+        self.wall_times.append(wall)
         self._check(i, args, result)
 
     def run_for(self, seconds: float) -> None:
@@ -106,19 +164,20 @@ class Runner:
 
 
 def _setup(runner: Runner, seed: int, repeats: int) -> float:
-    """Median wall time of `repeats` set-ups, each input generation plus a warm-up op.
+    """Median time of `repeats` set-ups, each input generation plus a warm-up op.
 
-    Only the workload's set-up and the warm-up call are timed; the warm-up's
-    check runs after its timer stops.  The warm-up op is not an op of the run,
-    so first-call costs stay out of the op timings.  The inputs of the last
-    set-up are kept.
+    Only the workload's set-up and the warm-up call are timed, and scaled
+    like op times; the warm-up's check runs after its timer stops.  The
+    warm-up op is not an op of the run, so first-call costs stay out of the
+    op timings.  The inputs of the last set-up are kept.
     """
     times = []
     for _ in range(repeats):
+        before = runner.probe()
         t = time.perf_counter()
         runner.w.setup(seed)
         made = time.perf_counter() - t
-        times.append(made + runner.warm_up())
+        times.append(runner.scale(made + runner.warm_up(), before))
     return statistics.median(times)
 
 
@@ -150,6 +209,7 @@ def measure_traced(workload, lib, seed: int, seconds: float, name: str) -> tuple
     runner.warm_up()
     runner.run_for(seconds / 2)
     untraced = statistics.median(runner.times)
+    untraced_wall = statistics.median(runner.wall_times)
     roots, traced_times = [], []
     with tracer.installed(sites):
         for i in range(workload.traced_ops):
@@ -162,6 +222,7 @@ def measure_traced(workload, lib, seed: int, seconds: float, name: str) -> tuple
     metrics = tracing.op_metrics(tracer.spans, roots)
     metrics.update(tracing.setup_metrics(tracer.spans, setup_root))
     metrics["trace.op_p50_untraced_s"] = (untraced, "s")
+    metrics["trace.op_p50_untraced_wall_s"] = (untraced_wall, "s")
     metrics["trace.op_p50_traced_s"] = (traced, "s")
     metrics["trace.overhead_s"] = (traced - untraced, "s")
     metrics["trace.spans_per_op"] = (
@@ -197,6 +258,8 @@ def main(argv=None) -> int:
         runner, metrics = measure(workload, args.seed, args.seconds, import_s)
     for fault in runner.faults:
         print(f"check failed: {fault}", file=sys.stderr)
+    if runner.wall_times:
+        print(f"op wall time p50, unscaled: {statistics.median(runner.wall_times):.4f} s", file=sys.stderr)
     print(
         json.dumps(
             {
