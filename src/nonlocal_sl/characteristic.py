@@ -152,39 +152,38 @@ def _row(node: int, row_map) -> int:
     return node if row_map is None else row_map[int(node)]
 
 
-def _apply_form(form: LinearForm, fam, col: int, row_map, grid: np.ndarray) -> np.ndarray:
-    """True-scale form value per spectral point, shape (m,)."""
-    m = len(fam.lam)
+def _apply_form(form: LinearForm, fam, E: np.ndarray, row_map, grid: np.ndarray) -> np.ndarray:
+    """True-scale form value per spectral point and column, shape (m, k).
+
+    `E` is exp(fam.s).  The jump, the atoms and the density fold into one
+    weight per stored node, contracted with the nodes in a single pass.
+    """
     if form.kind == "point_value":
-        node = _node_index(grid, form.x0, "point form")
-        r = _row(node, row_map)
+        r = _row(_node_index(grid, form.x0, "point form"), row_map)
         src = fam.y if form.order == 0 else fam.dy
         if src is None:
             raise InputError("stored sweep lacks the derivative needed by a point form")
-        return src[r, :, col] * np.exp(fam.s[r, :])
+        return src[r] * E[r][:, None]
     mu = form.measure
-    out = np.zeros(m, dtype=complex)
+    w = np.zeros(len(fam.s), dtype=complex)
     if mu.jump_at_zero != 0:
-        r0 = _row(_node_index(grid, 0.0), row_map)
-        out = out + mu.jump_at_zero * fam.y[r0, :, col] * np.exp(fam.s[r0, :])
-    if mu.atoms:
-        rows = np.asarray(
-            [_row(_node_index(grid, t, "atom"), row_map) for t, _ in mu.atoms], dtype=int
-        )
-        w = np.asarray([wt for _, wt in mu.atoms], dtype=complex)
-        out = out + (w[:, None] * fam.y[rows, :, col] * np.exp(fam.s[rows, :])).sum(axis=0)
+        w[_row(_node_index(grid, 0.0), row_map)] += mu.jump_at_zero
+    for t, wt in mu.atoms:
+        w[_row(_node_index(grid, t, "atom"), row_map)] += wt
     if mu.has_density:
-        wd = density_node_weights(mu, grid)
-        nz = np.nonzero(wd)[0]
-        if len(nz):
-            out = out + (wd[nz, None] * fam.y[nz, :, col] * np.exp(fam.s[nz, :])).sum(axis=0)
-    return out
+        w += density_node_weights(mu, grid)
+    nz = np.nonzero(w)[0]
+    if not len(nz):
+        return np.zeros(fam.y.shape[1:], dtype=complex)
+    sl = slice(nz[0], nz[-1] + 1)
+    return np.einsum("p,pm,pmk->mk", w[sl], E[sl], fam.y[sl])
 
 
-def _v_values(fam, col: int, order: int) -> np.ndarray:
-    yT, dT, sT = fam.stateT
-    src = yT if order == 0 else dT
-    return src[:, col] * np.exp(sT)
+def _form_values(spec: ProblemSpec, fam, grid: np.ndarray):
+    """(U1, U2) on every column of a stored sweep, each of shape (m, k)."""
+    E = np.exp(fam.s)
+    rm = _row_map(fam)
+    return tuple(_apply_form(f, fam, E, rm, grid) for f in (spec.form1, spec.form2))
 
 
 def _unit(z: np.ndarray) -> np.ndarray:
@@ -274,19 +273,13 @@ def char_batch(
         if route not in (r, "both"):
             continue
         fam = integrate_family(spec.q, lam, r, grid, gs, store=mode, store_points=nodes)
-        rm = _row_map(fam)
-        u11 = _apply_form(spec.form1, fam, 0, rm, grid)
-        u12 = _apply_form(spec.form1, fam, 1, rm, grid)
-        u21 = _apply_form(spec.form2, fam, 0, rm, grid)
-        u22 = _apply_form(spec.form2, fam, 1, rm, grid)
+        (u11, u12), (u21, u22) = (u.T for u in _form_values(spec, fam, grid))
         om = _safe_det(u11, u22, u12, u21)
         if r == "Z":
             results["Z"] = {"omega": om, "delta1": -u12, "delta2": -u22, "delta11": u11}
         else:
-            v11 = _v_values(fam, 0, 0)
-            v12 = _v_values(fam, 1, 0)
-            v21 = _v_values(fam, 0, 1)
-            v22 = _v_values(fam, 1, 1)
+            yT, dT, eT = fam.stateT[0], fam.stateT[1], np.exp(fam.stateT[2])[:, None]
+            (v11, v12), (v21, v22) = (yT * eT).T, (dT * eT).T
             results["X"] = {
                 "omega": om,
                 "delta1": _safe_det(u11, v12, u12, v11),
@@ -310,8 +303,8 @@ def char_batch(
         sc = batch.scale()
         for name in ("omega", "delta1", "delta2", "delta11"):
             defect = _route_defect(primary[name], results["X"][name], sc)
-            worst = int(np.argmax(defect))
-            if defect[worst] > ROUTE_TOL:
+            if np.any(defect > ROUTE_TOL):
+                worst = int(np.argmax(defect))
                 raise ConsistencyError(
                     f"{name} routes disagree by {defect[worst]:.2e} at "
                     f"lambda={lam[worst]:.6g} (grid too coarse?)"
@@ -374,11 +367,7 @@ def char_batch_multi(
     fam = integrate_family(
         q_list[0], lam, "Z", grid, gs, store=mode, store_points=nodes, q_steps=(qa, qm, qb)
     )
-    rm = _row_map(fam)
-    u11 = _apply_form(spec.form1, fam, 0, rm, grid)
-    u12 = _apply_form(spec.form1, fam, 1, rm, grid)
-    u21 = _apply_form(spec.form2, fam, 0, rm, grid)
-    u22 = _apply_form(spec.form2, fam, 1, rm, grid)
+    (u11, u12), (u21, u22) = (u.T for u in _form_values(spec, fam, grid))
     return CharBatch(
         lam=lam,
         omega=_safe_det(u11, u22, u12, u21),
@@ -602,8 +591,7 @@ def phi_trace_stable(
 
     head = grid[: ia + 1]
     famH = integrate_family(spec.q, [p.lam], "X", head, gs, store="yd")
-    u11 = complex(_apply_form(spec.form1, famH, 0, None, head)[0])
-    u12 = complex(_apply_form(spec.form1, famH, 1, None, head)[0])
+    u11, u12 = (complex(u) for u in _apply_form(spec.form1, famH, np.exp(famH.s), None, head)[0])
 
     # mantissa-space combination on the head, shared head scale
     cmax = max(abs(u11), abs(u12))

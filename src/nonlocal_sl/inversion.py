@@ -707,7 +707,9 @@ def reconstruct(
         starts.append(c0 + rng.normal(0.0, options.spread, len(c0)))
     runs = [_lm_run(engine, s, options) for s in starts]
     norms = [run[1] for run in runs]
-    best = runs[int(np.argmin(norms))]
+    # residuals within tol of the lowest are one minimum: prefer a run that converged there
+    tied = [run for run in runs if run[1] <= min(norms) + options.tol]
+    best = min(tied, key=lambda run: (not run[5], run[1]))
     c, norm, r, invalid, iters, converged, message = best
     pairs = r.reshape(-1, 2)
     per_datum = tuple(float(v) for v in np.hypot(pairs[:, 0], pairs[:, 1]))

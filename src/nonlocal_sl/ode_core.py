@@ -7,9 +7,12 @@ RK4.  The step law resolves the oscillation/growth scale rho = sqrt(lambda):
     theta = min(theta_cap, 0.5, (120 tol / (|rho| T))^(1/4)),
 
 where the quartic root comes from the RK4 phase-error model
-N * (|rho| h)^5 / 120 ~ tol for N = T/h steps.  Solutions that grow like
-exp(|Im rho| x) are kept representable by a running log-scale: stored values
-are the true solution times exp(-s).  A single sweep integrates a whole
+N * (|rho| h)^5 / 120 ~ tol for N = T/h steps.  Each RK4 step is a 2x2
+matrix, polynomial in h and q - lambda.  A sweep multiplies out blocks of
+L = ceil(sqrt(N)) steps, all blocks at once, carries the state across the
+block starts, renormalizing it there into a per-lambda log-scale s (stored
+values are the true solution times exp(-s)), and replays the steps from block
+starts only where interior nodes are stored.  One sweep integrates a whole
 family of spectral points (and both fundamental columns) at once; all public
 entry points are thin wrappers over that core.
 
@@ -19,8 +22,8 @@ lambda is real non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import ceil, log, pi
+from dataclasses import dataclass, replace
+from math import ceil, log
 
 import numpy as np
 
@@ -61,27 +64,17 @@ class SpectralPoint:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Accuracy and safety knobs for the fixed-step integrator."""
+    """Step-size law and overflow guard; the sweep's block length follows from N."""
 
     tol: float = 1e-10  # target relative phase accuracy over the sweep
     h_max: float | None = None  # absolute cap on the step (default T / n_min)
     n_min: int = 64
     theta_cap: float = 0.35  # cap on |rho| * h per step
-    scale_threshold: float = 1e8  # rescale when solution magnitudes exceed this
-    check_every: int = 16  # steps between rescale checks
     tau_T_budget: float = 600.0  # |Im rho| * T beyond this -> range error
 
     def coarsened(self, tol: float) -> "GridSpec":
         """Same spec with a looser tolerance (never tighter)."""
-        return GridSpec(
-            tol=max(self.tol, tol),
-            h_max=self.h_max,
-            n_min=self.n_min,
-            theta_cap=self.theta_cap,
-            scale_threshold=self.scale_threshold,
-            check_every=self.check_every,
-            tau_T_budget=self.tau_T_budget,
-        )
+        return replace(self, tol=max(self.tol, tol))
 
 
 def solver_grid(
@@ -238,6 +231,24 @@ def _check_budget(rho: np.ndarray, T: float, spec: GridSpec):
         )
 
 
+def _rk4_step_matrix(h, ca, cm, cb):
+    """One RK4 step of y'' = c(x) y as the 2x2 matrix (m11, m12, m21, m22) on (y, y').
+
+    `ca`, `cm`, `cb` are c = q - lambda at the step's start, middle and end;
+    h = 0 gives the identity.
+    """
+    h2 = h * h
+    hb = h2 * cm
+    u = 1.0 + 0.25 * hb
+    cm2 = 2.0 * cm
+    return (
+        1.0 + h2 / 6.0 * (ca * u + cm2),
+        h + h / 6.0 * hb,
+        h / 6.0 * ((ca + cb) * (1.0 + 0.5 * hb) + 2.0 * cm2),
+        1.0 + h2 / 6.0 * (cb * u + cm2),
+    )
+
+
 def integrate_family(
     q: Potential,
     lam,
@@ -263,126 +274,100 @@ def integrate_family(
     _check_budget(rho, float(grid[-1]), spec)
     if side not in ("X", "Z"):
         raise InputError("side must be 'X' or 'Z'")
-    m = len(lam)
-    n = len(grid)
-    if q_steps is None:
-        qa, qm, qb = q.step_samples(grid)
-    else:
-        qa, qm, qb = q_steps
-
-    if init is None:
-        y = np.tile(np.asarray([[1.0 + 0j, 0.0 + 0j]]), (m, 1))
-        d = np.tile(np.asarray([[0.0 + 0j, 1.0 + 0j]]), (m, 1))
-    else:
-        y = np.array(init[0], dtype=complex, copy=True)
-        d = np.array(init[1], dtype=complex, copy=True)
-        if y.ndim == 1:
-            y = y[:, None]
-            d = d[:, None]
-    k = y.shape[1]
-    lam_col = lam[:, None]
-    rho_div = np.maximum(1.0, np.abs(rho))[:, None]
-    s = np.zeros(m)
-
-    reverse = side == "Z"
-    step_order = range(n - 2, -1, -1) if reverse else range(n - 1)
-    node_order = list(range(n - 1, -1, -1)) if reverse else list(range(n))
-
-    # storage layout follows ascending node order regardless of sweep direction
-    if store == "points":
-        pts = np.asarray(sorted(store_points), dtype=int)
-        slot_of = {int(i): j for j, i in enumerate(pts)}
-        y_st = np.empty((len(pts), m, k), dtype=complex)
-        dy_st = np.empty((len(pts), m, k), dtype=complex)
-        s_st = np.empty((len(pts), m))
-    elif store in ("y", "yd"):
-        pts = None
-        y_st = np.empty((n, m, k), dtype=complex)
-        dy_st = np.empty((n, m, k), dtype=complex) if store == "yd" else None
-        s_st = np.empty((n, m))
-    elif store == "none":
-        pts = None
-        y_st = dy_st = s_st = None
-    else:
+    if store not in ("none", "points", "y", "yd"):
         raise InputError(f"unknown store mode {store!r}")
+    m = len(lam)
+    N = len(grid) - 1
+    qa, qm, qb = q.step_samples(grid) if q_steps is None else q_steps
+    if init is None:
+        init = (np.tile([1.0 + 0j, 0j], (m, 1)), np.tile([0j, 1.0 + 0j], (m, 1)))
+    y, d = (np.asarray(v, dtype=complex) for v in init)
+    y, d = (y[:, None], d[:, None]) if y.ndim == 1 else (y, d)
+    k = y.shape[1]
 
-    def record(node: int):
-        if store == "none":
-            return
-        if store == "points":
-            j = slot_of.get(node)
-            if j is None:
-                return
-            y_st[j] = y
-            dy_st[j] = d
-            s_st[j] = s
-        else:
-            y_st[node] = y
-            s_st[node] = s
+    # everything below runs in sweep order: step t goes from sweep node t to t+1
+    reverse = side == "Z"
+    # step N, one past the end, has h = 0 and so the identity matrix
+    h_sw = np.append(-np.diff(grid)[::-1] if reverse else np.diff(grid), 0.0)
+    q_sw = [np.asarray(v) for v in ((qb, qm, qa) if reverse else (qa, qm, qb))]
+    q_sw = [v[::-1] for v in q_sw] if reverse else q_sw
+    q_sw = [v[:, None] if v.ndim == 1 else v for v in q_sw]  # (N, 1): q shared by every lambda
+
+    def step_maps(t):
+        t = np.minimum(t, N)
+        tq = np.minimum(t, N - 1)
+        return _rk4_step_matrix(h_sw[t][:, None], *(v[tq] - lam for v in q_sw))
+
+    # slot[u]: storage row of sweep node u, or -1; rows follow ascending grid order
+    slot = np.full(N + 1, -1)
+    pts = None
+    if store == "points":
+        pts = np.unique(np.asarray(store_points, dtype=int))
+        slot[N - pts if reverse else pts] = np.arange(len(pts))
+    elif store != "none":
+        slot[:] = np.arange(N, -1, -1) if reverse else np.arange(N + 1)
+    rows = int(slot.max()) + 1
+    y_st = np.empty((rows, m, k), dtype=complex) if store != "none" else None
+    dy_st = np.empty((rows, m, k), dtype=complex) if store in ("points", "yd") else None
+    s_st = np.empty((rows, m)) if store != "none" else None
+
+    def record(u, ys, ds, ss):
+        r = slot[u]
+        keep = r >= 0
+        if np.any(keep):
+            y_st[r[keep]] = ys[keep]
+            s_st[r[keep]] = ss[keep]
             if dy_st is not None:
-                dy_st[node] = d
+                dy_st[r[keep]] = ds[keep]
 
-    start_node = node_order[0]
-    state_start = (y.copy(), d.copy(), s.copy())
-    record(start_node)
+    # pass 1: the product of each block's L step maps, all blocks at once
+    L = max(1, ceil(N**0.5))
+    B = -(-N // L)
+    starts = np.arange(B) * L
+    P = step_maps(starts)
+    for j in range(1, L):
+        M = step_maps(starts + j)
+        P = (
+            M[0] * P[0] + M[1] * P[2],
+            M[0] * P[1] + M[1] * P[3],
+            M[2] * P[0] + M[3] * P[2],
+            M[2] * P[1] + M[3] * P[3],
+        )
 
-    threshold = spec.scale_threshold
-    check_every = max(1, spec.check_every)
-    per_elem = qa.ndim == 2 if hasattr(qa, "ndim") else False
+    # pass 2: carry the state over the block starts, renormalizing by powers of 2
+    rho_div = np.maximum(1.0, np.abs(rho))
+    Ys, Ds = np.empty((2, B + 1, m, k), dtype=complex)
+    Es = np.zeros((B + 1, m), dtype=np.int64)
+    Ys[0], Ds[0] = y, d
+    for b in range(B):
+        p = [x[b][:, None] for x in P]
+        y, d = p[0] * y + p[1] * d, p[2] * y + p[3] * d
+        mag = np.maximum(np.abs(y).max(axis=1), np.abs(d).max(axis=1) / rho_div)
+        if not np.all(np.isfinite(mag)):
+            raise RangeError("solution overflow within one block of steps")
+        e = np.frexp(mag)[1]
+        f = np.ldexp(1.0, -e)[:, None]
+        y, d = y * f, d * f
+        Ys[b + 1], Ds[b + 1], Es[b + 1] = y, d, Es[b] + e
+    Ss = Es * log(2.0)
+    nodes = np.append(starts, N)
+    record(nodes, Ys, Ds, Ss)
 
-    for count, i in enumerate(step_order):
-        x_lo, x_hi = grid[i], grid[i + 1]
-        if reverse:
-            h = x_lo - x_hi
-            c_start, c_end = qb, qa
-        else:
-            h = x_hi - x_lo
-            c_start, c_end = qa, qb
-        if per_elem:
-            ca = c_start[i][:, None] - lam_col
-            cm = qm[i][:, None] - lam_col
-            cb = c_end[i][:, None] - lam_col
-        else:
-            ca = c_start[i] - lam_col
-            cm = qm[i] - lam_col
-            cb = c_end[i] - lam_col
-        h2 = 0.5 * h
-        h6 = h / 6.0
+    # pass 3: re-apply the step maps from the block starts that hold stored nodes
+    inner = np.nonzero((slot >= 0) & (np.arange(N + 1) % L != 0))[0]
+    inner = inner[inner < N]
+    if len(inner):
+        sel = np.unique(inner // L)
+        Yb, Db, Sb = Ys[sel], Ds[sel], Ss[sel]
+        for j in range(int((inner % L).max())):
+            M = [x[..., None] for x in step_maps(sel * L + j)]
+            Yb, Db = M[0] * Yb + M[1] * Db, M[2] * Yb + M[3] * Db
+            u = sel * L + j + 1
+            ok = u < N
+            record(u[ok], Yb[ok], Db[ok], Sb[ok])
 
-        k1d = ca * y
-        y2 = y + h2 * d
-        d2 = d + h2 * k1d
-        k2d = cm * y2
-        y3 = y + h2 * d2
-        d3 = d + h2 * k2d
-        k3d = cm * y3
-        y4 = y + h * d3
-        d4 = d + h * k3d
-        k4d = cb * y4
-        y = y + h6 * (d + 2.0 * (d2 + d3) + d4)
-        d = d + h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
-
-        if (count + 1) % check_every == 0 or count == len(step_order) - 1:
-            mag = np.maximum(
-                np.abs(y).max(axis=1), np.abs(d).max(axis=1) / rho_div[:, 0]
-            )
-            if not np.all(np.isfinite(mag)):
-                raise RangeError("solution overflow: rescaling interval too coarse")
-            big = mag > threshold
-            if np.any(big):
-                fac = mag[big]
-                y[big] /= fac[:, None]
-                d[big] /= fac[:, None]
-                s = s.copy()
-                s[big] += np.log(fac)
-
-        record(node_order[count + 1])
-
-    state_end = (y.copy(), d.copy(), s.copy())
-    if reverse:
-        state0, stateT = state_end, state_start
-    else:
-        state0, stateT = state_start, state_end
+    ends = tuple(tuple(a[i].copy() for a in (Ys, Ds, Ss)) for i in (0, B))
+    state0, stateT = ends[::-1] if reverse else ends
     return FamilyStore(
         grid=grid,
         lam=lam,

@@ -197,11 +197,6 @@ def _winding(f: Callable, box: SearchBox, max_refine: int = 9) -> _ContourResult
     raise ContourError("a zero stays too close to the contour after the allowed nudges")
 
 
-def count_zeros(f: Callable, box: SearchBox) -> int:
-    """Number of zeros (with multiplicity) of an entire handle inside the box."""
-    return _winding(f, box).winding
-
-
 def _moment_seed(cr: _ContourResult) -> complex:
     """First contour moment: the mean of the enclosed zeros."""
     if cr.winding == 0:

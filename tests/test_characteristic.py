@@ -113,6 +113,13 @@ class TestRouteAgreement:
         with pytest.raises(InputError):
             char_batch(_dirichlet(), [1.0], route="Y")
 
+    @pytest.mark.parametrize("route", ["Z", "X", "both"])
+    def test_empty_batch(self, route):
+        b = char_batch(_dirichlet(), np.array([], dtype=complex), route=route)
+        for name in ("omega", "delta1", "delta2", "delta11"):
+            assert getattr(b, name).shape == (0,)
+        assert set(b.alt) == (set() if route != "both" else {"omega", "delta1", "delta2", "delta11"})
+
 
 class TestSolutionFamily:
     def _residual_scale(self, combo, spec):

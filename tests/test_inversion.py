@@ -144,6 +144,28 @@ def test_recovery_from_two_spectra(truth, target):
     assert res.residual_norm < 1e-6
 
 
+def test_tied_starts_report_the_converged_run(truth, target, monkeypatch):
+    """Starts ending within tol of the same residual are one minimum."""
+    import nonlocal_sl.inversion as inversion
+
+    r = np.zeros(2 * target.n_data)
+
+    def run(stops):
+        opts = ReconstructOptions(
+            template=truth, basis=BasisSpec.cosine(T, 2), starts=len(stops), tol=1e-9
+        )
+        ends = iter([(np.array(c), norm, r, r > 0, n, ok, "") for c, norm, n, ok in stops])
+        monkeypatch.setattr(inversion, "_lm_run", lambda *args: next(ends))
+        return reconstruct(target, np.zeros(2), opts)
+
+    tied = [([0.4, -0.25], 3.0e-7, 6, False), ([0.4, -0.25], 3.0e-7 + 1e-13, 5, True)]
+    res = run(tied)
+    assert res.convergence_flag and res.iterations == 5
+    assert res.start_norms == (3.0e-7, 3.0e-7 + 1e-13)
+    res = run(tied + [([0.1, 0.2], 2.0e-7, 4, False)])
+    assert res.coeffs == (0.1, 0.2) and not res.convergence_flag
+
+
 class TestDistinguishability:
     def test_identical_problems_score_zero(self, truth):
         lam = np.linspace(3.0, 30.0, 7) + 0.5j

@@ -1,0 +1,176 @@
+"""The blocked sweep against a plain sequential RK4 loop.
+
+`integrate_family` composes closed-form RK4 step matrices block by block.
+The reference below takes the same steps one at a time on the state vector,
+rescaling on the way, so the two agree to rounding once values are compared
+at a common log-scale.  Every side, store mode and kind of input the library
+uses is covered, plus a zero-step grid and a strongly growing case.
+"""
+
+import numpy as np
+import pytest
+
+from nonlocal_sl import Potential
+from nonlocal_sl.errors import RangeError
+from nonlocal_sl.ode_core import GridSpec, integrate_family, principal_rho, solver_grid
+
+T = np.pi
+REL = 1e-12
+
+
+def reference_sweep(q, lam, side, grid, init=None, q_steps=None):
+    """(y, dy, s) at every node in ascending grid order, one RK4 step at a time."""
+    lam = np.asarray(lam, dtype=complex)
+    rho_div = np.maximum(1.0, np.abs(principal_rho(lam)))
+    m, n = len(lam), len(grid)
+    qa, qm, qb = q.step_samples(grid) if q_steps is None else q_steps
+    if init is None:
+        y = np.tile([[1.0 + 0j, 0j]], (m, 1))
+        d = np.tile([[0j, 1.0 + 0j]], (m, 1))
+    else:
+        y, d = (np.array(v, dtype=complex) for v in init)
+    s = np.zeros(m)
+    ys, ds, ss = [y], [d], [s]
+    reverse = side == "Z"
+    for i in range(n - 2, -1, -1) if reverse else range(n - 1):
+        h = grid[i] - grid[i + 1] if reverse else grid[i + 1] - grid[i]
+        c0, c1 = (qb, qa) if reverse else (qa, qb)
+        ca, cm, cb = (np.reshape(c[i], (-1, 1)) - lam[:, None] for c in (c0, qm, c1))
+        k1 = ca * y
+        y2, d2 = y + h / 2 * d, d + h / 2 * k1
+        k2 = cm * y2
+        y3, d3 = y + h / 2 * d2, d + h / 2 * k2
+        k3 = cm * y3
+        y4, d4 = y + h * d3, d + h * k3
+        k4 = cb * y4
+        y = y + h / 6 * (d + 2 * (d2 + d3) + d4)
+        d = d + h / 6 * (k1 + 2 * (k2 + k3) + k4)
+        mag = np.maximum(np.abs(y).max(axis=1), np.abs(d).max(axis=1) / rho_div)
+        big = mag > 1e8
+        y, d, s = y.copy(), d.copy(), s.copy()
+        y[big] /= mag[big, None]
+        d[big] /= mag[big, None]
+        s[big] += np.log(mag[big])
+        ys.append(y)
+        ds.append(d)
+        ss.append(s)
+    if reverse:
+        ys, ds, ss = ys[::-1], ds[::-1], ss[::-1]
+    return np.array(ys), np.array(ds), np.array(ss)
+
+
+def _mismatch(y, dy, s, ry, rdy, rs, rho):
+    """Largest difference, relative to the reference's per-node magnitude."""
+    f = np.exp(s - rs)[..., None]
+    div = np.maximum(1.0, np.abs(rho))[None, :, None]
+    mag = np.maximum(np.abs(ry), np.abs(rdy) / div).max(axis=-1)
+    err = np.abs(y * f - ry).max(axis=-1)
+    if dy is not None:
+        err = np.maximum(err, (np.abs(dy * f - rdy) / div).max(axis=-1))
+    return float((err / mag).max())
+
+
+def _check_all_modes(q, lam, side, grid, spec=None, init=None, q_steps=None):
+    ry, rdy, rs = reference_sweep(q, lam, side, grid, init, q_steps)
+    rho = principal_rho(np.asarray(lam, dtype=complex))
+    kw = dict(init=init, q_steps=q_steps)
+    n = len(grid)
+    for store in ("none", "points", "y", "yd"):
+        pts = sorted({0, n - 1, n // 3, min(n // 2 + 1, n - 1), max(n - 3, 0)})
+        fam = integrate_family(q, lam, side, grid, spec, store=store, store_points=pts, **kw)
+        for node, state in ((0, fam.state0), (n - 1, fam.stateT)):
+            sl = slice(node, node + 1)
+            assert _mismatch(
+                state[0][None], state[1][None], state[2][None], ry[sl], rdy[sl], rs[sl], rho
+            ) <= REL
+        if store == "none":
+            assert fam.y is None and fam.s is None
+            continue
+        rows = np.asarray(pts) if store == "points" else np.arange(n)
+        if store == "points":
+            assert list(fam.point_idx) == pts
+        assert fam.y.shape == (len(rows),) + ry.shape[1:]
+        assert _mismatch(fam.y, fam.dy, fam.s, ry[rows], rdy[rows], rs[rows], rho) <= REL
+        assert (fam.dy is None) == (store == "y")
+
+
+def _cosine():
+    return Potential.from_cosine(T, [0.4, -0.7, 0.3, 0.2])
+
+
+LAMS = np.array([0.3, 17.0, 110.0 + 3j, -40.0, 6.0 + 25j, 250.0 - 1j])
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_fundamental_family_matches_sequential_rk4(side):
+    q = _cosine()
+    grid = solver_grid(q, float(np.abs(principal_rho(LAMS)).max()), GridSpec(), [[0.7, 2.0]])
+    _check_all_modes(q, LAMS, side, grid)
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_complex_piecewise_potential(side):
+    q = Potential.from_piecewise([0.0, 1.0, 2.5, T], [1.5 + 0.5j, -2.0, 0.3j])
+    grid = solver_grid(q, 12.0, GridSpec(tol=1e-8))
+    _check_all_modes(q, LAMS[:3], side, grid)
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_custom_init_single_column(side):
+    q = _cosine()
+    lam = LAMS[:4]
+    rng = np.random.default_rng(3)
+    init = (rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1)), rng.normal(size=(4, 1)) + 0j)
+    grid = solver_grid(q, 11.0, GridSpec(tol=1e-9))
+    _check_all_modes(q, lam, side, grid, init=init)
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_per_column_potential_samples(side):
+    qs = [_cosine(), Potential.from_cosine(T, [0.1, 0.5, -0.2, 0.4]), Potential.zero(T)]
+    lam = np.array([2.0, 9.5 + 1j, 30.0, -3.0, 14.0])
+    idx = np.array([0, 1, 2, 1, 0])
+    grid = solver_grid(qs[0], 6.0, GridSpec())
+    samples = [qq.step_samples(grid) for qq in qs]
+    q_steps = tuple(np.stack([smp[c] for smp in samples], axis=1)[:, idx] for c in range(3))
+    _check_all_modes(qs[0], lam, side, grid, q_steps=q_steps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_short_grids(n, side):
+    q = _cosine()
+    grid = np.linspace(0.0, 0.8, n)
+    _check_all_modes(q, LAMS[:2], side, grid)
+
+
+def test_zero_step_grid_keeps_initial_state():
+    q = _cosine()
+    init = (np.array([[2.0 + 1j]]), np.array([[-0.5 + 0j]]))
+    fam = integrate_family(q, [4.0], "X", np.array([0.0]), store="yd", init=init)
+    assert fam.y.shape == (1, 1, 1) and fam.s.shape == (1, 1)
+    assert fam.y[0, 0, 0] * np.exp(fam.s[0, 0]) == 2.0 + 1j
+    assert fam.dy[0, 0, 0] * np.exp(fam.s[0, 0]) == -0.5
+    assert fam.state0[0][0, 0] == fam.stateT[0][0, 0] == 2.0 + 1j
+
+
+def test_end_states_do_not_hold_the_sweep_buffers():
+    q = _cosine()
+    fam = integrate_family(q, LAMS, "X", np.linspace(0.0, T, 401))
+    assert all(a.base is None for a in fam.state0 + fam.stateT)
+    assert fam.stateT[0].shape == (len(LAMS), 2) and fam.stateT[2].shape == (len(LAMS),)
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_strong_growth_near_the_budget(side):
+    spec = GridSpec(tol=1e-6, tau_T_budget=900.0)
+    tau = 890.0 / T
+    lam = np.array([(1.5 + 1j * tau) ** 2, -(tau**2), -(tau**2) / 4 + 2j])
+    q = _cosine()
+    grid = solver_grid(q, float(np.abs(principal_rho(lam)).max()), spec)
+    _check_all_modes(q, lam, side, grid, spec=spec)
+    fam = integrate_family(q, lam, side, grid, spec)
+    end = fam.stateT if side == "X" else fam.state0
+    assert end[2].max() > 800.0
+    with pytest.raises(RangeError):
+        integrate_family(q, lam, side, grid, GridSpec())
