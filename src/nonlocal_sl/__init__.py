@@ -38,7 +38,6 @@ _EXPORTS = {
     ),
     "characteristic": (
         "CharBatch",
-        "CharValue",
         "ComboSolutions",
         "ProblemSpec",
         "RatioValue",
@@ -46,13 +45,8 @@ _EXPORTS = {
         "char_handle",
         "combo_solutions",
         "d_sequence",
-        "delta_11",
-        "delta_j",
-        "omega",
         "phi_trace_stable",
         "split_identity_check",
-        "weyl_M",
-        "weyl_N",
     ),
     "spectrum_finder": (
         "ConditionReport",

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristic import ProblemSpec, char_batch, phi_trace_stable
+from .characteristic import ProblemSpec, char_batch, node_weights, phi_trace_stable
 from .errors import InputError, RangeError
+from .measure import LinearForm
 from .ode_core import GridSpec, SpectralPoint, integrate_family, principal_rho, solver_grid
 
 _QUANTITIES = ("Phi", "v1", "Delta1", "Delta11", "varphi", "v2")
@@ -242,13 +243,6 @@ def _unit(v: complex) -> complex:
     return 1.0 + 0j if a == 0.0 else v / a
 
 
-def _node_of(grid: np.ndarray, x: float) -> int:
-    i = int(np.argmin(np.abs(grid - x)))
-    if abs(grid[i] - x) > 1e-9 * max(1.0, grid[-1]):
-        raise InputError(f"x={x} is not a node of the solver grid")
-    return i
-
-
 def _computed_values(
     quantity: str, x, lams: np.ndarray, spec: ProblemSpec, gs: GridSpec, order: int
 ) -> list[ScaledComplex]:
@@ -262,13 +256,11 @@ def _computed_values(
     if quantity in ("v1", "Phi"):
         rho_max = float(np.max(np.abs(principal_rho(lams))))
         grid = solver_grid(spec.q, rho_max, gs, extra_required=(x,))
-        idx = _node_of(grid, x)
-        fam = integrate_family(
-            spec.q, lams, "Z", grid, gs, store="points", store_points=[idx]
-        )
+        weights = [node_weights(LinearForm.point_value(x, order), grid)]
+        fam = integrate_family(spec.q, lams, "Z", grid, gs, weights=weights)
         col = 0 if quantity == "v1" else 1
-        w = fam.y[0, :, col] if order == 0 else fam.dy[0, :, col]
-        s = fam.s[0, :]
+        w = fam.forms[0, :, col]
+        s = fam.forms_s[0]
         if quantity == "v1":
             return [ScaledComplex(complex(w[j]), float(s[j])) for j in range(len(lams))]
         cb = char_batch(spec, lams, grid_spec=gs, route="Z")

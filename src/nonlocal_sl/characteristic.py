@@ -126,64 +126,29 @@ def _node_index(grid: np.ndarray, x: float, label: str = "point") -> int:
     raise InputError(f"{label}: no grid node at x={x}")
 
 
-def _storage_plan(spec: ProblemSpec):
-    """(store_mode, point positions) sufficient to evaluate both forms."""
-    forms = (spec.form1, spec.form2)
-    has_density = any(f.kind == "nonlocal" and f.measure.has_density for f in forms)
-    needs_deriv = any(f.kind == "point_value" and f.order == 1 for f in forms)
-    if has_density:
-        return ("yd" if needs_deriv else "y"), None
-    xs = {0.0}
-    for f in forms:
-        if f.kind == "nonlocal":
-            xs.update(t for t, _ in f.measure.atoms)
-        else:
-            xs.add(f.x0)
-    return "points", sorted(xs)
+def node_weights(form: LinearForm, grid: np.ndarray) -> tuple:
+    """The form as node weights (Wy, Wd) on y and y' over `grid`; None marks zero.
 
-
-def _row_map(fam):
-    if fam.point_idx is None:
-        return None
-    return {int(n): i for i, n in enumerate(fam.point_idx)}
-
-
-def _row(node: int, row_map) -> int:
-    return node if row_map is None else row_map[int(node)]
-
-
-def _apply_form(form: LinearForm, fam, E: np.ndarray, row_map, grid: np.ndarray) -> np.ndarray:
-    """True-scale form value per spectral point and column, shape (m, k).
-
-    `E` is exp(fam.s).  The jump, the atoms and the density fold into one
-    weight per stored node, contracted with the nodes in a single pass.
+    The jump, the atoms and the density's trapezoid weights fold into Wy;
+    an order-1 point form is the only one that weighs y'.
     """
+    w = np.zeros(len(grid), dtype=complex)
     if form.kind == "point_value":
-        r = _row(_node_index(grid, form.x0, "point form"), row_map)
-        src = fam.y if form.order == 0 else fam.dy
-        if src is None:
-            raise InputError("stored sweep lacks the derivative needed by a point form")
-        return src[r] * E[r][:, None]
+        w[_node_index(grid, form.x0, "point form")] = 1.0
+        return (w, None) if form.order == 0 else (None, w)
     mu = form.measure
-    w = np.zeros(len(fam.s), dtype=complex)
     if mu.jump_at_zero != 0:
-        w[_row(_node_index(grid, 0.0), row_map)] += mu.jump_at_zero
+        w[_node_index(grid, 0.0)] += mu.jump_at_zero
     for t, wt in mu.atoms:
-        w[_row(_node_index(grid, t, "atom"), row_map)] += wt
+        w[_node_index(grid, t, "atom")] += wt
     if mu.has_density:
         w += density_node_weights(mu, grid)
-    nz = np.nonzero(w)[0]
-    if not len(nz):
-        return np.zeros(fam.y.shape[1:], dtype=complex)
-    sl = slice(nz[0], nz[-1] + 1)
-    return np.einsum("p,pm,pmk->mk", w[sl], E[sl], fam.y[sl])
+    return w, None
 
 
-def _form_values(spec: ProblemSpec, fam, grid: np.ndarray):
-    """(U1, U2) on every column of a stored sweep, each of shape (m, k)."""
-    E = np.exp(fam.s)
-    rm = _row_map(fam)
-    return tuple(_apply_form(f, fam, E, rm, grid) for f in (spec.form1, spec.form2))
+def _form_values(fam) -> np.ndarray:
+    """True-scale form values of a weighted sweep, shape (F, m, k)."""
+    return fam.forms * np.exp(fam.forms_s)[..., None]
 
 
 def _unit(z: np.ndarray) -> np.ndarray:
@@ -265,15 +230,14 @@ def char_batch(
     gs = grid_spec or GridSpec()
     rho_max = float(np.max(np.abs(principal_rho(lam)))) if len(lam) else 1.0
     grid = solver_grid(spec.q, rho_max, gs, extra_required=[spec.required_points()])
-    mode, xs = _storage_plan(spec)
-    nodes = [_node_index(grid, x) for x in xs] if xs is not None else None
+    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
 
     results = {}
     for r in ("Z", "X"):
         if route not in (r, "both"):
             continue
-        fam = integrate_family(spec.q, lam, r, grid, gs, store=mode, store_points=nodes)
-        (u11, u12), (u21, u22) = (u.T for u in _form_values(spec, fam, grid))
+        fam = integrate_family(spec.q, lam, r, grid, gs, weights=weights)
+        (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
         om = _safe_det(u11, u22, u12, u21)
         if r == "Z":
             results["Z"] = {"omega": om, "delta1": -u12, "delta2": -u22, "delta11": u11}
@@ -362,12 +326,9 @@ def char_batch_multi(
     qm = np.stack([s[1] for s in samples], axis=1)[:, q_index]
     qb = np.stack([s[2] for s in samples], axis=1)[:, q_index]
 
-    mode, xs = _storage_plan(spec)
-    nodes = [_node_index(grid, x) for x in xs] if xs is not None else None
-    fam = integrate_family(
-        q_list[0], lam, "Z", grid, gs, store=mode, store_points=nodes, q_steps=(qa, qm, qb)
-    )
-    (u11, u12), (u21, u22) = (u.T for u in _form_values(spec, fam, grid))
+    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
+    fam = integrate_family(q_list[0], lam, "Z", grid, gs, weights=weights, q_steps=(qa, qm, qb))
+    (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
     return CharBatch(
         lam=lam,
         omega=_safe_det(u11, u22, u12, u21),
@@ -377,67 +338,6 @@ def char_batch_multi(
         route="Z",
         T=T,
     )
-
-
-# ---------------------------------------------------------------------------
-# Single-point operations
-
-
-@dataclass(frozen=True)
-class CharValue:
-    """One characteristic value with its cross-route diagnostics."""
-
-    which: str
-    lam: complex
-    value: complex
-    route: str
-    alt_value: complex
-    defect: float
-
-
-def omega(spec: ProblemSpec, p: SpectralPoint, grid_spec: GridSpec | None = None) -> complex:
-    b = char_batch(spec, [p.lam], grid_spec, route="X")
-    return complex(b.omega[0])
-
-
-def _delta_value(spec, which, p, grid_spec) -> CharValue:
-    b = char_batch(spec, [p.lam], grid_spec, route="both")
-    val = complex(getattr(b, which)[0])
-    alt = complex(b.alt[which][0])
-    defect = float(_route_defect(np.asarray([val]), np.asarray([alt]), b.scale())[0])
-    return CharValue(which=which, lam=complex(p.lam), value=val, route="Z", alt_value=alt, defect=defect)
-
-
-def delta_j(spec: ProblemSpec, j: int, p: SpectralPoint, grid_spec: GridSpec | None = None) -> CharValue:
-    if j not in (1, 2):
-        raise InputError("j must be 1 or 2")
-    return _delta_value(spec, f"delta{j}", p, grid_spec)
-
-
-def delta_11(spec: ProblemSpec, p: SpectralPoint, grid_spec: GridSpec | None = None) -> CharValue:
-    return _delta_value(spec, "delta11", p, grid_spec)
-
-
-def weyl_M(spec: ProblemSpec, p: SpectralPoint, grid_spec: GridSpec | None = None) -> complex:
-    b = char_batch(spec, [p.lam], grid_spec, route="Z")
-    d1 = complex(b.delta1[0])
-    guard = POLE_GUARD * modulus_scale(p.lam, spec.T)
-    if abs(d1) < guard:
-        raise PoleProximityError(
-            f"delta_1({p.lam:.6g}) = {d1:.3e} is under the pole guard {guard:.3e}"
-        )
-    return complex(b.delta2[0]) / d1
-
-
-def weyl_N(spec: ProblemSpec, p: SpectralPoint, grid_spec: GridSpec | None = None) -> complex:
-    b = char_batch(spec, [p.lam], grid_spec, route="Z")
-    d11 = complex(b.delta11[0])
-    guard = POLE_GUARD * modulus_scale(p.lam, spec.T)
-    if abs(d11) < guard:
-        raise PoleProximityError(
-            f"delta_11({p.lam:.6g}) = {d11:.3e} is under the pole guard {guard:.3e}"
-        )
-    return complex(b.delta1[0]) / d11
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +490,15 @@ def phi_trace_stable(
     ia = _node_index(grid, a, "form support end")
 
     head = grid[: ia + 1]
-    famH = integrate_family(spec.q, [p.lam], "X", head, gs, store="yd")
-    u11, u12 = (complex(u) for u in _apply_form(spec.form1, famH, np.exp(famH.s), None, head)[0])
+    famH = integrate_family(
+        spec.q, [p.lam], "X", head, gs, weights=[node_weights(spec.form1, head)], store=True
+    )
+    u = famH.forms[0, 0]  # U1(X1), U1(X2) as mantissas
 
     # mantissa-space combination on the head, shared head scale
-    cmax = max(abs(u11), abs(u12))
-    su = float(np.log(cmax)) if cmax > 0 else 0.0
-    c1 = u11 * np.exp(-su)
-    c2 = u12 * np.exp(-su)
+    cmax = float(np.abs(u).max()) or 1.0
+    c1, c2 = u / cmax
+    su = float(famH.forms_s[0, 0] + np.log(cmax))
     head_y = c1 * famH.y[:, 0, 1] - c2 * famH.y[:, 0, 0]
     head_dy = c1 * famH.dy[:, 0, 1] - c2 * famH.dy[:, 0, 0]
     head_s = famH.s[:, 0] + su
@@ -616,7 +517,7 @@ def phi_trace_stable(
         "X",
         tail,
         gs,
-        store="yd",
+        store=True,
         init=(np.asarray([[head_y[-1]]]), np.asarray([[head_dy[-1]]])),
     )
     tail_y = famT.y[:, 0, 0]

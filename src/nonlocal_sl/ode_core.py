@@ -9,12 +9,15 @@ RK4.  The step law resolves the oscillation/growth scale rho = sqrt(lambda):
 where the quartic root comes from the RK4 phase-error model
 N * (|rho| h)^5 / 120 ~ tol for N = T/h steps.  Each RK4 step is a 2x2
 matrix, polynomial in h and q - lambda.  A sweep multiplies out blocks of
-L = ceil(sqrt(N)) steps, all blocks at once, carries the state across the
-block starts, renormalizing it there into a per-lambda log-scale s (stored
-values are the true solution times exp(-s)), and replays the steps from block
-starts only where interior nodes are stored.  One sweep integrates a whole
-family of spectral points (and both fundamental columns) at once; all public
-entry points are thin wrappers over that core.
+L = ceil(sqrt(N)) steps, all blocks at once, and carries the state across the
+block starts, renormalizing it there into a per-lambda log-scale s (held
+values are the true solution times exp(-s)).  Boundary forms enter as node
+weights on y and y': while a block's partial products are multiplied out,
+the weights fold into two coefficients per block that act on the block-start
+state, so a form costs no node storage.  Only single-lambda traces replay the
+blocks to keep every node.  One sweep integrates a whole family of spectral
+points (and both fundamental columns) at once; all public entry points are
+thin wrappers over that core.
 
 Branch convention: rho = sqrt(lambda) with Im rho >= 0, and rho >= 0 when
 lambda is real non-negative.
@@ -152,10 +155,6 @@ class SolutionTrace:
         ) / h
         return complex(yv), complex(dv), True
 
-    @property
-    def endpoint_values(self):
-        return (complex(self.y[0]), complex(self.dy[0]), complex(self.y[-1]), complex(self.dy[-1]))
-
 
 class WronskianValue(complex):
     """Complex value carrying an `interpolated` flag."""
@@ -201,19 +200,23 @@ def combine_traces(traces, coeffs) -> SolutionTrace:
 class FamilyStore:
     """Result of one batched sweep: a family of solutions over shared nodes.
 
-    `y`/`dy` have shape (p, m, k): p stored nodes, m spectral points, k columns.
-    `s` is the per-node log-scale, shape (p, m).  In "points" mode only the
-    nodes listed in `point_idx` are stored; endpoint states are always kept.
+    `forms` has shape (F, m, k): one weighted node sum per entry of the
+    sweep's `weights`, per spectral point and column, as a mantissa whose true
+    value is forms * exp(forms_s)[..., None] with `forms_s` of shape (F, m).
+    Only a stored sweep keeps `y`/`dy` at every node, shape (n, m, k) in
+    ascending grid order, with the per-node log-scale `s`, shape (n, m).
+    Endpoint states are always kept.
     """
 
     grid: np.ndarray
     lam: np.ndarray
     rho: np.ndarray
     side: str  # "X": initial data at 0; "Z": initial data at T
+    forms: np.ndarray | None
+    forms_s: np.ndarray | None
     y: np.ndarray | None
     dy: np.ndarray | None
     s: np.ndarray | None
-    point_idx: np.ndarray | None
     state0: tuple  # (y, dy, s) at grid[0]
     stateT: tuple  # (y, dy, s) at grid[-1]
 
@@ -249,6 +252,22 @@ def _rk4_step_matrix(h, ca, cm, cb):
     )
 
 
+def _blocked(ws, reverse: bool, N: int, L: int, B: int):
+    """Node weights in sweep order as (F, B + 1, L): node b*L + j at [:, b, j], node N at [:, B, 0].
+
+    None when every entry is None.
+    """
+    if all(w is None for w in ws):
+        return None
+    out = np.zeros((len(ws), (B + 1) * L), dtype=complex)
+    for f, w in enumerate(ws):
+        if w is not None:
+            w = np.asarray(w)[::-1] if reverse else np.asarray(w)
+            out[f, :N] = w[:N]
+            out[f, B * L] = w[N]
+    return out.reshape(len(ws), B + 1, L)
+
+
 def integrate_family(
     q: Potential,
     lam,
@@ -256,8 +275,8 @@ def integrate_family(
     grid: np.ndarray,
     spec: GridSpec | None = None,
     *,
-    store: str = "none",
-    store_points=None,
+    weights=(),
+    store: bool = False,
     init: tuple | None = None,
     q_steps: tuple | None = None,
 ) -> FamilyStore:
@@ -267,6 +286,11 @@ def integrate_family(
     state [[1, 0], [0, 1]] for (y, y') unless `init` gives (y0, dy0) arrays of
     shape (m, k).  `q_steps` may supply precomputed (q_left, q_mid, q_right)
     per step, each of shape (n-1,) or (n-1, m), to batch over potentials.
+
+    `weights` lists forms as node weights (Wy, Wd), each of shape (n,) in
+    ascending grid order or None for zero; entry f yields
+    forms[f] = sum_u Wy[u] y(x_u) + Wd[u] y'(x_u).  `store` keeps every node's
+    state as well, which costs O(n m k) memory; meant for single-lambda traces.
     """
     spec = spec or GridSpec()
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -274,8 +298,6 @@ def integrate_family(
     _check_budget(rho, float(grid[-1]), spec)
     if side not in ("X", "Z"):
         raise InputError("side must be 'X' or 'Z'")
-    if store not in ("none", "points", "y", "yd"):
-        raise InputError(f"unknown store mode {store!r}")
     m = len(lam)
     N = len(grid) - 1
     qa, qm, qb = q.step_samples(grid) if q_steps is None else q_steps
@@ -298,34 +320,30 @@ def integrate_family(
         tq = np.minimum(t, N - 1)
         return _rk4_step_matrix(h_sw[t][:, None], *(v[tq] - lam for v in q_sw))
 
-    # slot[u]: storage row of sweep node u, or -1; rows follow ascending grid order
-    slot = np.full(N + 1, -1)
-    pts = None
-    if store == "points":
-        pts = np.unique(np.asarray(store_points, dtype=int))
-        slot[N - pts if reverse else pts] = np.arange(len(pts))
-    elif store != "none":
-        slot[:] = np.arange(N, -1, -1) if reverse else np.arange(N + 1)
-    rows = int(slot.max()) + 1
-    y_st = np.empty((rows, m, k), dtype=complex) if store != "none" else None
-    dy_st = np.empty((rows, m, k), dtype=complex) if store in ("points", "yd") else None
-    s_st = np.empty((rows, m)) if store != "none" else None
-
-    def record(u, ys, ds, ss):
-        r = slot[u]
-        keep = r >= 0
-        if np.any(keep):
-            y_st[r[keep]] = ys[keep]
-            s_st[r[keep]] = ss[keep]
-            if dy_st is not None:
-                dy_st[r[keep]] = ds[keep]
-
-    # pass 1: the product of each block's L step maps, all blocks at once
     L = max(1, ceil(N**0.5))
     B = -(-N // L)
     starts = np.arange(B) * L
+    weights = list(weights)
+    F = len(weights)
+    Wy, Wd = (_blocked([w[i] for w in weights], reverse, N, L, B) for i in (0, 1))
+
+    # pass 1: the product P_j of each block's first j step maps, all blocks at
+    # once; the weights fold in as the coefficients (cy, cd) of the block-start
+    # (y, y') in sum_j Wy_j y_j + Wd_j y'_j, skipping offsets no block weighs
+    cy = np.zeros((F, B + 1, m), dtype=complex)
+    cd = np.zeros((F, B + 1, m), dtype=complex)
+    if Wy is not None:
+        cy += Wy[:, :, 0, None]
+    if Wd is not None:
+        cd += Wd[:, :, 0, None]
+    folds = [(W, a, W[:, :B].any(axis=(0, 1))) for W, a in ((Wy, 0), (Wd, 2)) if W is not None]
     P = step_maps(starts)
     for j in range(1, L):
+        for W, a, hit in folds:
+            if hit[j]:
+                w = W[:, :B, j, None]
+                cy[:, :B] += w * P[a]
+                cd[:, :B] += w * P[a + 1]
         M = step_maps(starts + j)
         P = (
             M[0] * P[0] + M[1] * P[2],
@@ -350,21 +368,37 @@ def integrate_family(
         y, d = y * f, d * f
         Ys[b + 1], Ds[b + 1], Es[b + 1] = y, d, Es[b] + e
     Ss = Es * log(2.0)
-    nodes = np.append(starts, N)
-    record(nodes, Ys, Ds, Ss)
 
-    # pass 3: re-apply the step maps from the block starts that hold stored nodes
-    inner = np.nonzero((slot >= 0) & (np.arange(N + 1) % L != 0))[0]
-    inner = inner[inner < N]
-    if len(inner):
-        sel = np.unique(inner // L)
-        Yb, Db, Sb = Ys[sel], Ds[sel], Ss[sel]
-        for j in range(int((inner % L).max())):
-            M = [x[..., None] for x in step_maps(sel * L + j)]
+    # each form's sum is scaled to the largest block-start exponent it weighs
+    forms = forms_s = None
+    if F:
+        used = np.zeros((F, B + 1), dtype=bool)
+        for W, _, _ in folds:
+            used |= W.any(axis=2)
+        low = np.iinfo(np.int64).min
+        top = np.where(used[..., None], Es, low).max(axis=1)
+        top = np.where(top == low, 0, top)
+        f = np.ldexp(1.0, np.minimum(Es - top[:, None], 0))
+        forms = np.einsum("fbm,bmk->fmk", cy * f, Ys) + np.einsum("fbm,bmk->fmk", cd * f, Ds)
+        forms_s = top * log(2.0)
+
+    # pass 3: replay every block from its start to keep each node's state
+    y_st = dy_st = s_st = None
+    if store:
+        Yb, Db = Ys[:B], Ds[:B]
+        ys, ds = [Yb], [Db]
+        for j in range(1, L):
+            M = [x[..., None] for x in step_maps(starts + j - 1)]
             Yb, Db = M[0] * Yb + M[1] * Db, M[2] * Yb + M[3] * Db
-            u = sel * L + j + 1
-            ok = u < N
-            record(u[ok], Yb[ok], Db[ok], Sb[ok])
+            ys.append(Yb)
+            ds.append(Db)
+        y_st, dy_st = (
+            np.concatenate([np.stack(v, axis=1).reshape(B * L, m, k)[:N], e[B:]])
+            for v, e in ((ys, Ys), (ds, Ds))
+        )
+        s_st = np.concatenate([np.repeat(Ss[:B], L, axis=0)[:N], Ss[B:]])
+        if reverse:
+            y_st, dy_st, s_st = y_st[::-1], dy_st[::-1], s_st[::-1]
 
     ends = tuple(tuple(a[i].copy() for a in (Ys, Ds, Ss)) for i in (0, B))
     state0, stateT = ends[::-1] if reverse else ends
@@ -373,19 +407,20 @@ def integrate_family(
         lam=lam,
         rho=rho,
         side=side,
+        forms=forms,
+        forms_s=forms_s,
         y=y_st,
         dy=dy_st,
         s=s_st,
-        point_idx=pts,
         state0=state0,
         stateT=stateT,
     )
 
 
 def _traces_from_store(fam: FamilyStore) -> list[SolutionTrace]:
-    """Per-column SolutionTraces (single-lambda, 'yd' mode stores only)."""
-    if fam.y is None or fam.dy is None or fam.y.shape[1] != 1:
-        raise InputError("traces need a single-lambda sweep stored in 'yd' mode")
+    """Per-column SolutionTraces of a stored single-lambda sweep."""
+    if fam.y is None or fam.y.shape[1] != 1:
+        raise InputError("traces need a stored single-lambda sweep")
     E, S = fam.scale_weights()
     out = []
     for col in range(fam.y.shape[2]):
@@ -437,7 +472,7 @@ def integrate_ivp(
         side,
         grid,
         spec,
-        store="yd",
+        store=True,
         init=(np.asarray([[y0]], dtype=complex), np.asarray([[dy0]], dtype=complex)),
     )
     return _traces_from_store(fam)[0]
@@ -451,7 +486,7 @@ def fundamental_X(
 ) -> tuple[SolutionTrace, SolutionTrace]:
     """(X1, X2) with X1(0)=X2'(0)=1, X1'(0)=X2(0)=0."""
     spec, grid = _prep(q, p, grid_spec, extra_required)
-    fam = integrate_family(q, [p.lam], "X", grid, spec, store="yd")
+    fam = integrate_family(q, [p.lam], "X", grid, spec, store=True)
     t = _traces_from_store(fam)
     return t[0], t[1]
 
@@ -464,7 +499,7 @@ def fundamental_Z(
 ) -> tuple[SolutionTrace, SolutionTrace]:
     """(Z1, Z2) with Z1(T)=Z2'(T)=1, Z1'(T)=Z2(T)=0."""
     spec, grid = _prep(q, p, grid_spec, extra_required)
-    fam = integrate_family(q, [p.lam], "Z", grid, spec, store="yd")
+    fam = integrate_family(q, [p.lam], "Z", grid, spec, store=True)
     t = _traces_from_store(fam)
     return t[0], t[1]
 

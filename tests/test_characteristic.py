@@ -8,6 +8,8 @@ values, and that the ratio functions respect their pole guards.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec
 from nonlocal_sl.characteristic import (
@@ -15,15 +17,18 @@ from nonlocal_sl.characteristic import (
     char_handle,
     combo_solutions,
     d_sequence,
-    delta_j,
-    omega,
     phi_trace_stable,
     split_identity_check,
-    weyl_M,
-    weyl_N,
 )
-from nonlocal_sl.errors import CollinearityError, InputError, PoleProximityError
-from nonlocal_sl.ode_core import SpectralPoint, modulus_scale, principal_rho, wronskian
+from nonlocal_sl.errors import CollinearityError, InputError
+from nonlocal_sl.ode_core import (
+    GridSpec,
+    SpectralPoint,
+    fundamental_Z,
+    modulus_scale,
+    principal_rho,
+    wronskian,
+)
 
 TOL = 1e-7
 T = np.pi
@@ -84,16 +89,17 @@ class TestClosedForms:
         sc = modulus_scale(lam, T)
         assert np.max(np.abs(b.delta2 - np.sin(rho * (T - a)) / rho) / sc) < TOL
 
-    def test_scalar_wrappers_match_batch(self):
+    def test_single_point_routes_match_batch(self):
         spec = _dirichlet()
         lam = 6.3 + 0.8j
         b = char_batch(spec, [lam])
-        p = _point(lam)
-        assert omega(spec, p) == pytest.approx(complex(b.omega[0]), rel=1e-9)
-        assert delta_j(spec, 1, p).value == pytest.approx(complex(b.delta1[0]), rel=1e-9)
-        assert delta_j(spec, 2, p).value == pytest.approx(complex(b.delta2[0]), rel=1e-9)
+        x = char_batch(spec, [lam], route="X")
+        both = char_batch(spec, [lam], route="both")
+        assert complex(x.omega[0]) == pytest.approx(complex(b.omega[0]), rel=1e-9)
+        assert complex(both.delta1[0]) == pytest.approx(complex(b.delta1[0]), rel=1e-9)
+        assert complex(both.delta2[0]) == pytest.approx(complex(b.delta2[0]), rel=1e-9)
         with pytest.raises(InputError):
-            delta_j(spec, 3, p)
+            char_handle(spec, "delta3")
 
 
 class TestRouteAgreement:
@@ -170,8 +176,10 @@ class TestSolutionFamily:
         c = combo_solutions(spec, _point(lam))
         assert c.M == pytest.approx(c.delta2 / c.delta1, rel=1e-9)
         assert c.N == pytest.approx(c.delta1 / c.delta11, rel=1e-9)
-        assert weyl_M(spec, _point(lam)) == pytest.approx(c.M, rel=1e-7)
-        assert weyl_N(spec, _point(lam)) == pytest.approx(c.N, rel=1e-7)
+        b = char_batch(spec, [lam])
+        for (vals, ok), want in ((b.weyl_M_values(), c.M), (b.weyl_N_values(), c.N)):
+            assert ok[0]
+            assert complex(vals[0]) == pytest.approx(want, rel=1e-7)
 
     def test_phi_stable_trace_matches_combo(self):
         rng = np.random.default_rng(13)
@@ -191,13 +199,13 @@ class TestSolutionFamily:
 class TestRatioPoles:
     def test_weyl_M_pole_guard(self):
         # delta_1 vanishes at lam = 1 for the Dirichlet problem
-        with pytest.raises(PoleProximityError):
-            weyl_M(_dirichlet(), _point(1.0))
+        vals, ok = char_batch(_dirichlet(), [1.0]).weyl_M_values()
+        assert not ok[0] and np.isnan(vals[0])
 
     def test_weyl_N_pole_guard(self):
         # delta_11 = cos(rho pi) vanishes at lam = 1/4
-        with pytest.raises(PoleProximityError):
-            weyl_N(_dirichlet(), _point(0.25))
+        vals, ok = char_batch(_dirichlet(), [0.25]).weyl_N_values()
+        assert not ok[0] and np.isnan(vals[0])
 
 
 class TestDSequence:
@@ -252,3 +260,52 @@ def test_nonlocal_first_form_requires_jump():
 def test_point_first_form_at_origin_allowed():
     spec = _dirichlet()
     assert spec.jump_coefficient == 1.0 or spec.jump_coefficient == 1.0 + 0.0j
+
+
+# ---------------------------------------------------------------------------
+# Weighted sweep against forms applied to stored traces
+
+_SLOTS = 997  # form locations are multiples of T / _SLOTS
+_coef = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _forms(draw, needs_y0=False):
+    """A point form of order 0/1, or a jump with 0-3 atoms and an optional density segment."""
+    if draw(st.booleans()):
+        return LinearForm.point_value(draw(st.integers(0, _SLOTS)) * T / _SLOTS, draw(st.integers(0, 1)))
+    jump = draw(_coef.filter(lambda z: abs(z) > 0.1) if needs_y0 else _coef)
+    slots = sorted(draw(st.lists(st.integers(1, _SLOTS), unique=True, max_size=3)))
+    atoms = [(k * T / _SLOTS, draw(_coef)) for k in slots]
+    segs = ()
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(st.integers(0, _SLOTS), min_size=2, max_size=2, unique=True)))
+        segs = ((lo * T / _SLOTS, hi * T / _SLOTS, draw(_coef), draw(_coef)),)
+    return LinearForm.from_measure(BVMeasure(T, jump, tuple(atoms), segs))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    form1=_forms(needs_y0=True),
+    form2=_forms(),
+    q_coeffs=st.lists(_coef, min_size=1, max_size=3),
+    sigma=st.floats(0.0, 30.0),
+    tau_T=st.floats(0.0, 20.0),
+)
+def test_weighted_sweep_matches_forms_on_traces(form1, form2, q_coeffs, sigma, tau_T):
+    spec = ProblemSpec(q=Potential.from_cosine(T, q_coeffs), form1=form1, form2=form2)
+    lam = complex(sigma, tau_T / T) ** 2
+    b = char_batch(spec, [lam])
+    Z1, Z2 = fundamental_Z(spec.q, SpectralPoint.from_lambda(lam), GridSpec(), [spec.required_points()])
+
+    def apply(form, trace):
+        f = np.exp(trace.log_scale)
+        return form.apply_sampled(trace.grid, trace.y * f, trace.dy * f)
+
+    sc = float(modulus_scale(lam, T))
+    for got, want in (
+        (b.delta1[0], -apply(form1, Z2)),
+        (b.delta2[0], -apply(form2, Z2)),
+        (b.delta11[0], apply(form1, Z1)),
+    ):
+        assert abs(got - want) <= 1e-10 * sc

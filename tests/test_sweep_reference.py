@@ -3,8 +3,10 @@
 `integrate_family` composes closed-form RK4 step matrices block by block.
 The reference below takes the same steps one at a time on the state vector,
 rescaling on the way, so the two agree to rounding once values are compared
-at a common log-scale.  Every side, store mode and kind of input the library
-uses is covered, plus a zero-step grid and a strongly growing case.
+at a common log-scale.  Every side, kind of node weights (dense, sparse, on
+y' only, at either end node), stored and unstored sweeps and every kind of
+input the library uses are covered, plus a zero-step grid and a strongly
+growing case.
 """
 
 import numpy as np
@@ -70,28 +72,64 @@ def _mismatch(y, dy, s, ry, rdy, rs, rho):
     return float((err / mag).max())
 
 
+def _weight_cases(n, rng):
+    """Node weights (Wy, Wd) in ascending grid order, each of shape (n,) or None."""
+
+    def draw(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    sparse = np.zeros(n, dtype=complex)
+    sparse[sorted({0, n // 3, min(n // 2 + 1, n - 1), max(n - 3, 0)})] = draw(1)[0]
+    first, last = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    first[0], last[-1] = 1.0, 0.5 - 2j
+    return [
+        (draw(n), draw(n)),  # dense on y and y'
+        (sparse, None),
+        (None, sparse[::-1].copy()),  # y' only
+        (first, None),  # node 0 alone
+        (None, last),  # the end node alone
+    ]
+
+
+def _weighted_mismatch(fam, cases, ry, rdy, rs):
+    """Largest form error, relative to the sum of the absolute terms."""
+    worst = 0.0
+    for f, (wy, wd) in enumerate(cases):
+        terms = [(w, r) for w, r in ((wy, ry), (wd, rdy)) if w is not None]
+        used = np.any([w != 0 for w, _ in terms], axis=0)
+        S = rs[used].max(axis=0)
+        E = np.exp(rs[used] - S)[..., None]
+        ref = sum(np.einsum("u,umk->mk", w[used], r[used] * E) for w, r in terms)
+        size = sum(np.einsum("u,umk->mk", np.abs(w[used]), np.abs(r[used]) * E) for w, r in terms)
+        got = fam.forms[f] * np.exp(fam.forms_s[f] - S)[:, None]
+        err = np.abs(got - ref) / np.where(size > 0, size, 1.0)  # exact zeros stay zero
+        assert np.all(np.isfinite(err))
+        worst = max(worst, float(err.max()))
+    return worst
+
+
 def _check_all_modes(q, lam, side, grid, spec=None, init=None, q_steps=None):
     ry, rdy, rs = reference_sweep(q, lam, side, grid, init, q_steps)
     rho = principal_rho(np.asarray(lam, dtype=complex))
     kw = dict(init=init, q_steps=q_steps)
     n = len(grid)
-    for store in ("none", "points", "y", "yd"):
-        pts = sorted({0, n - 1, n // 3, min(n // 2 + 1, n - 1), max(n - 3, 0)})
-        fam = integrate_family(q, lam, side, grid, spec, store=store, store_points=pts, **kw)
+    cases = _weight_cases(n, np.random.default_rng(n))
+    for store in (False, True):
+        fam = integrate_family(q, lam, side, grid, spec, weights=cases, store=store, **kw)
         for node, state in ((0, fam.state0), (n - 1, fam.stateT)):
             sl = slice(node, node + 1)
             assert _mismatch(
                 state[0][None], state[1][None], state[2][None], ry[sl], rdy[sl], rs[sl], rho
             ) <= REL
-        if store == "none":
-            assert fam.y is None and fam.s is None
+        assert fam.forms.shape == (len(cases),) + ry.shape[1:]
+        assert _weighted_mismatch(fam, cases, ry, rdy, rs) <= REL
+        if not store:
+            assert fam.y is None and fam.dy is None and fam.s is None
             continue
-        rows = np.asarray(pts) if store == "points" else np.arange(n)
-        if store == "points":
-            assert list(fam.point_idx) == pts
-        assert fam.y.shape == (len(rows),) + ry.shape[1:]
-        assert _mismatch(fam.y, fam.dy, fam.s, ry[rows], rdy[rows], rs[rows], rho) <= REL
-        assert (fam.dy is None) == (store == "y")
+        assert fam.y.shape == fam.dy.shape == ry.shape
+        assert _mismatch(fam.y, fam.dy, fam.s, ry, rdy, rs, rho) <= REL
+    plain = integrate_family(q, lam, side, grid, spec, **kw)
+    assert plain.forms is None and plain.forms_s is None
 
 
 def _cosine():
@@ -147,7 +185,7 @@ def test_short_grids(n, side):
 def test_zero_step_grid_keeps_initial_state():
     q = _cosine()
     init = (np.array([[2.0 + 1j]]), np.array([[-0.5 + 0j]]))
-    fam = integrate_family(q, [4.0], "X", np.array([0.0]), store="yd", init=init)
+    fam = integrate_family(q, [4.0], "X", np.array([0.0]), store=True, init=init)
     assert fam.y.shape == (1, 1, 1) and fam.s.shape == (1, 1)
     assert fam.y[0, 0, 0] * np.exp(fam.s[0, 0]) == 2.0 + 1j
     assert fam.dy[0, 0, 0] * np.exp(fam.s[0, 0]) == -0.5
