@@ -52,6 +52,7 @@ from .potential import Potential
 POLE_GUARD = 1e-10
 ROUTE_TOL = 1e-6
 _EDGE = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,14 @@ def _form_values(fam) -> np.ndarray:
     return fam.forms * np.exp(fam.forms_s)[..., None]
 
 
+def _form_sweep(spec: ProblemSpec, lam: np.ndarray, gs: GridSpec, side: str):
+    """One sweep from `side` over the batch with both forms folded in as node weights."""
+    rho_max = float(np.max(np.abs(principal_rho(lam)))) if len(lam) else 1.0
+    grid = solver_grid(spec.q, rho_max, gs, extra_required=[spec.required_points()])
+    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
+    return integrate_family(spec.q, lam, side, grid, gs, weights=weights)
+
+
 def _unit(z: np.ndarray) -> np.ndarray:
     az = np.abs(z)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -169,6 +178,11 @@ def _safe_det(a1, b1, a2, b2) -> np.ndarray:
         t = _unit(a1) * _unit(b1) * np.exp(l1 - S) - _unit(a2) * _unit(b2) * np.exp(l2 - S)
         out = np.where(t == 0, 0j, np.exp(S + np.log(np.where(t == 0, 1, t))))
     return out
+
+
+def _det_rounding(a1, b1, a2, b2) -> float:
+    """eps * (|a1 b1| + |a2 b2|): the rounding bound of the determinant a1 b1 - a2 b2."""
+    return _EPS * (abs(complex(a1) * complex(b1)) + abs(complex(a2) * complex(b2)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +219,6 @@ class CharBatch:
         return vals, ok
 
 
-def _route_defect(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 0.1 * scale)
-    return np.abs(a - b) / denom
-
-
 def char_batch(
     spec: ProblemSpec,
     lam,
@@ -220,7 +229,10 @@ def char_batch(
 
     route "Z" (default) uses one T-side sweep; "X" uses the defining
     determinants; "both" computes the two and raises a consistency error
-    when they disagree beyond ROUTE_TOL relative to the natural scale.
+    when they disagree beyond ROUTE_TOL relative to the natural scale.  The
+    error names cancellation instead of the grid when the rounding bound
+    eps * (|a1 b1| + |a2 b2|) of the determinants a1 b1 - a2 b2 involved
+    already exceeds that tolerance.
     """
     if route not in ("Z", "X", "both"):
         raise InputError(f"unknown route {route!r}")
@@ -228,28 +240,23 @@ def char_batch(
     if not np.all(np.isfinite(lam)):
         raise InputError("lambda values must be finite")
     gs = grid_spec or GridSpec()
-    rho_max = float(np.max(np.abs(principal_rho(lam)))) if len(lam) else 1.0
-    grid = solver_grid(spec.q, rho_max, gs, extra_required=[spec.required_points()])
-    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
-
-    results = {}
+    results, dets = {}, {}  # dets[route][name]: the factors (a1, b1, a2, b2) of a1 b1 - a2 b2
     for r in ("Z", "X"):
         if route not in (r, "both"):
             continue
-        fam = integrate_family(spec.q, lam, r, grid, gs, weights=weights)
+        fam = _form_sweep(spec, lam, gs, r)
         (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
-        om = _safe_det(u11, u22, u12, u21)
+        dets[r] = {"omega": (u11, u22, u12, u21)}
         if r == "Z":
-            results["Z"] = {"omega": om, "delta1": -u12, "delta2": -u22, "delta11": u11}
+            results["Z"] = {"delta1": -u12, "delta2": -u22, "delta11": u11}
         else:
             yT, dT, eT = fam.stateT[0], fam.stateT[1], np.exp(fam.stateT[2])[:, None]
             (v11, v12), (v21, v22) = (yT * eT).T, (dT * eT).T
-            results["X"] = {
-                "omega": om,
-                "delta1": _safe_det(u11, v12, u12, v11),
-                "delta2": _safe_det(u21, v12, u22, v11),
-                "delta11": _safe_det(u11, v22, u12, v21),
-            }
+            results["X"] = {}
+            dets["X"].update(
+                delta1=(u11, v12, u12, v11), delta2=(u21, v12, u22, v11), delta11=(u11, v22, u12, v21)
+            )
+        results[r].update({name: _safe_det(*t) for name, t in dets[r].items()})
 
     primary_route = "Z" if "Z" in results else "X"
     primary = results[primary_route]
@@ -266,12 +273,19 @@ def char_batch(
         batch.alt = results["X"]
         sc = batch.scale()
         for name in ("omega", "delta1", "delta2", "delta11"):
-            defect = _route_defect(primary[name], results["X"][name], sc)
+            a, b = primary[name], results["X"][name]
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 0.1 * sc)
+            defect = np.abs(a - b) / denom
             if np.any(defect > ROUTE_TOL):
-                worst = int(np.argmax(defect))
+                i = int(np.argmax(defect))
+                bound = sum(_det_rounding(*(v[i] for v in d[name])) for d in dets.values() if name in d)
+                if bound > ROUTE_TOL * denom[i]:
+                    tau_T = float(principal_rho(lam[i]).imag) * spec.T
+                    cause = f"cancellation in the determinant at Im rho * T = {tau_T:.1f}"
+                else:
+                    cause = "grid too coarse?"
                 raise ConsistencyError(
-                    f"{name} routes disagree by {defect[worst]:.2e} at "
-                    f"lambda={lam[worst]:.6g} (grid too coarse?)"
+                    f"{name} routes disagree by {defect[i]:.2e} at lambda={lam[i]:.6g} ({cause})"
                 )
     return batch
 
@@ -322,9 +336,7 @@ def char_batch_multi(
     extra.extend(qq.required_points() for qq in q_list[1:])
     grid = solver_grid(q_list[0], rho_max, gs, extra_required=extra)
     samples = [qq.step_samples(grid) for qq in q_list]
-    qa = np.stack([s[0] for s in samples], axis=1)[:, q_index]
-    qm = np.stack([s[1] for s in samples], axis=1)[:, q_index]
-    qb = np.stack([s[2] for s in samples], axis=1)[:, q_index]
+    qa, qm, qb = (np.stack([s[i] for s in samples], axis=1)[:, q_index] for i in range(3))
 
     weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
     fam = integrate_family(q_list[0], lam, "Z", grid, gs, weights=weights, q_steps=(qa, qm, qb))
@@ -372,14 +384,9 @@ class ComboSolutions:
     boundary_values: dict
 
 
-def _true_values(trace: SolutionTrace):
-    f = np.exp(trace.log_scale)
-    return trace.y * f, trace.dy * f
-
-
 def _form_on_trace(form: LinearForm, trace: SolutionTrace) -> complex:
-    y, dy = _true_values(trace)
-    return form.apply_sampled(trace.grid, y, dy)
+    f = np.exp(trace.log_scale)
+    return form.apply_sampled(trace.grid, trace.y * f, trace.dy * f)
 
 
 def combo_solutions(
@@ -600,45 +607,45 @@ class RatioValue:
         return 1.0 / self.value
 
 
-def _trap_weights(x: np.ndarray) -> np.ndarray:
-    w = np.zeros(len(x))
-    dx = np.diff(x)
-    w[:-1] += dx / 2.0
-    w[1:] += dx / 2.0
-    return w
-
-
 def d_sequence(spec: ProblemSpec, xi, grid_spec: GridSpec | None = None, defect_tol: float = 1e-6):
     """Ratios d_n with phi(., xi_n) = d_n * theta(., xi_n) at simple omega zeros.
 
-    Fitted by weighted least squares over the whole trace; a collinearity
-    defect above defect_tol means xi_n is not a simple eigenvalue of the
-    fully nonlocal problem, reported as an error rather than a ratio.
+    With u_jk = U_j(X_k), phi = u11 X2 - u12 X1 and theta = u22 X1 - u21 X2,
+    so phi = d theta exactly when the form rows satisfy (u11, u12) =
+    -d (u21, u22).  One weighted X-route sweep yields both rows for every
+    xi_n at once; d_n is their least-squares ratio, and the relative
+    residual of that fit is the collinearity defect.  A defect above
+    defect_tol means xi_n is not a simple eigenvalue of the fully nonlocal
+    problem, reported as an error rather than a ratio.
+
+    The rows are plain form values with no subtraction, so the defect's
+    rounding floor is near machine precision.  Once Im rho * T is large both
+    rows follow the growing solution, and the defect can no longer flag a
+    lambda that is not an eigenvalue.
     """
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    if not len(xi):
+        return []
+    fam = _form_sweep(spec, xi, grid_spec or GridSpec(), "X")
     out = []
     for n, lam_n in enumerate(xi):
-        p = SpectralPoint.from_lambda(lam_n)
-        c = combo_solutions(spec, p, grid_spec, need=("phi", "theta"))
-        g = c.phi.grid
-        w = _trap_weights(g)
-        f, t = c.phi.y, c.theta.y
-        nf = float(np.sqrt(np.sum(w * np.abs(f) ** 2)))
-        nt = float(np.sqrt(np.sum(w * np.abs(t) ** 2)))
-        log_f = (np.log(nf) if nf > 0 else -np.inf) + c.phi.log_scale
-        log_t = (np.log(nt) if nt > 0 else -np.inf) + c.theta.log_scale
+        f, t = fam.forms[0, n], fam.forms[1, n]  # rows U1(X_k), U2(X_k) as mantissas
+        sf, st = fam.forms_s[:, n]
+        nf, nt = float(np.linalg.norm(f)), float(np.linalg.norm(t))
+        log_f = (np.log(nf) if nf > 0 else -np.inf) + sf
+        log_t = (np.log(nt) if nt > 0 else -np.inf) + st
         if nt == 0.0 or log_t < log_f + np.log(1e-12):
             out.append(RatioValue(value=complex(np.nan), is_infinite=True, defect=0.0))
             continue
         if nf == 0.0 or log_f < log_t + np.log(1e-12):
             out.append(RatioValue(value=0j, is_infinite=False, defect=0.0))
             continue
-        r = complex(np.sum(w * np.conj(t) * f) / np.sum(w * np.abs(t) ** 2))
-        defect = float(np.sqrt(np.sum(w * np.abs(f - r * t) ** 2)) / (nf + abs(r) * nt))
+        r = complex(-np.vdot(t, f) / nt**2)
+        defect = float(np.linalg.norm(f + r * t) / (nf + abs(r) * nt))
         if defect > defect_tol:
             raise CollinearityError(
-                f"traces at xi[{n}]={lam_n:.6g} are not collinear "
+                f"form rows at xi[{n}]={lam_n:.6g} are not collinear "
                 f"(defect {defect:.2e}); not a simple eigenvalue?"
             )
-        d = r * np.exp(c.phi.log_scale - c.theta.log_scale)
-        out.append(RatioValue(value=complex(d), is_infinite=False, defect=defect))
+        out.append(RatioValue(value=complex(r * np.exp(sf - st)), is_infinite=False, defect=defect))
     return out

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 _CHAR_NAMES = ("omega", "delta1", "delta2", "delta11")
 _FORWARD_QUANTITIES = _CHAR_NAMES + ("M", "N")
 _ASYM_QUANTITIES = ("Delta1", "Delta11", "Phi", "v1", "varphi", "v2")
-_INVERT_KINDS = ("two_spectra", "weyl_pair", "weyl_pair_with_D", "three_spectra")
 _SCENARIO_NAMES = ("counterexample1", "counterexample2", "three_spectra")
 _COMMANDS = ("forward", "spectrum", "weyl", "asym", "invert", "scenario", "regress")
 
@@ -327,6 +326,8 @@ def _sec_asym(ctx, d, path):
 
 
 def _sec_invert(ctx, d, path):
+    from .inversion import _KINDS
+
     allowed = {
         "kind",
         "n_each",
@@ -342,8 +343,8 @@ def _sec_invert(ctx, d, path):
     }
     ctx.strict(d, path, allowed)
     kind = d.get("kind", "two_spectra")
-    if kind not in _INVERT_KINDS:
-        ctx.err(f"{path}.kind", f"expected one of {_INVERT_KINDS}")
+    if kind not in _KINDS:
+        ctx.err(f"{path}.kind", f"expected one of {_KINDS}")
     n_each = _number(ctx, d.get("n_each", 8), f"{path}.n_each", integer=True, minimum=1)
     lam = None
     if "lambdas" in d:

@@ -19,8 +19,8 @@ lists by optimal assignment, so no enumeration convention is needed.
 Candidate eigenvalues are obtained by Newton refinement seeded at the
 target values, and all finite-difference Jacobian columns share a single
 batched sweep (`char_batch_multi`), which is what keeps the optimizer at
-desk-scale runtimes.  Targets carrying d_n data take a slower per-candidate
-path through `d_sequence`.
+desk-scale runtimes.  Targets carrying d_n data add one X-route sweep per
+candidate, in which `d_sequence` reads the d_n at every xi_n at once.
 
 Data here are self-generated by the same forward solver (the usual inverse
 crime); noise robustness is out of scope.

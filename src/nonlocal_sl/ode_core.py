@@ -156,25 +156,16 @@ class SolutionTrace:
         return complex(yv), complex(dv), True
 
 
-class WronskianValue(complex):
-    """Complex value carrying an `interpolated` flag."""
-
-    def __new__(cls, value: complex, interpolated: bool = False):
-        obj = super().__new__(cls, value)
-        obj.interpolated = interpolated
-        return obj
-
-
-def wronskian(u: SolutionTrace, v: SolutionTrace, x: float) -> WronskianValue:
+def wronskian(u: SolutionTrace, v: SolutionTrace, x: float) -> complex:
     """u(x) v'(x) - u'(x) v(x), true scale (may raise if the scales overflow)."""
     if len(u.grid) != len(v.grid) or not np.allclose(u.grid, v.grid, rtol=0, atol=1e-12):
         raise InputError("Wronskian requires traces on a shared grid")
-    uy, udy, fu = u.value_at(x)
-    vy, vdy, fv = v.value_at(x)
+    uy, udy, _ = u.value_at(x)
+    vy, vdy, _ = v.value_at(x)
     s = u.log_scale + v.log_scale
     if abs(s) > 700.0:
         raise RangeError(f"Wronskian scale exp({s:.1f}) is not representable")
-    return WronskianValue((uy * vdy - udy * vy) * np.exp(s), fu or fv)
+    return complex((uy * vdy - udy * vy) * np.exp(s))
 
 
 def combine_traces(traces, coeffs) -> SolutionTrace:

@@ -211,11 +211,12 @@ def _moment_seed(cr: _ContourResult) -> complex:
 
 
 def _batched_newton(f, seeds, mults, diags, tol, scale_fn, max_rounds=60):
+    """Damped Newton from each seed; (best points, |f| there) over every evaluation."""
     z = np.asarray(seeds, dtype=complex)
     m = np.asarray(mults, dtype=float)
     lim = np.asarray(diags, dtype=float)
     best = z.copy()
-    best_f = np.abs(_eval(f, z))
+    best_f = np.full(len(z), np.inf)  # round 1 evaluates the seeds as v0
     active = np.ones(len(z), dtype=bool)
     for _ in range(max_rounds):
         if not active.any():
@@ -251,7 +252,8 @@ def _batched_newton(f, seeds, mults, diags, tol, scale_fn, max_rounds=60):
     final_f = np.abs(_eval(f, z))
     use_final = final_f < best_f
     best[use_final] = z[use_final]
-    return best
+    best_f[use_final] = final_f[use_final]
+    return best, best_f
 
 
 def find_spectrum(
@@ -310,9 +312,7 @@ def find_spectrum(
     seeds = [_moment_seed(cr) for _, cr in leaves]
     mults = [cr.winding for _, cr in leaves]
     diags = [b.diag for b, _ in leaves]
-    roots = _batched_newton(fp, seeds, mults, diags, tol, scale_fn)
-
-    resid = np.abs(_eval(fp, roots))
+    roots, resid = _batched_newton(fp, seeds, mults, diags, tol, scale_fn)
     allowed = tol * np.asarray(scale_fn(roots), dtype=float)
     bad = resid > allowed
     if bad.any():
@@ -379,11 +379,10 @@ def _real_axis_spectrum(f_scan, f_polish, box, tol, source, scale_fn, rho_gap_hi
     if len(seeds) == 0:
         return Spectrum(entries=(), source=source, box=box, winding_total=0)
     widths = np.concatenate([b - a, np.full(len(exact), 1e-6)])
-    roots = _batched_newton(
+    roots, resid = _batched_newton(
         f_polish, seeds.astype(complex), np.ones(len(seeds)), 1e3 * widths + 1e-9, tol, scale_fn,
         max_rounds=12,
     )
-    resid = np.abs(_eval(f_polish, roots))
     allowed = tol * np.asarray(scale_fn(roots), dtype=float)
     if np.any(resid > allowed):
         i = int(np.argmax(resid / allowed))

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec
+from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, scenarios
+from nonlocal_sl.acceptance import _c8_spec
 from nonlocal_sl.characteristic import (
     char_batch,
     char_handle,
@@ -20,7 +21,8 @@ from nonlocal_sl.characteristic import (
     phi_trace_stable,
     split_identity_check,
 )
-from nonlocal_sl.errors import CollinearityError, InputError
+from nonlocal_sl.errors import CollinearityError, ConsistencyError, InputError
+from nonlocal_sl.inversion import _first_n_real
 from nonlocal_sl.ode_core import (
     GridSpec,
     SpectralPoint,
@@ -119,6 +121,20 @@ class TestRouteAgreement:
         with pytest.raises(InputError):
             char_batch(_dirichlet(), [1.0], route="Y")
 
+    def _growing_spec(self):
+        c8 = _c8_spec()
+        q = Potential.from_cosine(T, [0.3, -0.5 + 0.1j, 0.2, 0.1])
+        return ProblemSpec(q=q, form1=c8.form1, form2=c8.form2)
+
+    def test_disagreement_from_cancellation_is_named(self):
+        # Im rho * T = 38.9: the determinants' products are ~exp(77.8) against a value ~exp(38.9)
+        with pytest.raises(ConsistencyError, match=r"cancellation .* Im rho \* T = 38\.9"):
+            char_batch(self._growing_spec(), [2500.0 * np.exp(0.5j)], route="both")
+
+    def test_disagreement_from_coarse_grid_is_named(self):
+        with pytest.raises(ConsistencyError, match="grid too coarse"):
+            char_batch(self._growing_spec(), [30.0 + 1.0j], GridSpec(tol=1e-2, n_min=8), route="both")
+
     @pytest.mark.parametrize("route", ["Z", "X", "both"])
     def test_empty_batch(self, route):
         b = char_batch(_dirichlet(), np.array([], dtype=complex), route=route)
@@ -208,7 +224,35 @@ class TestRatioPoles:
         assert not ok[0] and np.isnan(vals[0])
 
 
+def _trace_fit_ratio(spec, lam) -> complex:
+    """d with phi = d * theta, fitted by trapezoid-weighted least squares over stored traces."""
+    c = combo_solutions(spec, SpectralPoint.from_lambda(lam), need=("phi", "theta"))
+    dx = np.diff(c.phi.grid)
+    w = np.concatenate([dx, [0.0]]) / 2.0 + np.concatenate([[0.0], dx]) / 2.0
+    f, t = c.phi.y, c.theta.y
+    r = np.sum(w * np.conj(t) * f) / np.sum(w * np.abs(t) ** 2)
+    return complex(r * np.exp(c.phi.log_scale - c.theta.log_scale))
+
+
+def _assert_matches_trace_fit(spec, xi):
+    for lam, r in zip(xi, d_sequence(spec, xi)):
+        assert not r.is_infinite
+        want = _trace_fit_ratio(spec, lam)
+        assert abs(r.value - want) <= 1e-6 * abs(want)
+
+
 class TestDSequence:
+    def test_matches_trace_fit_at_criterion_8_zeros(self):
+        spec = _c8_spec()
+        _assert_matches_trace_fit(spec, _first_n_real(spec, "omega", 6))
+
+    def test_matches_trace_fit_on_counterexample_1(self):
+        # both problems of the mirror pair, at omega zeros where delta_1 vanishes too
+        cfg, (spec, mirror) = scenarios.build("counterexample1")
+        xi = _first_n_real(spec, "omega", 6, length=spec.T / 2.0)
+        for s in (spec, mirror):
+            _assert_matches_trace_fit(s, xi)
+
     def test_dirichlet_signs(self):
         spec = _dirichlet()
         vals = d_sequence(spec, [1.0, 4.0, 9.0])

@@ -90,16 +90,15 @@ class TestZeroPotentialClosedForms:
             p = _point(lam)
             X1, X2 = fundamental_X(q, p, extra_required=[probes])
             for x in probes:
-                w = wronskian(X1, X2, x)
-                assert not w.interpolated
-                assert complex(w) == pytest.approx(1.0, abs=1e-8)
+                assert not X1.value_at(x)[2] and not X2.value_at(x)[2]
+                assert wronskian(X1, X2, x) == pytest.approx(1.0, abs=1e-8)
 
     def test_wronskian_flags_interpolated_readout(self):
         q = Potential.zero(T)
         X1, X2 = fundamental_X(q, _point(5.0))
-        w = wronskian(X1, X2, 0.7001234)
-        assert w.interpolated
-        assert complex(w) == pytest.approx(1.0, abs=1e-5)
+        x = 0.7001234
+        assert X1.value_at(x)[2] and X2.value_at(x)[2]
+        assert wronskian(X1, X2, x) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_constant_potential_shifts_lambda():

@@ -37,6 +37,28 @@ class TestSyntheticHandles:
         assert eig[0] == pytest.approx(2.0, abs=1e-8)
         assert eig[1] == pytest.approx(7.0 + 0.5j, abs=1e-8)
 
+    @pytest.mark.parametrize("real_axis", [False, True])
+    def test_seed_and_root_batches_evaluated_once(self, real_axis):
+        # the seeds are evaluated only inside the first Newton round, and the
+        # residual check reuses the last evaluation instead of repeating it
+        roots = np.array([np.sqrt(5.0), 7.0 + np.pi / 30.0])
+
+        def f(lam):
+            lam = np.asarray(lam, dtype=complex)
+            return (lam - roots[0]) * (lam - roots[1]) * np.exp(0.1 * lam)
+
+        calls = []
+
+        def polish(lam):
+            calls.append(np.array(lam, dtype=complex))
+            return f(lam)
+
+        s = find_spectrum(f, SearchBox(0.0, 10.0, -2.0, 2.0), f_polish=polish, real_axis=real_axis)
+        assert sorted(s.eigenvalues.real) == pytest.approx(roots, abs=1e-8)
+        seeds = calls[0][-len(roots) :]
+        for batch in (seeds, s.eigenvalues):
+            assert sum(bool(np.isin(batch, c).all()) for c in calls) == 1
+
     def test_double_zero_reported_with_multiplicity(self):
         def f(lam):
             return (np.asarray(lam, dtype=complex) - 5.3) ** 2
