@@ -63,6 +63,8 @@ class CriterionResult:
             "number": self.number,
             "name": self.name,
             "passed": self.passed,
+            "runtime": self.runtime,
+            "budget": self.budget,
             "detail": self.detail,
         }
 
@@ -485,7 +487,7 @@ def run_criterion(number: int) -> CriterionResult:
         ok = False
         detail += f"; exceeded the {budget:.0f}s budget"
     return CriterionResult(
-        number=n, name=name, passed=ok, runtime=dt, budget=budget, detail=detail
+        number=n, name=name, passed=bool(ok), runtime=dt, budget=budget, detail=detail
     )
 
 

@@ -28,7 +28,7 @@ from .errors import InputError, RangeError
 from .measure import LinearForm
 from .ode_core import GridSpec, SpectralPoint, integrate_family, principal_rho, solver_grid
 
-_QUANTITIES = ("Phi", "v1", "Delta1", "Delta11", "varphi", "v2")
+_QUANTITIES = ("Delta1", "Delta11", "Phi", "v1", "varphi", "v2")
 _POINTWISE = ("Phi", "v1", "varphi", "v2")
 _DEFAULT_RADII = (5.0, 10.0, 20.0, 40.0, 80.0)
 _EXP_CAP = 700.0

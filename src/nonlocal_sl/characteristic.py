@@ -53,6 +53,7 @@ POLE_GUARD = 1e-10
 ROUTE_TOL = 1e-6
 _EDGE = 1e-12
 _EPS = float(np.finfo(float).eps)
+_NAMES = ("omega", "delta1", "delta2", "delta11")  # the characteristic functions
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def char_batch(
     if route == "both":
         batch.alt = results["X"]
         sc = batch.scale()
-        for name in ("omega", "delta1", "delta2", "delta11"):
+        for name in _NAMES:
             a, b = primary[name], results["X"][name]
             denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 0.1 * sc)
             defect = np.abs(a - b) / denom
@@ -292,7 +293,7 @@ def char_batch(
 
 def char_handle(spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None, route: str = "Z"):
     """Vectorized callable lambda-array -> values of one characteristic function."""
-    if which not in ("omega", "delta1", "delta2", "delta11"):
+    if which not in _NAMES:
         raise InputError(f"unknown characteristic function {which!r}")
 
     def handle(lam):

@@ -8,8 +8,10 @@ same config and seed.
 Exit codes: 0 success, 2 validation error, 3 numerical failure,
 4 failed regression criterion.
 
-Only the standard library is imported at module level; the numerics load
-inside the command handlers, after --threads has been applied.
+Only the standard library and the package's exception types are imported at
+module level.  The numerics load inside the validators and the command
+handlers, after the thread cap from --threads or the config's `threads` has
+been applied.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-_CHAR_NAMES = ("omega", "delta1", "delta2", "delta11")
-_FORWARD_QUANTITIES = _CHAR_NAMES + ("M", "N")
-_ASYM_QUANTITIES = ("Delta1", "Delta11", "Phi", "v1", "varphi", "v2")
+from .errors import ConfigError, InputError, NumericalError
+
+# argparse checks these choices before any numerics load, so they cannot be
+# read from the library; they serve argparse only, and a test pins them to
+# inversion._BASES and scenarios._NAMES.
+_BASES = ("cosine", "piecewise")
 _SCENARIO_NAMES = ("counterexample1", "counterexample2", "three_spectra")
-_COMMANDS = ("forward", "spectrum", "weyl", "asym", "invert", "scenario", "regress")
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +51,17 @@ class _Ctx:
                 self.err(f"{path}.{k}", "unknown field")
 
 
+def _real(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float))
+
+
+def _reals(v, min_len=0) -> bool:
+    """True for a list of at least min_len real numbers (booleans are not numbers)."""
+    return isinstance(v, list) and len(v) >= min_len and all(_real(u) for u in v)
+
+
 def _number(ctx, v, path, positive=False, integer=False, minimum=None):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _real(v):
         ctx.err(path, "expected a number")
         return None
     if integer and not isinstance(v, int):
@@ -66,13 +79,15 @@ def _number(ctx, v, path, positive=False, integer=False, minimum=None):
     return v
 
 
+def _order(ctx, v, path):
+    if type(v) is not int or v not in (0, 1):  # true == 1 and 1.0 == 1 are not orders
+        ctx.err(path, "expected 0 or 1")
+        return None
+    return v
+
+
 def _pair(ctx, v, path):
-    ok = (
-        isinstance(v, (list, tuple))
-        and len(v) == 2
-        and all(not isinstance(u, bool) and isinstance(u, (int, float)) for u in v)
-    )
-    if not ok:
+    if not (_reals(v) and len(v) == 2):
         ctx.err(path, "expected a [re, im] pair")
         return None
     return complex(v[0], v[1])
@@ -87,17 +102,32 @@ def _pair_list(ctx, v, path, min_len=1):
 
 
 def _interval(ctx, v, path):
-    if (
-        not isinstance(v, list)
-        or len(v) != 2
-        or any(isinstance(u, bool) or not isinstance(u, (int, float)) for u in v)
-    ):
+    if not (_reals(v) and len(v) == 2):
         ctx.err(path, "expected [low, high]")
         return None
     if not v[0] < v[1]:
         ctx.err(path, "low must be below high")
         return None
     return float(v[0]), float(v[1])
+
+
+def _box(ctx, v, path):
+    """A search box {re: [lo, hi], im: [lo, hi]} as (re_min, re_max, im_min, im_max)."""
+    if not isinstance(v, dict):
+        ctx.err(path, "expected an object with re and im ranges")
+        return None
+    ctx.strict(v, path, {"re", "im"})
+    re = _interval(ctx, v.get("re"), f"{path}.re")
+    im = _interval(ctx, v.get("im"), f"{path}.im")
+    return None if re is None or im is None else (*re, *im)
+
+
+def _threads(ctx, raw):
+    threads = raw.get("threads")
+    if threads is not None and (type(threads) is not int or threads < 1):
+        ctx.err(".threads", "expected a positive integer")
+        return None
+    return threads
 
 
 def _check_potential(ctx, d, path, T):
@@ -115,7 +145,6 @@ def _check_potential(ctx, d, path, T):
             ctx.err(f"{path}.T", "must match the top-level T")
     if T is None:
         return None
-    from .errors import InputError
     from .potential import Potential
 
     if kind == "zero":
@@ -133,20 +162,15 @@ def _check_potential(ctx, d, path, T):
         "cosine": {"coefficients": True},
     }[kind]
     ctx.strict(data, f"{path}.data", set(fields))
-    shaped = {}
+    ok = True
     for key, is_pairs in fields.items():
-        v = data.get(key)
-        p = f"{path}.data.{key}"
+        v, p = data.get(key), f"{path}.data.{key}"
         if is_pairs:
-            shaped[key] = _pair_list(ctx, v, p)
-        elif not isinstance(v, list) or not all(
-            not isinstance(u, bool) and isinstance(u, (int, float)) for u in v
-        ):
+            ok &= _pair_list(ctx, v, p) is not None
+        elif not _reals(v):
             ctx.err(p, "expected a list of numbers")
-            shaped[key] = None
-        else:
-            shaped[key] = v
-    if any(v is None for v in shaped.values()):
+            ok = False
+    if not ok:
         return None
     try:
         return Potential.from_dict({"type": kind, "T": T, "data": data})
@@ -163,11 +187,7 @@ def _check_form(ctx, d, path, T, first):
     if kind == "point":
         ctx.strict(d, path, {"type", "x", "order"})
         x = _number(ctx, d.get("x"), f"{path}.x")
-        order = d.get("order", 0)
-        if order not in (0, 1):
-            ctx.err(f"{path}.order", "expected 0 or 1")
-            return None
-        if x is None:
+        if _order(ctx, d.get("order", 0), f"{path}.order") is None or x is None:
             return None
         if T is not None and not 0.0 <= x <= T:
             ctx.err(f"{path}.x", f"must lie in [0, {T:g}]")
@@ -199,17 +219,14 @@ def _check_form(ctx, d, path, T, first):
                     ctx.err(p, f"atom location exceeds T = {T:g}")
         dens = m.get("density")
         if dens is not None:
+            p = f"{path}.measure.density"
             if not isinstance(dens, dict):
-                ctx.err(f"{path}.measure.density", "expected an object")
+                ctx.err(p, "expected an object")
             else:
-                ctx.strict(dens, f"{path}.measure.density", {"breakpoints", "values"})
-                bp = dens.get("breakpoints")
-                if not isinstance(bp, list) or len(bp) < 2:
-                    ctx.err(
-                        f"{path}.measure.density.breakpoints",
-                        "expected at least two numbers",
-                    )
-                _pair_list(ctx, dens.get("values"), f"{path}.measure.density.values", 2)
+                ctx.strict(dens, p, {"breakpoints", "values"})
+                if not _reals(dens.get("breakpoints"), 2):
+                    ctx.err(f"{p}.breakpoints", "expected at least two numbers")
+                _pair_list(ctx, dens.get("values"), f"{p}.values", 2)
         if first and jump == 0:
             ctx.err(f"{path}.measure.jump", "the first form needs a nonzero point mass at 0")
     else:
@@ -217,53 +234,46 @@ def _check_form(ctx, d, path, T, first):
         return None
     if ctx.errors or T is None:
         return None
-    from .errors import InputError
     from .measure import LinearForm
 
-    key = {"point": "point", "nonlocal": "nonlocal"}[kind]
-    raw = dict(d)
-    raw["type"] = key
     try:
-        return LinearForm.from_dict(raw, T)
+        return LinearForm.from_dict(d, T)
     except InputError as e:
         ctx.err(path, str(e))
         return None
 
 
 def _sec_forward(ctx, d, path):
+    from .characteristic import _NAMES
+
     ctx.strict(d, path, {"lambdas", "quantities"})
     lam = _pair_list(ctx, d.get("lambdas"), f"{path}.lambdas")
-    quantities = d.get("quantities", list(_CHAR_NAMES) + ["M"])
+    names = _NAMES + ("M", "N")
+    quantities = d.get("quantities", [*_NAMES, "M"])
     if (
         not isinstance(quantities, list)
         or not quantities
+        or any(q not in names for q in quantities)
         or len(set(quantities)) != len(quantities)
-        or any(q not in _FORWARD_QUANTITIES for q in quantities)
     ):
-        ctx.err(f"{path}.quantities", f"expected distinct names from {_FORWARD_QUANTITIES}")
+        ctx.err(f"{path}.quantities", f"expected distinct names from {names}")
         return None
-    return {"lambdas": lam, "quantities": list(quantities)}
+    return {"lambdas": lam, "quantities": quantities}
 
 
 def _sec_spectrum(ctx, d, path):
+    from .characteristic import _NAMES
+
     ctx.strict(d, path, {"which", "box", "tol", "real_axis"})
     which = d.get("which", "delta1")
-    if which not in _CHAR_NAMES:
-        ctx.err(f"{path}.which", f"expected one of {_CHAR_NAMES}")
-    box = d.get("box")
-    rng = None
-    if not isinstance(box, dict):
-        ctx.err(f"{path}.box", "expected an object with re and im ranges")
-    else:
-        ctx.strict(box, f"{path}.box", {"re", "im"})
-        re = _interval(ctx, box.get("re"), f"{path}.box.re")
-        im = _interval(ctx, box.get("im"), f"{path}.box.im")
-        rng = None if re is None or im is None else (re, im)
+    if which not in _NAMES:
+        ctx.err(f"{path}.which", f"expected one of {_NAMES}")
+    box = _box(ctx, d.get("box"), f"{path}.box")
     tol = _number(ctx, d.get("tol", 1e-8), f"{path}.tol", positive=True)
     real_axis = d.get("real_axis", False)
     if not isinstance(real_axis, bool):
         ctx.err(f"{path}.real_axis", "expected true or false")
-    return {"which": which, "box": rng, "tol": tol, "real_axis": real_axis}
+    return {"which": which, "box": box, "tol": tol, "real_axis": real_axis}
 
 
 def _sec_weyl(ctx, d, path):
@@ -277,171 +287,130 @@ def _sec_weyl(ctx, d, path):
 
 
 def _sec_asym(ctx, d, path):
+    from .asymptotics import _DEFAULT_RADII, _QUANTITIES
+
     ctx.strict(d, path, {"quantity", "x", "order", "ray"})
     quantity = d.get("quantity")
-    if quantity not in _ASYM_QUANTITIES:
-        ctx.err(f"{path}.quantity", f"expected one of {_ASYM_QUANTITIES}")
+    if quantity not in _QUANTITIES:
+        ctx.err(f"{path}.quantity", f"expected one of {_QUANTITIES}")
     x = None
     if d.get("x") is not None:
         x = _number(ctx, d["x"], f"{path}.x")
-    order = d.get("order", 0)
-    if order not in (0, 1):
-        ctx.err(f"{path}.order", "expected 0 or 1")
+    order = _order(ctx, d.get("order", 0), f"{path}.order")
     ray = d.get("ray")
-    out_ray = None
     if not isinstance(ray, dict):
         ctx.err(f"{path}.ray", "expected an object")
-    else:
-        ctx.strict(ray, f"{path}.ray", {"kind", "angle", "delta", "radii", "reference"})
-        kind = ray.get("kind", "Pi_delta")
-        if kind not in ("Pi_delta", "G_delta"):
-            ctx.err(f"{path}.ray.kind", "expected Pi_delta or G_delta")
-        angle = _number(ctx, ray.get("angle"), f"{path}.ray.angle")
-        delta = _number(ctx, ray.get("delta", 0.1), f"{path}.ray.delta", positive=True)
-        radii = ray.get("radii", [5.0, 10.0, 20.0, 40.0, 80.0])
-        if (
-            not isinstance(radii, list)
-            or len(radii) < 2
-            or any(isinstance(r, bool) or not isinstance(r, (int, float)) for r in radii)
-            or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1))
-        ):
-            ctx.err(f"{path}.ray.radii", "expected an increasing list of at least two radii")
-            radii = None
-        reference = None
-        if kind == "G_delta":
-            if "reference" not in ray:
-                ctx.err(f"{path}.ray.reference", "G_delta needs reference eigenvalues")
-            else:
-                reference = _pair_list(ctx, ray["reference"], f"{path}.ray.reference")
-        elif "reference" in ray:
-            ctx.err(f"{path}.ray.reference", "only meaningful for G_delta")
-        out_ray = {
-            "kind": kind,
-            "angle": angle,
-            "delta": delta,
-            "radii": radii,
-            "reference": reference,
-        }
-    return {"quantity": quantity, "x": x, "order": order, "ray": out_ray}
+        return None
+    p = f"{path}.ray"
+    ctx.strict(ray, p, {"kind", "angle", "delta", "radii", "reference"})
+    kind = ray.get("kind", "Pi_delta")
+    if kind not in ("Pi_delta", "G_delta"):
+        ctx.err(f"{p}.kind", "expected Pi_delta or G_delta")
+    angle = _number(ctx, ray.get("angle"), f"{p}.angle")
+    delta = _number(ctx, ray.get("delta", 0.1), f"{p}.delta", positive=True)
+    radii = ray.get("radii", list(_DEFAULT_RADII))
+    if not _reals(radii, 2) or any(a >= b for a, b in zip(radii, radii[1:])):
+        ctx.err(f"{p}.radii", "expected an increasing list of at least two radii")
+    reference = None
+    if kind == "G_delta":
+        if "reference" not in ray:
+            ctx.err(f"{p}.reference", "G_delta needs reference eigenvalues")
+        else:
+            reference = _pair_list(ctx, ray["reference"], f"{p}.reference")
+    elif "reference" in ray:
+        ctx.err(f"{p}.reference", "only meaningful for G_delta")
+    ray = {"kind": kind, "angle": angle, "delta": delta, "radii": radii, "reference": reference}
+    return {"quantity": quantity, "x": x, "order": order, "ray": ray}
+
+
+# The section's defaults; its keys are also the fields the section accepts.
+_INVERT_DEFAULTS = {
+    "kind": "two_spectra",
+    "n_each": 8,
+    "lambdas": None,
+    "xi_count": 6,
+    "data": None,
+    "basis": "cosine",
+    "dim": 4,
+    "starts": 5,
+    "tol": 1e-9,
+    "max_iter": 60,
+    "initial": None,
+}
 
 
 def _sec_invert(ctx, d, path):
-    from .inversion import _KINDS
+    from .inversion import _BASES, _KINDS
 
-    allowed = {
-        "kind",
-        "n_each",
-        "lambdas",
-        "xi_count",
-        "data",
-        "basis",
-        "dim",
-        "starts",
-        "tol",
-        "max_iter",
-        "initial",
-    }
-    ctx.strict(d, path, allowed)
-    kind = d.get("kind", "two_spectra")
-    if kind not in _KINDS:
+    ctx.strict(d, path, _INVERT_DEFAULTS)
+    out = {**_INVERT_DEFAULTS, **d}
+    if out["kind"] not in _KINDS:
         ctx.err(f"{path}.kind", f"expected one of {_KINDS}")
-    n_each = _number(ctx, d.get("n_each", 8), f"{path}.n_each", integer=True, minimum=1)
-    lam = None
+    out["n_each"] = _number(ctx, out["n_each"], f"{path}.n_each", integer=True, minimum=1)
     if "lambdas" in d:
-        lam = _pair_list(ctx, d["lambdas"], f"{path}.lambdas")
-    xi_count = _number(ctx, d.get("xi_count", 6), f"{path}.xi_count", integer=True, minimum=1)
-    data = d.get("data")
-    if data is not None and not isinstance(data, dict):
+        out["lambdas"] = _pair_list(ctx, d["lambdas"], f"{path}.lambdas")
+    out["xi_count"] = _number(ctx, out["xi_count"], f"{path}.xi_count", integer=True, minimum=1)
+    if out["data"] is not None and not isinstance(out["data"], dict):
         ctx.err(f"{path}.data", "expected a serialized target object")
-        data = None
-    basis = d.get("basis", "cosine")
-    if basis not in ("cosine", "piecewise"):
+    if out["basis"] not in _BASES:
         ctx.err(f"{path}.basis", "expected cosine or piecewise")
-    dim = _number(ctx, d.get("dim", 4), f"{path}.dim", integer=True, minimum=1)
-    starts = _number(ctx, d.get("starts", 5), f"{path}.starts", integer=True, minimum=1)
-    tol = _number(ctx, d.get("tol", 1e-9), f"{path}.tol", positive=True)
-    max_iter = _number(ctx, d.get("max_iter", 60), f"{path}.max_iter", integer=True, minimum=1)
-    initial = None
+    out["dim"] = _number(ctx, out["dim"], f"{path}.dim", integer=True, minimum=1)
+    out["starts"] = _number(ctx, out["starts"], f"{path}.starts", integer=True, minimum=1)
+    out["tol"] = _number(ctx, out["tol"], f"{path}.tol", positive=True)
+    out["max_iter"] = _number(ctx, out["max_iter"], f"{path}.max_iter", integer=True, minimum=1)
     if "initial" in d:
-        v = d["initial"]
-        if not isinstance(v, list) or any(
-            isinstance(u, bool) or not isinstance(u, (int, float)) for u in v
-        ):
-            ctx.err(f"{path}.initial", "expected a list of real coefficients")
+        if _reals(d["initial"]):
+            out["initial"] = [float(u) for u in d["initial"]]
         else:
-            initial = [float(u) for u in v]
-    return {
-        "kind": kind,
-        "n_each": n_each,
-        "lambdas": lam,
-        "xi_count": xi_count,
-        "data": data,
-        "basis": basis,
-        "dim": dim,
-        "starts": starts,
-        "tol": tol,
-        "max_iter": max_iter,
-        "initial": initial,
-    }
+            ctx.err(f"{path}.initial", "expected a list of real coefficients")
+    return out
 
 
-_SCENARIO_PARAMS = {
-    "counterexample1": {"n_cells"},
-    "counterexample2": {"alpha", "alpha0", "n_cells", "separation_tol", "box_hi"},
-    "three_spectra": {"a", "T"},
+# The section's defaults; its keys are also the fields the section accepts.
+_SCENARIO_DEFAULTS = {
+    "name": None,
+    "params": {},
+    "grid": {"start": 1.0, "stop": 90.0, "count": 50, "imag": 0.5},
+    "tol": 1e-6,
+    "d_count": 6,
+    "box": (0.5, 60.0, -1.0, 1.0),
 }
 
 
 def _sec_scenario(ctx, d, path):
-    ctx.strict(d, path, {"name", "params", "grid", "tol", "d_count", "box"})
-    name = d.get("name")
-    if name not in _SCENARIO_NAMES:
-        ctx.err(f"{path}.name", f"expected one of {_SCENARIO_NAMES}")
+    from .scenarios import _NAMES, _PARAM_KEYS
+
+    ctx.strict(d, path, _SCENARIO_DEFAULTS)
+    out = {**_SCENARIO_DEFAULTS, **d}
+    name = out["name"]
+    if name not in _NAMES:
+        ctx.err(f"{path}.name", f"expected one of {_NAMES}")
         return None
-    params = d.get("params", {})
-    if not isinstance(params, dict):
+    if not isinstance(out["params"], dict):
         ctx.err(f"{path}.params", "expected an object")
-        params = {}
     else:
-        ctx.strict(params, f"{path}.params", _SCENARIO_PARAMS[name])
-        for k, v in params.items():
+        # every builder parameter but the potential q, which JSON cannot express
+        ctx.strict(out["params"], f"{path}.params", _PARAM_KEYS[name] - {"q"})
+        for k, v in out["params"].items():
             _number(ctx, v, f"{path}.params.{k}")
-    grid = d.get("grid", {})
-    out_grid = {"start": 1.0, "stop": 90.0, "count": 50, "imag": 0.5}
+        out["params"] = dict(out["params"])  # never the module default itself
+    grid, out["grid"] = out["grid"], dict(_SCENARIO_DEFAULTS["grid"])
     if not isinstance(grid, dict):
         ctx.err(f"{path}.grid", "expected an object")
     else:
-        ctx.strict(grid, f"{path}.grid", set(out_grid))
-        for k in out_grid:
+        ctx.strict(grid, f"{path}.grid", out["grid"])
+        for k in out["grid"]:
             if k in grid:
-                v = _number(
-                    ctx,
-                    grid[k],
-                    f"{path}.grid.{k}",
-                    integer=(k == "count"),
-                    minimum=1 if k == "count" else None,
-                )
+                count = k == "count"
+                at = f"{path}.grid.{k}"
+                v = _number(ctx, grid[k], at, integer=count, minimum=1 if count else None)
                 if v is not None:
-                    out_grid[k] = v
-    tol = _number(ctx, d.get("tol", 1e-6), f"{path}.tol", positive=True)
-    d_count = _number(ctx, d.get("d_count", 6), f"{path}.d_count", integer=True, minimum=1)
-    box = ((0.5, 60.0), (-1.0, 1.0))
+                    out["grid"][k] = v
+    out["tol"] = _number(ctx, out["tol"], f"{path}.tol", positive=True)
+    out["d_count"] = _number(ctx, out["d_count"], f"{path}.d_count", integer=True, minimum=1)
     if "box" in d:
-        if not isinstance(d["box"], dict):
-            ctx.err(f"{path}.box", "expected an object with re and im ranges")
-        else:
-            ctx.strict(d["box"], f"{path}.box", {"re", "im"})
-            re = _interval(ctx, d["box"].get("re"), f"{path}.box.re")
-            im = _interval(ctx, d["box"].get("im"), f"{path}.box.im")
-            box = None if re is None or im is None else (re, im)
-    return {
-        "name": name,
-        "params": params,
-        "grid": out_grid,
-        "tol": tol,
-        "d_count": d_count,
-        "box": box,
-    }
+        out["box"] = _box(ctx, d["box"], f"{path}.box")
+    return out
 
 
 _SECTION_CHECKS = {
@@ -458,31 +427,30 @@ _SECTION_CHECKS = {
 class RunConfig:
     """A validated configuration: the problem plus per-command options."""
 
-    problem: object | None
-    seed: int
-    threads: int | None
-    output_path: str | None
-    output_format: str | None
+    problem: object | None = None
+    seed: int = 0
+    threads: int | None = None
+    output_path: str | None = None
+    output_format: str | None = None
     sections: dict = field(default_factory=dict)
 
 
-def parse_config(text: str) -> "RunConfig":
-    """Validate config text; raises ConfigError listing every schema problem."""
-    from .characteristic import ProblemSpec
-    from .errors import ConfigError, InputError
-
+def _load(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([(".", f"not valid JSON: {e}")])
     if not isinstance(raw, dict):
         raise ConfigError([(".", "the top level must be an object")])
-    ctx = _Ctx()
-    allowed = {"T", "q", "U1", "U2", "seed", "threads", "output"} | set(_SECTION_CHECKS)
-    ctx.strict(raw, "", allowed)
+    return raw
 
-    problem = None
-    T = None
+
+def _validate(raw: dict) -> RunConfig:
+    from .characteristic import ProblemSpec
+
+    ctx = _Ctx()
+    ctx.strict(raw, "", {"T", "q", "U1", "U2", "seed", "threads", "output", *_SECTION_CHECKS})
+    problem = T = None
     if any(k in raw for k in ("T", "q", "U1", "U2")):
         for k in ("T", "q", "U1", "U2"):
             if k not in raw:
@@ -499,30 +467,18 @@ def parse_config(text: str) -> "RunConfig":
                 ctx.err(".", str(e))
 
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         ctx.err(".seed", "expected a non-negative integer")
-        seed = 0
-    threads = raw.get("threads")
-    if threads is not None and (
-        isinstance(threads, bool) or not isinstance(threads, int) or threads < 1
-    ):
-        ctx.err(".threads", "expected a positive integer")
-        threads = None
-    out_path = out_format = None
-    if "output" in raw:
-        out = raw["output"]
-        if not isinstance(out, dict):
-            ctx.err(".output", "expected an object")
-        else:
-            ctx.strict(out, ".output", {"path", "format"})
-            out_path = out.get("path")
-            if out_path is not None and not isinstance(out_path, str):
-                ctx.err(".output.path", "expected a string")
-                out_path = None
-            out_format = out.get("format")
-            if out_format is not None and out_format not in ("json", "csv"):
-                ctx.err(".output.format", "expected json or csv")
-                out_format = None
+    threads = _threads(ctx, raw)
+    out = raw.get("output", {})
+    if not isinstance(out, dict):
+        ctx.err(".output", "expected an object")
+        out = {}
+    ctx.strict(out, ".output", {"path", "format"})
+    if out.get("path") is not None and not isinstance(out["path"], str):
+        ctx.err(".output.path", "expected a string")
+    if out.get("format") is not None and out["format"] not in ("json", "csv"):
+        ctx.err(".output.format", "expected json or csv")
 
     sections = {}
     for name, check in _SECTION_CHECKS.items():
@@ -534,14 +490,12 @@ def parse_config(text: str) -> "RunConfig":
 
     if ctx.errors:
         raise ConfigError(ctx.errors)
-    return RunConfig(
-        problem=problem,
-        seed=seed,
-        threads=threads,
-        output_path=out_path,
-        output_format=out_format,
-        sections=sections,
-    )
+    return RunConfig(problem, seed, threads, out.get("path"), out.get("format"), sections)
+
+
+def parse_config(text: str) -> "RunConfig":
+    """Validate config text; raises ConfigError listing every schema problem."""
+    return _validate(_load(text))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +504,12 @@ def parse_config(text: str) -> "RunConfig":
 
 def _cpairs(values) -> list:
     return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _masked(vals, ok):
+    """A guarded ratio as JSON pairs (None under its pole guard) and CSV cells with an ok flag."""
+    pairs = [[float(v.real), float(v.imag)] if k else None for v, k in zip(vals, ok)]
+    return pairs, [p + [1] if p else ["", "", 0] for p in pairs]
 
 
 def _json_text(payload: dict) -> str:
@@ -573,84 +533,62 @@ def _emit(text: str, path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (payload, (csv header, csv rows) or None)
+# Command handlers: each takes (config, parsed arguments) and returns
+# (payload, (csv header, csv rows))
 
 
 def _need(cfg: RunConfig, name: str) -> dict:
-    from .errors import ConfigError
-
     if name not in cfg.sections:
         raise ConfigError([(f".{name}", f"the {name} command needs this section")])
     return cfg.sections[name]
 
 
 def _need_problem(cfg: RunConfig):
-    from .errors import ConfigError
-
     if cfg.problem is None:
         raise ConfigError([(".", "this command needs the problem fields T, q, U1, U2")])
     return cfg.problem
 
 
-def _run_forward(cfg: RunConfig):
+def _run_forward(cfg: RunConfig, args):
     import numpy as np
 
-    from .characteristic import char_batch
+    from .characteristic import _NAMES, char_batch
 
     spec = _need_problem(cfg)
     opts = _need(cfg, "forward")
     lam = np.asarray(opts["lambdas"], dtype=complex)
     cb = char_batch(spec, lam)
-    m_vals = m_ok = n_vals = n_ok = None
-    if "M" in opts["quantities"]:
-        m_vals, m_ok = cb.weyl_M_values()
-    if "N" in opts["quantities"]:
-        n_vals, n_ok = cb.weyl_N_values()
     payload = {"lambdas": _cpairs(lam)}
     header = ["lambda_re", "lambda_im"]
-    columns = []
+    columns = [payload["lambdas"]]
     for q in opts["quantities"]:
-        if q in _CHAR_NAMES:
-            vals = getattr(cb, q)
-            payload[q] = _cpairs(vals)
+        if q in _NAMES:
+            payload[q] = _cpairs(getattr(cb, q))
             header += [f"{q}_re", f"{q}_im"]
-            columns.append([[float(v.real), float(v.imag)] for v in vals])
+            columns.append(payload[q])
         else:
-            vals, ok = (m_vals, m_ok) if q == "M" else (n_vals, n_ok)
-            payload[q] = [
-                None if not k else [float(v.real), float(v.imag)] for v, k in zip(vals, ok)
-            ]
+            vals, ok = cb.weyl_M_values() if q == "M" else cb.weyl_N_values()
+            payload[q], cells = _masked(vals, ok)
             payload[f"{q}_ok"] = [bool(k) for k in ok]
             header += [f"{q}_re", f"{q}_im", f"{q}_ok"]
-            columns.append(
-                [
-                    [float(v.real), float(v.imag), 1] if k else ["", "", 0]
-                    for v, k in zip(vals, ok)
-                ]
-            )
-    rows = []
-    for i, z in enumerate(lam):
-        row = [float(z.real), float(z.imag)]
-        for col in columns:
-            row.extend(col[i])
-        rows.append(row)
+            columns.append(cells)
+    rows = [[c for col in columns for c in col[i]] for i in range(len(lam))]
     return payload, (header, rows)
 
 
-def _run_spectrum(cfg: RunConfig):
+def _run_spectrum(cfg: RunConfig, args):
     from .spectrum_finder import SearchBox, problem_spectrum
 
     spec = _need_problem(cfg)
     opts = _need(cfg, "spectrum")
-    (re_lo, re_hi), (im_lo, im_hi) = opts["box"]
-    box = SearchBox(re_min=re_lo, re_max=re_hi, im_min=im_lo, im_max=im_hi)
+    box = SearchBox(*opts["box"])
     sp = problem_spectrum(spec, opts["which"], box, tol=opts["tol"], real_axis=opts["real_axis"])
     eig = [[float(z.real), float(z.imag), int(m)] for z, m in sp.entries]
     payload = {"which": opts["which"], "eigenvalues": eig, "winding_total": sp.winding_total}
     return payload, (["lambda_re", "lambda_im", "multiplicity"], eig)
 
 
-def _run_weyl(cfg: RunConfig):
+def _run_weyl(cfg: RunConfig, args):
     import numpy as np
 
     from .characteristic import char_batch, d_sequence
@@ -661,10 +599,11 @@ def _run_weyl(cfg: RunConfig):
     lam = np.asarray(opts["lambdas"], dtype=complex)
     cb = char_batch(spec, lam)
     vals, ok = cb.weyl_M_values() if opts["which"] == "M" else cb.weyl_N_values()
+    values, cells = _masked(vals, ok)
     payload = {
         "which": opts["which"],
         "lambdas": _cpairs(lam),
-        "values": [None if not k else [float(v.real), float(v.imag)] for v, k in zip(vals, ok)],
+        "values": values,
         "ok": [bool(k) for k in ok],
     }
     n_xi = int(opts["xi_count"])
@@ -676,29 +615,21 @@ def _run_weyl(cfg: RunConfig):
             "values": ["inf" if r.is_infinite else [r.value.real, r.value.imag] for r in seq],
             "defects": [float(r.defect) for r in seq],
         }
-    rows = [
-        [float(z.real), float(z.imag)]
-        + ([float(v.real), float(v.imag), 1] if k else ["", "", 0])
-        for z, v, k in zip(lam, vals, ok)
-    ]
+    rows = [z + c for z, c in zip(payload["lambdas"], cells)]
     return payload, (["lambda_re", "lambda_im", "value_re", "value_im", "ok"], rows)
 
 
-def _run_asym(cfg: RunConfig):
+def _run_asym(cfg: RunConfig, args):
     from .asymptotics import RaySpec, asym_report
 
     spec = _need_problem(cfg)
     opts = _need(cfg, "asym")
     r = opts["ray"]
+    kw = {"angle": r["angle"], "delta": r["delta"], "radii": tuple(r["radii"])}
     if r["kind"] == "Pi_delta":
-        ray = RaySpec.pi_delta(angle=r["angle"], delta=r["delta"], radii=tuple(r["radii"]))
+        ray = RaySpec.pi_delta(**kw)
     else:
-        ray = RaySpec.g_delta(
-            angle=r["angle"],
-            delta=r["delta"],
-            radii=tuple(r["radii"]),
-            reference=r["reference"],
-        )
+        ray = RaySpec.g_delta(reference=r["reference"], **kw)
     rep = asym_report(opts["quantity"], opts["x"], ray, spec, order=opts["order"])
     table = rep.csv_rows()
     payload = {
@@ -712,7 +643,6 @@ def _run_asym(cfg: RunConfig):
 def _build_target(spec, opts):
     import numpy as np
 
-    from .errors import ConfigError
     from .inversion import (
         InverseTarget,
         make_three_spectra_target,
@@ -748,21 +678,12 @@ def _run_invert(cfg: RunConfig, args):
     if args.target is not None:
         with open(args.target, encoding="utf-8") as fh:
             opts["data"] = json.load(fh)
-    if args.basis is not None:
-        opts["basis"] = args.basis
-    if args.dim is not None:
-        opts["dim"] = args.dim
-    if args.starts is not None:
-        opts["starts"] = args.starts
-    if args.tol is not None:
-        opts["tol"] = args.tol
+    for key in ("basis", "dim", "starts", "tol"):
+        if getattr(args, key) is not None:
+            opts[key] = getattr(args, key)
     target = _build_target(spec, opts)
     dim = int(opts["dim"])
-    basis = (
-        BasisSpec.cosine(spec.T, dim)
-        if opts["basis"] == "cosine"
-        else BasisSpec.piecewise(spec.T, dim)
-    )
+    basis = BasisSpec(opts["basis"], spec.T, dim)
     initial = opts["initial"]
     c0 = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float)
     ro = ReconstructOptions(
@@ -800,18 +721,16 @@ def _run_scenario(cfg: RunConfig, args):
     from .spectrum_finder import SearchBox
 
     if args.name is not None:
-        opts = dict(cfg.sections.get("scenario") or _default_scenario_opts())
-        opts["name"] = args.name
+        opts = {**cfg.sections.get("scenario", _SCENARIO_DEFAULTS), "name": args.name}
+        opts["params"], opts["grid"] = dict(opts["params"]), dict(opts["grid"])
         if args.name == "three_spectra" and not opts["params"]:
             opts["params"] = {"a": 1.0}
     else:
         opts = _need(cfg, "scenario")
     built, _ = scenarios.build(opts["name"], opts["params"])
     if opts["name"] == "three_spectra":
-        (re_lo, re_hi), (im_lo, im_hi) = opts["box"]
-        box = SearchBox(re_min=re_lo, re_max=re_hi, im_min=im_lo, im_max=im_hi)
         rep = scenarios.three_spectra_overlap_rule(
-            built.spec, built.params["a"], box
+            built.spec, built.params["a"], SearchBox(*opts["box"])
         )
         entries = [
             [[e.lam.real, e.lam.imag], list(e.members)] for e in rep.entries
@@ -855,15 +774,14 @@ def _run_scenario(cfg: RunConfig, args):
     return payload, (["field", "value"], rows)
 
 
-def _default_scenario_opts() -> dict:
-    return {
-        "name": None,
-        "params": {},
-        "grid": {"start": 1.0, "stop": 90.0, "count": 50, "imag": 0.5},
-        "tol": 1e-6,
-        "d_count": 6,
-        "box": ((0.5, 60.0), (-1.0, 1.0)),
-    }
+_HANDLERS = {
+    "forward": _run_forward,
+    "spectrum": _run_spectrum,
+    "weyl": _run_weyl,
+    "asym": _run_asym,
+    "invert": _run_invert,
+    "scenario": _run_scenario,
+}
 
 
 def _run_regress(args) -> int:
@@ -897,7 +815,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "Sturm-Liouville problems.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in (*_HANDLERS, "regress"):
         sp = sub.add_parser(name)
         if name == "regress":
             sp.add_argument("--criteria", help="comma-separated criterion numbers")
@@ -915,7 +833,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int)
         if name == "invert":
             sp.add_argument("--target", help="path to a serialized data JSON")
-            sp.add_argument("--basis", choices=("cosine", "piecewise"))
+            sp.add_argument("--basis", choices=_BASES)
             sp.add_argument("--dim", type=int)
             sp.add_argument("--starts", type=int)
             sp.add_argument("--tol", type=float)
@@ -938,47 +856,26 @@ def _apply_threads(n: int | None) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_threads(getattr(args, "threads", None))
-    from .errors import ConfigError, InputError, NumericalError
-
+    _apply_threads(args.threads)
     try:
         if args.command == "regress":
             return _run_regress(args)
-        if args.config is None:
-            cfg = RunConfig(
-                problem=None, seed=0, threads=None, output_path=None, output_format=None
-            )
-            if args.command != "scenario" or getattr(args, "name", None) is None:
-                raise ConfigError([(".", "a config file is required")])
-        else:
+        cfg = RunConfig()
+        if args.config is not None:
             try:
                 with open(args.config, encoding="utf-8") as fh:
-                    text = fh.read()
+                    raw = _load(fh.read())
             except OSError as e:
                 raise ConfigError([(".", f"cannot read config file: {e}")])
-            cfg = parse_config(text)
-            _apply_threads(cfg.threads if getattr(args, "threads", None) is None else None)
+            if args.threads is None:
+                # the validators load the numerics; a bad value is reported by them
+                _apply_threads(_threads(_Ctx(), raw))
+            cfg = _validate(raw)
+        elif args.command != "scenario" or args.name is None:
+            raise ConfigError([(".", "a config file is required")])
         if args.seed is not None:
-            cfg = RunConfig(
-                problem=cfg.problem,
-                seed=args.seed,
-                threads=cfg.threads,
-                output_path=cfg.output_path,
-                output_format=cfg.output_format,
-                sections=cfg.sections,
-            )
-        if args.command == "forward":
-            payload, table = _run_forward(cfg)
-        elif args.command == "spectrum":
-            payload, table = _run_spectrum(cfg)
-        elif args.command == "weyl":
-            payload, table = _run_weyl(cfg)
-        elif args.command == "asym":
-            payload, table = _run_asym(cfg)
-        elif args.command == "invert":
-            payload, table = _run_invert(cfg, args)
-        else:
-            payload, table = _run_scenario(cfg, args)
+            cfg = replace(cfg, seed=args.seed)
+        payload, table = _HANDLERS[args.command](cfg, args)
     except ConfigError as e:
         for path, msg in e.errors:
             sys.stderr.write(f"config error at {path}: {msg}\n")

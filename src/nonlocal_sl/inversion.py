@@ -42,6 +42,7 @@ from .potential import Potential
 from .spectrum_finder import ConditionReport, SearchBox, condition_S, problem_spectrum
 
 _KINDS = ("two_spectra", "weyl_pair", "weyl_pair_with_D", "three_spectra")
+_BASES = ("cosine", "piecewise")
 _PENALTY = 1e3
 _NEWTON_ROUNDS = 10
 _STEP_TOL = 1e-9  # relative Newton step size counted as converged
@@ -61,7 +62,7 @@ class BasisSpec:
     dim: int
 
     def __post_init__(self):
-        if self.kind not in ("cosine", "piecewise"):
+        if self.kind not in _BASES:
             raise InputError(f"unknown basis {self.kind!r}; expected cosine or piecewise")
         if self.dim < 1:
             raise InputError("basis dimension must be at least 1")

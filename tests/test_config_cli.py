@@ -3,19 +3,24 @@
 Every subcommand is driven through main() with real config files in a temp
 directory: JSON and CSV outputs, strict config validation with error paths,
 the documented exit codes (0 ok, 2 validation, 3 numerical, 4 acceptance),
-and byte-identical reruns.  One subprocess check pins the lazy import that
-lets --threads take effect before the numerics stack loads.
+and byte-identical reruns.  Subprocess checks pin the lazy import that lets
+--threads and the config's threads field take effect before the numerics
+stack loads.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nonlocal_sl.cli import main, parse_config
 from nonlocal_sl.errors import ConfigError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BASE_PROBLEM = {
     "T": 3.141592653589793,
@@ -271,6 +276,148 @@ class TestScenario:
         assert payload["violations"] == 0
 
 
+BOX = {"re": [0.5, 12.0], "im": [-1.0, 1.0]}
+
+
+def _bad(**fields):
+    return {**BASE_PROBLEM, "spectrum": {"box": BOX}, **fields}
+
+
+def _nonlocal_u1(**measure):
+    return _bad(U1={"type": "nonlocal", "measure": {"jump": [1, 0], **measure}})
+
+
+# One malformed config per validator branch, with the exact stderr lines
+# ("config error at " is dropped from each).  The last five rows were faults:
+# text breakpoints and a list among the quantities escaped as tracebacks, and
+# true or 1.0 passed as an order.
+ERROR_LINES = [
+    ("unknown_top", "spectrum", _bad(extra=1), [".extra: unknown field"]),
+    ("missing_fields", "spectrum", {"T": 3.0, "spectrum": {"box": BOX}},
+     [".q: required once any problem field is present", ".U1: required once any problem field is present",
+      ".U2: required once any problem field is present"]),
+    ("T_bool", "spectrum", _bad(T=True), [".T: expected a number"]),
+    ("q_notobj", "spectrum", _bad(q=3), [".q: expected an object"]),
+    ("q_type", "spectrum", _bad(q={"type": "spline"}), [".q.type: expected zero, grid, piecewise, or cosine"]),
+    ("q_T", "spectrum", _bad(q={"type": "zero", "T": 2.0}), [".q.T: must match the top-level T"]),
+    ("q_zero_data", "spectrum", _bad(q={"type": "zero", "data": {}}), [".q.data: the zero potential takes no data"]),
+    ("q_data_notobj", "spectrum", _bad(q={"type": "cosine", "data": [1]}), [".q.data: expected an object"]),
+    ("q_pairs", "spectrum", _bad(q={"type": "cosine", "data": {"coefficients": [1.0], "x": 1}}),
+     [".q.data.x: unknown field", ".q.data.coefficients[0]: expected a [re, im] pair"]),
+    ("q_numbers", "spectrum", _bad(q={"type": "grid", "data": {"x": [0.0, "a"], "values": [[1, 0], [2, 0]]}}),
+     [".q.data.x: expected a list of numbers"]),
+    ("q_library", "spectrum",
+     _bad(q={"type": "piecewise", "data": {"breakpoints": [0, 2, 1, 4], "values": [[1, 0], [2, 0], [3, 0]]}}),
+     [".q.data: breakpoints must be strictly increasing"]),
+    ("u1_notobj", "spectrum", _bad(U1=[0]), [".U1: expected an object"]),
+    ("u1_type", "spectrum", _bad(U1={"type": "dirichlet"}), [".U1.type: expected point or nonlocal"]),
+    ("u1_order", "spectrum", _bad(U1={"type": "point", "x": 0.0, "order": 2}), [".U1.order: expected 0 or 1"]),
+    ("u1_x_range", "spectrum", _bad(U1={"type": "point", "x": 5.0}), [".U1.x: must lie in [0, 3.14159]"]),
+    ("u1_x_text", "spectrum", _bad(U1={"type": "point", "x": "0"}), [".U1.x: expected a number"]),
+    ("u2_extra", "spectrum", _bad(U2={"type": "point", "x": 1.0, "w": 1}), [".U2.w: unknown field"]),
+    ("measure_notobj", "spectrum", _bad(U1={"type": "nonlocal", "measure": 1}), [".U1.measure: expected an object"]),
+    ("measure_key", "spectrum", _nonlocal_u1(mass=1), [".U1.measure.mass: unknown field"]),
+    ("jump", "spectrum", _nonlocal_u1(jump=[1]), [".U1.measure.jump: expected a [re, im] pair"]),
+    ("atoms_notlist", "spectrum", _nonlocal_u1(atoms={}),
+     [".U1.measure.atoms: expected a list of [t, [re, im]] entries"]),
+    ("atom_shape", "spectrum", _nonlocal_u1(atoms=[[1.0]]), [".U1.measure.atoms[0]: expected [t, [re, im]]"]),
+    ("atom_zero", "spectrum", _nonlocal_u1(atoms=[[0.0, [1, 0]]]),
+     [".U1.measure.atoms[0]: atoms live in (0, T]; the point mass at 0 is the jump field"]),
+    ("atom_far", "spectrum", _nonlocal_u1(atoms=[[4.0, [1, 0]]]),
+     [".U1.measure.atoms[0]: atom location exceeds T = 3.14159"]),
+    ("atom_entries", "spectrum", _nonlocal_u1(atoms=[["x", [1]]]),
+     [".U1.measure.atoms[0]: expected a number", ".U1.measure.atoms[0]: expected a [re, im] pair"]),
+    ("density_notobj", "spectrum", _nonlocal_u1(density=[1]), [".U1.measure.density: expected an object"]),
+    ("density_key", "spectrum", _nonlocal_u1(density={"breakpoints": [0, 1], "values": [[1, 0], [1, 0]], "z": 0}),
+     [".U1.measure.density.z: unknown field"]),
+    ("density_short", "spectrum", _nonlocal_u1(density={"breakpoints": [0.0], "values": [[1, 0]]}),
+     [".U1.measure.density.breakpoints: expected at least two numbers",
+      ".U1.measure.density.values: expected a list of at least 2 [re, im] pairs"]),
+    ("zero_jump", "spectrum", _bad(U1={"type": "nonlocal", "measure": {"atoms": [[1.0, [1, 0]]]}}),
+     [".U1.measure.jump: the first form needs a nonzero point mass at 0"]),
+    ("form_library", "spectrum",
+     _bad(U2={"type": "nonlocal", "measure": {"density": {"breakpoints": [2, 1], "values": [[1, 0], [1, 0]]}}}),
+     [".U2: density breakpoints must be non-decreasing"]),
+    ("seed", "spectrum", _bad(seed=-1), [".seed: expected a non-negative integer"]),
+    ("threads", "spectrum", _bad(threads=0), [".threads: expected a positive integer"]),
+    ("output_notobj", "spectrum", _bad(output="x"), [".output: expected an object"]),
+    ("output_fields", "spectrum", _bad(output={"path": 3, "format": "xml", "mode": 1}),
+     [".output.mode: unknown field", ".output.path: expected a string", ".output.format: expected json or csv"]),
+    ("section_notobj", "spectrum", _bad(spectrum=[1]), [".spectrum: expected an object"]),
+    ("forward_pairs", "forward", _config("forward", {"lambdas": [1.0, 2.0]}),
+     [".forward.lambdas[0]: expected a [re, im] pair", ".forward.lambdas[1]: expected a [re, im] pair"]),
+    ("forward_empty", "forward", _config("forward", {"lambdas": []}),
+     [".forward.lambdas: expected a list of at least 1 [re, im] pairs"]),
+    ("forward_quantities", "forward", _config("forward", {"lambdas": [[1, 0]], "quantities": ["M", "M"]}),
+     [".forward.quantities: expected distinct names from ('omega', 'delta1', 'delta2', 'delta11', 'M', 'N')"]),
+    ("spectrum_fields", "spectrum", _bad(spectrum={"which": "delta3", "box": BOX, "tol": 0, "real_axis": 1}),
+     [".spectrum.which: expected one of ('omega', 'delta1', 'delta2', 'delta11')", ".spectrum.tol: must be positive",
+      ".spectrum.real_axis: expected true or false"]),
+    ("spectrum_box", "spectrum", _bad(spectrum={}), [".spectrum.box: expected an object with re and im ranges"]),
+    ("spectrum_ranges", "spectrum", _bad(spectrum={"box": {"re": [2.0, 1.0], "im": [0, True], "x": 1}}),
+     [".spectrum.box.x: unknown field", ".spectrum.box.re: low must be below high",
+      ".spectrum.box.im: expected [low, high]"]),
+    ("weyl_fields", "weyl", _config("weyl", {"lambdas": [[1, 0]], "which": "D", "xi_count": -1}),
+     [".weyl.which: expected M or N", ".weyl.xi_count: must be at least 0"]),
+    ("asym_fields", "asym", _config("asym", {"quantity": "Q", "x": "1", "order": 3, "ray": 1}),
+     [".asym.quantity: expected one of ('Delta1', 'Delta11', 'Phi', 'v1', 'varphi', 'v2')",
+      ".asym.x: expected a number", ".asym.order: expected 0 or 1", ".asym.ray: expected an object"]),
+    ("asym_ray", "asym",
+     _config("asym", {"quantity": "Phi", "ray": {"kind": "P", "angle": None, "delta": -1, "radii": [5, 4], "w": 0}}),
+     [".asym.ray.w: unknown field", ".asym.ray.kind: expected Pi_delta or G_delta", ".asym.ray.angle: expected a number",
+      ".asym.ray.delta: must be positive", ".asym.ray.radii: expected an increasing list of at least two radii"]),
+    ("asym_reference_missing", "asym", _config("asym", {"quantity": "Phi", "ray": {"kind": "G_delta", "angle": 0.1}}),
+     [".asym.ray.reference: G_delta needs reference eigenvalues"]),
+    ("asym_reference_extra", "asym", _config("asym", {"quantity": "Phi", "ray": {"angle": 0.1, "reference": [[1, 0]]}}),
+     [".asym.ray.reference: only meaningful for G_delta"]),
+    ("invert_fields", "invert",
+     _config("invert", {"kind": "one", "n_each": 0, "lambdas": [], "xi_count": 1.5, "data": [1], "basis": "b",
+                        "dim": "4", "starts": 0, "tol": -1, "max_iter": True, "initial": [True], "other": 1}),
+     [".invert.other: unknown field",
+      ".invert.kind: expected one of ('two_spectra', 'weyl_pair', 'weyl_pair_with_D', 'three_spectra')",
+      ".invert.n_each: must be at least 1", ".invert.lambdas: expected a list of at least 1 [re, im] pairs",
+      ".invert.xi_count: expected an integer", ".invert.data: expected a serialized target object",
+      ".invert.basis: expected cosine or piecewise", ".invert.dim: expected a number",
+      ".invert.starts: must be at least 1", ".invert.tol: must be positive", ".invert.max_iter: expected a number",
+      ".invert.initial: expected a list of real coefficients"]),
+    ("invert_nulls", "invert", _config("invert", {"lambdas": None, "initial": None, "data": None}),
+     [".invert.lambdas: expected a list of at least 1 [re, im] pairs",
+      ".invert.initial: expected a list of real coefficients"]),
+    ("scenario_name", "scenario", {"scenario": {"name": "counterexample3"}},
+     [".scenario.name: expected one of ('counterexample1', 'counterexample2', 'three_spectra')"]),
+    ("scenario_fields", "scenario",
+     {"scenario": {"name": "counterexample1", "params": {"alpha": 1, "n_cells": "4"},
+                   "grid": {"count": 0, "imag": "x", "step": 1}, "tol": 0, "d_count": 0, "box": {"re": [1, 0]},
+                   "more": 1}},
+     [".scenario.more: unknown field", ".scenario.params.alpha: unknown field",
+      ".scenario.params.n_cells: expected a number", ".scenario.grid.step: unknown field",
+      ".scenario.grid.count: must be at least 1", ".scenario.grid.imag: expected a number",
+      ".scenario.tol: must be positive", ".scenario.d_count: must be at least 1",
+      ".scenario.box.re: low must be below high", ".scenario.box.im: expected [low, high]"]),
+    ("scenario_notobj", "scenario", {"scenario": {"name": "three_spectra", "params": [], "grid": [], "box": 1}},
+     [".scenario.params: expected an object", ".scenario.grid: expected an object",
+      ".scenario.box: expected an object with re and im ranges"]),
+    ("scenario_q", "scenario", {"scenario": {"name": "three_spectra", "params": {"q": 1}}},
+     [".scenario.params.q: unknown field"]),
+    ("density_text", "spectrum", _nonlocal_u1(density={"breakpoints": ["a", 1.0], "values": [[1, 0], [1, 0]]}),
+     [".U1.measure.density.breakpoints: expected at least two numbers"]),
+    ("order_true", "spectrum", _bad(U1={"type": "point", "x": 0.0, "order": True}), [".U1.order: expected 0 or 1"]),
+    ("order_float", "spectrum", _bad(U1={"type": "point", "x": 0.0, "order": 1.0}), [".U1.order: expected 0 or 1"]),
+    ("forward_unhashable", "forward", _config("forward", {"lambdas": [[1, 0]], "quantities": [["M"]]}),
+     [".forward.quantities: expected distinct names from ('omega', 'delta1', 'delta2', 'delta11', 'M', 'N')"]),
+    ("asym_order_true", "asym",
+     _config("asym", {"quantity": "Phi", "x": 1.0, "order": True, "ray": {"angle": 0.1, "radii": [5.0, 10.0]}}),
+     [".asym.order: expected 0 or 1"]),
+]
+
+
+@pytest.mark.parametrize("command, config, lines", [c[1:] for c in ERROR_LINES], ids=[c[0] for c in ERROR_LINES])
+def test_config_error_lines(tmp_path, capsys, command, config, lines):
+    path = _write(tmp_path, "bad.json", config)
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == "".join(f"config error at {line}\n" for line in lines)
+
+
 class TestExitCodes:
     def test_validation_failure_is_2(self, tmp_path, capsys):
         bad = dict(BASE_PROBLEM, T=-1.0)
@@ -307,11 +454,27 @@ class TestRegress:
         assert doc["all_passed"] is True
         assert doc["criteria"][0]["number"] == 1
         assert doc["criteria"][0]["passed"] is True
+        assert doc["criteria"][0]["runtime"] > 0
+        assert doc["criteria"][0]["budget"] == 10
+
+    def test_report_of_a_numpy_verdict_is_written(self, tmp_path):
+        # criterion 8 computes its verdict with numpy, which json cannot encode
+        report = tmp_path / "report.json"
+        assert main(["regress", "--criteria", "8", "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["criteria"][0]["passed"] is True
+        assert doc["criteria"][0]["budget"] is None
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter that imports the package from this checkout's src/."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 
 def test_cli_import_does_not_load_numerics():
-    code = "import nonlocal_sl.cli, sys; print('numpy' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = _run_python("import nonlocal_sl.cli, sys; print('numpy' in sys.modules)")
     assert res.returncode == 0
     assert res.stdout.strip() == "False"
 
@@ -326,6 +489,37 @@ def test_threads_flag_sets_env_before_numerics(tmp_path):
         f"rc = main(['spectrum', {str(cfg)!r}, '--threads', '2', '--out', {str(tmp_path / 'o.json')!r}])\n"
         "print(rc, os.environ.get('OMP_NUM_THREADS'))\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = _run_python(code)
     assert res.returncode == 0
     assert res.stdout.strip() == "0 2"
+
+
+@pytest.mark.parametrize("flag, expected", [([], "3"), (["--threads", "2"], "2")])
+def test_config_threads_set_env_before_numerics(tmp_path, flag, expected):
+    # the config's threads field caps the pools before numpy loads; --threads wins
+    cfg_payload = dict(_config("spectrum", {"box": {"re": [0.5, 5.0], "im": [-1.0, 1.0]}}), threads=3)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps(cfg_payload), encoding="utf-8")
+    argv = ["spectrum", str(cfg), *flag, "--out", str(tmp_path / "o.json")]
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from nonlocal_sl.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(rc, seen)\n"
+    )
+    res = _run_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"0 [{expected!r}]"
+
+
+def test_argparse_choices_match_the_library():
+    from nonlocal_sl import cli, inversion, scenarios
+
+    assert cli._BASES == inversion._BASES
+    assert cli._SCENARIO_NAMES == scenarios._NAMES
