@@ -435,13 +435,13 @@ class RunConfig:
     sections: dict = field(default_factory=dict)
 
 
-def _load(text: str) -> dict:
+def _load(text: str, where: str = ".") -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError([(".", f"not valid JSON: {e}")])
+        raise ConfigError([(where, f"not valid JSON: {e}")])
     if not isinstance(raw, dict):
-        raise ConfigError([(".", "the top level must be an object")])
+        raise ConfigError([(where, "the top level must be an object")])
     return raw
 
 
@@ -676,8 +676,11 @@ def _run_invert(cfg: RunConfig, args):
     spec = _need_problem(cfg)
     opts = dict(_need(cfg, "invert"))
     if args.target is not None:
-        with open(args.target, encoding="utf-8") as fh:
-            opts["data"] = json.load(fh)
+        try:
+            with open(args.target, encoding="utf-8") as fh:
+                opts["data"] = _load(fh.read(), "--target")
+        except OSError as e:
+            raise ConfigError([("--target", f"cannot read target file: {e}")])
     for key in ("basis", "dim", "starts", "tol"):
         if getattr(args, key) is not None:
             opts[key] = getattr(args, key)

@@ -212,7 +212,19 @@ class InverseTarget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InverseTarget":
-        dec = lambda key: tuple(complex(p[0], p[1]) for p in d.get(key, []))
+        if "kind" not in d:
+            raise InputError("target data needs a 'kind' field")
+
+        def dec(key):
+            out = []
+            for i, p in enumerate(d.get(key, [])):
+                try:
+                    a, b = p
+                    out.append(complex(a, b))
+                except (TypeError, ValueError):
+                    raise InputError(f"target {key}[{i}]: expected a [re, im] pair, got {p!r}") from None
+            return tuple(out)
+
         w = d.get("weights")
         return cls(
             kind=d["kind"],
@@ -372,8 +384,13 @@ def make_three_spectra_target(
 class _Engine:
     """Batched map from coefficient rows to weighted residual rows.
 
-    Residual layout: two real slots (re, im) per datum, in target order.
-    Rows of the coefficient matrix are independent candidates, which lets a
+    Each data kind yields a complex mismatch (candidate - target) of shape
+    (B, n_data) and an invalid-datum mask, both in target order.  An invalid
+    datum reads pen * (1 + 1j) instead, with the per-datum penalty pen equal
+    to _PENALTY * (1 + |t|) for eigenvalue and M data (t the target value),
+    _PENALTY for d_n data and 0 for omega data, which is never flagged.  The
+    residual row is w * mismatch as two real slots (re, im) per datum.  Rows
+    of the coefficient matrix are independent candidates, which lets a
     finite-difference Jacobian ride one fused sweep.
     """
 
@@ -384,66 +401,59 @@ class _Engine:
         basis: BasisSpec,
         grid_tol: float = 1e-7,
     ):
-        self.target = target
+        self.target = t = target
         self.template = template
         self.basis = basis
         self.gs = GridSpec(tol=grid_tol)
-        self.w = target.datum_weights()
-        if target.kind == "two_spectra":
-            self.blocks = [("delta1", np.asarray(target.lambda1, dtype=complex)),
-                           ("delta11", np.asarray(target.lambda11, dtype=complex))]
-        elif target.kind == "three_spectra":
-            self.blocks = [("omega", np.asarray(target.lambda0, dtype=complex)),
-                           ("delta1", np.asarray(target.lambda1, dtype=complex)),
-                           ("delta2", np.asarray(target.lambda2, dtype=complex))]
+        self.w2 = np.repeat(t.datum_weights(), 2)
+        if t.kind == "two_spectra":
+            blocks = [("delta1", t.lambda1), ("delta11", t.lambda11)]
+        elif t.kind == "three_spectra":
+            blocks = [("omega", t.lambda0), ("delta1", t.lambda1), ("delta2", t.lambda2)]
         else:
-            self.blocks = None
-
-    def specs_for(self, C: np.ndarray) -> list[ProblemSpec]:
-        return [
-            dataclasses.replace(self.template, q=self.basis.potential(c)) for c in C
-        ]
+            blocks = []
+        offs = np.cumsum([0] + [len(vals) for _, vals in blocks])
+        self.blocks = [(which, slice(offs[k], offs[k + 1])) for k, (which, _) in enumerate(blocks)]
+        if blocks:
+            self.seeds = np.asarray([v for _, vals in blocks for v in vals], dtype=complex)
+            self.pen = _PENALTY * (1.0 + np.abs(self.seeds))
+        else:
+            m_pen = _PENALTY * (1.0 + np.abs(np.asarray(t.m_values, dtype=complex)))
+            pen = np.stack([m_pen, np.zeros_like(m_pen)], axis=1).ravel()
+            self.pen = np.concatenate([pen, np.full(len(t.xi), _PENALTY)])
 
     def residuals(self, C) -> tuple[np.ndarray, np.ndarray]:
         """(residual rows (B, 2*n_data), invalid-datum flags (B, n_data))."""
         C = np.atleast_2d(np.asarray(C, dtype=float))
-        if self.blocks is not None:
-            return self._spectra_residuals(C)
-        return self._weyl_residuals(C)
+        q_list = [self.basis.potential(c) for c in C]
+        mismatch = self._spectra_mismatch if self.blocks else self._weyl_mismatch
+        diff, invalid = mismatch(q_list)
+        diff = np.where(invalid, self.pen * (1 + 1j), diff)
+        return diff.view(float) * self.w2, invalid
 
     # -- eigenvalue targets --------------------------------------------------
 
-    def _refined_roots(self, C: np.ndarray):
-        """Newton-refined roots seeded at the targets, per candidate row.
+    def _refined_roots(self, q_list: list[Potential]):
+        """Newton-refined roots seeded at the targets, per candidate potential.
 
-        Returns (roots (B, total), valid (B, total)) with block columns
-        concatenated in self.blocks order.
+        Returns (roots (B, total), valid (B, total)) in target order.
         """
-        B = len(C)
-        q_list = [self.basis.potential(c) for c in C]
-        seeds = np.concatenate([s for _, s in self.blocks])
-        total = len(seeds)
-        sizes = [len(s) for _, s in self.blocks]
-        offs = np.cumsum([0] + sizes)
-        z = np.tile(seeds, (B, 1))
+        B = len(q_list)
+        total = len(self.seeds)
+        z = np.tile(self.seeds, (B, 1))
         active = np.ones((B, total), dtype=bool)
-        f_last = np.zeros((B, total), dtype=complex)
         for _ in range(_NEWTON_ROUNDS):
             h = 1e-6 * (1.0 + np.abs(z))
             lam_flat = np.concatenate([z.ravel(), (z + h).ravel()])
             q_idx = np.tile(np.repeat(np.arange(B), total), 2)
             cb = char_batch_multi(self.template, lam_flat, q_list, q_idx, self.gs)
-            f_all = np.empty((2, B, total), dtype=complex)
-            for k, (which, _) in enumerate(self.blocks):
-                sl = slice(offs[k], offs[k + 1])
-                f_all[:, :, sl] = getattr(cb, which).reshape(2, B, total)[:, :, sl]
-            f0, f1 = f_all[0], f_all[1]
-            f_last = f0
+            f0, f1 = np.concatenate(
+                [getattr(cb, which).reshape(2, B, total)[:, :, sl] for which, sl in self.blocks], axis=2
+            )
             fp = (f1 - f0) / h
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(fp != 0, f0 / np.where(fp != 0, fp, 1.0), 0.0)
-            bad = ~np.isfinite(step)
-            step = np.where(bad, 0.0, step)
+            step = np.where(np.isfinite(step), step, 0.0)
             cap = 0.5 * (1.0 + np.abs(z))
             mag = np.abs(step)
             step = np.where(mag > cap, step * (cap / np.where(mag > 0, mag, 1.0)), step)
@@ -453,103 +463,53 @@ class _Engine:
             if not active.any():
                 break
         scale = np.abs(modulus_scale(z, self.template.T))
-        valid = np.isfinite(z) & (np.abs(f_last) <= _ROOT_F_TOL * scale)
+        valid = np.isfinite(z) & (np.abs(f0) <= _ROOT_F_TOL * scale)
         return z, valid
 
-    def _spectra_residuals(self, C: np.ndarray):
-        B = len(C)
-        n_data = self.target.n_data
-        res = np.zeros((B, 2 * n_data))
-        invalid = np.zeros((B, n_data), dtype=bool)
-        roots, valid = self._refined_roots(C)
-        sizes = [len(s) for _, s in self.blocks]
-        offs = np.cumsum([0] + sizes)
-        for b in range(B):
-            for k, (_, targets) in enumerate(self.blocks):
-                sl = slice(offs[k], offs[k + 1])
-                r = roots[b, sl]
-                ok = valid[b, sl]
-                n = len(targets)
-                cost = np.abs(r[:, None] - targets[None, :])
+    def _spectra_mismatch(self, q_list):
+        """Refined roots matched to each block's targets by optimal assignment."""
+        roots, valid = self._refined_roots(q_list)
+        diff = np.empty_like(roots)
+        invalid = np.empty(roots.shape, dtype=bool)
+        for b in range(len(roots)):
+            for _, sl in self.blocks:
+                r, ok, t = roots[b, sl], valid[b, sl], self.seeds[sl]
+                cost = np.abs(r[:, None] - t[None, :])
                 cost = np.where(ok[:, None], cost, 1e9 * (1.0 + cost))
                 rows, cols = linear_sum_assignment(cost)
-                for i, j in zip(rows, cols):
-                    d_idx = offs[k] + j
-                    w = self.w[d_idx]
-                    if ok[i]:
-                        diff = r[i] - targets[j]
-                        res[b, 2 * d_idx] = w * diff.real
-                        res[b, 2 * d_idx + 1] = w * diff.imag
-                    else:
-                        pen = _PENALTY * (1.0 + abs(targets[j]))
-                        res[b, 2 * d_idx] = w * pen
-                        res[b, 2 * d_idx + 1] = w * pen
-                        invalid[b, d_idx] = True
-        return res, invalid
+                diff[b, sl][cols] = r[rows] - t[cols]
+                invalid[b, sl][cols] = ~ok[rows]
+        return diff, invalid
 
     # -- Weyl targets ----------------------------------------------------------
 
-    def _weyl_residuals(self, C: np.ndarray):
+    def _weyl_mismatch(self, q_list):
+        """M and omega on the lambda grid, interleaved per point, then d_n."""
         t = self.target
-        B = len(C)
-        n_data = t.n_data
-        res = np.zeros((B, 2 * n_data))
-        invalid = np.zeros((B, n_data), dtype=bool)
-        lamg = np.asarray(t.lam_grid, dtype=complex)
-        ng = len(lamg)
-        q_list = [self.basis.potential(c) for c in C]
-        lam_flat = np.tile(lamg, B)
-        q_idx = np.repeat(np.arange(B), ng)
-        cb = char_batch_multi(self.template, lam_flat, q_list, q_idx, self.gs)
+        B = len(q_list)
+        ng = len(t.lam_grid)
+        lam_flat = np.tile(np.asarray(t.lam_grid, dtype=complex), B)
+        cb = char_batch_multi(self.template, lam_flat, q_list, np.repeat(np.arange(B), ng), self.gs)
         m_vals, ok = cb.weyl_M_values()
-        m_vals = m_vals.reshape(B, ng)
-        ok = ok.reshape(B, ng)
-        om = cb.omega.reshape(B, ng)
-        m_t = np.asarray(t.m_values, dtype=complex)
-        om_t = np.asarray(t.omega_values, dtype=complex)
-        for b in range(B):
-            for g in range(ng):
-                wm, wo = self.w[2 * g], self.w[2 * g + 1]
-                if ok[b, g]:
-                    dm = m_vals[b, g] - m_t[g]
-                    res[b, 4 * g] = wm * dm.real
-                    res[b, 4 * g + 1] = wm * dm.imag
-                else:
-                    pen = _PENALTY * (1.0 + abs(m_t[g]))
-                    res[b, 4 * g] = wm * pen
-                    res[b, 4 * g + 1] = wm * pen
-                    invalid[b, 2 * g] = True
-                do = om[b, g] - om_t[g]
-                res[b, 4 * g + 2] = wo * do.real
-                res[b, 4 * g + 3] = wo * do.imag
-        if t.kind == "weyl_pair_with_D":
-            base = 2 * ng
-            specs = self.specs_for(C)
-            for b in range(B):
-                ratios = None
-                try:
-                    ratios = d_sequence(specs[b], np.asarray(t.xi, dtype=complex), self.gs)
-                except NumericalError:
-                    pass
-                for j in range(len(t.xi)):
-                    d_idx = base + j
-                    w = self.w[d_idx]
-                    diff = None
-                    if ratios is not None:
-                        diff = _d_mismatch(
-                            ratios[j].value,
-                            ratios[j].is_infinite,
-                            complex(t.d_values[j]),
-                            bool(t.d_infinite[j]),
-                        )
-                    if diff is None:
-                        res[b, 2 * d_idx] = w * _PENALTY
-                        res[b, 2 * d_idx + 1] = w * _PENALTY
-                        invalid[b, d_idx] = True
-                    else:
-                        res[b, 2 * d_idx] = w * diff.real
-                        res[b, 2 * d_idx + 1] = w * diff.imag
-        return res, invalid
+        dm = m_vals.reshape(B, ng) - np.asarray(t.m_values, dtype=complex)
+        do = cb.omega.reshape(B, ng) - np.asarray(t.omega_values, dtype=complex)
+        diff = np.stack([dm, do], axis=2).reshape(B, 2 * ng)
+        invalid = np.zeros((B, 2 * ng), dtype=bool)
+        invalid[:, 0::2] = ~ok.reshape(B, ng)  # omega data are never flagged
+        if t.kind != "weyl_pair_with_D":
+            return diff, invalid
+        d_diff = np.zeros((B, len(t.xi)), dtype=complex)
+        d_invalid = np.ones((B, len(t.xi)), dtype=bool)
+        for b, q in enumerate(q_list):
+            try:
+                ratios = d_sequence(dataclasses.replace(self.template, q=q), np.asarray(t.xi), self.gs)
+            except NumericalError:
+                continue
+            for j, r in enumerate(ratios):
+                dj = _d_mismatch(r.value, r.is_infinite, complex(t.d_values[j]), bool(t.d_infinite[j]))
+                if dj is not None:
+                    d_diff[b, j], d_invalid[b, j] = dj, False
+        return np.hstack([diff, d_diff]), np.hstack([invalid, d_invalid])
 
 
 def _d_mismatch(value: complex, is_inf: bool, t_value: complex, t_inf: bool):

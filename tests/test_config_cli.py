@@ -418,6 +418,37 @@ def test_config_error_lines(tmp_path, capsys, command, config, lines):
     assert capsys.readouterr().err == "".join(f"config error at {line}\n" for line in lines)
 
 
+MISSING = "<no such file>"
+
+# Malformed invert data: (invert section, --target file content or None for
+# no flag, exact stderr).  All five used to escape as tracebacks with exit 1.
+BAD_INVERT_DATA = [
+    ("target_missing", {}, MISSING,
+     "config error at --target: cannot read target file: [Errno 2] No such file or directory: '{path}'"),
+    ("target_not_json", {}, "{not json",
+     "config error at --target: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("target_no_kind", {}, {"lambda1": [[1.0, 0.0]]}, "input error: target data needs a 'kind' field"),
+    ("target_bad_pair", {}, {"kind": "two_spectra", "lambda1": [1, 2], "lambda11": [[2.0, 0.0]]},
+     "input error: target lambda1[0]: expected a [re, im] pair, got 1"),
+    ("data_no_kind", {"data": {"lambda1": [[1.0, 0.0]]}}, None, "input error: target data needs a 'kind' field"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, target, line", [c[1:] for c in BAD_INVERT_DATA], ids=[c[0] for c in BAD_INVERT_DATA]
+)
+def test_malformed_invert_data_is_one_line(tmp_path, capsys, section, target, line):
+    cfg = _write(tmp_path, "i.json", _config("invert", {"dim": 1, "starts": 1, **section}))
+    argv = ["invert", cfg]
+    path = tmp_path / "target.json"
+    if target is not None:
+        argv += ["--target", str(path)]
+        if target is not MISSING:
+            path.write_text(target if isinstance(target, str) else json.dumps(target), encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line.format(path=path) + "\n"
+
+
 class TestExitCodes:
     def test_validation_failure_is_2(self, tmp_path, capsys):
         bad = dict(BASE_PROBLEM, T=-1.0)

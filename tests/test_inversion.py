@@ -15,6 +15,7 @@ import pytest
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec
 from nonlocal_sl.errors import InputError
 from nonlocal_sl.inversion import (
+    _PENALTY,
     BasisSpec,
     InverseTarget,
     ReconstructOptions,
@@ -25,6 +26,7 @@ from nonlocal_sl.inversion import (
     reconstruct,
     residual,
 )
+from nonlocal_sl.spectrum_finder import SearchBox, problem_spectrum
 
 T = np.pi
 TRUTH_COEFFS = [0.4, -0.25]
@@ -164,6 +166,58 @@ def test_tied_starts_report_the_converged_run(truth, target, monkeypatch):
     assert res.start_norms == (3.0e-7, 3.0e-7 + 1e-13)
     res = run(tied + [([0.1, 0.2], 2.0e-7, 4, False)])
     assert res.coeffs == (0.1, 0.2) and not res.convergence_flag
+
+
+def _stop_at_start(target, template, c0):
+    """Reconstruction that stops at its start, on the grid that residual() uses."""
+    opts = ReconstructOptions(
+        template=template, basis=BasisSpec.cosine(T, 2), starts=1, max_iter=0, grid_tol=1e-10
+    )
+    return reconstruct(target, np.asarray(c0, dtype=float), opts)
+
+
+class TestPenalty:
+    """Invalid data read w * _PENALTY * (1 + |t|) in both slots, t the target value."""
+
+    def test_m_datum_on_a_delta1_zero_of_the_candidate(self, truth):
+        # an interior second form, so that M is not identically zero
+        spec = dataclasses.replace(truth, form2=LinearForm.point_value(2.0, 0))
+        cand = [1.5, 0.0]
+        cand_spec = dataclasses.replace(spec, q=Potential.from_cosine(T, cand))
+        box = SearchBox(0.5, 20.0, -1.0, 1.0)
+        zero = problem_spectrum(cand_spec, "delta1", box, tol=1e-12, real_axis=True).eigenvalues[1]
+        lam = [3.0 + 0.6j, 12.0 + 0.6j, zero]
+        w = np.ones(2 * len(lam))
+        w[4] = 2.5  # the M datum at the zero
+        t = make_weyl_target(spec, lam, weights=w)
+        assert abs(t.m_values[2]) > 0.5
+        r = residual(t, cand, spec)
+        pen = 2.5 * _PENALTY * (1.0 + abs(t.m_values[2]))
+        assert r[8] == pytest.approx(pen, rel=1e-12)
+        assert r[9] == pytest.approx(pen, rel=1e-12)
+        assert _stop_at_start(t, spec, cand).invalid_data == (4,)
+
+    def test_eigenvalue_datum_with_an_invalid_root(self, truth, target, monkeypatch):
+        import nonlocal_sl.inversion as inversion
+
+        refined = inversion._Engine._refined_roots
+
+        def second_root_invalid(self, *args):
+            z, valid = refined(self, *args)
+            valid = valid.copy()
+            valid[:, 1] = False
+            return z, valid
+
+        monkeypatch.setattr(inversion._Engine, "_refined_roots", second_root_invalid)
+        w = np.ones(target.n_data)
+        w[1] = 2.5
+        weighted = dataclasses.replace(target, weights=tuple(w))
+        r = residual(weighted, TRUTH_COEFFS, truth)
+        pen = 2.5 * _PENALTY * (1.0 + abs(target.lambda1[1]))
+        assert r[2] == pytest.approx(pen, rel=1e-12)
+        assert r[3] == pytest.approx(pen, rel=1e-12)
+        assert np.max(np.abs(np.delete(r, [2, 3]))) < 1e-7
+        assert _stop_at_start(weighted, truth, TRUTH_COEFFS).invalid_data == (1,)
 
 
 class TestDistinguishability:
