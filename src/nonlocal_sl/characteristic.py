@@ -153,9 +153,10 @@ def _form_values(fam) -> np.ndarray:
     return fam.forms * np.exp(fam.forms_s)[..., None]
 
 
-def _form_sweep(spec: ProblemSpec, lam: np.ndarray, gs: GridSpec, side: str):
-    """One sweep from `side` over the batch with both forms folded in as node weights."""
-    rho_max = float(np.max(np.abs(principal_rho(lam)))) if len(lam) else 1.0
+def _form_sweep(spec: ProblemSpec, lam: np.ndarray, gs: GridSpec, side: str, rho_max=None):
+    """One sweep from `side`, forms folded in as node weights, on a grid for rho_max or the batch."""
+    if rho_max is None:
+        rho_max = float(np.max(np.abs(principal_rho(lam)))) if len(lam) else 1.0
     grid = solver_grid(spec.q, rho_max, gs, extra_required=[spec.required_points()])
     weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
     return integrate_family(spec.q, lam, side, grid, gs, weights=weights)
@@ -225,6 +226,8 @@ def char_batch(
     lam,
     grid_spec: GridSpec | None = None,
     route: str = "Z",
+    *,
+    _rho_max: float | None = None,
 ) -> CharBatch:
     """Evaluate omega, delta_1, delta_2, delta_11 at a batch of lambda values.
 
@@ -233,7 +236,8 @@ def char_batch(
     when they disagree beyond ROUTE_TOL relative to the natural scale.  The
     error names cancellation instead of the grid when the rounding bound
     eps * (|a1 b1| + |a2 b2|) of the determinants a1 b1 - a2 b2 involved
-    already exceeds that tolerance.
+    already exceeds that tolerance.  `_rho_max` fixes the |rho| the grid is
+    sized for, so a value no longer depends on the rest of its batch.
     """
     if route not in ("Z", "X", "both"):
         raise InputError(f"unknown route {route!r}")
@@ -245,7 +249,7 @@ def char_batch(
     for r in ("Z", "X"):
         if route not in (r, "both"):
             continue
-        fam = _form_sweep(spec, lam, gs, r)
+        fam = _form_sweep(spec, lam, gs, r, _rho_max)
         (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
         dets[r] = {"omega": (u11, u22, u12, u21)}
         if r == "Z":
@@ -291,13 +295,15 @@ def char_batch(
     return batch
 
 
-def char_handle(spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None, route: str = "Z"):
+def char_handle(
+    spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None, route: str = "Z", *, _rho_max=None
+):
     """Vectorized callable lambda-array -> values of one characteristic function."""
     if which not in _NAMES:
         raise InputError(f"unknown characteristic function {which!r}")
 
     def handle(lam):
-        return getattr(char_batch(spec, lam, grid_spec, route=route), which)
+        return getattr(char_batch(spec, lam, grid_spec, route=route, _rho_max=_rho_max), which)
 
     return handle
 

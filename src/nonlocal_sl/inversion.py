@@ -93,19 +93,10 @@ def _certificate_to_dict(c: ConditionReport | None):
     if c is None:
         return None
     w = None if c.witness is None else [[z.real, z.imag] for z in c.witness]
-    return {
-        "holds": c.holds,
-        "min_gap": c.min_gap,
-        "witness": w,
-        "n_first": c.n_first,
-        "n_second": c.n_second,
-        "separation_tol": c.separation_tol,
-    }
+    return {**dataclasses.asdict(c), "witness": w}
 
 
-def _certificate_from_dict(d) -> ConditionReport | None:
-    if d is None:
-        return None
+def _certificate_from_dict(d) -> ConditionReport:
     w = d.get("witness")
     witness = None if w is None else tuple(complex(p[0], p[1]) for p in w)
     return ConditionReport(
@@ -116,6 +107,19 @@ def _certificate_from_dict(d) -> ConditionReport | None:
         n_second=int(d["n_second"]),
         separation_tol=float(d["separation_tol"]),
     )
+
+
+def _target_field(d: dict, key: str, parse, expected: str):
+    """parse(d[key]), None for an absent or null field, or an InputError naming the field."""
+    v = d.get(key)
+    if v is None:
+        return None
+    try:
+        return parse(v)
+    except KeyError as e:
+        raise InputError(f"target {key}: missing field {e.args[0]!r}") from None
+    except (AttributeError, IndexError, TypeError, ValueError):
+        raise InputError(f"target {key}: expected {expected}, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,6 @@ class InverseTarget:
                     raise InputError(f"target {key}[{i}]: expected a [re, im] pair, got {p!r}") from None
             return tuple(out)
 
-        w = d.get("weights")
         return cls(
             kind=d["kind"],
             lambda1=dec("lambda1"),
@@ -238,9 +241,9 @@ class InverseTarget:
             d_infinite=tuple(bool(b) for b in d.get("d_infinite", [])),
             lambda0=dec("lambda0"),
             lambda2=dec("lambda2"),
-            split=d.get("split"),
-            certificate=_certificate_from_dict(d.get("certificate")),
-            weights=None if w is None else tuple(float(x) for x in w),
+            split=_target_field(d, "split", float, "a number"),
+            certificate=_target_field(d, "certificate", _certificate_from_dict, "a certificate object"),
+            weights=_target_field(d, "weights", lambda w: tuple(float(x) for x in w), "a list of numbers"),
         )
 
 

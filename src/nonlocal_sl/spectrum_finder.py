@@ -6,10 +6,18 @@ segments refined until every increment is below pi/2, which makes the count
 unambiguous.  A logarithmic-derivative quadrature (derivative by central
 differences over the same samples) cross-checks the integer; its residue must
 stay below 0.1.  Boxes whose boundary passes too close to a zero are inflated
-by 1% steps and retried.  Located boxes are reduced by long-side bisection
-with a count-conservation retry at shifted split fractions, and the surviving
-single-zero boxes are polished by damped Newton steps seeded with the first
-contour moment.
+by 1% steps and retried.
+
+A box with w zeros is seeded from the moments s_k = (1/2 pi i) sum z^k dlog f
+of the contour it was counted on: the eigenvalues of the Hankel pencil
+(s_{i+j+1}, s_{i+j}) are its zeros (Delves & Lyness 1967; Kravanja & Van
+Barel 2000).  All seeds are polished in one batched damped Newton.  A box
+whose seeds or roots leave it, come close together or miss the residual bound
+is bisected instead (long-side splits, retried at shifted fractions until the
+counts add up) and polished in a next round.  Single zeros and clusters that
+no cut separates are polished from the first moment with their multiplicity.
+problem_spectrum runs a contour search on one grid, so no value depends on
+the batch it is in.
 
 A real-axis fast path scans sign changes of a handle that is real-valued on
 the real axis and refines each bracket with a safeguarded secant.  It assumes
@@ -19,19 +27,21 @@ style problems used by the reconstruction drivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import eigvals
 
 from .characteristic import ProblemSpec, char_handle
 from .errors import ContourError, InputError
-from .ode_core import GridSpec, modulus_scale
+from .ode_core import GridSpec, modulus_scale, principal_rho
 
 _MAX_CONTOUR_POINTS = 20000
 _DIP_FLOOR = 1e-3
 _MAX_NUDGE = 5
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.42, 0.58)
+_SEED_GAP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -73,23 +83,15 @@ class SearchBox:
     def inflated(self, factor: float) -> "SearchBox":
         c = self.center
         hw, hh = self.width * factor / 2, self.height * factor / 2
-        return SearchBox(
-            c.real - hw, c.real + hw, c.imag - hh, c.imag + hh, self.n_samples, self.max_depth
-        )
+        return replace(self, re_min=c.real - hw, re_max=c.real + hw, im_min=c.imag - hh, im_max=c.imag + hh)
 
     def split(self, fraction: float):
         """Two children across the longer side at the given fraction."""
         if self.width >= self.height:
             cut = self.re_min + fraction * self.width
-            return (
-                SearchBox(self.re_min, cut, self.im_min, self.im_max, self.n_samples, self.max_depth),
-                SearchBox(cut, self.re_max, self.im_min, self.im_max, self.n_samples, self.max_depth),
-            )
+            return replace(self, re_max=cut), replace(self, re_min=cut)
         cut = self.im_min + fraction * self.height
-        return (
-            SearchBox(self.re_min, self.re_max, self.im_min, cut, self.n_samples, self.max_depth),
-            SearchBox(self.re_min, self.re_max, cut, self.im_max, self.n_samples, self.max_depth),
-        )
+        return replace(self, im_max=cut), replace(self, im_min=cut)
 
     def contains(self, z: complex, pad: float = 0.0) -> bool:
         return (
@@ -131,15 +133,11 @@ class _ContourResult(NamedTuple):
 
 
 def _contour_points(box: SearchBox, n: int) -> np.ndarray:
-    c0 = complex(box.re_min, box.im_min)
-    c1 = complex(box.re_max, box.im_min)
-    c2 = complex(box.re_max, box.im_max)
-    c3 = complex(box.re_min, box.im_max)
-    parts = []
-    for a, b in ((c0, c1), (c1, c2), (c2, c3), (c3, c0)):
-        t = np.linspace(0.0, 1.0, n, endpoint=False)
-        parts.append(a + t * (b - a))
-    return np.concatenate(parts)
+    """n points per edge, counterclockwise from the lower left corner (n = 1: the corners)."""
+    lo, hi = complex(box.re_min, box.im_min), complex(box.re_max, box.im_max)
+    c = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    return np.concatenate([a + t * (b - a) for a, b in zip(c, c[1:] + c[:1])])
 
 
 def _eval(f: Callable, pts: np.ndarray) -> np.ndarray:
@@ -197,17 +195,41 @@ def _winding(f: Callable, box: SearchBox, max_refine: int = 9) -> _ContourResult
     raise ContourError("a zero stays too close to the contour after the allowed nudges")
 
 
-def _moment_seed(cr: _ContourResult) -> complex:
-    """First contour moment: the mean of the enclosed zeros."""
-    if cr.winding == 0:
-        return cr.box_used.center
-    zp = np.roll(cr.points, -1)
-    mid = (cr.points + zp) / 2.0
+def _moment_seeds(cr: _ContourResult, n: int | None = None) -> np.ndarray:
+    """Eigenvalues of the n x n Hankel pencil of the contour moments (n = w by default).
+
+    s_k = (1/2 pi i) sum u^k dlog over the sampled contour, with u the segment
+    midpoint centred on the box and scaled by its half-diagonal.  n = w gives
+    every enclosed zero; n = 1 gives the first moment, their mean.
+    """
+    n = cr.winding if n is None else n
+    b, r = cr.box_used, cr.box_used.diag / 2.0
+    u = ((cr.points + np.roll(cr.points, -1)) / 2.0 - b.center) / r
     dlog = np.log(np.abs(np.roll(cr.values, -1) / cr.values)) + 1j * cr.arg_steps
-    mu = np.sum(mid * dlog) / (2j * np.pi * cr.winding)
-    if not np.isfinite(mu):
-        return cr.box_used.center
-    return complex(mu)
+    s = (u[None, :] ** np.arange(2 * n)[:, None]) @ dlog / (2j * np.pi)
+    hankel = np.add.outer(np.arange(n), np.arange(n))
+    eig = eigvals(s[hankel + 1], s[hankel])
+    return b.center + r * np.where(np.isfinite(eig), eig, np.nan)  # nan where the pencil is singular
+
+
+def _certified(z: np.ndarray, box: SearchBox, gap) -> bool:
+    """Points inside the box, every pair farther apart than gap."""
+    d = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(len(z), np.inf))
+    return all(box.contains(v) for v in z) and bool(np.all(d > gap))
+
+
+def _split(f: Callable, b: SearchBox, cr: _ContourResult, depth: int, seeded: bool):
+    """Two children whose counts add up to the box's, or None when every cut is pinned."""
+    for frac in _SPLIT_FRACTIONS:
+        c1, c2 = b.split(frac)
+        try:
+            r1 = _winding(f, c1)
+            r2 = _winding(f, c2)
+        except ContourError:
+            continue  # a zero sits on this cut line; try the next fraction
+        if r1.winding + r2.winding == cr.winding:
+            return [(c1, r1, depth + 1, seeded), (c2, r2, depth + 1, seeded)]
+    return None
 
 
 def _batched_newton(f, seeds, mults, diags, tol, scale_fn, max_rounds=60):
@@ -271,7 +293,11 @@ def find_spectrum(
 
     `f` is used for counting; `f_polish` (default: f) for refinement and the
     final residual check.  `scale(lambda)` sets the natural magnitude of the
-    handle, defaulting to (1 + |lambda|)^(1/2).
+    handle, defaulting to (1 + |lambda|)^(1/2).  On the contour route a box
+    with w > 1 zeros is split only when its w moment seeds or their roots fail
+    the certificate: inside the box, pairwise farther apart than a hundredth of
+    its half-diagonal and the merge distance 10 tol (1 + |lambda|), residual
+    bound met.  `f_polish` should not depend on the batch a lambda is in.
     """
     scale_fn = scale if scale is not None else (lambda z: (1.0 + np.abs(z)) ** 0.5)
     fp = f_polish if f_polish is not None else f
@@ -279,51 +305,53 @@ def find_spectrum(
         return _real_axis_spectrum(f, fp, box, tol, source, scale_fn, rho_gap_hint)
 
     root = _winding(f, box)
-    leaves = []
-    stack = [(box, root, 0)]
     floor = max(tol, 1e-10)
-    while stack:
-        b, cr, depth = stack.pop()
-        if cr.winding == 0:
-            continue
-        splittable = depth < box.max_depth and b.diag > floor * (1.0 + abs(b.center))
-        if cr.winding == 1 or not splittable:
-            leaves.append((b, cr))
-            continue
-        for frac in _SPLIT_FRACTIONS:
-            c1, c2 = b.split(frac)
-            try:
-                r1 = _winding(f, c1)
-                r2 = _winding(f, c2)
-            except ContourError:
-                continue  # a zero sits on this cut line; try the next fraction
-            if r1.winding + r2.winding == cr.winding:
-                stack.append((c1, r1, depth + 1))
-                stack.append((c2, r2, depth + 1))
-                break
-        else:
-            # every candidate cut is pinned; a zero cluster tighter than the
-            # remaining box cannot be separated, so report it as one leaf
-            leaves.append((b, cr))
+    found = []  # (root, multiplicity)
+    pending = [(box, root, 0, True)]  # (box, contour, depth, seeded from moments)
+    while pending:
+        tasks, stack, pending = [], pending, []  # (box, contour, depth, seeds, multiplicity)
+        while stack:
+            b, cr, depth, seeded = stack.pop()
+            if cr.winding == 0:
+                continue
+            if cr.winding > 1 and depth < box.max_depth and b.diag > floor * (1.0 + abs(b.center)):
+                seeds = _moment_seeds(cr) if seeded else None
+                if seeded and _certified(seeds, cr.box_used, _SEED_GAP * cr.box_used.diag / 2.0):
+                    tasks.append((b, cr, depth, seeds, 1))
+                    continue
+                children = _split(f, b, cr, depth, seeded)
+                if children:
+                    stack.extend(children)
+                    continue
+            # one zero, or a cluster that no cut separates: one seed at their mean
+            mean = _moment_seeds(cr, 1)
+            tasks.append((b, cr, depth, np.where(np.isfinite(mean), mean, cr.box_used.center), cr.winding))
+        if not tasks:
+            break
 
-    if not leaves:
-        return Spectrum(entries=(), source=source, box=box, winding_total=root.winding)
-
-    seeds = [_moment_seed(cr) for _, cr in leaves]
-    mults = [cr.winding for _, cr in leaves]
-    diags = [b.diag for b, _ in leaves]
-    roots, resid = _batched_newton(fp, seeds, mults, diags, tol, scale_fn)
-    allowed = tol * np.asarray(scale_fn(roots), dtype=float)
-    bad = resid > allowed
-    if bad.any():
-        i = int(np.argmax(resid / allowed))
-        raise ContourError(
-            f"refinement stalled: |{source}({roots[i]:.8g})| = {resid[i]:.3e} "
-            f"exceeds {allowed[i]:.3e}"
-        )
+        sizes = [len(t[3]) for t in tasks]
+        mults = np.repeat([t[4] for t in tasks], sizes)
+        diags = np.repeat([t[0].diag for t in tasks], sizes)
+        roots, resid = _batched_newton(fp, np.concatenate([t[3] for t in tasks]), mults, diags, tol, scale_fn)
+        allowed = tol * np.asarray(scale_fn(roots), dtype=float)
+        lone = np.repeat(np.asarray(sizes) == 1, sizes)
+        if np.any(lone & (resid > allowed)):
+            i = int(np.argmax(np.where(lone, resid / allowed, -1.0)))
+            raise ContourError(
+                f"refinement stalled: |{source}({roots[i]:.8g})| = {resid[i]:.3e} "
+                f"exceeds {allowed[i]:.3e}"
+            )
+        for (b, cr, depth, _, _), idx in zip(tasks, np.split(np.arange(len(roots)), np.cumsum(sizes)[:-1])):
+            z = roots[idx]
+            gap = np.maximum(_SEED_GAP * cr.box_used.diag / 2.0, 10.0 * tol * (1.0 + np.abs(z)))
+            if len(z) > 1 and not (np.all(resid[idx] <= allowed[idx]) and _certified(z, cr.box_used, gap)):
+                # bisected from here on; one seed at the mean next round if no cut holds
+                pending.extend(_split(f, b, cr, depth, False) or [(b, cr, box.max_depth, False)])
+            else:
+                found.extend(zip(z, mults[idx]))
 
     merged: list[list] = []
-    for r, m in sorted(zip(roots, mults), key=lambda t: (t[0].real, t[0].imag)):
+    for r, m in sorted(found, key=lambda t: (t[0].real, t[0].imag)):
         if merged and abs(r - merged[-1][0]) <= 10.0 * tol * (1.0 + abs(r)):
             merged[-1][1] += m
         else:
@@ -406,11 +434,14 @@ def problem_spectrum(
     """Spectrum of one characteristic function of the problem inside the box.
 
     Counting runs on a grid tolerance of 1e-8 and refinement on 1e-10
-    (or the supplied grid_spec, never loosened for refinement).
+    (or the supplied grid_spec, never loosened for refinement).  A contour
+    search sizes both grids for the largest |rho| over the box's corners; the
+    real-axis route sizes each batch's grid from that batch.
     """
     base = grid_spec or GridSpec(tol=1e-10)
-    f_scan = char_handle(spec, which, base.coarsened(1e-8))
-    f_fine = char_handle(spec, which, base)
+    rho_max = None if real_axis else float(np.abs(principal_rho(_contour_points(box, 1))).max())
+    f_scan = char_handle(spec, which, base.coarsened(1e-8), _rho_max=rho_max)
+    f_fine = char_handle(spec, which, base, _rho_max=rho_max)
     return find_spectrum(
         f_scan,
         box,

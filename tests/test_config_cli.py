@@ -421,7 +421,18 @@ def test_config_error_lines(tmp_path, capsys, command, config, lines):
 MISSING = "<no such file>"
 
 # Malformed invert data: (invert section, --target file content or None for
-# no flag, exact stderr).  All five used to escape as tracebacks with exit 1.
+# no flag, exact stderr).  All eight used to escape as tracebacks with exit 1.
+TWO_SPECTRA = {"kind": "two_spectra", "lambda1": [[1.0, 0.0]], "lambda11": [[2.0, 0.0]]}
+THREE_SPECTRA = {
+    "kind": "three_spectra",
+    "lambda0": [[1.0, 0.0]],
+    "lambda1": [[2.0, 0.0]],
+    "lambda2": [[3.0, 0.0]],
+    "split": 1.0,
+    "certificate": {
+        "holds": True, "min_gap": 0.5, "witness": None, "n_first": 1, "n_second": 1, "separation_tol": 1e-3,
+    },
+}
 BAD_INVERT_DATA = [
     ("target_missing", {}, MISSING,
      "config error at --target: cannot read target file: [Errno 2] No such file or directory: '{path}'"),
@@ -431,6 +442,11 @@ BAD_INVERT_DATA = [
     ("target_bad_pair", {}, {"kind": "two_spectra", "lambda1": [1, 2], "lambda11": [[2.0, 0.0]]},
      "input error: target lambda1[0]: expected a [re, im] pair, got 1"),
     ("data_no_kind", {"data": {"lambda1": [[1.0, 0.0]]}}, None, "input error: target data needs a 'kind' field"),
+    ("target_weight_text", {}, dict(TWO_SPECTRA, weights=["a", "b"]),
+     "input error: target weights: expected a list of numbers, got ['a', 'b']"),
+    ("target_empty_certificate", {}, dict(THREE_SPECTRA, certificate={}),
+     "input error: target certificate: missing field 'holds'"),
+    ("target_split_text", {}, dict(THREE_SPECTRA, split="x"), "input error: target split: expected a number, got 'x'"),
 ]
 
 

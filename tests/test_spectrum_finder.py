@@ -5,10 +5,14 @@ and residual polishing.  Problem-level searches are checked against the
 trigonometric spectra of point boundary forms.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonlocal_sl import LinearForm, Potential, ProblemSpec
+from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, spectrum_finder
 from nonlocal_sl.errors import InputError
 from nonlocal_sl.spectrum_finder import SearchBox, condition_S, find_spectrum, problem_spectrum
 
@@ -69,6 +73,52 @@ class TestSyntheticHandles:
         lam0, mult = s.entries[0]
         assert mult == 2
         assert lam0 == pytest.approx(5.3, abs=1e-6)
+
+    def test_moment_seeds_resolve_a_box_without_splitting(self):
+        roots = np.array([1.3, 2.7 + 0.4j, 5.1 - 0.8j, 8.2 + 0.3j])
+
+        def f(lam):
+            lam = np.asarray(lam, dtype=complex)
+            return np.prod(lam[:, None] - roots[None, :], axis=1) * np.exp(0.2 * lam)
+
+        counted = []
+
+        def count(lam):
+            counted.append(len(lam))
+            return f(lam)
+
+        s = find_spectrum(count, SearchBox(0.0, 10.0, -2.0, 2.0), f_polish=f)
+        assert len(counted) == 1  # the box's own contour, no child boxes
+        assert s.winding_total == 4 and list(s.multiplicities) == [1] * 4
+        got = np.array(sorted(s.eigenvalues, key=lambda z: z.real))
+        assert np.max(np.abs(got - roots)) <= 1e-8
+
+    def test_failed_certificate_falls_back_to_bisection(self, monkeypatch):
+        # twelve zeros on a long thin box: the pencil seeds polish onto
+        # repeated zeros, so the box is split and its children bisected
+        def f(lam):
+            return np.sin(np.pi * np.asarray(lam, dtype=complex))
+
+        box = SearchBox(0.5, 12.5, -0.5, 0.5)
+        batches = []
+        newton = spectrum_finder._batched_newton
+
+        def recording(fp, seeds, *args, **kwargs):
+            roots, resid = newton(fp, seeds, *args, **kwargs)
+            batches.append(roots)
+            return roots, resid
+
+        monkeypatch.setattr(spectrum_finder, "_batched_newton", recording)
+        s = find_spectrum(f, box)
+        first = np.round(batches[0].real).astype(int)
+        assert len(batches) == 2 and len(set(first)) < len(first)
+
+        monkeypatch.setattr(spectrum_finder, "_certified", lambda z, b, gap: False)
+        bisected = find_spectrum(f, box)
+        assert s.winding_total == bisected.winding_total == 12
+        assert list(s.multiplicities) == list(bisected.multiplicities) == [1] * 12
+        assert np.max(np.abs(s.eigenvalues - bisected.eigenvalues)) <= 1e-12
+        assert np.max(np.abs(s.eigenvalues - np.arange(1, 13))) <= 1e-8
 
     def test_empty_box(self):
         def f(lam):
@@ -139,3 +189,42 @@ class TestConditionS:
         rep = condition_S(_spec(a=T / 2), SearchBox(0.5, 40.0, -1.0, 1.0), separation_tol=1e-3)
         assert not rep.holds
         assert rep.min_gap < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# One grid per contour search
+
+_BOX = SearchBox(0.5, 20.0, -2.0, 2.0)
+
+
+def _search_handles(spec, which, box):
+    """The counting and polish handles problem_spectrum gives its contour search."""
+    seen = {}
+
+    def capture(f, b, tol, **kwargs):
+        seen.update(scan=f, polish=kwargs["f_polish"])
+
+    with mock.patch.object(spectrum_finder, "find_spectrum", capture):
+        problem_spectrum(spec, which, box)
+    return seen["scan"], seen["polish"]
+
+
+_POLISH = _search_handles(
+    ProblemSpec(
+        q=Potential.from_cosine(T, [0.3, -0.2 + 0.1j, 0.15]),
+        form1=LinearForm.from_measure(BVMeasure(T, 1.0, ((1.1, 0.6 + 0.2j), (2.3, -0.3 + 0.1j)))),
+        form2=LinearForm.point_value(1.5, 0),
+    ),
+    "delta1",
+    _BOX,
+)[1]
+_in_box = st.builds(complex, st.floats(_BOX.re_min, _BOX.re_max), st.floats(_BOX.im_min, _BOX.im_max))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(lam=_in_box, others=st.lists(_in_box, max_size=12), pos=st.integers(0, 12))
+def test_search_value_does_not_depend_on_its_batch(lam, others, pos):
+    pos = min(pos, len(others))
+    alone = complex(_POLISH(np.array([lam]))[0])
+    batch = np.array(others[:pos] + [lam] + others[pos:])
+    assert abs(complex(_POLISH(batch)[pos]) - alone) <= 1e-14 * abs(alone)
