@@ -131,8 +131,9 @@ def _node_index(grid: np.ndarray, x: float, label: str = "point") -> int:
 def node_weights(form: LinearForm, grid: np.ndarray) -> tuple:
     """The form as node weights (Wy, Wd) on y and y' over `grid`; None marks zero.
 
-    The jump, the atoms and the density's trapezoid weights fold into Wy;
-    an order-1 point form is the only one that weighs y'.
+    The jump, the atoms and the density's weights fold into Wy.  The
+    density's endpoint correction also weighs y', at its segment ends and
+    where the step changes, as does an order-1 point form.
     """
     w = np.zeros(len(grid), dtype=complex)
     if form.kind == "point_value":
@@ -143,9 +144,10 @@ def node_weights(form: LinearForm, grid: np.ndarray) -> tuple:
         w[_node_index(grid, 0.0)] += mu.jump_at_zero
     for t, wt in mu.atoms:
         w[_node_index(grid, t, "atom")] += wt
-    if mu.has_density:
-        w += density_node_weights(mu, grid)
-    return w, None
+    if not mu.has_density:
+        return w, None
+    wy, wd = density_node_weights(mu, grid)
+    return w + wy, wd
 
 
 def _form_values(fam) -> np.ndarray:
@@ -320,8 +322,9 @@ def char_batch_multi(
     `q_list` holds candidate potentials on the same interval and `q_index`
     assigns one of them to each lambda column.  The whole family runs in a
     single batched sweep, so a finite-difference Jacobian over basis
-    coefficients costs about as much as one forward evaluation.  Step-size
-    caps come from q_list[0]; keep the candidates structurally alike (same
+    coefficients costs about as much as one forward evaluation.  The step
+    law takes the largest derivative bound K_q over q_list and the other
+    step caps from q_list[0]; keep the candidates structurally alike (same
     basis) so one grid suits them all.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -341,7 +344,8 @@ def char_batch_multi(
     rho_max = float(np.max(np.abs(principal_rho(lam)))) if len(lam) else 1.0
     extra = [spec.required_points()]
     extra.extend(qq.required_points() for qq in q_list[1:])
-    grid = solver_grid(q_list[0], rho_max, gs, extra_required=extra)
+    k_q = max(qq.derivative_bound() for qq in q_list)
+    grid = solver_grid(q_list[0], rho_max, gs, extra_required=extra, k_q=k_q)
     samples = [qq.step_samples(grid) for qq in q_list]
     qa, qm, qb = (np.stack([s[i] for s in samples], axis=1)[:, q_index] for i in range(3))
 

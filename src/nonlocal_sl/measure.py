@@ -9,9 +9,11 @@ Integrating a sampled function f against sigma realizes the nonlocal form
 
     U(f) = jump_at_zero * f(0) + sum_i w_i * f(t_i) + int_0^T f(t) d(t) dt.
 
-The absolutely continuous term is evaluated by composite trapezoid on the
-union of the sample grid and the density breakpoints.  Atoms are never
-interpolated: f must carry exact samples at every atom location.
+The absolutely continuous term is evaluated on the union of the sample grid
+and the density breakpoints by the endpoint-corrected trapezoid rule, which
+also weighs f' (fourth order), or by the plain trapezoid rule when only f is
+sampled.  Atoms are never interpolated: f must carry exact samples at every
+atom location.
 
 The density is stored as a list of linear segments (lo, hi, v_lo, v_hi),
 zero outside the segments.  Segments may touch with different one-sided
@@ -242,15 +244,24 @@ def _density_inside(m: BVMeasure, cell_lo: float, cell_hi: float, x: float) -> c
     return 0j
 
 
-def density_node_weights(m: BVMeasure, x: np.ndarray) -> np.ndarray:
-    """Trapezoid weights W with int f*density ~= sum_i W_i f(x_i).
+def density_node_weights(m: BVMeasure, x: np.ndarray, corrected: bool = True) -> tuple:
+    """Node weights (Wy, Wd) with int f*density ~= sum_i Wy_i f(x_i) + Wd_i f'(x_i).
+
+    The endpoint-corrected trapezoid rule: each cell of width h adds
+    h^2/12 (g'(x_i) - g'(x_i+1)) to the trapezoid sum of g = d f, with
+    g' = d' f + d f', which leaves an O(h^4) error.  On a run of equal cells
+    these terms telescope, so the correction at node i is
+    (h_right^2 - h_left^2)/12 g'(x_i), and only segment ends and nodes where
+    the width changes carry a Wd weight.  `corrected=False` gives the plain
+    trapezoid rule with Wd None.
 
     Requires every segment edge to be a node of x; one-sided density values at
     segment edges are resolved from within each cell, so densities with jumps
     integrate consistently.
     """
     x = np.asarray(x, dtype=float)
-    W = np.zeros(x.shape, dtype=complex)
+    Wy = np.zeros(x.shape, dtype=complex)
+    Wd = np.zeros(x.shape, dtype=complex)
     scale = max(1.0, m.domain_length)
     for lo, hi, vlo, vhi in m.density_segments:
         i_lo = int(np.searchsorted(x, lo - _EDGE_TOL * scale))
@@ -260,11 +271,18 @@ def density_node_weights(m: BVMeasure, x: np.ndarray) -> np.ndarray:
                 f"sample grid is missing a density breakpoint of the measure ({lo} or {hi})"
             )
         xe = x[i_lo : i_hi + 1]
-        dvals = vlo + (vhi - vlo) * (xe - lo) / (hi - lo)
+        slope = (vhi - vlo) / (hi - lo)
+        dvals = vlo + slope * (xe - lo)
         h = np.diff(xe)
-        W[i_lo:i_hi] += 0.5 * h * dvals[:-1]
-        W[i_lo + 1 : i_hi + 1] += 0.5 * h * dvals[1:]
-    return W
+        Wy[i_lo:i_hi] += 0.5 * h * dvals[:-1]
+        Wy[i_lo + 1 : i_hi + 1] += 0.5 * h * dvals[1:]
+        if corrected:
+            h_out = np.concatenate([[0.0], h, [0.0]])
+            same = np.abs(np.diff(h_out)) <= _EDGE_TOL * scale  # telescoped away
+            corr = np.where(same, 0.0, np.diff(h_out**2) / 12.0)
+            Wy[i_lo : i_hi + 1] += corr * slope
+            Wd[i_lo : i_hi + 1] += corr * dvals
+    return Wy, (Wd if corrected else None)
 
 
 def _atom_indices(m: BVMeasure, x: np.ndarray) -> list[int]:
@@ -282,15 +300,21 @@ def _interp_complex(xq: np.ndarray, x: np.ndarray, fx: np.ndarray) -> np.ndarray
     return np.interp(xq, x, fx.real) + 1j * np.interp(xq, x, fx.imag)
 
 
-def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure) -> complex:
-    """int_0^T f dsigma for f sampled on the grid x (piecewise-linear between nodes)."""
+def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure, dfx=None) -> complex:
+    """int_0^T f dsigma for f sampled on the grid x (piecewise-linear between nodes).
+
+    With derivative samples `dfx` the density term uses the endpoint-corrected
+    rule of `density_node_weights`, the one the sweeps fold in; without them,
+    the plain trapezoid rule.
+    """
     x = np.asarray(x, dtype=float)
     fx = np.asarray(fx, dtype=complex)
-    if x.ndim != 1 or x.shape != fx.shape or len(x) < 2:
+    samples = [fx] if dfx is None else [fx, np.asarray(dfx, dtype=complex)]
+    if x.ndim != 1 or any(v.shape != x.shape for v in samples) or len(x) < 2:
         raise InputError("need matching 1-d arrays with at least two samples")
     if np.any(np.diff(x) <= 0):
         raise InputError("sample grid must be strictly increasing")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(fx)):
+    if not all(np.all(np.isfinite(v)) for v in [x, *samples]):
         raise InputError("samples must be finite")
     scale = max(1.0, m.domain_length)
     if not _close(x[0], 0.0, scale) or not _close(x[-1], m.domain_length, scale):
@@ -307,8 +331,9 @@ def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure) -> complex:
         # keep edge values exact: drop near-duplicates in favor of the later entry
         keep = np.concatenate([np.diff(u) > _EDGE_TOL * scale, [True]])
         u = u[keep]
-        fu = _interp_complex(u, x, fx)
-        total += complex(np.dot(density_node_weights(m, u), fu))
+        weights = density_node_weights(m, u, corrected=dfx is not None)
+        for w, v in zip(weights, samples):
+            total += complex(np.dot(w, _interp_complex(u, x, v)))
     return complex(total)
 
 
@@ -372,9 +397,13 @@ class LinearForm:
         return np.asarray([self.x0], dtype=float)
 
     def apply_sampled(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray | None = None) -> complex:
-        """Apply to a function sampled on x (dy needed only for order-1 point forms)."""
+        """Apply to a function sampled on x.
+
+        dy is needed for order-1 point forms; for a density it selects the
+        endpoint-corrected rule the sweeps use (see `stieltjes_integrate`).
+        """
         if self.kind == "nonlocal":
-            return stieltjes_integrate(x, y, self.measure)
+            return stieltjes_integrate(x, y, self.measure, dy)
         x = np.asarray(x, dtype=float)
         i = int(np.searchsorted(x, self.x0 - _EDGE_TOL))
         if i >= len(x) or not _close(x[i], self.x0, max(1.0, x[-1])):

@@ -1,23 +1,31 @@
 """Initial-value integration of -y'' + q(x) y = lambda y on [0, T].
 
-The equation is integrated as a first-order system with classical fixed-step
-RK4.  The step law resolves the oscillation/growth scale rho = sqrt(lambda):
+The equation is integrated as a first-order system Y' = A Y, A = [[0, 1],
+[c, 0]] with c = q - lambda, by the fourth-order Magnus cell (Iserles and
+Norsett 1999).  With the step's samples c_a, c_m, c_b at its start, middle
+and end, c_bar = (c_a + 4 c_m + c_b) / 6 and a = -h^2 (c_b - c_a) / 12,
 
-    h = min(h_max, theta / max(1, |rho|)),
-    theta = min(theta_cap, 0.5, (120 tol / (|rho| T))^(1/4)),
+    Omega = [[a, h], [h c_bar, -a]],   exp(Omega) = C I + S Omega,
 
-where the quartic root comes from the RK4 phase-error model
-N * (|rho| h)^5 / 120 ~ tol for N = T/h steps.  Each RK4 step is a 2x2
-matrix, polynomial in h and q - lambda.  A sweep multiplies out blocks of
-L = ceil(sqrt(N)) steps, all blocks at once, and carries the state across the
-block starts, renormalizing it there into a per-lambda log-scale s (held
-values are the true solution times exp(-s)).  Boundary forms enter as node
-weights on y and y': while a block's partial products are multiplied out,
-the weights fold into two coefficients per block that act on the block-start
-state, so a form costs no node storage.  Only single-lambda traces replay the
-blocks to keep every node.  One sweep integrates a whole family of spectral
-points (and both fundamental columns) at once; all public entry points are
-thin wrappers over that core.
+where C = cosh s and S = sinh s / s are even series in s^2 = a^2 + h^2 c_bar.
+The cell is exact for constant q, has determinant 1, and its error comes from
+the variation of q only.  The step law
+
+    h = min(h_max, q's own cap, h_q, theta / max(1, |rho|)),
+    theta = min(theta_cap, 0.5, (720 tol)^(1/4)),
+    h_q = (720 tol / (T K_q))^(1/4),
+
+keeps both that error (K_q bounds |q'| + |q''|) and the (rho h)^4 / 720 term
+of the endpoint-corrected density quadrature under `tol`.  A sweep
+multiplies out blocks of L = ceil(sqrt(N)) steps, all blocks at once, and
+carries the state across the block starts, renormalizing it there into a
+per-lambda log-scale s (held values are the true solution times exp(-s)).
+Boundary forms enter as node weights on y and y': while a block's partial
+products are multiplied out, the weights fold into two coefficients per
+block that act on the block-start state, so a form costs no node storage.
+Only single-lambda traces replay the blocks to keep every node.  One sweep
+integrates a whole family of spectral points (and both fundamental columns)
+at once; all public entry points are thin wrappers over that core.
 
 Branch convention: rho = sqrt(lambda) with Im rho >= 0, and rho >= 0 when
 lambda is real non-negative.
@@ -26,7 +34,7 @@ lambda is real non-negative.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, log
+from math import ceil, factorial, log
 
 import numpy as np
 
@@ -35,6 +43,14 @@ from .potential import Potential
 
 _EDGE_TOL = 1e-12
 _MAX_NODES = 2_000_000  # grid cap; |rho| beyond this cannot be integrated stepwise
+_EPS = float(np.finfo(float).eps)
+# The cell's series in z = s^2 are certified for |z| <= _Z_MAX: there the
+# depth below keeps the truncation under eps, and the terms' rounding stays
+# under e^4 eps.  Grids from the step law have |rho| h <= theta_cap, so |z|
+# stays near theta_cap^2 unless q itself is large.
+_Z_MAX = 16.0
+_COSH = np.array([1.0 / factorial(2 * k) for k in range(24)])  # cosh s = sum z^k / (2k)!
+_SINC = np.array([1.0 / factorial(2 * k + 1) for k in range(24)])  # sinh s / s = sum z^k / (2k+1)!
 
 
 def principal_rho(lam) -> np.ndarray:
@@ -69,7 +85,7 @@ class SpectralPoint:
 class GridSpec:
     """Step-size law and overflow guard; the sweep's block length follows from N."""
 
-    tol: float = 1e-10  # target relative phase accuracy over the sweep
+    tol: float = 1e-10  # target relative accuracy of propagation and density quadrature
     h_max: float | None = None  # absolute cap on the step (default T / n_min)
     n_min: int = 64
     theta_cap: float = 0.35  # cap on |rho| * h per step
@@ -85,17 +101,29 @@ def solver_grid(
     rho_abs_max: float,
     spec: GridSpec | None = None,
     extra_required=(),
+    k_q: float | None = None,
 ) -> np.ndarray:
-    """Node grid on [0, T] resolving the oscillation scale and all marked points."""
+    """Node grid on [0, T] resolving the oscillation scale and all marked points.
+
+    The step is h = min(h_max, q.suggested_hmax(), h_q, theta / max(1, |rho|)).
+    theta = min(theta_cap, 0.5, (720 tol)^(1/4)) holds the corrected density
+    rule's per-cell (rho h)^4 / 720 under tol; h_q = (720 tol / (T K_q))^(1/4)
+    does the same for the Magnus cell's error from the variation of q, with
+    K_q = q.derivative_bound() unless `k_q` gives it (a sweep over several
+    potentials passes their largest).
+    """
     spec = spec or GridSpec()
     T = q.T
     r = max(1.0, float(rho_abs_max))
-    theta = min(spec.theta_cap, 0.5, (120.0 * spec.tol / (r * T)) ** 0.25)
+    theta = min(spec.theta_cap, 0.5, (720.0 * spec.tol) ** 0.25)
     h = theta / r
     h_max = spec.h_max if spec.h_max is not None else T / spec.n_min
     q_hmax = q.suggested_hmax()
     if q_hmax is not None:
         h_max = min(h_max, q_hmax)
+    k_q = q.derivative_bound() if k_q is None else k_q
+    if k_q > 0:
+        h_max = min(h_max, (720.0 * spec.tol / (T * k_q)) ** 0.25)
     h = min(h, h_max)
     n = max(spec.n_min, ceil(T / h))
     if n > _MAX_NODES:
@@ -225,22 +253,47 @@ def _check_budget(rho: np.ndarray, T: float, spec: GridSpec):
         )
 
 
-def _rk4_step_matrix(h, ca, cm, cb):
-    """One RK4 step of y'' = c(x) y as the 2x2 matrix (m11, m12, m21, m22) on (y, y').
+def _series_coefficients(z_bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lambda coefficients of the cell's series C and S, shape (depth, m).
 
-    `ca`, `cm`, `cb` are c = q - lambda at the step's start, middle and end;
+    A column keeps the fewest terms that hold the truncation under eps for
+    |s^2| <= its z_bound, and is padded with zeros past them.  Horner's rule
+    then sums each column exactly as it would alone, so a value does not
+    depend on the other lambdas of its batch.
+    """
+    z = np.asarray(z_bound, dtype=float)
+    if not np.all(z <= _Z_MAX):
+        raise RangeError(
+            f"a step has |s^2| up to {float(np.max(z)):.3g}, beyond the Magnus cell's "
+            f"certified {_Z_MAX:g}; use a finer grid"
+        )
+    K = np.arange(1, len(_COSH))[:, None]
+    omitted = z**K * _COSH[1:, None]  # the first term left out at depth K
+    depth = 1 + np.argmax(omitted <= 0.5 * _EPS, axis=0)
+    rows = np.arange(int(depth.max(initial=1)))[:, None]
+    keep = rows < depth
+    return (
+        np.where(keep, _COSH[rows], 0.0),
+        np.where(keep, _SINC[rows], 0.0),
+    )
+
+
+def _magnus_cell(h, a, cbar, coef):
+    """exp(Omega) for Omega = [[a, h], [h cbar, -a]] as (m11, m12, m21, m22) on (y, y').
+
+    C = cosh s and S = sinh s / s, s^2 = a^2 + h^2 cbar, are summed by
+    Horner's rule over the rows of `coef` (from `_series_coefficients`);
     h = 0 gives the identity.
     """
-    h2 = h * h
-    hb = h2 * cm
-    u = 1.0 + 0.25 * hb
-    cm2 = 2.0 * cm
-    return (
-        1.0 + h2 / 6.0 * (ca * u + cm2),
-        h + h / 6.0 * hb,
-        h / 6.0 * ((ca + cb) * (1.0 + 0.5 * hb) + 2.0 * cm2),
-        1.0 + h2 / 6.0 * (cb * u + cm2),
-    )
+    hc = h * cbar
+    z = a * a + h * hc
+    cc, sc = coef
+    C, S = cc[-1], sc[-1]
+    for k in range(len(cc) - 2, -1, -1):
+        C = C * z + cc[k]
+        S = S * z + sc[k]
+    Sa = S * a
+    return C + Sa, S * h, S * hc, C - Sa
 
 
 def _blocked(ws, reverse: bool, N: int, L: int, B: int):
@@ -301,15 +354,20 @@ def integrate_family(
     # everything below runs in sweep order: step t goes from sweep node t to t+1
     reverse = side == "Z"
     # step N, one past the end, has h = 0 and so the identity matrix
-    h_sw = np.append(-np.diff(grid)[::-1] if reverse else np.diff(grid), 0.0)
+    h_sw = np.append(-np.diff(grid)[::-1] if reverse else np.diff(grid), 0.0)[:, None]
     q_sw = [np.asarray(v) for v in ((qb, qm, qa) if reverse else (qa, qm, qb))]
     q_sw = [v[::-1] for v in q_sw] if reverse else q_sw
-    q_sw = [v[:, None] if v.ndim == 1 else v for v in q_sw]  # (N, 1): q shared by every lambda
+    sa, sm, sb = (v[:, None] if v.ndim == 1 else v for v in q_sw)  # (N, 1): q shared by every lambda
+    pad = np.zeros((1, sm.shape[1]))
+    qbar = np.concatenate([(sa + 4.0 * sm + sb) / 6.0, pad])
+    a_sw = -(h_sw**2) * np.concatenate([sb - sa, pad]) / 12.0  # lambda cancels in c_b - c_a
+    # |s^2| <= |a|^2 + h^2 |q_bar| + h^2 |lambda| bounds each lambda's series alone
+    z_own = (np.abs(a_sw) ** 2 + h_sw**2 * np.abs(qbar)).max(axis=0)
+    coef = _series_coefficients(z_own + float(np.max(h_sw**2)) * np.abs(lam))
 
     def step_maps(t):
         t = np.minimum(t, N)
-        tq = np.minimum(t, N - 1)
-        return _rk4_step_matrix(h_sw[t][:, None], *(v[tq] - lam for v in q_sw))
+        return _magnus_cell(h_sw[t], a_sw[t], qbar[t] - lam, coef)
 
     L = max(1, ceil(N**0.5))
     B = -(-N // L)

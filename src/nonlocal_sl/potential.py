@@ -128,6 +128,20 @@ class Potential:
                 return self.T / (8.0 * k_max)
         return None
 
+    def derivative_bound(self) -> float:
+        """A bound on |q'| + |q''| inside the grid's steps (the Magnus cell's error constant).
+
+        Closed form for a cosine; the largest slope for a grid potential,
+        which is linear between its nodes; 0 for a piecewise constant.
+        """
+        if self.kind == "cosine":
+            w = np.arange(len(self.values)) * (np.pi / self.T)
+            c = np.abs(self.values)
+            return float(np.sum((w * w + w) * c))
+        if self.kind == "grid":
+            return float(np.max(np.abs(np.diff(self.values) / np.diff(self.nodes))))
+        return 0.0
+
     # -- algebra ---------------------------------------------------------------
 
     def shifted(self, c: complex) -> "Potential":

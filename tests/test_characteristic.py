@@ -6,13 +6,16 @@ evaluation routes agree, that the named solutions hit their defining boundary
 values, and that the ratio functions respect their pole guards.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, scenarios
-from nonlocal_sl.acceptance import _c8_spec
+from nonlocal_sl.acceptance import _c8_spec, _c9_truth
 from nonlocal_sl.characteristic import (
     char_batch,
     char_handle,
@@ -132,8 +135,13 @@ class TestRouteAgreement:
             char_batch(self._growing_spec(), [2500.0 * np.exp(0.5j)], route="both")
 
     def test_disagreement_from_coarse_grid_is_named(self):
+        # The Magnus cell run backwards is its exact inverse, so both routes see one discrete
+        # system and a coarse grid alone no longer splits them.  At Im rho * T = 28 the X route's
+        # propagation rounding does, while the final determinants' rounding bound stays under
+        # ROUTE_TOL, so the message still falls back to the grid.
+        lam = complex(3.0, 28.0 / T) ** 2
         with pytest.raises(ConsistencyError, match="grid too coarse"):
-            char_batch(self._growing_spec(), [30.0 + 1.0j], GridSpec(tol=1e-2, n_min=8), route="both")
+            char_batch(self._growing_spec(), [lam], GridSpec(tol=1e-2, n_min=8), route="both")
 
     @pytest.mark.parametrize("route", ["Z", "X", "both"])
     def test_empty_batch(self, route):
@@ -353,3 +361,53 @@ def test_weighted_sweep_matches_forms_on_traces(form1, form2, q_coeffs, sigma, t
         (b.delta11[0], apply(form1, Z1)),
     ):
         assert abs(got - want) <= 1e-10 * sc
+
+
+# ---------------------------------------------------------------------------
+# GridSpec.tol against an independent integrator
+
+_C9_LAMS = (1.167, 30.0, 400.0, 2500.0, 900.0 + 30.0j)
+
+
+@functools.lru_cache(maxsize=None)
+def _c9_form1_reference(lam):
+    """(U1(Z1), U1(Z2)) of criterion 9's first form and their term scales, by DOP853.
+
+    Z1, Z2 run from T down to 0 at rtol 1e-12, stopping at the atom, with the
+    density integrated along as J' = d y and its size as K' = |d y|.  A term
+    scale is the largest of |jump Z(0)|, |w Z(t)| and int |d Z|.
+    """
+    spec = _c9_truth()
+    c = spec.q.values
+    k = np.arange(len(c)) * np.pi / T
+    mu = spec.form1.measure
+    (t_atom, w_atom), = mu.atoms
+    (lo, hi, vlo, vhi), = mu.density_segments
+
+    def rhs(x, s):
+        cx = np.dot(c, np.cos(k * x)) - lam
+        dy = (vlo + (vhi - vlo) * (x - lo) / (hi - lo)) * s[[0, 2]]
+        return np.concatenate([[s[1], cx * s[0], s[3], cx * s[2]], dy, np.abs(dy)])
+
+    state = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=complex)
+    at = {}
+    for a, b in ((T, t_atom), (t_atom, 0.0)):
+        atol = 1e-14 * max(1.0, float(np.abs(state).max()))
+        sol = solve_ivp(rhs, (a, b), state, method="DOP853", rtol=1e-12, atol=atol)
+        assert sol.success
+        state = sol.y[:, -1]
+        at[b] = state[[0, 2]]
+    terms = [mu.jump_at_zero * at[0.0], w_atom * at[t_atom], -state[4:6]]
+    scale = np.max([np.abs(terms[0]), np.abs(terms[1]), np.abs(state[6:8])], axis=0)
+    return np.sum(terms, axis=0), scale
+
+
+@pytest.mark.parametrize("lam", _C9_LAMS)
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_default_grid_meets_its_tolerance(tol, lam):
+    # a jump, an atom and a linear density: the Magnus cell and the corrected density rule
+    # together hold the error to the grid's tol, relative to the largest term of the form
+    (u1, u2), (s1, s2) = _c9_form1_reference(lam)
+    b = char_batch(_c9_truth(), [lam], GridSpec(tol=tol))
+    assert abs(b.delta11[0] - u1) <= 10 * tol * s1
+    assert abs(-b.delta1[0] - u2) <= 10 * tol * s2

@@ -10,7 +10,7 @@ import pytest
 
 from nonlocal_sl import BVMeasure, LinearForm
 from nonlocal_sl.errors import InputError
-from nonlocal_sl.measure import merge, stieltjes_integrate
+from nonlocal_sl.measure import density_node_weights, merge, stieltjes_integrate
 
 TOL = 1e-12
 
@@ -60,6 +60,39 @@ def test_density_integral_converges_quadratically():
     assert errs[0] > errs[1] > errs[2]
     # halving h should cut the error by about 4
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+
+def test_corrected_density_rule_is_exact_for_cubic_integrands():
+    # density 1 + x times f = x^2 is a cubic, which the endpoint-corrected rule integrates
+    # exactly, also across a change of step width
+    m = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 2.0])
+    x = np.concatenate([np.linspace(0.0, 0.5, 4), np.linspace(0.6, 1.0, 3)])
+    assert stieltjes_integrate(x, x**2, m, 2.0 * x) == pytest.approx(7.0 / 12.0, abs=TOL)
+
+
+def test_corrected_density_rule_converges_at_fourth_order():
+    m = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 2.0])
+    exact = 2.0 * np.sin(1.0) + np.cos(1.0) - 1.0  # int_0^1 (1 + x) cos(x) dx
+    errs = []
+    for n in (9, 17, 33):
+        x = np.linspace(0.0, 1.0, n)
+        errs.append(abs(stieltjes_integrate(x, np.cos(x), m, -np.sin(x)) - exact))
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.1)
+    assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.1)
+
+
+def test_corrected_weights_on_y_prime_only_where_the_step_changes():
+    # a density that jumps at 0.8, on a uniform grid over [0, 2] plus the node 1.33
+    m = BVMeasure.with_density(2.0, [0.0, 0.8, 0.8, 2.0], [1.0, 0.5, 0.2, 1.0 + 1.0j])
+    x = np.union1d(np.linspace(0.0, 2.0, 41), [1.33])
+    Wy, Wd = density_node_weights(m, x)
+    hit = set(np.nonzero(Wd)[0].tolist())
+    i08, i13 = (int(np.argmin(np.abs(x - t))) for t in (0.8, 1.33))
+    assert hit == {0, i08, i13 - 1, i13, i13 + 1, len(x) - 1}
+    trap, none = density_node_weights(m, x, corrected=False)
+    assert none is None
+    # the correction sums to h^2/12 (g'(0) - g'(2)) on the segment ends, so Wy keeps the mass
+    assert np.sum(Wy) == pytest.approx(np.sum(trap), abs=1e-12)
 
 
 def test_total_variation_closed_form():

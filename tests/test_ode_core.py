@@ -9,6 +9,8 @@ Hermite readout between grid nodes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_sl import Potential
 from nonlocal_sl.errors import InputError, RangeError
@@ -17,9 +19,11 @@ from nonlocal_sl.ode_core import (
     SpectralPoint,
     fundamental_X,
     fundamental_Z,
+    integrate_family,
     integrate_ivp,
     modulus_scale,
     principal_rho,
+    solver_grid,
     wronskian,
 )
 
@@ -178,3 +182,46 @@ def test_modulus_scale_envelope():
     tau = principal_rho(lam).imag
     expected = np.sqrt(1.0 + np.abs(lam)) * np.exp(tau * 2.0)
     assert np.allclose(sc, expected, rtol=1e-12)
+
+
+_coef = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    q_coeffs=st.lists(_coef, min_size=1, max_size=4),
+    sigma=st.floats(0.0, 30.0),
+    tau_T=st.floats(0.0, 20.0),
+)
+def test_stored_sweep_keeps_unit_wronskian(q_coeffs, sigma, tau_T):
+    # every Magnus cell has determinant 1, so X1 X2' - X1' X2 = 1 holds at every node up to
+    # the rounding of its two products
+    q = Potential.from_cosine(T, q_coeffs)
+    lam = complex(sigma, tau_T / T) ** 2
+    grid = solver_grid(q, abs(complex(principal_rho(lam))), GridSpec())
+    fam = integrate_family(q, [lam], "X", grid, store=True)
+    y, d, e2 = fam.y[:, 0], fam.dy[:, 0], np.exp(2.0 * fam.s[:, 0])
+    w = (y[:, 0] * d[:, 1] - d[:, 0] * y[:, 1]) * e2
+    size = (np.abs(y[:, 0] * d[:, 1]) + np.abs(d[:, 0] * y[:, 1])) * e2
+    assert np.all(np.abs(w - 1.0) <= 1e-12 * size)
+
+
+def test_steps_beyond_the_certified_series_range_raise():
+    # one step of h = 3 at lambda = 100 has |s^2| = 900: the cell's series is not summed there
+    q = Potential.zero(3.0)
+    with pytest.raises(RangeError, match="certified"):
+        integrate_family(q, [100.0], "X", np.array([0.0, 3.0]))
+    fam = integrate_family(q, [100.0], "X", np.linspace(0.0, 3.0, 31))
+    assert fam.stateT[0][0, 0] * np.exp(fam.stateT[2][0]) == pytest.approx(np.cos(30.0), abs=1e-12)
+
+
+def test_step_law():
+    # theta = (720 tol)^(1/4) per |rho| for the density rule, h_q = (720 tol / (T K_q))^(1/4) for q
+    gs = GridSpec(tol=1e-8)
+    theta = (720.0 * gs.tol) ** 0.25
+    plain = solver_grid(Potential.zero(T), 10.0, gs)
+    assert len(plain) - 1 == int(np.ceil(T * 10.0 / theta))
+    grid_q = Potential.from_grid(np.linspace(0.0, T, 3), [0.0, 40.0, 0.0])  # K_q = 80 / pi
+    h_q = (720.0 * gs.tol / (T * grid_q.derivative_bound())) ** 0.25
+    assert len(solver_grid(grid_q, 1.0, gs)) - 1 == int(np.ceil(T / h_q))
+    assert np.array_equal(solver_grid(grid_q, 10.0, gs, k_q=0.0), np.union1d(plain, [T / 2]))

@@ -103,6 +103,13 @@ def test_suggested_hmax_resolves_highest_frequency():
     assert h4 == pytest.approx(np.pi / 32.0)
 
 
+def test_derivative_bound_per_kind():
+    # cos(2x) on (0, pi): |q'| <= 2 and |q''| <= 4 per unit coefficient
+    assert Potential.from_cosine(np.pi, [7.0, 0.0, 0.5j]).derivative_bound() == pytest.approx(3.0)
+    assert Potential.from_grid([0.0, 0.5, 2.0], [1.0, 2.0, -1.0]).derivative_bound() == pytest.approx(2.0)
+    assert Potential.from_piecewise([0.0, 1.0, 2.0], [3.0, -3.0]).derivative_bound() == 0.0
+
+
 def test_dict_round_trip_all_kinds():
     T = 1.5
     pots = [
