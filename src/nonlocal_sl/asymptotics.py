@@ -254,8 +254,7 @@ def _computed_values(
 
     x = float(x)
     if quantity in ("v1", "Phi"):
-        rho_max = float(np.max(np.abs(principal_rho(lams))))
-        grid = solver_grid(spec.q, rho_max, gs, extra_required=(x,))
+        grid = solver_grid(spec.q, gs, extra_required=(x,))
         weights = [node_weights(LinearForm.point_value(x, order), grid)]
         fam = integrate_family(spec.q, lams, "Z", grid, gs, weights=weights)
         col = 0 if quantity == "v1" else 1

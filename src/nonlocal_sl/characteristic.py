@@ -52,7 +52,6 @@ from .potential import Potential
 POLE_GUARD = 1e-10
 ROUTE_TOL = 1e-6
 _EDGE = 1e-12
-_EPS = float(np.finfo(float).eps)
 _NAMES = ("omega", "delta1", "delta2", "delta11")  # the characteristic functions
 
 
@@ -129,25 +128,22 @@ def _node_index(grid: np.ndarray, x: float, label: str = "point") -> int:
 
 
 def node_weights(form: LinearForm, grid: np.ndarray) -> tuple:
-    """The form as node weights (Wy, Wd) on y and y' over `grid`; None marks zero.
+    """The form over `grid` as (Wy, Wd, D) for `integrate_family`; None marks zero.
 
-    The jump, the atoms and the density's weights fold into Wy.  The
-    density's endpoint correction also weighs y', at its segment ends and
-    where the step changes, as does an order-1 point form.
+    The jump and the atoms are node weights Wy on y, an order-1 point form
+    is Wd on y'.  A density is D, its values at each cell's ends, which the
+    sweep integrates at each lambda's own c_bar.
     """
     w = np.zeros(len(grid), dtype=complex)
     if form.kind == "point_value":
         w[_node_index(grid, form.x0, "point form")] = 1.0
-        return (w, None) if form.order == 0 else (None, w)
+        return (w, None, None) if form.order == 0 else (None, w, None)
     mu = form.measure
     if mu.jump_at_zero != 0:
         w[_node_index(grid, 0.0)] += mu.jump_at_zero
     for t, wt in mu.atoms:
         w[_node_index(grid, t, "atom")] += wt
-    if not mu.has_density:
-        return w, None
-    wy, wd = density_node_weights(mu, grid)
-    return w + wy, wd
+    return w, None, (density_node_weights(mu, grid) if mu.has_density else None)
 
 
 def _form_values(fam) -> np.ndarray:
@@ -155,11 +151,9 @@ def _form_values(fam) -> np.ndarray:
     return fam.forms * np.exp(fam.forms_s)[..., None]
 
 
-def _form_sweep(spec: ProblemSpec, lam: np.ndarray, gs: GridSpec, side: str, rho_max=None):
-    """One sweep from `side`, forms folded in as node weights, on a grid for rho_max or the batch."""
-    if rho_max is None:
-        rho_max = float(np.max(np.abs(principal_rho(lam)))) if len(lam) else 1.0
-    grid = solver_grid(spec.q, rho_max, gs, extra_required=[spec.required_points()])
+def _form_sweep(spec: ProblemSpec, lam: np.ndarray, gs: GridSpec, side: str):
+    """One sweep from `side` on the problem's grid, forms folded in."""
+    grid = solver_grid(spec.q, gs, extra_required=[spec.required_points()])
     weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
     return integrate_family(spec.q, lam, side, grid, gs, weights=weights)
 
@@ -182,11 +176,6 @@ def _safe_det(a1, b1, a2, b2) -> np.ndarray:
         t = _unit(a1) * _unit(b1) * np.exp(l1 - S) - _unit(a2) * _unit(b2) * np.exp(l2 - S)
         out = np.where(t == 0, 0j, np.exp(S + np.log(np.where(t == 0, 1, t))))
     return out
-
-
-def _det_rounding(a1, b1, a2, b2) -> float:
-    """eps * (|a1 b1| + |a2 b2|): the rounding bound of the determinant a1 b1 - a2 b2."""
-    return _EPS * (abs(complex(a1) * complex(b1)) + abs(complex(a2) * complex(b2)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +217,19 @@ def char_batch(
     lam,
     grid_spec: GridSpec | None = None,
     route: str = "Z",
-    *,
-    _rho_max: float | None = None,
 ) -> CharBatch:
     """Evaluate omega, delta_1, delta_2, delta_11 at a batch of lambda values.
 
     route "Z" (default) uses one T-side sweep; "X" uses the defining
     determinants; "both" computes the two and raises a consistency error
     when they disagree beyond ROUTE_TOL relative to the natural scale.  The
-    error names cancellation instead of the grid when the rounding bound
-    eps * (|a1 b1| + |a2 b2|) of the determinants a1 b1 - a2 b2 involved
-    already exceeds that tolerance.  `_rho_max` fixes the |rho| the grid is
-    sized for, so a value no longer depends on the rest of its batch.
+    sweep's grid depends on the problem and grid_spec only, so a value is a
+    function of its lambda alone, whatever else the batch holds.  The two
+    routes are one discrete system on that grid (the Magnus cell run
+    backwards is its inverse, and the density rule is symmetric in a cell's
+    ends), so a disagreement is rounding: cancellation in the X route's
+    determinants and growth through its propagation, both like
+    exp(Im rho * T), which the error names.
     """
     if route not in ("Z", "X", "both"):
         raise InputError(f"unknown route {route!r}")
@@ -247,23 +237,23 @@ def char_batch(
     if not np.all(np.isfinite(lam)):
         raise InputError("lambda values must be finite")
     gs = grid_spec or GridSpec()
-    results, dets = {}, {}  # dets[route][name]: the factors (a1, b1, a2, b2) of a1 b1 - a2 b2
+    results = {}
     for r in ("Z", "X"):
         if route not in (r, "both"):
             continue
-        fam = _form_sweep(spec, lam, gs, r, _rho_max)
+        fam = _form_sweep(spec, lam, gs, r)
         (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
-        dets[r] = {"omega": (u11, u22, u12, u21)}
+        dets = {"omega": (u11, u22, u12, u21)}  # name: the factors (a1, b1, a2, b2) of a1 b1 - a2 b2
         if r == "Z":
             results["Z"] = {"delta1": -u12, "delta2": -u22, "delta11": u11}
         else:
             yT, dT, eT = fam.stateT[0], fam.stateT[1], np.exp(fam.stateT[2])[:, None]
             (v11, v12), (v21, v22) = (yT * eT).T, (dT * eT).T
             results["X"] = {}
-            dets["X"].update(
+            dets.update(
                 delta1=(u11, v12, u12, v11), delta2=(u21, v12, u22, v11), delta11=(u11, v22, u12, v21)
             )
-        results[r].update({name: _safe_det(*t) for name, t in dets[r].items()})
+        results[r].update({name: _safe_det(*t) for name, t in dets.items()})
 
     primary_route = "Z" if "Z" in results else "X"
     primary = results[primary_route]
@@ -285,27 +275,21 @@ def char_batch(
             defect = np.abs(a - b) / denom
             if np.any(defect > ROUTE_TOL):
                 i = int(np.argmax(defect))
-                bound = sum(_det_rounding(*(v[i] for v in d[name])) for d in dets.values() if name in d)
-                if bound > ROUTE_TOL * denom[i]:
-                    tau_T = float(principal_rho(lam[i]).imag) * spec.T
-                    cause = f"cancellation in the determinant at Im rho * T = {tau_T:.1f}"
-                else:
-                    cause = "grid too coarse?"
+                tau_T = float(principal_rho(lam[i]).imag) * spec.T
                 raise ConsistencyError(
-                    f"{name} routes disagree by {defect[i]:.2e} at lambda={lam[i]:.6g} ({cause})"
+                    f"{name} routes disagree by {defect[i]:.2e} at lambda={lam[i]:.6g} "
+                    f"(rounding from cancellation and growth at Im rho * T = {tau_T:.1f})"
                 )
     return batch
 
 
-def char_handle(
-    spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None, route: str = "Z", *, _rho_max=None
-):
+def char_handle(spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None, route: str = "Z"):
     """Vectorized callable lambda-array -> values of one characteristic function."""
     if which not in _NAMES:
         raise InputError(f"unknown characteristic function {which!r}")
 
     def handle(lam):
-        return getattr(char_batch(spec, lam, grid_spec, route=route, _rho_max=_rho_max), which)
+        return getattr(char_batch(spec, lam, grid_spec, route=route), which)
 
     return handle
 
@@ -341,11 +325,10 @@ def char_batch_multi(
         if abs(qq.T - T) > 1e-12 * max(1.0, T):
             raise InputError("every candidate potential must live on (0, T)")
     gs = grid_spec or GridSpec()
-    rho_max = float(np.max(np.abs(principal_rho(lam)))) if len(lam) else 1.0
     extra = [spec.required_points()]
     extra.extend(qq.required_points() for qq in q_list[1:])
     k_q = max(qq.derivative_bound() for qq in q_list)
-    grid = solver_grid(q_list[0], rho_max, gs, extra_required=extra, k_q=k_q)
+    grid = solver_grid(q_list[0], gs, extra_required=extra, k_q=k_q)
     samples = [qq.step_samples(grid) for qq in q_list]
     qa, qm, qb = (np.stack([s[i] for s in samples], axis=1)[:, q_index] for i in range(3))
 
@@ -397,7 +380,7 @@ class ComboSolutions:
 
 def _form_on_trace(form: LinearForm, trace: SolutionTrace) -> complex:
     f = np.exp(trace.log_scale)
-    return form.apply_sampled(trace.grid, trace.y * f, trace.dy * f)
+    return form.apply_sampled(trace.grid, trace.y * f, trace.dy * f, trace.cbar)
 
 
 def combo_solutions(
@@ -504,7 +487,7 @@ def phi_trace_stable(
     """
     gs = grid_spec or GridSpec()
     a = spec.form1.support_end
-    grid = solver_grid(spec.q, abs(p.rho), gs, extra_required=[spec.required_points(), [a]])
+    grid = solver_grid(spec.q, gs, extra_required=[spec.required_points(), [a]])
     ia = _node_index(grid, a, "form support end")
 
     head = grid[: ia + 1]
@@ -524,7 +507,11 @@ def phi_trace_stable(
     if ia == len(grid) - 1:
         S = float(head_s.max())
         return SolutionTrace(
-            grid=grid, y=head_y * np.exp(head_s - S), dy=head_dy * np.exp(head_s - S), log_scale=S
+            grid=grid,
+            y=head_y * np.exp(head_s - S),
+            dy=head_dy * np.exp(head_s - S),
+            log_scale=S,
+            cbar=famH.cbar[:, 0],
         )
 
     tail = grid[ia:]
@@ -545,7 +532,8 @@ def phi_trace_stable(
     S = float(max(head_s.max(), tail_s.max()))
     y = np.concatenate([head_y[:-1] * np.exp(head_s[:-1] - S), tail_y * np.exp(tail_s - S)])
     dy = np.concatenate([head_dy[:-1] * np.exp(head_s[:-1] - S), tail_dy * np.exp(tail_s - S)])
-    return SolutionTrace(grid=grid, y=y, dy=dy, log_scale=S)
+    cbar = np.concatenate([famH.cbar[:, 0], famT.cbar[:, 0]])
+    return SolutionTrace(grid=grid, y=y, dy=dy, log_scale=S, cbar=cbar)
 
 
 # ---------------------------------------------------------------------------

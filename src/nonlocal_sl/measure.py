@@ -9,11 +9,12 @@ Integrating a sampled function f against sigma realizes the nonlocal form
 
     U(f) = jump_at_zero * f(0) + sum_i w_i * f(t_i) + int_0^T f(t) d(t) dt.
 
-The absolutely continuous term is evaluated on the union of the sample grid
-and the density breakpoints by the endpoint-corrected trapezoid rule, which
-also weighs f' (fourth order), or by the plain trapezoid rule when only f is
-sampled.  Atoms are never interpolated: f must carry exact samples at every
-atom location.
+Given f and f' on a grid that holds the density breakpoints, the absolutely
+continuous term is evaluated by the exponentially fitted rule the sweeps use
+(`ode_core.fitted_density_weights`), cubic Hermite unless each cell's mean of
+q - lambda is given.  Given f alone, it is evaluated on the union of the
+sample grid and the breakpoints by the plain trapezoid rule.  Atoms are never
+interpolated: f must carry exact samples at every atom location.
 
 The density is stored as a list of linear segments (lo, hi, v_lo, v_hi),
 zero outside the segments.  Segments may touch with different one-sided
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InputError
+from .ode_core import fitted_density_weights
 
 _EDGE_TOL = 1e-12
 
@@ -244,24 +246,18 @@ def _density_inside(m: BVMeasure, cell_lo: float, cell_hi: float, x: float) -> c
     return 0j
 
 
-def density_node_weights(m: BVMeasure, x: np.ndarray, corrected: bool = True) -> tuple:
-    """Node weights (Wy, Wd) with int f*density ~= sum_i Wy_i f(x_i) + Wd_i f'(x_i).
+def density_node_weights(m: BVMeasure, x: np.ndarray) -> np.ndarray:
+    """The density's values at each cell's left and right end on grid x, shape (2, n-1).
 
-    The endpoint-corrected trapezoid rule: each cell of width h adds
-    h^2/12 (g'(x_i) - g'(x_i+1)) to the trapezoid sum of g = d f, with
-    g' = d' f + d f', which leaves an O(h^4) error.  On a run of equal cells
-    these terms telescope, so the correction at node i is
-    (h_right^2 - h_left^2)/12 g'(x_i), and only segment ends and nodes where
-    the width changes carry a Wd weight.  `corrected=False` gives the plain
-    trapezoid rule with Wd None.
-
-    Requires every segment edge to be a node of x; one-sided density values at
-    segment edges are resolved from within each cell, so densities with jumps
-    integrate consistently.
+    This is the density's part of a form's node weights: a rule turns it
+    into weights on y and y' at the cells' ends, the sweep at each lambda's
+    own c_bar (see `ode_core.fitted_density_weights`).  Cells outside the
+    density hold zeros.  Requires every segment edge to be a node of x;
+    one-sided values at segment edges are taken from within each cell, so
+    densities with jumps integrate consistently.
     """
     x = np.asarray(x, dtype=float)
-    Wy = np.zeros(x.shape, dtype=complex)
-    Wd = np.zeros(x.shape, dtype=complex)
+    D = np.zeros((2, max(len(x) - 1, 0)), dtype=complex)
     scale = max(1.0, m.domain_length)
     for lo, hi, vlo, vhi in m.density_segments:
         i_lo = int(np.searchsorted(x, lo - _EDGE_TOL * scale))
@@ -270,19 +266,10 @@ def density_node_weights(m: BVMeasure, x: np.ndarray, corrected: bool = True) ->
             raise InputError(
                 f"sample grid is missing a density breakpoint of the measure ({lo} or {hi})"
             )
-        xe = x[i_lo : i_hi + 1]
-        slope = (vhi - vlo) / (hi - lo)
-        dvals = vlo + slope * (xe - lo)
-        h = np.diff(xe)
-        Wy[i_lo:i_hi] += 0.5 * h * dvals[:-1]
-        Wy[i_lo + 1 : i_hi + 1] += 0.5 * h * dvals[1:]
-        if corrected:
-            h_out = np.concatenate([[0.0], h, [0.0]])
-            same = np.abs(np.diff(h_out)) <= _EDGE_TOL * scale  # telescoped away
-            corr = np.where(same, 0.0, np.diff(h_out**2) / 12.0)
-            Wy[i_lo : i_hi + 1] += corr * slope
-            Wd[i_lo : i_hi + 1] += corr * dvals
-    return Wy, (Wd if corrected else None)
+        dvals = vlo + (vhi - vlo) / (hi - lo) * (x[i_lo : i_hi + 1] - lo)
+        D[0, i_lo:i_hi] += dvals[:-1]
+        D[1, i_lo:i_hi] += dvals[1:]
+    return D
 
 
 def _atom_indices(m: BVMeasure, x: np.ndarray) -> list[int]:
@@ -300,12 +287,14 @@ def _interp_complex(xq: np.ndarray, x: np.ndarray, fx: np.ndarray) -> np.ndarray
     return np.interp(xq, x, fx.real) + 1j * np.interp(xq, x, fx.imag)
 
 
-def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure, dfx=None) -> complex:
-    """int_0^T f dsigma for f sampled on the grid x (piecewise-linear between nodes).
+def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure, dfx=None, cbar=None) -> complex:
+    """int_0^T f dsigma for f sampled on the grid x.
 
-    With derivative samples `dfx` the density term uses the endpoint-corrected
-    rule of `density_node_weights`, the one the sweeps fold in; without them,
-    the plain trapezoid rule.
+    With derivative samples `dfx` the density term uses the exponentially
+    fitted rule at each cell's mean `cbar` of q - lambda, the rule the
+    sweeps fold in (cubic Hermite without `cbar`); the grid must then hold
+    the density breakpoints.  Without them it uses the plain trapezoid rule
+    on f taken piecewise linear between nodes.
     """
     x = np.asarray(x, dtype=float)
     fx = np.asarray(fx, dtype=complex)
@@ -325,16 +314,17 @@ def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure, dfx=None) -
     total = m.jump_at_zero * fx[0]
     for i, (_, w) in zip(_atom_indices(m, x), m.atoms):
         total += w * fx[i]
-    if m.has_density:
-        edges = [e for lo, hi, _, _ in m.density_segments for e in (lo, hi)]
-        u = np.unique(np.concatenate([x, np.asarray(edges)]))
-        # keep edge values exact: drop near-duplicates in favor of the later entry
-        keep = np.concatenate([np.diff(u) > _EDGE_TOL * scale, [True]])
-        u = u[keep]
-        weights = density_node_weights(m, u, corrected=dfx is not None)
-        for w, v in zip(weights, samples):
-            total += complex(np.dot(w, _interp_complex(u, x, v)))
-    return complex(total)
+    if not m.has_density:
+        return complex(total)
+    if dfx is not None:
+        wy, wd = fitted_density_weights(x, density_node_weights(m, x), cbar)
+        return complex(total + np.dot(wy, fx) + np.dot(wd, samples[1]))
+    edges = [e for lo, hi, _, _ in m.density_segments for e in (lo, hi)]
+    u = np.unique(np.concatenate([x, np.asarray(edges)]))
+    # keep edge values exact: drop near-duplicates in favor of the later entry
+    u = u[np.concatenate([np.diff(u) > _EDGE_TOL * scale, [True]])]
+    D, f = density_node_weights(m, u), _interp_complex(u, x, fx)
+    return complex(total + 0.5 * np.sum(np.diff(u) * (D[0] * f[:-1] + D[1] * f[1:])))
 
 
 # ----------------------------------------------------------------------------
@@ -396,14 +386,17 @@ class LinearForm:
             return self.measure.required_points()
         return np.asarray([self.x0], dtype=float)
 
-    def apply_sampled(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray | None = None) -> complex:
+    def apply_sampled(
+        self, x: np.ndarray, y: np.ndarray, dy: np.ndarray | None = None, cbar=None
+    ) -> complex:
         """Apply to a function sampled on x.
 
         dy is needed for order-1 point forms; for a density it selects the
-        endpoint-corrected rule the sweeps use (see `stieltjes_integrate`).
+        exponentially fitted rule the sweeps use, at each cell's mean `cbar`
+        of q - lambda (see `stieltjes_integrate`).
         """
         if self.kind == "nonlocal":
-            return stieltjes_integrate(x, y, self.measure, dy)
+            return stieltjes_integrate(x, y, self.measure, dy, cbar)
         x = np.asarray(x, dtype=float)
         i = int(np.searchsorted(x, self.x0 - _EDGE_TOL))
         if i >= len(x) or not _close(x[i], self.x0, max(1.0, x[-1])):

@@ -7,23 +7,24 @@ and end, c_bar = (c_a + 4 c_m + c_b) / 6 and a = -h^2 (c_b - c_a) / 12,
 
     Omega = [[a, h], [h c_bar, -a]],   exp(Omega) = C I + S Omega,
 
-where C = cosh s and S = sinh s / s are even series in s^2 = a^2 + h^2 c_bar.
+where C = cosh s and S = sinh s / s are even functions of s^2 = a^2 + h^2 c_bar.
 The cell is exact for constant q, has determinant 1, and its error comes from
-the variation of q only.  The step law
+the variation of q only.  Densities of the boundary forms are integrated by
+exponentially fitted weights on (y, y') at each cell's ends (Ixaru and
+Vanden Berghe 2004), exact for every solution of the cell's constant-c_bar
+equation.  Neither rule needs a step tied to |rho|, so the step law
 
-    h = min(h_max, q's own cap, h_q, theta / max(1, |rho|)),
-    theta = min(theta_cap, 0.5, (720 tol)^(1/4)),
-    h_q = (720 tol / (T K_q))^(1/4),
+    h = min(h_max, q's own cap, h_q),   h_q = (720 tol / (T K_q))^(1/4),
 
-keeps both that error (K_q bounds |q'| + |q''|) and the (rho h)^4 / 720 term
-of the endpoint-corrected density quadrature under `tol`.  A sweep
-multiplies out blocks of L = ceil(sqrt(N)) steps, all blocks at once, and
-carries the state across the block starts, renormalizing it there into a
-per-lambda log-scale s (held values are the true solution times exp(-s)).
-Boundary forms enter as node weights on y and y': while a block's partial
-products are multiplied out, the weights fold into two coefficients per
-block that act on the block-start state, so a form costs no node storage.
-Only single-lambda traces replay the blocks to keep every node.  One sweep
+(K_q bounds |q'| + |q''|) gives one grid per potential, tolerance and set of
+required points, the same for every lambda.  A sweep multiplies out blocks
+of L = ceil(sqrt(N)) steps, all blocks at once, and carries the state across
+the block starts, renormalizing it there into a per-lambda log-scale s (held
+values are the true solution times exp(-s)).  Boundary forms enter as node
+weights on y and y' and per-cell density values: while a block's partial
+products are multiplied out, they fold into two coefficients per block that
+act on the block-start state, so a form costs no node storage.  Only
+single-lambda traces replay the blocks to keep every node.  One sweep
 integrates a whole family of spectral points (and both fundamental columns)
 at once; all public entry points are thin wrappers over that core.
 
@@ -42,15 +43,29 @@ from .errors import InputError, RangeError
 from .potential import Potential
 
 _EDGE_TOL = 1e-12
-_MAX_NODES = 2_000_000  # grid cap; |rho| beyond this cannot be integrated stepwise
+_MAX_NODES = 2_000_000  # grid cap
 _EPS = float(np.finfo(float).eps)
-# The cell's series in z = s^2 are certified for |z| <= _Z_MAX: there the
-# depth below keeps the truncation under eps, and the terms' rounding stays
-# under e^4 eps.  Grids from the step law have |rho| h <= theta_cap, so |z|
-# stays near theta_cap^2 unless q itself is large.
+# Every series below is in z = s^2 and is summed by Horner's rule for
+# |z| <= _Z_MAX, where its depth keeps the truncation under eps and the
+# terms' rounding stays under e^4 eps; beyond, the closed forms take over.
+# Row k holds the coefficients of z^k of
+#   Q2 = (cosh s - 1) / z,  Q3 = (sinh s / s - 1) / z,
+#   NC = (4 Q2 - 12 Q3) / z,  ND = (4 Q2 - sinh s / s - 1) / z^2,
+# so the cell's C = 1 + z Q2 and S = 1 + z Q3, and NC and ND are the
+# remainders the density rule needs (see `_cell`).
 _Z_MAX = 16.0
-_COSH = np.array([1.0 / factorial(2 * k) for k in range(24)])  # cosh s = sum z^k / (2k)!
-_SINC = np.array([1.0 / factorial(2 * k + 1) for k in range(24)])  # sinh s / s = sum z^k / (2k+1)!
+_A2_SHIFT = 1e-8  # a^2 up to this takes C and S at z + a^2 to first order (see `_cell`)
+_SERIES = np.array(
+    [
+        [
+            1.0 / factorial(2 * k + 2),
+            1.0 / factorial(2 * k + 3),
+            8.0 * (k + 1) / factorial(2 * k + 5),
+            -2.0 * (k + 1) / factorial(2 * k + 6),
+        ]
+        for k in range(24)
+    ]
+)
 
 
 def principal_rho(lam) -> np.ndarray:
@@ -88,7 +103,6 @@ class GridSpec:
     tol: float = 1e-10  # target relative accuracy of propagation and density quadrature
     h_max: float | None = None  # absolute cap on the step (default T / n_min)
     n_min: int = 64
-    theta_cap: float = 0.35  # cap on |rho| * h per step
     tau_T_budget: float = 600.0  # |Im rho| * T beyond this -> range error
 
     def coarsened(self, tol: float) -> "GridSpec":
@@ -98,39 +112,31 @@ class GridSpec:
 
 def solver_grid(
     q: Potential,
-    rho_abs_max: float,
     spec: GridSpec | None = None,
     extra_required=(),
     k_q: float | None = None,
 ) -> np.ndarray:
-    """Node grid on [0, T] resolving the oscillation scale and all marked points.
+    """Node grid on [0, T] resolving q and holding all marked points, for every lambda.
 
-    The step is h = min(h_max, q.suggested_hmax(), h_q, theta / max(1, |rho|)).
-    theta = min(theta_cap, 0.5, (720 tol)^(1/4)) holds the corrected density
-    rule's per-cell (rho h)^4 / 720 under tol; h_q = (720 tol / (T K_q))^(1/4)
-    does the same for the Magnus cell's error from the variation of q, with
-    K_q = q.derivative_bound() unless `k_q` gives it (a sweep over several
-    potentials passes their largest).
+    The step is h = min(h_max, q.suggested_hmax(), h_q), where
+    h_q = (720 tol / (T K_q))^(1/4) holds the Magnus cell's error from the
+    variation of q under tol, with K_q = q.derivative_bound() unless `k_q`
+    gives it (a sweep over several potentials passes their largest).  Both
+    the cell and the density rule are exact for constant q, so the step
+    does not depend on |rho|.
     """
     spec = spec or GridSpec()
     T = q.T
-    r = max(1.0, float(rho_abs_max))
-    theta = min(spec.theta_cap, 0.5, (720.0 * spec.tol) ** 0.25)
-    h = theta / r
-    h_max = spec.h_max if spec.h_max is not None else T / spec.n_min
+    h = spec.h_max if spec.h_max is not None else T / spec.n_min
     q_hmax = q.suggested_hmax()
     if q_hmax is not None:
-        h_max = min(h_max, q_hmax)
+        h = min(h, q_hmax)
     k_q = q.derivative_bound() if k_q is None else k_q
     if k_q > 0:
-        h_max = min(h_max, (720.0 * spec.tol / (T * k_q)) ** 0.25)
-    h = min(h, h_max)
+        h = min(h, (720.0 * spec.tol / (T * k_q)) ** 0.25)
     n = max(spec.n_min, ceil(T / h))
     if n > _MAX_NODES:
-        raise RangeError(
-            f"|rho| = {r:.3g} needs {n} grid nodes to resolve the oscillation, "
-            f"beyond the {_MAX_NODES} node cap"
-        )
+        raise RangeError(f"resolving q needs {n} grid nodes, beyond the {_MAX_NODES} node cap")
     base = np.linspace(0.0, T, n + 1)
     parts = [np.asarray(q.required_points(), dtype=float)]
     for r_ in extra_required:
@@ -153,15 +159,26 @@ def solver_grid(
 
 @dataclass(frozen=True, eq=False)
 class SolutionTrace:
-    """Solution samples on a grid; true values are exp(log_scale) * stored values."""
+    """Solution samples on a grid; true values are exp(log_scale) * stored values.
+
+    `cbar` holds each cell's Simpson mean of q - lambda, shape (n-1,), when
+    the trace comes from a sweep; forms applied to the trace use it to
+    integrate densities by the sweep's own rule.
+    """
 
     grid: np.ndarray
     y: np.ndarray
     dy: np.ndarray
     log_scale: float = 0.0
+    cbar: np.ndarray | None = None
 
     def value_at(self, x: float):
-        """(y, dy, interpolated) at x; cubic Hermite between nodes, flagged."""
+        """(y, dy, interpolated) at x; between nodes the cell's fitted interpolant, flagged.
+
+        The interpolant is the function of `_rule_weights`' span that matches
+        (y, y') at both ends of the cell, so a readout is exact wherever the
+        density rule is (cubic Hermite when `cbar` is None).
+        """
         g = self.grid
         i = int(np.searchsorted(g, x - _EDGE_TOL * max(1.0, g[-1])))
         if i < len(g) and abs(g[i] - x) <= _EDGE_TOL * max(1.0, g[-1]):
@@ -169,18 +186,10 @@ class SolutionTrace:
         if x < g[0] or x > g[-1]:
             raise InputError(f"x={x} outside the trace domain [{g[0]}, {g[-1]}]")
         i = min(max(i - 1, 0), len(g) - 2)
-        h = g[i + 1] - g[i]
-        t = (x - g[i]) / h
-        y0, y1 = self.y[i], self.y[i + 1]
-        d0, d1 = self.dy[i] * h, self.dy[i + 1] * h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        yv = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-        dv = (
-            6 * t * (t - 1) * (y0 - y1) + (3 * t * t - 4 * t + 1) * d0 + t * (3 * t - 2) * d1
-        ) / h
+        cbar = 0.0 if self.cbar is None else self.cbar[i]
+        yv, dv = _fitted_readout(
+            g[i + 1] - g[i], cbar, x - 0.5 * (g[i] + g[i + 1]), self.y[i : i + 2], self.dy[i : i + 2]
+        )
         return complex(yv), complex(dv), True
 
 
@@ -208,7 +217,7 @@ def combine_traces(traces, coeffs) -> SolutionTrace:
         f = c * np.exp(t.log_scale - S)
         y += f * t.y
         dy += f * t.dy
-    return SolutionTrace(grid=g, y=y, dy=dy, log_scale=S)
+    return SolutionTrace(grid=g, y=y, dy=dy, log_scale=S, cbar=traces[0].cbar)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +232,9 @@ class FamilyStore:
     sweep's `weights`, per spectral point and column, as a mantissa whose true
     value is forms * exp(forms_s)[..., None] with `forms_s` of shape (F, m).
     Only a stored sweep keeps `y`/`dy` at every node, shape (n, m, k) in
-    ascending grid order, with the per-node log-scale `s`, shape (n, m).
-    Endpoint states are always kept.
+    ascending grid order, with the per-node log-scale `s`, shape (n, m), and
+    each cell's c_bar = mean of q - lambda, shape (n-1, m).  Endpoint states
+    are always kept.
     """
 
     grid: np.ndarray
@@ -236,6 +246,7 @@ class FamilyStore:
     y: np.ndarray | None
     dy: np.ndarray | None
     s: np.ndarray | None
+    cbar: np.ndarray | None
     state0: tuple  # (y, dy, s) at grid[0]
     stateT: tuple  # (y, dy, s) at grid[-1]
 
@@ -253,47 +264,183 @@ def _check_budget(rho: np.ndarray, T: float, spec: GridSpec):
         )
 
 
-def _series_coefficients(z_bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-lambda coefficients of the cell's series C and S, shape (depth, m).
+def _series_coefficients(z_bound: np.ndarray) -> np.ndarray:
+    """Per-lambda rows of `_SERIES`, shape (depth, 4, m), for |z| <= min(z_bound, _Z_MAX).
 
-    A column keeps the fewest terms that hold the truncation under eps for
-    |s^2| <= its z_bound, and is padded with zeros past them.  Horner's rule
-    then sums each column exactly as it would alone, so a value does not
-    depend on the other lambdas of its batch.
+    A column keeps the fewest terms that hold the truncation under eps and is
+    padded with zeros past them.  Horner's rule then sums each column exactly
+    as it would alone, so a value does not depend on the other lambdas of
+    its batch.
     """
-    z = np.asarray(z_bound, dtype=float)
-    if not np.all(z <= _Z_MAX):
-        raise RangeError(
-            f"a step has |s^2| up to {float(np.max(z)):.3g}, beyond the Magnus cell's "
-            f"certified {_Z_MAX:g}; use a finer grid"
-        )
-    K = np.arange(1, len(_COSH))[:, None]
-    omitted = z**K * _COSH[1:, None]  # the first term left out at depth K
-    depth = 1 + np.argmax(omitted <= 0.5 * _EPS, axis=0)
-    rows = np.arange(int(depth.max(initial=1)))[:, None]
-    keep = rows < depth
-    return (
-        np.where(keep, _COSH[rows], 0.0),
-        np.where(keep, _SINC[rows], 0.0),
-    )
+    z = np.minimum(np.asarray(z_bound, dtype=float), _Z_MAX)
+    K = np.arange(1, len(_SERIES))[:, None]
+    # the first term of Q2 left out at depth K, and of C = 1 + z Q2 once z > 1
+    omitted = z**K * _SERIES[1:, 0, None] * np.maximum(1.0, z)
+    depth = 1 + np.argmax(omitted <= _EPS, axis=0)
+    rows = np.arange(max(2, int(depth.max(initial=1))))
+    return np.where((rows[:, None] < depth)[:, None, :], _SERIES[rows][:, :, None], 0.0)
 
 
-def _magnus_cell(h, a, cbar, coef):
-    """exp(Omega) for Omega = [[a, h], [h cbar, -a]] as (m11, m12, m21, m22) on (y, y').
+def _closed_sums(z: np.ndarray) -> np.ndarray:
+    """Q2, Q3, NC and ND at z from cosh and sinh, shape (4,) + z.shape; for |z| > _Z_MAX."""
+    z = np.asarray(z, dtype=complex)
+    x = np.sqrt(z)
+    C = np.cosh(x)
+    S = np.sinh(x) / x
+    q2 = (C - 1.0) / z
+    q3 = (S - 1.0) / z
+    return np.stack([q2, q3, (4.0 * q2 - 12.0 * q3) / z, (4.0 * q2 - S - 1.0) / (z * z)])
 
-    C = cosh s and S = sinh s / s, s^2 = a^2 + h^2 cbar, are summed by
-    Horner's rule over the rows of `coef` (from `_series_coefficients`);
-    h = 0 gives the identity.
+
+def _sums(z: np.ndarray, coef: np.ndarray, wide=None) -> np.ndarray:
+    """The first r rows of `_SERIES` at z of shape (B, m), for `coef` of shape (depth, r, m).
+
+    Horner's rule sums them, except in the columns that `wide` flags (their
+    bound passes _Z_MAX): there every cell with |z| > _Z_MAX is summed in
+    closed form.  Returns shape (r, B, m).
+    """
+    c = coef[:, :, None, :]
+    big = None
+    if wide is not None:
+        zw = z[:, wide]
+        big = np.abs(zw) > _Z_MAX
+        if big.any():
+            z = z.copy()
+            z[:, wide] = np.where(big, 0.0, zw)
+        else:
+            big = None
+    V = c[-1] * z + c[-2]
+    for k in range(len(c) - 3, -1, -1):
+        V = V * z + c[k]
+    if big is not None:
+        Vw = V[:, :, wide]
+        Vw[:, big] = _closed_sums(zw[big])[: len(V)]
+        V[:, :, wide] = Vw
+    return V
+
+
+def _cell(h, a, cbar, coef, wide=None, rule=False, shift=False):
+    """One Magnus cell per entry and, with `rule`, the density rule's factors there.
+
+    The cell is exp(Omega) for Omega = [[a, h], [h cbar, -a]] as (m11, m12,
+    m21, m22) on (y, y'), with C = cosh s = 1 + s^2 Q2 and
+    S = sinh s / s = 1 + s^2 Q3 at s^2 = a^2 + h^2 cbar; h = 0 gives the
+    identity.  The factors (f1, f2, f3, f4) of `_rule_weights` are even
+    functions of z = h^2 cbar:
+
+        f1 = 4 Q2 / (1 + S),  f2 = -2 Q3 / (1 + S),  f3 = NC / (2 Q3),  f4 = ND / Q3,
+
+    with S = 1 + z Q3.  `shift` says that every a^2 is so small that its
+    square is lost to rounding: the cell then moves the rule's C and S at z
+    to s^2 = z + a^2 by their first derivatives, S / 2 and (Q2 - Q3) / 2.
     """
     hc = h * cbar
-    z = a * a + h * hc
-    cc, sc = coef
-    C, S = cc[-1], sc[-1]
-    for k in range(len(cc) - 2, -1, -1):
-        C = C * z + cc[k]
-        S = S * z + sc[k]
+    z = h * hc
+    factors = None
+    if rule:
+        q2, q3, nc, nd = _sums(z, coef, wide)
+        C = 1.0 + z * q2
+        S = 1.0 + z * q3
+        r = 1.0 / (1.0 + S)
+        rq = 1.0 / q3
+        factors = (4.0 * q2 * r, -2.0 * q3 * r, 0.5 * nc * rq, nd * rq)
+        if shift:
+            e = 0.5 * a * a
+            C, S = C + e * S, S + e * (q2 - q3)
+    if not (rule and shift):
+        z = a * a + z
+        q2, q3 = _sums(z, coef[:, :2], wide)
+        C = 1.0 + z * q2
+        S = 1.0 + z * q3
     Sa = S * a
-    return C + Sa, S * h, S * hc, C - Sa
+    return (C + Sa, S * h, S * hc, C - Sa), factors
+
+
+def _density_terms(h, d0, d1):
+    """(h m / 2, h e / 2, h^2 m / 2, h^2 e / 2) for a density running from d0 to d1
+    over a cell of width h, with m = (d0 + d1) / 2 and e = d1 - d0."""
+    a1 = 0.25 * h * (d0 + d1)
+    a2 = 0.5 * h * (d1 - d0)
+    return a1, a2, h * a1, h * a2
+
+
+def _rule_weights(terms, factors):
+    """((y, y') weights at a cell's start, (y, y') weights at its end).
+
+    The exponentially fitted rule (Ixaru and Vanden Berghe 2004): with
+    kappa^2 = cbar, the function in span{cosh kt, sinh kt / k, t sinh kt / k,
+    (t cosh kt - sinh kt / k) / k^2} that matches y and y' at both ends of the
+    cell is integrated exactly against the cell's linear density.  The span
+    holds every solution of y'' = cbar y and becomes the cubics as
+    kappa h -> 0, where the rule is cubic Hermite.  Splitting the cell at
+    its middle into even and odd parts gives, for `terms` from
+    `_density_terms` and `factors` from `_cell`,
+
+        int d y = h m (f1 y_mean + h f2 y'_half) + h e (f3 y_half + h f4 y'_mean),
+
+    with y_mean, y'_mean the end means and y_half, y'_half half the
+    end-to-end rises.  The rule is symmetric in the cell's ends, and a
+    backward cell (h < 0) gives the integral from its start to its end.
+    """
+    a1, a2, b1, b2 = terms
+    f1, f2, f3, f4 = factors
+    u, v = a1 * f1, a2 * f3
+    start_y = u - v
+    u += v
+    v = None
+    p, r = b1 * f2, b2 * f4
+    start_d = r - p
+    r += p
+    return [start_y, start_d], [u, r]
+
+
+def fitted_density_weights(grid, dens, cbar=None) -> tuple[np.ndarray, np.ndarray]:
+    """Node weights (Wy, Wd) of the exponentially fitted density rule on `grid`.
+
+    `dens`, shape (2, n-1), holds a density's values at each cell's left and
+    right end (`measure.density_node_weights`); `cbar`, shape (n-1,), each
+    cell's mean of q - lambda (None for 0, the cubic Hermite rule).  These
+    are the weights a sweep folds in at that lambda.
+    """
+    grid = np.asarray(grid, dtype=float)
+    h = np.diff(grid)[:, None]
+    cbar = np.zeros(h.shape) if cbar is None else np.asarray(cbar, dtype=complex).reshape(h.shape)
+    bound = np.abs(h * h * cbar).max(initial=0.0)
+    wide = np.array([True]) if bound > _Z_MAX else None
+    _, factors = _cell(h, 0.0, cbar, _series_coefficients([bound]), wide, rule=True, shift=True)
+    start, end = _rule_weights(_density_terms(h[:, 0], *np.asarray(dens)), [f[:, 0] for f in factors])
+    W = np.zeros((2, len(grid)), dtype=complex)
+    W[:, :-1] += start
+    W[:, 1:] += end
+    return W[0], W[1]
+
+
+def _fitted_readout(h: float, cbar, tau: float, y, dy):
+    """(y, y') at offset tau from the middle of a cell of width h with end data (y, dy).
+
+    The function of `_rule_weights`' span through the end data, split into
+    even and odd parts about the middle.  With w^2 = W = h^2 cbar / 4,
+    xi = 2 tau / h, c(u) = cosh sqrt(u), s(u) = sinh sqrt(u) / sqrt(u) and
+    g(u) = (c(u) - s(u)) / u, the even part is a c(W xi^2) + b xi^2 s(W xi^2)
+    and the odd part e xi s(W xi^2) + f xi^3 g(W xi^2).
+    """
+    z = h * h * complex(cbar)
+    W, xi = z / 4.0, 2.0 * tau / h
+    u = np.array([[z], [W], [W * xi * xi]])
+    wide = np.array([True]) if abs(z) > _Z_MAX else None
+    q2, q3 = _sums(u, _series_coefficients([abs(z)])[:, :2], wide)[:, :, 0]
+    c, c1 = 1.0 + u[1:, 0] * q2[1:]
+    s, s1 = 1.0 + u[1:, 0] * q3[1:]
+    g, g1 = q2[1:] - q3[1:]
+    H = 0.5 * h
+    ym, yh = 0.5 * (y[0] + y[1]), 0.5 * (y[1] - y[0])
+    dm, dh = 0.5 * (dy[0] + dy[1]) * H, 0.5 * (dy[1] - dy[0]) * H
+    de, do = 1.0 + c * s, 4.0 * q3[0]  # do = (c s - 1) / W, without the cancellation
+    a, b = (ym * (s + c) - s * dh) / de, (c * dh - W * s * ym) / de
+    e, f = (yh * s - g * dm) / do, (s * dm - c * yh) / do
+    yv = a * c1 + b * xi * xi * s1 + e * xi * s1 + f * xi**3 * g1
+    dv = (xi * (a * W * s1 + b * (s1 + c1)) + e * c1 + f * xi * xi * s1) / H
+    return yv, dv
 
 
 def _blocked(ws, reverse: bool, N: int, L: int, B: int):
@@ -310,6 +457,26 @@ def _blocked(ws, reverse: bool, N: int, L: int, B: int):
             out[f, :N] = w[:N]
             out[f, B * L] = w[N]
     return out.reshape(len(ws), B + 1, L)
+
+
+def _cells_blocked(ds, reverse: bool, h: np.ndarray, N: int, L: int, B: int):
+    """Density terms in sweep order as (4, F, B, L): cell b*L + j at [:, :, b, j].
+
+    Each entry of `ds` is None or a density's values at each cell's left and
+    right end, shape (2, N), in ascending grid order.  A backward sweep runs
+    each cell from its right end with h < 0, so its densities change sign to
+    keep the integral's orientation.  None when every entry is None.
+    """
+    if all(d is None for d in ds):
+        return None
+    out = np.zeros((4, len(ds), B * L), dtype=complex)
+    for f, d in enumerate(ds):
+        if d is not None:
+            d0, d1 = np.asarray(d)
+            if reverse:
+                d0, d1 = -d1[::-1], -d0[::-1]
+            out[:, f, :N] = _density_terms(h, d0, d1)
+    return out.reshape(4, len(ds), B, L)
 
 
 def integrate_family(
@@ -331,10 +498,13 @@ def integrate_family(
     shape (m, k).  `q_steps` may supply precomputed (q_left, q_mid, q_right)
     per step, each of shape (n-1,) or (n-1, m), to batch over potentials.
 
-    `weights` lists forms as node weights (Wy, Wd), each of shape (n,) in
-    ascending grid order or None for zero; entry f yields
-    forms[f] = sum_u Wy[u] y(x_u) + Wd[u] y'(x_u).  `store` keeps every node's
-    state as well, which costs O(n m k) memory; meant for single-lambda traces.
+    `weights` lists forms, each (Wy, Wd, D).  Wy and Wd are node weights of
+    shape (n,) in ascending grid order, D a density's values at each cell's
+    left and right end, shape (2, n-1); None marks zero.  Entry f
+    yields forms[f] = sum_u Wy[u] y(x_u) + Wd[u] y'(x_u) + int D y, the
+    integral by the exponentially fitted rule of `_rule_weights` at each
+    lambda's own cbar.  `store` keeps every node's state as well, which costs
+    O(n m k) memory; meant for single-lambda traces.
     """
     spec = spec or GridSpec()
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -362,12 +532,12 @@ def integrate_family(
     qbar = np.concatenate([(sa + 4.0 * sm + sb) / 6.0, pad])
     a_sw = -(h_sw**2) * np.concatenate([sb - sa, pad]) / 12.0  # lambda cancels in c_b - c_a
     # |s^2| <= |a|^2 + h^2 |q_bar| + h^2 |lambda| bounds each lambda's series alone
-    z_own = (np.abs(a_sw) ** 2 + h_sw**2 * np.abs(qbar)).max(axis=0)
-    coef = _series_coefficients(z_own + float(np.max(h_sw**2)) * np.abs(lam))
-
-    def step_maps(t):
-        t = np.minimum(t, N)
-        return _magnus_cell(h_sw[t], a_sw[t], qbar[t] - lam, coef)
+    z_bound = (np.abs(a_sw) ** 2 + h_sw**2 * np.abs(qbar)).max(axis=0)
+    z_bound = z_bound + float(np.max(h_sw**2)) * np.abs(lam)
+    coef = _series_coefficients(z_bound)
+    wide = z_bound > _Z_MAX
+    wide = wide if wide.any() else None
+    shift = float(np.max(np.abs(a_sw))) ** 2 <= _A2_SHIFT
 
     L = max(1, ceil(N**0.5))
     B = -(-N // L)
@@ -375,31 +545,64 @@ def integrate_family(
     weights = list(weights)
     F = len(weights)
     Wy, Wd = (_blocked([w[i] for w in weights], reverse, N, L, B) for i in (0, 1))
+    dens = _cells_blocked([w[2] for w in weights], reverse, h_sw[:N, 0], N, L, B)
+    rule_at = dens.any(axis=(0, 1, 2)) if dens is not None else np.zeros(L, dtype=bool)
+
+    def step_maps(t, rule=False):
+        t = np.minimum(t, N)
+        return _cell(h_sw[t], a_sw[t], qbar[t] - lam, coef, wide, rule, shift)
 
     # pass 1: the product P_j of each block's first j step maps, all blocks at
-    # once; the weights fold in as the coefficients (cy, cd) of the block-start
-    # (y, y') in sum_j Wy_j y_j + Wd_j y'_j, skipping offsets no block weighs
+    # once; node j's weights (w_y, w_d) fold in as the coefficients (cy, cd)
+    # of the block-start (y, y') in sum_j w_y y_j + w_d y'_j.  A density's
+    # cell j weighs nodes j and j + 1; its share of node j + 1 is carried to
+    # the next offset, and from the last offset to the next block's start.
     cy = np.zeros((F, B + 1, m), dtype=complex)
     cd = np.zeros((F, B + 1, m), dtype=complex)
     if Wy is not None:
         cy += Wy[:, :, 0, None]
     if Wd is not None:
         cd += Wd[:, :, 0, None]
-    folds = [(W, a, W[:, :B].any(axis=(0, 1))) for W, a in ((Wy, 0), (Wd, 2)) if W is not None]
-    P = step_maps(starts)
-    for j in range(1, L):
-        for W, a, hit in folds:
-            if hit[j]:
-                w = W[:, :B, j, None]
-                cy[:, :B] += w * P[a]
-                cd[:, :B] += w * P[a + 1]
-        M = step_maps(starts + j)
-        P = (
-            M[0] * P[0] + M[1] * P[2],
-            M[0] * P[1] + M[1] * P[3],
-            M[2] * P[0] + M[3] * P[2],
-            M[2] * P[1] + M[3] * P[3],
-        )
+    nodes = [(W, i, W[:, :B].any(axis=(0, 1))) for i, W in enumerate((Wy, Wd)) if W is not None]
+    carry = P = None
+    for j in range(L):
+        M, factors = step_maps(starts + j, rule_at[j])
+        w = carry  # node j's weights on y and y', per form and block: fresh arrays or None
+        carry = None
+        if factors is not None:
+            here, carry = _rule_weights(dens[..., j, None], factors)
+            if w is None:
+                w = here
+            else:
+                w[0] += here[0]
+                w[1] += here[1]
+        w = w or [None, None]
+        for W, i, hit in nodes:
+            if j and hit[j]:
+                if w[i] is None:
+                    w[i] = W[:, :B, j, None]
+                else:
+                    w[i] += W[:, :B, j, None]
+        if P is None:  # offset 0, the block start itself
+            for c, x in zip((cy, cd), w):
+                if x is not None:
+                    c[:, :B] += x
+            P = M
+        else:
+            for x, a in zip(w, (0, 2)):
+                if x is not None:
+                    cy[:, :B] += x * P[a]
+                    cd[:, :B] += x * P[a + 1]
+            P = (
+                M[0] * P[0] + M[1] * P[2],
+                M[0] * P[1] + M[1] * P[3],
+                M[2] * P[0] + M[3] * P[2],
+                M[2] * P[1] + M[3] * P[3],
+            )
+        M = factors = here = w = x = None  # free this offset's arrays before the next
+    if carry is not None:
+        cy[:, 1:] += carry[0]
+        cd[:, 1:] += carry[1]
 
     # pass 2: carry the state over the block starts, renormalizing by powers of 2
     rho_div = np.maximum(1.0, np.abs(rho))
@@ -422,8 +625,12 @@ def integrate_family(
     forms = forms_s = None
     if F:
         used = np.zeros((F, B + 1), dtype=bool)
-        for W, _, _ in folds:
+        for W, _, _ in nodes:
             used |= W.any(axis=2)
+        if dens is not None:
+            cells = dens.any(axis=(0, 3))  # blocks holding a density cell, which weighs the next start too
+            used[:, :B] |= cells
+            used[:, 1:] |= cells
         low = np.iinfo(np.int64).min
         top = np.where(used[..., None], Es, low).max(axis=1)
         top = np.where(top == low, 0, top)
@@ -432,12 +639,12 @@ def integrate_family(
         forms_s = top * log(2.0)
 
     # pass 3: replay every block from its start to keep each node's state
-    y_st = dy_st = s_st = None
+    y_st = dy_st = s_st = cbar_st = None
     if store:
         Yb, Db = Ys[:B], Ds[:B]
         ys, ds = [Yb], [Db]
         for j in range(1, L):
-            M = [x[..., None] for x in step_maps(starts + j - 1)]
+            M = [x[..., None] for x in step_maps(starts + j - 1)[0]]
             Yb, Db = M[0] * Yb + M[1] * Db, M[2] * Yb + M[3] * Db
             ys.append(Yb)
             ds.append(Db)
@@ -446,6 +653,8 @@ def integrate_family(
             for v, e in ((ys, Ys), (ds, Ds))
         )
         s_st = np.concatenate([np.repeat(Ss[:B], L, axis=0)[:N], Ss[B:]])
+        qbar_asc = (np.asarray(qa) + 4.0 * np.asarray(qm) + np.asarray(qb)) / 6.0
+        cbar_st = (qbar_asc[:, None] if qbar_asc.ndim == 1 else qbar_asc) - lam
         if reverse:
             y_st, dy_st, s_st = y_st[::-1], dy_st[::-1], s_st[::-1]
 
@@ -461,6 +670,7 @@ def integrate_family(
         y=y_st,
         dy=dy_st,
         s=s_st,
+        cbar=cbar_st,
         state0=state0,
         stateT=stateT,
     )
@@ -479,6 +689,7 @@ def _traces_from_store(fam: FamilyStore) -> list[SolutionTrace]:
                 y=fam.y[:, 0, col] * E[:, 0],
                 dy=fam.dy[:, 0, col] * E[:, 0],
                 log_scale=float(S[0]),
+                cbar=fam.cbar[:, 0],
             )
         )
     return out
@@ -488,10 +699,9 @@ def _traces_from_store(fam: FamilyStore) -> list[SolutionTrace]:
 # Public single-point wrappers
 
 
-def _prep(q: Potential, p: SpectralPoint, grid_spec, extra_required):
+def _prep(q: Potential, grid_spec, extra_required):
     spec = grid_spec or GridSpec()
-    grid = solver_grid(q, abs(p.rho), spec, extra_required)
-    return spec, grid
+    return spec, solver_grid(q, spec, extra_required)
 
 
 def integrate_ivp(
@@ -514,7 +724,7 @@ def integrate_ivp(
         side = "Z"
     else:
         raise InputError(f"x0 must be an endpoint of [0, {T}], got {x0}")
-    spec, grid = _prep(q, p, grid_spec, extra_required)
+    spec, grid = _prep(q, grid_spec, extra_required)
     fam = integrate_family(
         q,
         [p.lam],
@@ -534,7 +744,7 @@ def fundamental_X(
     extra_required=(),
 ) -> tuple[SolutionTrace, SolutionTrace]:
     """(X1, X2) with X1(0)=X2'(0)=1, X1'(0)=X2(0)=0."""
-    spec, grid = _prep(q, p, grid_spec, extra_required)
+    spec, grid = _prep(q, grid_spec, extra_required)
     fam = integrate_family(q, [p.lam], "X", grid, spec, store=True)
     t = _traces_from_store(fam)
     return t[0], t[1]
@@ -547,7 +757,7 @@ def fundamental_Z(
     extra_required=(),
 ) -> tuple[SolutionTrace, SolutionTrace]:
     """(Z1, Z2) with Z1(T)=Z2'(T)=1, Z1'(T)=Z2(T)=0."""
-    spec, grid = _prep(q, p, grid_spec, extra_required)
+    spec, grid = _prep(q, grid_spec, extra_required)
     fam = integrate_family(q, [p.lam], "Z", grid, spec, store=True)
     t = _traces_from_store(fam)
     return t[0], t[1]

@@ -35,7 +35,7 @@ from scipy.linalg import eigvals
 
 from .characteristic import ProblemSpec, char_handle
 from .errors import ContourError, InputError
-from .ode_core import GridSpec, modulus_scale, principal_rho
+from .ode_core import GridSpec, modulus_scale
 
 _MAX_CONTOUR_POINTS = 20000
 _DIP_FLOOR = 1e-3
@@ -233,12 +233,19 @@ def _split(f: Callable, b: SearchBox, cr: _ContourResult, depth: int, seeded: bo
 
 
 def _batched_newton(f, seeds, mults, diags, tol, scale_fn, max_rounds=60):
-    """Damped Newton from each seed; (best points, |f| there) over every evaluation."""
+    """Damped Newton from each seed; (best points, |f| there) over every evaluation.
+
+    The final evaluation takes only the points whose last step moved them:
+    one whose step rounded to nothing already has its |f| from that round.
+    This needs f(lambda) not to depend on the batch lambda is in.
+    """
     z = np.asarray(seeds, dtype=complex)
     m = np.asarray(mults, dtype=float)
     lim = np.asarray(diags, dtype=float)
     best = z.copy()
     best_f = np.full(len(z), np.inf)  # round 1 evaluates the seeds as v0
+    final_f = np.full(len(z), np.inf)  # |f| at z, known where the last step did not move z
+    moved = np.ones(len(z), dtype=bool)
     active = np.ones(len(z), dtype=bool)
     for _ in range(max_rounds):
         if not active.any():
@@ -266,12 +273,15 @@ def _batched_newton(f, seeds, mults, diags, tol, scale_fn, max_rounds=60):
         zz = z.copy()
         zz[active] = z_new
         z = zz
+        moved[active] = z_new != za
+        final_f[active] = np.abs(v0)
         done = np.abs(step) <= 1e-13 * (1.0 + np.abs(z_new))
         done |= np.abs(v0) <= 1e-3 * tol * np.asarray(scale_fn(za), dtype=float)
         aa = active.copy()
         aa[np.nonzero(active)[0][done]] = False
         active = aa
-    final_f = np.abs(_eval(f, z))
+    if moved.any():
+        final_f[moved] = np.abs(_eval(f, z[moved]))
     use_final = final_f < best_f
     best[use_final] = z[use_final]
     best_f[use_final] = final_f[use_final]
@@ -434,14 +444,12 @@ def problem_spectrum(
     """Spectrum of one characteristic function of the problem inside the box.
 
     Counting runs on a grid tolerance of 1e-8 and refinement on 1e-10
-    (or the supplied grid_spec, never loosened for refinement).  A contour
-    search sizes both grids for the largest |rho| over the box's corners; the
-    real-axis route sizes each batch's grid from that batch.
+    (or the supplied grid_spec, never loosened for refinement).  Each grid
+    depends on the problem alone, so a value does not depend on its batch.
     """
     base = grid_spec or GridSpec(tol=1e-10)
-    rho_max = None if real_axis else float(np.abs(principal_rho(_contour_points(box, 1))).max())
-    f_scan = char_handle(spec, which, base.coarsened(1e-8), _rho_max=rho_max)
-    f_fine = char_handle(spec, which, base, _rho_max=rho_max)
+    f_scan = char_handle(spec, which, base.coarsened(1e-8))
+    f_fine = char_handle(spec, which, base)
     return find_spectrum(
         f_scan,
         box,

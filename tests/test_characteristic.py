@@ -17,10 +17,12 @@ from scipy.integrate import solve_ivp
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, scenarios
 from nonlocal_sl.acceptance import _c8_spec, _c9_truth
 from nonlocal_sl.characteristic import (
+    _NAMES,
     char_batch,
     char_handle,
     combo_solutions,
     d_sequence,
+    node_weights,
     phi_trace_stable,
     split_identity_check,
 )
@@ -29,9 +31,12 @@ from nonlocal_sl.inversion import _first_n_real
 from nonlocal_sl.ode_core import (
     GridSpec,
     SpectralPoint,
+    fundamental_X,
     fundamental_Z,
+    integrate_family,
     modulus_scale,
     principal_rho,
+    solver_grid,
     wronskian,
 )
 
@@ -135,12 +140,12 @@ class TestRouteAgreement:
             char_batch(self._growing_spec(), [2500.0 * np.exp(0.5j)], route="both")
 
     def test_disagreement_from_coarse_grid_is_named(self):
-        # The Magnus cell run backwards is its exact inverse, so both routes see one discrete
-        # system and a coarse grid alone no longer splits them.  At Im rho * T = 28 the X route's
-        # propagation rounding does, while the final determinants' rounding bound stays under
-        # ROUTE_TOL, so the message still falls back to the grid.
+        # The Magnus cell run backwards is its exact inverse and the density rule is symmetric
+        # in a cell's ends, so both routes see one discrete system and a coarse grid alone does
+        # not split them.  At Im rho * T = 28 the X route's propagation rounding does, and the
+        # message names rounding, not the grid.
         lam = complex(3.0, 28.0 / T) ** 2
-        with pytest.raises(ConsistencyError, match="grid too coarse"):
+        with pytest.raises(ConsistencyError, match=r"rounding .* Im rho \* T = 28\.0"):
             char_batch(self._growing_spec(), [lam], GridSpec(tol=1e-2, n_min=8), route="both")
 
     @pytest.mark.parametrize("route", ["Z", "X", "both"])
@@ -352,7 +357,7 @@ def test_weighted_sweep_matches_forms_on_traces(form1, form2, q_coeffs, sigma, t
 
     def apply(form, trace):
         f = np.exp(trace.log_scale)
-        return form.apply_sampled(trace.grid, trace.y * f, trace.dy * f)
+        return form.apply_sampled(trace.grid, trace.y * f, trace.dy * f, trace.cbar)
 
     sc = float(modulus_scale(lam, T))
     for got, want in (
@@ -411,3 +416,52 @@ def test_default_grid_meets_its_tolerance(tol, lam):
     b = char_batch(_c9_truth(), [lam], GridSpec(tol=tol))
     assert abs(b.delta11[0] - u1) <= 10 * tol * s1
     assert abs(-b.delta1[0] - u2) <= 10 * tol * s2
+
+
+# ---------------------------------------------------------------------------
+# A lambda-independent grid
+
+_wide_lam = st.builds(lambda s, t: complex(s, t / T) ** 2, st.floats(0.0, 100.0), st.floats(0.0, 40.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(lam=_wide_lam, others=st.lists(_wide_lam, max_size=8), pos=st.integers(0, 8))
+def test_value_does_not_depend_on_its_batch(lam, others, pos):
+    # |lambda| up to 1e4 and Im rho * T up to 40, with densities and atoms in both forms: the
+    # grid follows the problem alone, so a value is the same alone or in any batch
+    spec = _c8_spec()
+    pos = min(pos, len(others))
+    alone = char_batch(spec, [lam])
+    batch = char_batch(spec, others[:pos] + [lam] + others[pos:])
+    for name in _NAMES:
+        a, b = complex(getattr(alone, name)[0]), complex(getattr(batch, name)[pos])
+        assert abs(b - a) <= 1e-14 * abs(a)
+
+
+@pytest.mark.parametrize("lam", [1.167, 400.0, 1e4, 900.0 + 30.0j])
+def test_fitted_density_integrals_match_the_zero_potential(lam):
+    # with q = 0 the fundamental solutions are cos(rho t) and sin(rho t) / rho, which the fitted
+    # rule integrates exactly against a linear density on the default 64-step grid, where
+    # |rho| h reaches 4.9 at lambda = 1e4; the sweep and the rule on a stored trace agree
+    a, b = 0.3 - 0.1j, -0.2 + 0.05j
+    form = LinearForm.from_measure(BVMeasure.with_density(T, [0.0, T], [a, a + b * T]))
+    q = Potential.zero(T)
+    grid = solver_grid(q, GridSpec())
+    rho = complex(principal_rho(lam))
+
+    def J(k):  # int_0^T (a + b t) e^(k t) dt
+        e = np.exp(k * T)
+        return a * (e - 1.0) / k + b * (T * e / k - (e - 1.0) / k**2)
+
+    want = [(J(1j * rho) + J(-1j * rho)) / 2.0, (J(1j * rho) - J(-1j * rho)) / (2j * rho)]
+    fam = integrate_family(q, [lam], "X", grid, weights=[node_weights(form, grid)])
+    got = fam.forms[0, 0] * np.exp(fam.forms_s[0, 0])
+    X = fundamental_X(q, SpectralPoint.from_lambda(lam))
+    on_traces = [
+        form.apply_sampled(t.grid, t.y * np.exp(t.log_scale), t.dy * np.exp(t.log_scale), t.cbar)
+        for t in X
+    ]
+    scale = np.exp(abs(rho.imag) * T) * (abs(a) + abs(b) * T) * T / np.array([1.0, max(1.0, abs(rho))])
+    assert len(grid) == 65
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert np.all(np.abs(np.array(on_traces) - want) <= 1e-13 * scale)

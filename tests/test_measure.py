@@ -63,8 +63,8 @@ def test_density_integral_converges_quadratically():
 
 
 def test_corrected_density_rule_is_exact_for_cubic_integrands():
-    # density 1 + x times f = x^2 is a cubic, which the endpoint-corrected rule integrates
-    # exactly, also across a change of step width
+    # given f', the density rule without cbar interpolates f by cubic Hermite, so f = x^2
+    # against the density 1 + x integrates exactly, also across a change of step width
     m = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 2.0])
     x = np.concatenate([np.linspace(0.0, 0.5, 4), np.linspace(0.6, 1.0, 3)])
     assert stieltjes_integrate(x, x**2, m, 2.0 * x) == pytest.approx(7.0 / 12.0, abs=TOL)
@@ -81,18 +81,33 @@ def test_corrected_density_rule_converges_at_fourth_order():
     assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.1)
 
 
-def test_corrected_weights_on_y_prime_only_where_the_step_changes():
-    # a density that jumps at 0.8, on a uniform grid over [0, 2] plus the node 1.33
-    m = BVMeasure.with_density(2.0, [0.0, 0.8, 0.8, 2.0], [1.0, 0.5, 0.2, 1.0 + 1.0j])
-    x = np.union1d(np.linspace(0.0, 2.0, 41), [1.33])
-    Wy, Wd = density_node_weights(m, x)
-    hit = set(np.nonzero(Wd)[0].tolist())
-    i08, i13 = (int(np.argmin(np.abs(x - t))) for t in (0.8, 1.33))
-    assert hit == {0, i08, i13 - 1, i13, i13 + 1, len(x) - 1}
-    trap, none = density_node_weights(m, x, corrected=False)
-    assert none is None
-    # the correction sums to h^2/12 (g'(0) - g'(2)) on the segment ends, so Wy keeps the mass
-    assert np.sum(Wy) == pytest.approx(np.sum(trap), abs=1e-12)
+def test_density_values_per_cell_are_one_sided():
+    # a density on [0.4, 2] that jumps at 0.8: each cell holds its own side's value at both ends
+    m = BVMeasure.with_density(2.0, [0.4, 0.8, 0.8, 2.0], [1.0, 0.5, 0.2, 1.0 + 1.0j])
+    x = np.linspace(0.0, 2.0, 11)
+    D = density_node_weights(m, x)
+    assert D.shape == (2, 10)
+    assert np.all(D[:, :2] == 0)  # cells left of the density
+    assert D[:, 2] == pytest.approx([1.0, 0.75]) and D[:, 3] == pytest.approx([0.75, 0.5])
+    assert D[:, 4] == pytest.approx([0.2, 0.2 + (0.8 + 1.0j) / 6.0])
+    assert D[1, -1] == pytest.approx(1.0 + 1.0j)
+    with pytest.raises(InputError, match="missing a density breakpoint"):
+        density_node_weights(m, np.linspace(0.0, 2.0, 8))
+
+
+def test_fitted_rule_on_sampled_solutions_is_exact_for_constant_q():
+    # y = cos(rho t) solves y'' = cbar y with cbar = -rho^2: given cbar per cell, the rule
+    # integrates it exactly against a linear density on a coarse grid, where cubic Hermite does not
+    m = BVMeasure.with_density(2.0, [0.0, 2.0], [1.0, -0.5 + 0.3j])
+    rho = 9.0
+    x = np.linspace(0.0, 2.0, 9)
+    b = (-1.5 + 0.3j) / 2.0  # the density is 1 + b t
+    s, c = np.sin(2.0 * rho), np.cos(2.0 * rho)
+    exact = s / rho + b * (2.0 * s / rho + (c - 1.0) / rho**2)
+    y, dy = np.cos(rho * x), -rho * np.sin(rho * x)
+    fitted = stieltjes_integrate(x, y, m, dy, np.full(8, -rho * rho))
+    assert fitted == pytest.approx(exact, abs=1e-14)
+    assert abs(stieltjes_integrate(x, y, m, dy) - exact) > 1e-3
 
 
 def test_total_variation_closed_form():

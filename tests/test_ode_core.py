@@ -18,6 +18,7 @@ from nonlocal_sl.ode_core import (
     GridSpec,
     SpectralPoint,
     fundamental_X,
+    fitted_density_weights,
     fundamental_Z,
     integrate_family,
     integrate_ivp,
@@ -198,7 +199,7 @@ def test_stored_sweep_keeps_unit_wronskian(q_coeffs, sigma, tau_T):
     # the rounding of its two products
     q = Potential.from_cosine(T, q_coeffs)
     lam = complex(sigma, tau_T / T) ** 2
-    grid = solver_grid(q, abs(complex(principal_rho(lam))), GridSpec())
+    grid = solver_grid(q, GridSpec())
     fam = integrate_family(q, [lam], "X", grid, store=True)
     y, d, e2 = fam.y[:, 0], fam.dy[:, 0], np.exp(2.0 * fam.s[:, 0])
     w = (y[:, 0] * d[:, 1] - d[:, 0] * y[:, 1]) * e2
@@ -206,22 +207,65 @@ def test_stored_sweep_keeps_unit_wronskian(q_coeffs, sigma, tau_T):
     assert np.all(np.abs(w - 1.0) <= 1e-12 * size)
 
 
-def test_steps_beyond_the_certified_series_range_raise():
-    # one step of h = 3 at lambda = 100 has |s^2| = 900: the cell's series is not summed there
+def test_steps_beyond_the_series_range_use_the_closed_form():
+    # one step of h = 3 at lambda = 100 has |s^2| = 900, far past the series range, and the cell
+    # summed in closed form is still exact for q = 0
     q = Potential.zero(3.0)
-    with pytest.raises(RangeError, match="certified"):
-        integrate_family(q, [100.0], "X", np.array([0.0, 3.0]))
-    fam = integrate_family(q, [100.0], "X", np.linspace(0.0, 3.0, 31))
+    fam = integrate_family(q, [100.0], "X", np.array([0.0, 3.0]))
     assert fam.stateT[0][0, 0] * np.exp(fam.stateT[2][0]) == pytest.approx(np.cos(30.0), abs=1e-12)
 
 
 def test_step_law():
-    # theta = (720 tol)^(1/4) per |rho| for the density rule, h_q = (720 tol / (T K_q))^(1/4) for q
+    # h_q = (720 tol / (T K_q))^(1/4) for q, and no step term in |rho|: q = 0 takes n_min steps
     gs = GridSpec(tol=1e-8)
-    theta = (720.0 * gs.tol) ** 0.25
-    plain = solver_grid(Potential.zero(T), 10.0, gs)
-    assert len(plain) - 1 == int(np.ceil(T * 10.0 / theta))
+    plain = solver_grid(Potential.zero(T), gs)
+    assert len(plain) - 1 == gs.n_min
     grid_q = Potential.from_grid(np.linspace(0.0, T, 3), [0.0, 40.0, 0.0])  # K_q = 80 / pi
     h_q = (720.0 * gs.tol / (T * grid_q.derivative_bound())) ** 0.25
-    assert len(solver_grid(grid_q, 1.0, gs)) - 1 == int(np.ceil(T / h_q))
-    assert np.array_equal(solver_grid(grid_q, 10.0, gs, k_q=0.0), np.union1d(plain, [T / 2]))
+    assert len(solver_grid(grid_q, gs)) - 1 == int(np.ceil(T / h_q))
+    assert np.array_equal(solver_grid(grid_q, gs, k_q=0.0), np.union1d(plain, [T / 2]))
+
+
+def _cell_sums(z, closed):
+    """(C, S, A, B, C', D) of one cell with h = 1 and cbar = z, by the series or in closed form."""
+    from nonlocal_sl.ode_core import _Z_MAX, _cell, _series_coefficients
+
+    wide = np.array([True]) if closed else None
+    (m11, m12, _, m22), rule = _cell(
+        np.ones((1, 1)), 0.0, np.array([[z]]), _series_coefficients([_Z_MAX]), wide, rule=True
+    )
+    return np.array([0.5 * (m11 + m22), m12, *rule]).ravel()
+
+
+@pytest.mark.parametrize("phase", np.linspace(0.0, 2.0 * np.pi, 13))
+def test_sums_are_continuous_across_the_series_range(phase):
+    # at |z| = 16 the series gives way to the closed forms; on the boundary the two agree to
+    # rounding, so C, S and the density rule's factors do not jump where the method changes
+    z = 16.0 * (1.0 + 1e-15) * np.exp(1j * phase)
+    series, closed = _cell_sums(z, False), _cell_sums(z, True)
+    assert np.all(np.abs(series - closed) <= 1e-13 * np.maximum(np.abs(series), 1.0))
+
+
+@pytest.mark.parametrize("kappa2", [0.5, -3.0 + 2.0j, 10.0j, -40.0, 60.0 + 20.0j, 300.0])
+def test_fitted_weights_solve_the_interpolation_problem(kappa2):
+    # the weights on (y, y') at both ends of a cell [0, h] are M^-T m, with M the basis functions'
+    # values and slopes at the ends and m their moments against the linear density, here taken
+    # by a 24-point Gauss rule.  The basis e^(k(t-h)), e^(-kt), t e^(k(t-h)), t e^(-kt) spans the
+    # rule's space and keeps M well conditioned; h = 0.9 puts the last two cases past |z| = 16
+    h, d0, d1 = 0.9, 0.7 - 0.2j, -0.4 + 1.1j
+    k = np.sqrt(complex(kappa2))
+    k = k if k.real >= 0 else -k
+    basis = []
+    for sign, shift in ((1.0, h), (-1.0, 0.0)):
+        e = lambda t, s=sign, c=shift: np.exp(s * k * (t - c))
+        basis.append(lambda t, e=e, s=sign: (e(t), s * k * e(t)))
+        basis.append(lambda t, e=e, s=sign: (t * e(t), (1.0 + s * k * t) * e(t)))
+    M = np.array([[*u(0.0), *u(h)] for u in basis]).T  # rows: y(0), y'(0), y(h), y'(h)
+    x, w = np.polynomial.legendre.leggauss(24)
+    t = 0.5 * h * (x + 1.0)
+    d = d0 + (d1 - d0) * t / h
+    moments = np.array([0.5 * h * np.sum(w * d * u(t)[0]) for u in basis])
+    want = np.linalg.solve(M.T, moments)
+    Wy, Wd = fitted_density_weights([0.0, h], [[d0], [d1]], [kappa2])
+    got = np.array([Wy[0], Wd[0], Wy[1], Wd[1]])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())

@@ -63,6 +63,48 @@ class TestSyntheticHandles:
         for batch in (seeds, s.eigenvalues):
             assert sum(bool(np.isin(batch, c).all()) for c in calls) == 1
 
+    @pytest.mark.parametrize("real_axis", [False, True])
+    def test_no_point_is_evaluated_twice(self, real_axis):
+        # the polish handle sees each point once: seeds only inside Newton's first round, and in
+        # the final evaluation only the points whose last step moved them
+        def f(lam):
+            lam = np.asarray(lam, dtype=complex)
+            return (lam - 2.3) * (lam - 7.1) * np.exp(0.1 * lam)
+
+        calls = []
+
+        def polish(lam):
+            calls.append(np.array(lam, dtype=complex))
+            return f(lam)
+
+        s = find_spectrum(f, SearchBox(0.0, 10.0, -2.0, 2.0), f_polish=polish, real_axis=real_axis)
+        assert sorted(s.eigenvalues.real) == pytest.approx([2.3, 7.1], abs=1e-8)
+        points = np.concatenate(calls)
+        assert len(np.unique(points)) == len(points)
+
+    def test_newton_reuses_the_value_of_a_point_that_did_not_move(self):
+        # a seed exactly on the root 2.3 has f = 0 and a zero step, so its first value is its last
+        calls = []
+
+        def polish(lam):
+            lam = np.array(lam, dtype=complex)
+            calls.append(lam)
+            return (lam - 2.3) * (lam - 7.1) * np.exp(0.1 * lam)
+
+        def run(seeds):
+            calls.clear()
+            n = len(seeds)
+            return spectrum_finder._batched_newton(
+                polish, np.array(seeds, dtype=complex), np.ones(n), np.ones(n), 1e-8, np.abs
+            )
+
+        best, resid = run([2.3, 7.0])
+        assert best == pytest.approx([2.3, 7.1], abs=1e-12) and resid[0] == 0.0
+        points = np.concatenate(calls)
+        assert len(np.unique(points)) == len(points)
+        run([2.3])
+        assert len(calls) == 1  # nothing moved, so no final evaluation
+
     def test_double_zero_reported_with_multiplicity(self):
         def f(lam):
             return (np.asarray(lam, dtype=complex) - 5.3) ** 2

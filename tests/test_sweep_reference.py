@@ -6,9 +6,10 @@ each step's exp(Omega) with `scipy.linalg.expm`, so it shares nothing with
 that series, and takes the steps one at a time on the state vector,
 rescaling on the way; the two agree to rounding once values are compared at
 a common log-scale.  Every side, kind of node weights (dense, sparse, on y'
-only, at either end node), stored and unstored sweeps and every kind of
-input the library uses are covered, plus a zero-step grid and a strongly
-growing case.
+only, at either end node), a density (against the fitted rule's weights at
+each lambda, one lambda at a time), stored and unstored sweeps and every
+kind of input the library uses are covered, plus a zero-step grid and a
+strongly growing case, whose cells pass the series range.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.linalg import expm
 
 from nonlocal_sl import Potential
 from nonlocal_sl.errors import RangeError
-from nonlocal_sl.ode_core import GridSpec, integrate_family, principal_rho, solver_grid
+from nonlocal_sl.ode_core import GridSpec, fitted_density_weights, integrate_family, principal_rho, solver_grid
 
 T = np.pi
 REL = 1e-12
@@ -73,7 +74,7 @@ def _mismatch(y, dy, s, ry, rdy, rs, rho):
 
 
 def _weight_cases(n, rng):
-    """Node weights (Wy, Wd) in ascending grid order, each of shape (n,) or None."""
+    """Forms (Wy, Wd, D) in ascending grid order; Wy, Wd of shape (n,), D (2, n-1), or None."""
 
     def draw(size):
         return rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -83,24 +84,44 @@ def _weight_cases(n, rng):
     first, last = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
     first[0], last[-1] = 1.0, 0.5 - 2j
     return [
-        (draw(n), draw(n)),  # dense on y and y'
-        (sparse, None),
-        (None, sparse[::-1].copy()),  # y' only
-        (first, None),  # node 0 alone
-        (None, last),  # the end node alone
+        (draw(n), draw(n), None),  # dense on y and y'
+        (sparse, None, None),
+        (None, sparse[::-1].copy(), None),  # y' only
+        (first, None, None),  # node 0 alone
+        (None, last, None),  # the end node alone
+        (None, None, draw((2, n - 1))),  # a density with jumps at every node
     ]
 
 
-def _weighted_mismatch(fam, cases, ry, rdy, rs):
+def _node_weights(case, grid, cbar):
+    """A form as per-lambda node weights (Wy, Wd), each of shape (n, m) or None.
+
+    A density becomes the weights of the fitted rule at each lambda's cbar,
+    which `fitted_density_weights` gives one lambda at a time.
+    """
+    wy, wd, dens = case
+    m = cbar.shape[1]
+    out = [None if w is None else np.repeat(np.asarray(w)[:, None], m, axis=1) for w in (wy, wd)]
+    if dens is not None and len(grid) > 1:
+        cols = [fitted_density_weights(grid, dens, cbar[:, j]) for j in range(m)]
+        out = [np.stack([c[i] for c in cols], axis=1) for i in (0, 1)]
+    return out
+
+
+def _weighted_mismatch(fam, cases, ry, rdy, rs, grid, cbar):
     """Largest form error, relative to the sum of the absolute terms."""
     worst = 0.0
-    for f, (wy, wd) in enumerate(cases):
+    for f, case in enumerate(cases):
+        wy, wd = _node_weights(case, grid, cbar)
         terms = [(w, r) for w, r in ((wy, ry), (wd, rdy)) if w is not None]
-        used = np.any([w != 0 for w, _ in terms], axis=0)
+        if not terms:
+            assert np.all(fam.forms[f] == 0)
+            continue
+        used = np.any([np.any(w != 0, axis=1) for w, _ in terms], axis=0)
         S = rs[used].max(axis=0)
         E = np.exp(rs[used] - S)[..., None]
-        ref = sum(np.einsum("u,umk->mk", w[used], r[used] * E) for w, r in terms)
-        size = sum(np.einsum("u,umk->mk", np.abs(w[used]), np.abs(r[used]) * E) for w, r in terms)
+        ref = sum(np.einsum("um,umk->mk", w[used], r[used] * E) for w, r in terms)
+        size = sum(np.einsum("um,umk->mk", np.abs(w[used]), np.abs(r[used]) * E) for w, r in terms)
         got = fam.forms[f] * np.exp(fam.forms_s[f] - S)[:, None]
         err = np.abs(got - ref) / np.where(size > 0, size, 1.0)  # exact zeros stay zero
         assert np.all(np.isfinite(err))
@@ -114,6 +135,9 @@ def _check_all_modes(q, lam, side, grid, spec=None, init=None, q_steps=None):
     kw = dict(init=init, q_steps=q_steps)
     n = len(grid)
     cases = _weight_cases(n, np.random.default_rng(n))
+    qa, qm, qb = (np.asarray(v) for v in (q.step_samples(grid) if q_steps is None else q_steps))
+    qbar = (qa + 4.0 * qm + qb) / 6.0
+    cbar = (qbar[:, None] if qbar.ndim == 1 else qbar) - np.asarray(lam, dtype=complex)
     for store in (False, True):
         fam = integrate_family(q, lam, side, grid, spec, weights=cases, store=store, **kw)
         for node, state in ((0, fam.state0), (n - 1, fam.stateT)):
@@ -122,7 +146,7 @@ def _check_all_modes(q, lam, side, grid, spec=None, init=None, q_steps=None):
                 state[0][None], state[1][None], state[2][None], ry[sl], rdy[sl], rs[sl], rho
             ) <= REL
         assert fam.forms.shape == (len(cases),) + ry.shape[1:]
-        assert _weighted_mismatch(fam, cases, ry, rdy, rs) <= REL
+        assert _weighted_mismatch(fam, cases, ry, rdy, rs, grid, cbar) <= REL
         if not store:
             assert fam.y is None and fam.dy is None and fam.s is None
             continue
@@ -142,14 +166,14 @@ LAMS = np.array([0.3, 17.0, 110.0 + 3j, -40.0, 6.0 + 25j, 250.0 - 1j])
 @pytest.mark.parametrize("side", ["X", "Z"])
 def test_fundamental_family_matches_sequential_magnus(side):
     q = _cosine()
-    grid = solver_grid(q, float(np.abs(principal_rho(LAMS)).max()), GridSpec(), [[0.7, 2.0]])
+    grid = solver_grid(q, GridSpec(), [[0.7, 2.0]])
     _check_all_modes(q, LAMS, side, grid)
 
 
 @pytest.mark.parametrize("side", ["X", "Z"])
 def test_complex_piecewise_potential(side):
     q = Potential.from_piecewise([0.0, 1.0, 2.5, T], [1.5 + 0.5j, -2.0, 0.3j])
-    grid = solver_grid(q, 12.0, GridSpec(tol=1e-8))
+    grid = solver_grid(q, GridSpec(tol=1e-8))
     _check_all_modes(q, LAMS[:3], side, grid)
 
 
@@ -159,7 +183,7 @@ def test_custom_init_single_column(side):
     lam = LAMS[:4]
     rng = np.random.default_rng(3)
     init = (rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1)), rng.normal(size=(4, 1)) + 0j)
-    grid = solver_grid(q, 11.0, GridSpec(tol=1e-9))
+    grid = solver_grid(q, GridSpec(tol=1e-9))
     _check_all_modes(q, lam, side, grid, init=init)
 
 
@@ -168,7 +192,7 @@ def test_per_column_potential_samples(side):
     qs = [_cosine(), Potential.from_cosine(T, [0.1, 0.5, -0.2, 0.4]), Potential.zero(T)]
     lam = np.array([2.0, 9.5 + 1j, 30.0, -3.0, 14.0])
     idx = np.array([0, 1, 2, 1, 0])
-    grid = solver_grid(qs[0], 6.0, GridSpec())
+    grid = solver_grid(qs[0], GridSpec())
     samples = [qq.step_samples(grid) for qq in qs]
     q_steps = tuple(np.stack([smp[c] for smp in samples], axis=1)[:, idx] for c in range(3))
     _check_all_modes(qs[0], lam, side, grid, q_steps=q_steps)
@@ -205,7 +229,7 @@ def test_strong_growth_near_the_budget(side):
     tau = 890.0 / T
     lam = np.array([(1.5 + 1j * tau) ** 2, -(tau**2), -(tau**2) / 4 + 2j])
     q = _cosine()
-    grid = solver_grid(q, float(np.abs(principal_rho(lam)).max()), spec)
+    grid = solver_grid(q, spec)
     _check_all_modes(q, lam, side, grid, spec=spec)
     fam = integrate_family(q, lam, side, grid, spec)
     end = fam.stateT if side == "X" else fam.state0
