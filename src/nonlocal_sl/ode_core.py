@@ -356,6 +356,32 @@ def _cell(h, a, cbar, coef, wide=None, rule=False, shift=False):
     return (C + Sa, S * h, S * hc, C - Sa), factors
 
 
+def _guard_rule_poles(z: np.ndarray, lam: np.ndarray, tol: float):
+    """Raise RangeError where a density cell's z = h^2 cbar lies so near a pole
+    of the rule's factors that their rounding passes tol.
+
+    The factors of `_cell` divide by 1 + S and by Q3 = (S - 1) / z.  Both
+    vanish only past _Z_MAX (first at |z| = 22.8 and 63.9), where S is
+    summed in closed form with a rounding of about eps |S|, which the
+    divisions amplify by |S| / |1 + S| and |S| / |S - 1|.  `z` has one
+    column per lambda of `lam`.
+    """
+    big = np.abs(z) > _Z_MAX
+    if not big.any():
+        return
+    x = np.sqrt(z[big])
+    S = np.sinh(x) / x
+    with np.errstate(divide="ignore"):
+        amp = np.abs(S) / np.minimum(np.abs(1.0 + S), np.abs(S - 1.0))
+    i = int(np.argmax(amp))
+    if _EPS * amp[i] > tol:
+        raise RangeError(
+            f"lambda = {lam[np.nonzero(big)[1][i]]:.10g} puts a density cell (h^2 cbar = "
+            f"{z[big][i]:.6g}) next to a pole of the fitted rule, whose rounding there "
+            f"({_EPS * amp[i]:.1e}) exceeds the grid tolerance {tol:.0e}"
+        )
+
+
 def _density_terms(h, d0, d1):
     """(h m / 2, h e / 2, h^2 m / 2, h^2 e / 2) for a density running from d0 to d1
     over a cell of width h, with m = (d0 + d1) / 2 and e = d1 - d0."""
@@ -550,7 +576,10 @@ def integrate_family(
 
     def step_maps(t, rule=False):
         t = np.minimum(t, N)
-        return _cell(h_sw[t], a_sw[t], qbar[t] - lam, coef, wide, rule, shift)
+        cbar = qbar[t] - lam
+        if rule and wide is not None:
+            _guard_rule_poles(h_sw[t] ** 2 * cbar[:, wide], lam[wide], spec.tol)
+        return _cell(h_sw[t], a_sw[t], cbar, coef, wide, rule, shift)
 
     # pass 1: the product P_j of each block's first j step maps, all blocks at
     # once; node j's weights (w_y, w_d) fold in as the coefficients (cy, cd)

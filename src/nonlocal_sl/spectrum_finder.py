@@ -8,14 +8,19 @@ differences over the same samples) cross-checks the integer; its residue must
 stay below 0.1.  Boxes whose boundary passes too close to a zero are inflated
 by 1% steps and retried.
 
-A box with w zeros is seeded from the moments s_k = (1/2 pi i) sum z^k dlog f
+A box with w zeros is seeded from the moments s_k = (1/2 pi i) oint z^k dlog f
 of the contour it was counted on: the eigenvalues of the Hankel pencil
 (s_{i+j+1}, s_{i+j}) are its zeros (Delves & Lyness 1967; Kravanja & Van
-Barel 2000).  All seeds are polished in one batched damped Newton.  A box
-whose seeds or roots leave it, come close together or miss the residual bound
-is bisected instead (long-side splits, retried at shifted fractions until the
-counts add up) and polished in a next round.  Single zeros and clusters that
-no cut separates are polished from the first moment with their multiplicity.
+Barel 2000).  The moments are integrated by parts against the branch of
+log f that the count tracks along the contour, by a sixth-order rule on the
+counting samples themselves (on each sample interval, the quintic through
+the six samples of its edge around it): seeding evaluates nothing beyond the
+count, and a refined stretch is integrated at its own spacing.  All seeds
+are polished in one batched damped Newton.  A box whose seeds or roots leave
+it, come close together or miss the residual bound is bisected instead
+(long-side splits, retried at shifted fractions until the counts add up) and
+polished in a next round.  Single zeros and clusters that no cut separates
+are polished from the first moment with their multiplicity.
 problem_spectrum runs a contour search on one grid, so no value depends on
 the batch it is in.
 
@@ -42,6 +47,8 @@ _DIP_FLOOR = 1e-3
 _MAX_NUDGE = 5
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.42, 0.58)
 _SEED_GAP = 1e-2
+_GAUSS_T = (1.0 + np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])) / 2  # three-point Gauss on [0, 1]
+_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 @dataclass(frozen=True)
@@ -132,10 +139,15 @@ class _ContourResult(NamedTuple):
     box_used: SearchBox
 
 
+def _corners(box: SearchBox) -> list:
+    """The four corners, counterclockwise from the lower left."""
+    lo, hi = complex(box.re_min, box.im_min), complex(box.re_max, box.im_max)
+    return [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+
+
 def _contour_points(box: SearchBox, n: int) -> np.ndarray:
     """n points per edge, counterclockwise from the lower left corner (n = 1: the corners)."""
-    lo, hi = complex(box.re_min, box.im_min), complex(box.re_max, box.im_max)
-    c = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+    c = _corners(box)
     t = np.linspace(0.0, 1.0, n, endpoint=False)
     return np.concatenate([a + t * (b - a) for a, b in zip(c, c[1:] + c[:1])])
 
@@ -195,18 +207,55 @@ def _winding(f: Callable, box: SearchBox, max_refine: int = 9) -> _ContourResult
     raise ContourError("a zero stays too close to the contour after the allowed nudges")
 
 
+def _contour_weights(u: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Weights of a sixth-order rule for oint g du from g at the closed polygon's samples u.
+
+    `ends` holds the indices of the corners, with len(u) - 1 (the closing
+    sample, u[-1] = u[0]) last.  Each sample interval of an edge takes the
+    integral of the quintic through the six samples of that edge around it
+    (shifted inward near the corners), by three-point Gauss on its Lagrange
+    basis.  The samples need not be equispaced, so a refined stretch is
+    integrated at its own spacing; each edge needs at least 5 intervals.
+    """
+    i = np.arange(len(u) - 1)
+    e = np.searchsorted(ends, i, side="right") - 1
+    idx = np.clip(i - 2, ends[e], ends[e + 1] - 5) + np.arange(6)[:, None]  # (6, interval)
+    du = u[1:] - u[:-1]
+    t = ((u[idx] - u[:-1]) / du).real  # each stencil in units of its interval, which is [0, 1]
+    d = _GAUSS_T[:, None, None] - t  # (Gauss point, 6, interval)
+    # Lagrange basis at the Gauss points: prod_j (tau - t_j) / ((tau - t_k) prod_{j != k} (t_k - t_j))
+    bary = 1.0 / (t[:, None] - t + np.eye(6)[:, :, None]).prod(axis=1)
+    vals = np.tensordot(_GAUSS_W, d.prod(axis=1)[:, None] / d, 1) * bary
+    w = np.bincount(idx.ravel(), (vals * du.real).ravel(), len(u))
+    return w + 1j * np.bincount(idx.ravel(), (vals * du.imag).ravel(), len(u))
+
+
 def _moment_seeds(cr: _ContourResult, n: int | None = None) -> np.ndarray:
     """Eigenvalues of the n x n Hankel pencil of the contour moments (n = w by default).
 
-    s_k = (1/2 pi i) sum u^k dlog over the sampled contour, with u the segment
-    midpoint centred on the box and scaled by its half-diagonal.  n = w gives
-    every enclosed zero; n = 1 gives the first moment, their mean.
+    With u centred on the box and scaled by its half-diagonal, the moments
+    s_p = (1/2 pi i) oint u^p dlog f are integrated by parts,
+
+        s_p = w u_0^p - (p / 2 pi i) oint u^(p-1) l(u) du,
+
+    where l is the branch of log f - log f(z_0) that is 0 at the contour's
+    first point z_0 (u_0) and returns there as 2 pi i w: the cumulative sum
+    of the phase increments over every sample, refinements included.  l is
+    analytic along each edge, so the integral takes the sixth-order rule of
+    `_contour_weights` on the samples.  n = w gives every enclosed zero;
+    n = 1 gives the first moment, their mean.
     """
     n = cr.winding if n is None else n
     b, r = cr.box_used, cr.box_used.diag / 2.0
-    u = ((cr.points + np.roll(cr.points, -1)) / 2.0 - b.center) / r
-    dlog = np.log(np.abs(np.roll(cr.values, -1) / cr.values)) + 1j * cr.arg_steps
-    s = (u[None, :] ** np.arange(2 * n)[:, None]) @ dlog / (2j * np.pi)
+    u = (np.append(cr.points, cr.points[0]) - b.center) / r  # the last edge closes at z_0
+    branch = np.concatenate([[0.0], np.cumsum(cr.arg_steps[:-1]), [2 * np.pi * cr.winding]])
+    ell = np.append(np.log(np.abs(cr.values / cr.values[0])), 0.0) + 1j * branch
+    ends = np.append(np.flatnonzero(np.isin(cr.points, _corners(b))), len(cr.points))
+    p = np.arange(1, 2 * n)
+    s = np.empty(2 * n, dtype=complex)
+    s[0] = cr.winding
+    s[1:] = cr.winding * u[0] ** p
+    s[1:] -= p * ((u[None, :] ** (p - 1)[:, None]) @ (_contour_weights(u, ends) * ell)) / (2j * np.pi)
     hankel = np.add.outer(np.arange(n), np.arange(n))
     eig = eigvals(s[hankel + 1], s[hankel])
     return b.center + r * np.where(np.isfinite(eig), eig, np.nan)  # nan where the pencil is singular
@@ -304,10 +353,11 @@ def find_spectrum(
     `f` is used for counting; `f_polish` (default: f) for refinement and the
     final residual check.  `scale(lambda)` sets the natural magnitude of the
     handle, defaulting to (1 + |lambda|)^(1/2).  On the contour route a box
-    with w > 1 zeros is split only when its w moment seeds or their roots fail
-    the certificate: inside the box, pairwise farther apart than a hundredth of
-    its half-diagonal and the merge distance 10 tol (1 + |lambda|), residual
-    bound met.  `f_polish` should not depend on the batch a lambda is in.
+    with w > 1 zeros is split only when its w moment seeds (sixth-order
+    by-parts moments of its counting contour, see `_moment_seeds`) or their
+    roots fail the certificate: inside the box, pairwise farther apart than a
+    hundredth of its half-diagonal and the merge distance 10 tol (1 + |lambda|),
+    residual bound met.  `f_polish` should not depend on the batch a lambda is in.
     """
     scale_fn = scale if scale is not None else (lambda z: (1.0 + np.abs(z)) ** 0.5)
     fp = f_polish if f_polish is not None else f

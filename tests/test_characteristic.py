@@ -26,7 +26,7 @@ from nonlocal_sl.characteristic import (
     phi_trace_stable,
     split_identity_check,
 )
-from nonlocal_sl.errors import CollinearityError, ConsistencyError, InputError
+from nonlocal_sl.errors import CollinearityError, ConsistencyError, InputError, RangeError
 from nonlocal_sl.inversion import _first_n_real
 from nonlocal_sl.ode_core import (
     GridSpec,
@@ -465,3 +465,22 @@ def test_fitted_density_integrals_match_the_zero_potential(lam):
     assert len(grid) == 65
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
     assert np.all(np.abs(np.array(on_traces) - want) <= 1e-13 * scale)
+
+
+def test_density_rule_pole_raises():
+    # with q = 0 every cell of the default 64-step grid has h^2 cbar = -h^2 lambda; at this
+    # lambda that sits on the fitted rule's first pole, 1 + sinh(s) / s = 0 at
+    # z = -12.678 + 18.962i.  Unguarded, delta2 missed a 1,024-step grid's value by 1.7e-7
+    # relative here, against the grid's 1e-10 target
+    densities = ([0.3 - 0.1j, -0.2 + 0.05j], [0.1 + 0.2j, 0.4 - 0.1j])
+    m1, m2 = (BVMeasure.with_density(T, [0.0, T], d, jump=j) for d, j in zip(densities, (1.0, 0.0)))
+    spec = ProblemSpec(q=Potential.zero(T), form1=LinearForm.from_measure(m1), form2=LinearForm.from_measure(m2))
+    lam = 5261.7113 - 7869.4093j
+    with pytest.raises(RangeError, match="lambda = 5261.7113-7869.4093j"):
+        char_batch(spec, [lam])
+    # at 1e-3 relative distance the rounding is amplified ~460-fold and the values hold
+    near = lam * (1.0 + 1e-3)
+    got, want = char_batch(spec, [near]), char_batch(spec, [near], GridSpec(n_min=1024))
+    for name in ("delta1", "delta2", "delta11"):
+        a, b = getattr(got, name)[0], getattr(want, name)[0]
+        assert abs(a - b) <= 1e-11 * abs(b)

@@ -5,15 +5,17 @@ and residual polishing.  Problem-level searches are checked against the
 trigonometric spectra of point boundary forms.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, spectrum_finder
-from nonlocal_sl.errors import InputError
+from nonlocal_sl.errors import ContourError, InputError
 from nonlocal_sl.spectrum_finder import SearchBox, condition_S, find_spectrum, problem_spectrum
 
 T = np.pi
@@ -26,6 +28,36 @@ def _spec(a=None, q=None):
         form1=LinearForm.point_value(0.0, 0),
         form2=form2,
     )
+
+
+def _exp_poly(roots, lam):
+    lam = np.asarray(lam, dtype=complex)
+    return np.prod(lam[:, None] - np.asarray(roots)[None, :], axis=1) * np.exp(0.2 * lam)
+
+
+def _apart(roots):
+    return bool(np.all(np.abs(roots[:, None] - roots[None, :]) + 9.0 * np.eye(len(roots)) >= 0.5))
+
+
+def _seed_error(roots, seeds):
+    """Largest distance from a seed to the nearest zero."""
+    return float(np.max(np.min(np.abs(seeds[:, None] - np.asarray(roots)[None, :]), axis=1)))
+
+
+def _midpoint_seeds(cr):
+    """Pencil seeds from moments by the midpoint rule on the dlog increments, the rule that
+    integration by parts replaced; a reference for the accuracy of `_moment_seeds`."""
+    b, r, n = cr.box_used, cr.box_used.diag / 2.0, cr.winding
+    u = ((cr.points + np.roll(cr.points, -1)) / 2.0 - b.center) / r
+    dlog = np.log(np.abs(np.roll(cr.values, -1) / cr.values)) + 1j * cr.arg_steps
+    s = (u[None, :] ** np.arange(2 * n)[:, None]) @ dlog / (2j * np.pi)
+    hankel = np.add.outer(np.arange(n), np.arange(n))
+    return b.center + r * scipy.linalg.eigvals(s[hankel + 1], s[hankel])
+
+
+_SEED_BOX = SearchBox(0.0, 10.0, -2.0, 2.0)
+# zeros at least 0.5 inside _SEED_BOX
+_inner = st.builds(complex, st.floats(0.5, 9.5), st.floats(-1.5, 1.5))
 
 
 class TestSyntheticHandles:
@@ -118,30 +150,28 @@ class TestSyntheticHandles:
 
     def test_moment_seeds_resolve_a_box_without_splitting(self):
         roots = np.array([1.3, 2.7 + 0.4j, 5.1 - 0.8j, 8.2 + 0.3j])
+        calls = []
 
         def f(lam):
-            lam = np.asarray(lam, dtype=complex)
-            return np.prod(lam[:, None] - roots[None, :], axis=1) * np.exp(0.2 * lam)
+            lam = np.array(lam, dtype=complex)
+            calls.append(lam)
+            return _exp_poly(roots, lam)
 
-        counted = []
-
-        def count(lam):
-            counted.append(len(lam))
-            return f(lam)
-
-        s = find_spectrum(count, SearchBox(0.0, 10.0, -2.0, 2.0), f_polish=f)
-        assert len(counted) == 1  # the box's own contour, no child boxes
+        s = find_spectrum(f, _SEED_BOX)
+        # the box's own contour, no child boxes; then Newton rounds from the pencil's seeds
+        assert len(calls) == 5 and len(calls[0]) == 256
+        assert np.max(np.abs(np.sort_complex(calls[1][-4:]) - roots)) <= 1e-4
         assert s.winding_total == 4 and list(s.multiplicities) == [1] * 4
         got = np.array(sorted(s.eigenvalues, key=lambda z: z.real))
         assert np.max(np.abs(got - roots)) <= 1e-8
 
     def test_failed_certificate_falls_back_to_bisection(self, monkeypatch):
-        # twelve zeros on a long thin box: the pencil seeds polish onto
+        # nine zeros on a long box: the pencil seeds polish onto
         # repeated zeros, so the box is split and its children bisected
         def f(lam):
             return np.sin(np.pi * np.asarray(lam, dtype=complex))
 
-        box = SearchBox(0.5, 12.5, -0.5, 0.5)
+        box = SearchBox(0.5, 9.5, -1.0, 1.0)
         batches = []
         newton = spectrum_finder._batched_newton
 
@@ -157,10 +187,10 @@ class TestSyntheticHandles:
 
         monkeypatch.setattr(spectrum_finder, "_certified", lambda z, b, gap: False)
         bisected = find_spectrum(f, box)
-        assert s.winding_total == bisected.winding_total == 12
-        assert list(s.multiplicities) == list(bisected.multiplicities) == [1] * 12
+        assert s.winding_total == bisected.winding_total == 9
+        assert list(s.multiplicities) == list(bisected.multiplicities) == [1] * 9
         assert np.max(np.abs(s.eigenvalues - bisected.eigenvalues)) <= 1e-12
-        assert np.max(np.abs(s.eigenvalues - np.arange(1, 13))) <= 1e-8
+        assert np.max(np.abs(s.eigenvalues - np.arange(1, 10))) <= 1e-8
 
     def test_empty_box(self):
         def f(lam):
@@ -172,6 +202,45 @@ class TestSyntheticHandles:
     def test_reversed_box_rejected(self):
         with pytest.raises(InputError):
             SearchBox(5.0, 1.0, -1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(roots=st.lists(_inner, min_size=1, max_size=4))
+def test_moment_seeds_lie_near_simple_zeros(roots):
+    # by-parts moments with the sixth-order rule on the 64-per-edge contour.  Four zeros packed
+    # 0.5 apart make the pencil amplify any moment error (a seed then misses by up to 0.27, the
+    # midpoint rule's by up to 55): there the seeds must still beat the midpoint rule's 20-fold
+    roots = np.array(roots)
+    assume(_apart(roots))
+    try:
+        cr = spectrum_finder._winding(lambda lam: _exp_poly(roots, lam), _SEED_BOX)
+    except ContourError:
+        assume(False)  # |f| dips below the contour's floor: the box is not counted at all
+    assert cr.winding == len(roots)
+    error = _seed_error(roots, spectrum_finder._moment_seeds(cr))
+    assert error <= max(1e-2, 0.05 * _seed_error(roots, _midpoint_seeds(cr)))
+
+
+@pytest.mark.parametrize("n_samples, edge_gap", [(64, 0.05), (10, None)])
+def test_seeds_no_worse_than_the_midpoint_rule(n_samples, edge_gap):
+    # refined contours (one zero within edge_gap of the top edge) and a coarse n_samples = 10:
+    # over 40 fixed draws of 1-4 zeros the by-parts seeds miss by less in the median
+    rng = np.random.default_rng(12)
+    box = replace(_SEED_BOX, n_samples=n_samples)
+    errors = []
+    while len(errors) < 40:
+        k = rng.integers(1, 5)
+        roots = rng.uniform(0.5, 9.5, k) + 1j * rng.uniform(-1.5, 1.5, k)
+        if edge_gap is not None:
+            roots[0] = roots[0].real + 1j * (2.0 - rng.uniform(0.01, edge_gap))
+        if not _apart(roots):
+            continue
+        cr = spectrum_finder._winding(lambda lam: _exp_poly(roots, lam), box)
+        if edge_gap is not None and len(cr.points) == 4 * n_samples:
+            continue  # not refined
+        errors.append([_seed_error(roots, f(cr)) for f in (spectrum_finder._moment_seeds, _midpoint_seeds)])
+    by_parts, midpoint = np.median(errors, axis=0)
+    assert by_parts <= midpoint
 
 
 class TestProblemSpectra:
