@@ -15,8 +15,13 @@ these is also a plain form value of Z-solutions: delta_1 = -U_1(Z_2),
 delta_2 = -U_2(Z_2), delta_11 = U_1(Z_1), and omega = det [U_j(Z_k)].  The
 Z route needs one sweep and, for the deltas, no subtraction of near-equal
 products, so it is the default; the determinant route is the cross-check.
+The sweep also yields delta_21 = U_2(Z_1) = det [U_2(X_k); V_2(X_k)], which
+completes the form rows (U_j(Z_1), U_j(Z_2)).
 
-Weyl-type ratios: M = delta_2 / delta_1 and N = delta_1 / delta_11.
+Weyl-type ratios: M = delta_2 / delta_1 and N = delta_1 / delta_11.  The
+collinearity ratios d_n at the zeros of omega are read from the same rows:
+Z_k = sum_l X_l G_lk for one invertible G, so the Z rows are the X rows
+times G and are collinear exactly when the X rows are, with the same ratio.
 Combination solutions (phi, theta, psi, Phi, v1, v2) are fixed by their
 form values, e.g. U_1(phi) = 0, U_2(phi) = omega, V_1(phi) = delta_1.
 """
@@ -151,13 +156,6 @@ def _form_values(fam) -> np.ndarray:
     return fam.forms * np.exp(fam.forms_s)[..., None]
 
 
-def _form_sweep(spec: ProblemSpec, lam: np.ndarray, gs: GridSpec, side: str):
-    """One sweep from `side` on the problem's grid, forms folded in."""
-    grid = solver_grid(spec.q, gs, extra_required=[spec.required_points()])
-    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
-    return integrate_family(spec.q, lam, side, grid, gs, weights=weights)
-
-
 def _unit(z: np.ndarray) -> np.ndarray:
     az = np.abs(z)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -184,13 +182,19 @@ def _safe_det(a1, b1, a2, b2) -> np.ndarray:
 
 @dataclass(eq=False)
 class CharBatch:
-    """All four characteristic functions on a lambda batch, single route."""
+    """All four characteristic functions and delta21 on a lambda batch, single route.
+
+    delta21 = U_2(Z_1) completes the form rows (delta11, -delta1) =
+    (U_1(Z_1), U_1(Z_2)) and (delta21, -delta2) = (U_2(Z_1), U_2(Z_2)), from
+    which `d_sequence` reads the collinearity ratios.
+    """
 
     lam: np.ndarray
     omega: np.ndarray
     delta1: np.ndarray
     delta2: np.ndarray
     delta11: np.ndarray
+    delta21: np.ndarray
     route: str
     T: float
     alt: dict = field(default_factory=dict)
@@ -212,13 +216,35 @@ class CharBatch:
         return vals, ok
 
 
+def _lam_batch(lam) -> np.ndarray:
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    if not np.all(np.isfinite(lam)):
+        raise InputError("lambda values must be finite")
+    return lam
+
+
+def _route_values(fam, route: str) -> dict:
+    """omega, delta1, delta2, delta11, delta21 from a weighted sweep from `route`'s side."""
+    (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
+    omega = _safe_det(u11, u22, u12, u21)
+    if route == "Z":
+        return {"omega": omega, "delta1": -u12, "delta2": -u22, "delta11": u11, "delta21": u21}
+    yT, dT, eT = fam.stateT[0], fam.stateT[1], np.exp(fam.stateT[2])[:, None]
+    (v11, v12), (v21, v22) = (yT * eT).T, (dT * eT).T
+    dets = {  # name: the factors (a1, b1, a2, b2) of a1 b1 - a2 b2
+        "delta1": (u11, v12, u12, v11), "delta2": (u21, v12, u22, v11),
+        "delta11": (u11, v22, u12, v21), "delta21": (u21, v22, u22, v21),
+    }
+    return {"omega": omega, **{name: _safe_det(*f) for name, f in dets.items()}}
+
+
 def char_batch(
     spec: ProblemSpec,
     lam,
     grid_spec: GridSpec | None = None,
     route: str = "Z",
 ) -> CharBatch:
-    """Evaluate omega, delta_1, delta_2, delta_11 at a batch of lambda values.
+    """Evaluate omega, delta_1, delta_2, delta_11 and delta_21 at a batch of lambda values.
 
     route "Z" (default) uses one T-side sweep; "X" uses the defining
     determinants; "both" computes the two and raises a consistency error
@@ -233,44 +259,18 @@ def char_batch(
     """
     if route not in ("Z", "X", "both"):
         raise InputError(f"unknown route {route!r}")
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if not np.all(np.isfinite(lam)):
-        raise InputError("lambda values must be finite")
+    lam = _lam_batch(lam)
     gs = grid_spec or GridSpec()
-    results = {}
-    for r in ("Z", "X"):
-        if route not in (r, "both"):
-            continue
-        fam = _form_sweep(spec, lam, gs, r)
-        (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
-        dets = {"omega": (u11, u22, u12, u21)}  # name: the factors (a1, b1, a2, b2) of a1 b1 - a2 b2
-        if r == "Z":
-            results["Z"] = {"delta1": -u12, "delta2": -u22, "delta11": u11}
-        else:
-            yT, dT, eT = fam.stateT[0], fam.stateT[1], np.exp(fam.stateT[2])[:, None]
-            (v11, v12), (v21, v22) = (yT * eT).T, (dT * eT).T
-            results["X"] = {}
-            dets.update(
-                delta1=(u11, v12, u12, v11), delta2=(u21, v12, u22, v11), delta11=(u11, v22, u12, v21)
-            )
-        results[r].update({name: _safe_det(*t) for name, t in dets.items()})
-
-    primary_route = "Z" if "Z" in results else "X"
-    primary = results[primary_route]
-    batch = CharBatch(
-        lam=lam,
-        omega=primary["omega"],
-        delta1=primary["delta1"],
-        delta2=primary["delta2"],
-        delta11=primary["delta11"],
-        route=primary_route,
-        T=spec.T,
-    )
+    grid = solver_grid(spec.q, gs, extra_required=[spec.required_points()])
+    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
+    routes = ("Z", "X") if route == "both" else (route,)
+    values = {r: _route_values(integrate_family(spec.q, lam, r, grid, gs, weights=weights), r) for r in routes}
+    batch = CharBatch(lam=lam, route=routes[0], T=spec.T, **values[routes[0]])
     if route == "both":
-        batch.alt = results["X"]
+        batch.alt = values["X"]
         sc = batch.scale()
-        for name in _NAMES:
-            a, b = primary[name], results["X"][name]
+        for name, b in batch.alt.items():
+            a = getattr(batch, name)
             denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 0.1 * sc)
             defect = np.abs(a - b) / denom
             if np.any(defect > ROUTE_TOL):
@@ -311,9 +311,7 @@ def char_batch_multi(
     step caps from q_list[0]; keep the candidates structurally alike (same
     basis) so one grid suits them all.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if not np.all(np.isfinite(lam)):
-        raise InputError("lambda values must be finite")
+    lam = _lam_batch(lam)
     q_list = list(q_list)
     if not q_list:
         raise InputError("q_list must be non-empty")
@@ -334,16 +332,7 @@ def char_batch_multi(
 
     weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
     fam = integrate_family(q_list[0], lam, "Z", grid, gs, weights=weights, q_steps=(qa, qm, qb))
-    (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
-    return CharBatch(
-        lam=lam,
-        omega=_safe_det(u11, u22, u12, u21),
-        delta1=-u12,
-        delta2=-u22,
-        delta11=u11,
-        route="Z",
-        T=T,
-    )
+    return CharBatch(lam=lam, route="Z", T=T, **_route_values(fam, "Z"))
 
 
 # ---------------------------------------------------------------------------
@@ -606,16 +595,40 @@ class RatioValue:
         return 1.0 / self.value
 
 
+def _row_ratios(cb: CharBatch):
+    """(d, infinite, defect) per lambda of `cb`: the least-squares ratio d with
+    (U_1(Z_1), U_1(Z_2)) = -d (U_2(Z_1), U_2(Z_2)) and its relative residual.
+
+    Each row is divided by its largest entry first, so no square overflows.
+    A second row below 1e-12 of the first reads as an infinite ratio (value
+    NaN), a first row below 1e-12 of the second as d = 0, both with defect 0.
+    """
+    f = np.stack([cb.delta11, -cb.delta1])
+    t = np.stack([cb.delta21, -cb.delta2])
+    mf, mt = (np.where(v.any(axis=0), np.abs(v).max(axis=0), 1.0) for v in (f, t))
+    f, t = f / mf, t / mt
+    nf, nt = np.linalg.norm(f, axis=0), np.linalg.norm(t, axis=0)
+    infinite = mt * nt <= 1e-12 * mf * nf
+    ok = ~(infinite | (mf * nf <= 1e-12 * mt * nt))
+    nf, nt = np.where(ok, nf, 1.0), np.where(ok, nt, 1.0)
+    r = np.where(ok, -np.sum(np.conj(t) * f, axis=0) / nt**2, 0j)
+    defect = np.where(ok, np.linalg.norm(f + r * t, axis=0) / (nf + np.abs(r) * nt), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # mf / mt overflows only where d is infinite
+        return np.where(infinite, np.nan, r * (mf / mt)), infinite, defect
+
+
 def d_sequence(spec: ProblemSpec, xi, grid_spec: GridSpec | None = None, defect_tol: float = 1e-6):
     """Ratios d_n with phi(., xi_n) = d_n * theta(., xi_n) at simple omega zeros.
 
     With u_jk = U_j(X_k), phi = u11 X2 - u12 X1 and theta = u22 X1 - u21 X2,
-    so phi = d theta exactly when the form rows satisfy (u11, u12) =
-    -d (u21, u22).  One weighted X-route sweep yields both rows for every
-    xi_n at once; d_n is their least-squares ratio, and the relative
-    residual of that fit is the collinearity defect.  A defect above
-    defect_tol means xi_n is not a simple eigenvalue of the fully nonlocal
-    problem, reported as an error rather than a ratio.
+    so phi = d theta exactly when the X rows satisfy (u11, u12) =
+    -d (u21, u22).  The Z rows (U_j(Z_1), U_j(Z_2)) are the X rows times one
+    invertible matrix, so they obey the same relation.  One Z-route
+    `char_batch` over every xi_n yields them as form values; d_n is their
+    least-squares ratio, and the relative residual of that fit is the
+    collinearity defect.  A defect above defect_tol means xi_n is not a
+    simple eigenvalue of the fully nonlocal problem, reported as an error
+    rather than a ratio.
 
     The rows are plain form values with no subtraction, so the defect's
     rounding floor is near machine precision.  Once Im rho * T is large both
@@ -623,28 +636,12 @@ def d_sequence(spec: ProblemSpec, xi, grid_spec: GridSpec | None = None, defect_
     lambda that is not an eigenvalue.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    if not len(xi):
-        return []
-    fam = _form_sweep(spec, xi, grid_spec or GridSpec(), "X")
-    out = []
-    for n, lam_n in enumerate(xi):
-        f, t = fam.forms[0, n], fam.forms[1, n]  # rows U1(X_k), U2(X_k) as mantissas
-        sf, st = fam.forms_s[:, n]
-        nf, nt = float(np.linalg.norm(f)), float(np.linalg.norm(t))
-        log_f = (np.log(nf) if nf > 0 else -np.inf) + sf
-        log_t = (np.log(nt) if nt > 0 else -np.inf) + st
-        if nt == 0.0 or log_t < log_f + np.log(1e-12):
-            out.append(RatioValue(value=complex(np.nan), is_infinite=True, defect=0.0))
-            continue
-        if nf == 0.0 or log_f < log_t + np.log(1e-12):
-            out.append(RatioValue(value=0j, is_infinite=False, defect=0.0))
-            continue
-        r = complex(-np.vdot(t, f) / nt**2)
-        defect = float(np.linalg.norm(f + r * t) / (nf + abs(r) * nt))
-        if defect > defect_tol:
-            raise CollinearityError(
-                f"form rows at xi[{n}]={lam_n:.6g} are not collinear "
-                f"(defect {defect:.2e}); not a simple eigenvalue?"
-            )
-        out.append(RatioValue(value=complex(r * np.exp(sf - st)), is_infinite=False, defect=defect))
-    return out
+    d, infinite, defect = _row_ratios(char_batch(spec, xi, grid_spec))
+    bad = np.flatnonzero(defect > defect_tol)
+    if len(bad):
+        n = bad[0]
+        raise CollinearityError(
+            f"form rows at xi[{n}]={xi[n]:.6g} are not collinear "
+            f"(defect {defect[n]:.2e}); not a simple eigenvalue?"
+        )
+    return [RatioValue(complex(v), bool(i), float(e)) for v, i, e in zip(d, infinite, defect)]

@@ -19,8 +19,8 @@ lists by optimal assignment, so no enumeration convention is needed.
 Candidate eigenvalues are obtained by Newton refinement seeded at the
 target values, and all finite-difference Jacobian columns share a single
 batched sweep (`char_batch_multi`), which is what keeps the optimizer at
-desk-scale runtimes.  Targets carrying d_n data add one X-route sweep per
-candidate, in which `d_sequence` reads the d_n at every xi_n at once.
+desk-scale runtimes.  Targets carrying d_n data put the xi_n into that same
+sweep and read each candidate's d_n from its form rows there.
 
 Data here are self-generated by the same forward solver (the usual inverse
 crime); noise robustness is out of scope.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .characteristic import ProblemSpec, char_batch, char_batch_multi, d_sequence
+from .characteristic import ProblemSpec, _row_ratios, char_batch, char_batch_multi, d_sequence
 from .errors import InputError, NumericalError
 from .ode_core import GridSpec, modulus_scale
 from .potential import Potential
@@ -487,48 +487,39 @@ class _Engine:
     # -- Weyl targets ----------------------------------------------------------
 
     def _weyl_mismatch(self, q_list):
-        """M and omega on the lambda grid, interleaved per point, then d_n."""
+        """M and omega on the lambda grid, interleaved per point, then d_n.
+
+        The xi_n ride the grid's sweep.  There d_n is the least-squares ratio
+        of the candidate's form rows, with no collinearity gate: it moves
+        smoothly with the coefficients and equals the target at the truth.
+        """
         t = self.target
         B = len(q_list)
         ng = len(t.lam_grid)
-        lam_flat = np.tile(np.asarray(t.lam_grid, dtype=complex), B)
-        cb = char_batch_multi(self.template, lam_flat, q_list, np.repeat(np.arange(B), ng), self.gs)
+        lam = np.concatenate([np.asarray(t.lam_grid, dtype=complex), np.asarray(t.xi, dtype=complex)])
+        n = len(lam)
+        cb = char_batch_multi(self.template, np.tile(lam, B), q_list, np.repeat(np.arange(B), n), self.gs)
         m_vals, ok = cb.weyl_M_values()
-        dm = m_vals.reshape(B, ng) - np.asarray(t.m_values, dtype=complex)
-        do = cb.omega.reshape(B, ng) - np.asarray(t.omega_values, dtype=complex)
+        dm = m_vals.reshape(B, n)[:, :ng] - np.asarray(t.m_values, dtype=complex)
+        do = cb.omega.reshape(B, n)[:, :ng] - np.asarray(t.omega_values, dtype=complex)
         diff = np.stack([dm, do], axis=2).reshape(B, 2 * ng)
         invalid = np.zeros((B, 2 * ng), dtype=bool)
-        invalid[:, 0::2] = ~ok.reshape(B, ng)  # omega data are never flagged
-        if t.kind != "weyl_pair_with_D":
-            return diff, invalid
-        d_diff = np.zeros((B, len(t.xi)), dtype=complex)
-        d_invalid = np.ones((B, len(t.xi)), dtype=bool)
-        for b, q in enumerate(q_list):
-            try:
-                ratios = d_sequence(dataclasses.replace(self.template, q=q), np.asarray(t.xi), self.gs)
-            except NumericalError:
-                continue
-            for j, r in enumerate(ratios):
-                dj = _d_mismatch(r.value, r.is_infinite, complex(t.d_values[j]), bool(t.d_infinite[j]))
-                if dj is not None:
-                    d_diff[b, j], d_invalid[b, j] = dj, False
+        invalid[:, 0::2] = ~ok.reshape(B, n)[:, :ng]  # omega data are never flagged
+        d, d_inf, _ = (v.reshape(B, n)[:, ng:] for v in _row_ratios(cb))
+        t_d, t_inf = np.asarray(t.d_values, dtype=complex), np.asarray(t.d_infinite, dtype=bool)
+        d_diff, d_invalid = _d_mismatch(d, d_inf, t_d, t_inf)
         return np.hstack([diff, d_diff]), np.hstack([invalid, d_invalid])
 
 
-def _d_mismatch(value: complex, is_inf: bool, t_value: complex, t_inf: bool):
-    """Mismatch in the chart picked by the target: direct inside the unit
-    disk, reciprocal outside (infinity maps to 0).  None means incomparable
-    (the candidate sits at the chart's singular point)."""
-    if t_inf or abs(t_value) > 1.0:
-        tv = 0j if t_inf else 1.0 / t_value
-        if is_inf:
-            return -tv
-        if value == 0:
-            return None
-        return 1.0 / value - tv
-    if is_inf:
-        return None
-    return value - t_value
+def _d_mismatch(value, is_inf, t_value, t_inf):
+    """(mismatch, incomparable) in the chart picked by each target: direct
+    inside the unit disk, reciprocal outside (infinity maps to 0).  A
+    candidate at the chart's singular point is incomparable."""
+    recip = t_inf | (np.abs(t_value) > 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = np.where(is_inf, 0j, 1.0 / value) - np.where(t_inf, 0j, 1.0 / t_value)
+        diff = np.where(recip, inverse, value - t_value)
+    return diff, np.where(recip, ~is_inf & (value == 0), is_inf)
 
 
 def residual(

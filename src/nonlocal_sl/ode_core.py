@@ -356,7 +356,7 @@ def _cell(h, a, cbar, coef, wide=None, rule=False, shift=False):
     return (C + Sa, S * h, S * hc, C - Sa), factors
 
 
-def _guard_rule_poles(z: np.ndarray, lam: np.ndarray, tol: float):
+def _guard_rule_poles(z: np.ndarray, tol: float, label):
     """Raise RangeError where a density cell's z = h^2 cbar lies so near a pole
     of the rule's factors that their rounding passes tol.
 
@@ -364,7 +364,7 @@ def _guard_rule_poles(z: np.ndarray, lam: np.ndarray, tol: float):
     vanish only past _Z_MAX (first at |z| = 22.8 and 63.9), where S is
     summed in closed form with a rounding of about eps |S|, which the
     divisions amplify by |S| / |1 + S| and |S| / |S - 1|.  `z` has one
-    column per lambda of `lam`.
+    column per case; label(k) names column k in the error.
     """
     big = np.abs(z) > _Z_MAX
     if not big.any():
@@ -376,8 +376,8 @@ def _guard_rule_poles(z: np.ndarray, lam: np.ndarray, tol: float):
     i = int(np.argmax(amp))
     if _EPS * amp[i] > tol:
         raise RangeError(
-            f"lambda = {lam[np.nonzero(big)[1][i]]:.10g} puts a density cell (h^2 cbar = "
-            f"{z[big][i]:.6g}) next to a pole of the fitted rule, whose rounding there "
+            f"{label(np.nonzero(big)[1][i])}: a density cell (h^2 cbar = "
+            f"{z[big][i]:.6g}) sits next to a pole of the fitted rule, whose rounding there "
             f"({_EPS * amp[i]:.1e}) exceeds the grid tolerance {tol:.0e}"
         )
 
@@ -426,12 +426,16 @@ def fitted_density_weights(grid, dens, cbar=None) -> tuple[np.ndarray, np.ndarra
     `dens`, shape (2, n-1), holds a density's values at each cell's left and
     right end (`measure.density_node_weights`); `cbar`, shape (n-1,), each
     cell's mean of q - lambda (None for 0, the cubic Hermite rule).  These
-    are the weights a sweep folds in at that lambda.
+    are the weights a sweep folds in at that lambda.  Like the sweep, it
+    raises RangeError where a cell sits so near a pole of the rule that the
+    rounding there passes a tolerance, here GridSpec's default tol.
     """
     grid = np.asarray(grid, dtype=float)
     h = np.diff(grid)[:, None]
     cbar = np.zeros(h.shape) if cbar is None else np.asarray(cbar, dtype=complex).reshape(h.shape)
-    bound = np.abs(h * h * cbar).max(initial=0.0)
+    z = h * h * cbar
+    _guard_rule_poles(z, GridSpec().tol, lambda k: "density weights on a trace")
+    bound = np.abs(z).max(initial=0.0)
     wide = np.array([True]) if bound > _Z_MAX else None
     _, factors = _cell(h, 0.0, cbar, _series_coefficients([bound]), wide, rule=True, shift=True)
     start, end = _rule_weights(_density_terms(h[:, 0], *np.asarray(dens)), [f[:, 0] for f in factors])
@@ -578,7 +582,7 @@ def integrate_family(
         t = np.minimum(t, N)
         cbar = qbar[t] - lam
         if rule and wide is not None:
-            _guard_rule_poles(h_sw[t] ** 2 * cbar[:, wide], lam[wide], spec.tol)
+            _guard_rule_poles(h_sw[t] ** 2 * cbar[:, wide], spec.tol, lambda k: f"lambda = {lam[wide][k]:.10g}")
         return _cell(h_sw[t], a_sw[t], cbar, coef, wide, rule, shift)
 
     # pass 1: the product P_j of each block's first j step maps, all blocks at

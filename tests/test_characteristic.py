@@ -7,12 +7,14 @@ values, and that the ratio functions respect their pole guards.
 """
 
 import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, scenarios
 from nonlocal_sl.acceptance import _c8_spec, _c9_truth
@@ -42,6 +44,7 @@ from nonlocal_sl.ode_core import (
 
 TOL = 1e-7
 T = np.pi
+ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 
 
 def _point(lam):
@@ -120,7 +123,7 @@ class TestRouteAgreement:
             spec = _random_spec(rng)
             b = char_batch(spec, lam, route="both")
             sc = modulus_scale(lam, T)
-            for name in ("omega", "delta1", "delta2", "delta11"):
+            for name in ("omega", "delta1", "delta2", "delta11", "delta21"):
                 main = getattr(b, name)
                 alt = b.alt[name]
                 assert np.max(np.abs(main - alt) / sc) < TOL
@@ -151,9 +154,10 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("route", ["Z", "X", "both"])
     def test_empty_batch(self, route):
         b = char_batch(_dirichlet(), np.array([], dtype=complex), route=route)
-        for name in ("omega", "delta1", "delta2", "delta11"):
+        names = {"omega", "delta1", "delta2", "delta11", "delta21"}
+        for name in names:
             assert getattr(b, name).shape == (0,)
-        assert set(b.alt) == (set() if route != "both" else {"omega", "delta1", "delta2", "delta11"})
+        assert set(b.alt) == (set() if route != "both" else names)
 
 
 class TestSolutionFamily:
@@ -247,11 +251,22 @@ def _trace_fit_ratio(spec, lam) -> complex:
     return complex(r * np.exp(c.phi.log_scale - c.theta.log_scale))
 
 
+def _x_row_ratios(spec, xi) -> np.ndarray:
+    """d with (U1(X1), U1(X2)) = -d (U2(X1), U2(X2)), by least squares on one X-route sweep."""
+    grid = solver_grid(spec.q, GridSpec(), extra_required=[spec.required_points()])
+    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
+    fam = integrate_family(spec.q, xi, "X", grid, weights=weights)
+    f, t = fam.forms * np.exp(fam.forms_s)[..., None]
+    return -np.sum(np.conj(t) * f, axis=1) / np.sum(np.abs(t) ** 2, axis=1)
+
+
 def _assert_matches_trace_fit(spec, xi):
-    for lam, r in zip(xi, d_sequence(spec, xi)):
+    seq = d_sequence(spec, xi)
+    for lam, r, x_row in zip(xi, seq, _x_row_ratios(spec, np.asarray(xi))):
         assert not r.is_infinite
         want = _trace_fit_ratio(spec, lam)
         assert abs(r.value - want) <= 1e-6 * abs(want)
+        assert abs(r.value - x_row) <= 1e-12 * abs(x_row)
 
 
 class TestDSequence:
@@ -364,6 +379,7 @@ def test_weighted_sweep_matches_forms_on_traces(form1, form2, q_coeffs, sigma, t
         (b.delta1[0], -apply(form1, Z2)),
         (b.delta2[0], -apply(form2, Z2)),
         (b.delta11[0], apply(form1, Z1)),
+        (b.delta21[0], apply(form2, Z1)),
     ):
         assert abs(got - want) <= 1e-10 * sc
 
@@ -374,48 +390,46 @@ def test_weighted_sweep_matches_forms_on_traces(form1, form2, q_coeffs, sigma, t
 _C9_LAMS = (1.167, 30.0, 400.0, 2500.0, 900.0 + 30.0j)
 
 
+def _load_oracle():
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations through here
+    spec.loader.exec_module(module)
+    return module
+
+
 @functools.lru_cache(maxsize=None)
-def _c9_form1_reference(lam):
-    """(U1(Z1), U1(Z2)) of criterion 9's first form and their term scales, by DOP853.
+def _c9_reference(lam):
+    """Per form of criterion 9: (U(Z1), U(Z2)) and their term scales, by the benchmark's oracle.
 
-    Z1, Z2 run from T down to 0 at rtol 1e-12, stopping at the atom, with the
-    density integrated along as J' = d y and its size as K' = |d y|.  A term
-    scale is the largest of |jump Z(0)|, |w Z(t)| and int |d Z|.
+    `bench/oracle.py` runs Z1, Z2 from T down to 0 by DOP853 at rtol 1e-12,
+    with each density integrated along as J' = d y and its size as
+    K' = |d y|; it shares no code with the package.  A term scale is the
+    largest of |jump Z(0)|, |w Z(t)| and int |d Z|, or |Z(x0)| for a point form.
     """
+    oracle = _load_oracle()
     spec = _c9_truth()
-    c = spec.q.values
-    k = np.arange(len(c)) * np.pi / T
-    mu = spec.form1.measure
-    (t_atom, w_atom), = mu.atoms
-    (lo, hi, vlo, vhi), = mu.density_segments
-
-    def rhs(x, s):
-        cx = np.dot(c, np.cos(k * x)) - lam
-        dy = (vlo + (vhi - vlo) * (x - lo) / (hi - lo)) * s[[0, 2]]
-        return np.concatenate([[s[1], cx * s[0], s[3], cx * s[2]], dy, np.abs(dy)])
-
-    state = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=complex)
-    at = {}
-    for a, b in ((T, t_atom), (t_atom, 0.0)):
-        atol = 1e-14 * max(1.0, float(np.abs(state).max()))
-        sol = solve_ivp(rhs, (a, b), state, method="DOP853", rtol=1e-12, atol=atol)
-        assert sol.success
-        state = sol.y[:, -1]
-        at[b] = state[[0, 2]]
-    terms = [mu.jump_at_zero * at[0.0], w_atom * at[t_atom], -state[4:6]]
-    scale = np.max([np.abs(terms[0]), np.abs(terms[1]), np.abs(state[6:8])], axis=0)
-    return np.sum(terms, axis=0), scale
+    forms = []
+    for f in (spec.form1, spec.form2):
+        if f.kind == "point_value":
+            forms.append(oracle.FormData(point=(f.x0, f.order)))
+        else:
+            m = f.measure
+            forms.append(oracle.FormData(jump=m.jump_at_zero, atoms=m.atoms, density=m.density_segments))
+    return oracle.z_form_values(spec.q.values, T, lam, forms)
 
 
 @pytest.mark.parametrize("lam", _C9_LAMS)
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 def test_default_grid_meets_its_tolerance(tol, lam):
     # a jump, an atom and a linear density: the Magnus cell and the corrected density rule
-    # together hold the error to the grid's tol, relative to the largest term of the form
-    (u1, u2), (s1, s2) = _c9_form1_reference(lam)
+    # together hold the error to the grid's tol, relative to the largest term of the form;
+    # delta21 = U2(Z1) is the point value Z1(T/2), relative to its own size
+    (u11, u12, s11, s12), (u21, _, s21, _) = _c9_reference(lam)
     b = char_batch(_c9_truth(), [lam], GridSpec(tol=tol))
-    assert abs(b.delta11[0] - u1) <= 10 * tol * s1
-    assert abs(-b.delta1[0] - u2) <= 10 * tol * s2
+    assert abs(b.delta11[0] - u11) <= 10 * tol * s11
+    assert abs(-b.delta1[0] - u12) <= 10 * tol * s12
+    assert abs(b.delta21[0] - u21) <= 10 * tol * s21
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +447,7 @@ def test_value_does_not_depend_on_its_batch(lam, others, pos):
     pos = min(pos, len(others))
     alone = char_batch(spec, [lam])
     batch = char_batch(spec, others[:pos] + [lam] + others[pos:])
-    for name in _NAMES:
+    for name in (*_NAMES, "delta21"):
         a, b = complex(getattr(alone, name)[0]), complex(getattr(batch, name)[pos])
         assert abs(b - a) <= 1e-14 * abs(a)
 
@@ -484,3 +498,21 @@ def test_density_rule_pole_raises():
     for name in ("delta1", "delta2", "delta11"):
         a, b = getattr(got, name)[0], getattr(want, name)[0]
         assert abs(a - b) <= 1e-11 * abs(b)
+
+
+def test_density_rule_pole_raises_on_traces():
+    # the same pole on the single-lambda trace path.  Unguarded, the density applied to stored
+    # traces of X1, X2 misses a 1,024-step grid's value by 6.2e-7 relative here
+    form = LinearForm.from_measure(BVMeasure.with_density(T, [0.0, T], [0.3 - 0.1j, -0.2 + 0.05j]))
+    q = Potential.zero(T)
+
+    def on_traces(lam):
+        return [
+            form.apply_sampled(t.grid, t.y * np.exp(t.log_scale), t.dy * np.exp(t.log_scale), t.cbar)
+            for t in fundamental_X(q, SpectralPoint.from_lambda(lam))
+        ]
+
+    lam = 5261.7113 - 7869.4093j
+    with pytest.raises(RangeError, match="density weights on a trace: .* pole of the fitted rule"):
+        on_traces(lam)
+    assert np.all(np.isfinite(on_traces(lam * (1.0 + 1e-3))))

@@ -237,6 +237,19 @@ class TestInvert:
         assert got[0] == pytest.approx(0.3, abs=1e-5)
         assert got[1] == pytest.approx(-0.2, abs=1e-5)
 
+    def test_weyl_pair_with_d_at_the_truth(self, tmp_path, capsys):
+        # started at the generating coefficients, no d datum reads a penalty
+        problem = dict(BASE_PROBLEM, q=_cosine(0.3, -0.2), U2={"type": "point", "x": 2.0, "order": 0})
+        lambdas = [[2.0, 0.5], [6.5, 0.5], [12.5, 0.5]]
+        section = {"kind": "weyl_pair_with_D", "lambdas": lambdas, "xi_count": 2, "dim": 2, "starts": 1,
+                   "initial": [0.3, -0.2]}
+        cfg = _write(tmp_path, "i.json", _config("invert", section, problem=problem))
+        assert main(["invert", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["data_kind"] == "weyl_pair_with_D"
+        assert len(payload["per_datum"]) == 2 * len(lambdas) + 2
+        assert all(i < 2 * len(lambdas) for i in payload["invalid_data"])
+
     def test_target_file_override(self, tmp_path, capsys):
         from nonlocal_sl import LinearForm, Potential, ProblemSpec
         from nonlocal_sl.inversion import make_two_spectra_target

@@ -12,11 +12,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec
+from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, characteristic
+from nonlocal_sl.acceptance import _c8_spec
 from nonlocal_sl.errors import InputError
 from nonlocal_sl.inversion import (
     _PENALTY,
     BasisSpec,
+    _Engine,
     InverseTarget,
     ReconstructOptions,
     distinguishability,
@@ -105,6 +107,42 @@ def test_gradient_consistency(truth, target):
     num = np.linalg.norm(g_h - g_h2)
     den = np.linalg.norm(g_h2)
     assert num / den < 1e-4
+
+
+class TestWeylWithD:
+    """weyl_pair_with_D data of criterion 8's problem: 12 lambda, 4 omega zeros, cosine dim 4."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        spec = _c8_spec()
+        target = make_weyl_target(spec, np.linspace(2.0, 60.0, 12) + 0.7j, with_d=True, n_xi=4)
+        return target, spec, spec.q.values.real
+
+    def test_one_sweep_per_residual_call(self, data, monkeypatch):
+        target, spec, truth = data
+        sweep = characteristic.integrate_family
+        calls = []
+        monkeypatch.setattr(characteristic, "integrate_family", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        rows = truth + np.vstack([np.zeros(4), 1e-3 * np.eye(4)])
+        _Engine(target, spec, BasisSpec.cosine(T, 4)).residuals(rows)
+        assert len(calls) == 1
+
+    def test_d_data_move_with_every_coefficient(self, data):
+        # near the truth no d datum is flagged, and central differences of the d slots at h and
+        # h/2 agree like O(h^2) along every coefficient: the d data carry a gradient
+        target, spec, truth = data
+        base = truth + np.array([0.02, -0.01, 0.015, 0.01])
+        h = 1e-3
+        steps = np.vstack([s * np.eye(4) for s in (h, -h, h / 2, -h / 2)])
+        R, invalid = _Engine(target, spec, BasisSpec.cosine(T, 4), grid_tol=1e-10).residuals(base + steps)
+        nd = len(target.xi)
+        assert not invalid[:, -nd:].any()
+        d = R[:, -2 * nd :].reshape(4, 4, -1)
+        g_h = (d[0] - d[1]) / (2 * h)
+        g_h2 = (d[2] - d[3]) / h
+        for k in range(4):
+            assert np.linalg.norm(g_h2[k]) > 1e-3
+            assert np.linalg.norm(g_h[k] - g_h2[k]) / np.linalg.norm(g_h2[k]) < 1e-4
 
 
 def test_target_dict_round_trip(target):
