@@ -26,10 +26,9 @@ import numpy as np
 from .characteristic import ProblemSpec, char_batch, node_weights, phi_trace_stable
 from .errors import InputError, RangeError
 from .measure import LinearForm
-from .ode_core import GridSpec, SpectralPoint, integrate_family, principal_rho, solver_grid
+from .ode_core import SpectralPoint, integrate_family, principal_rho, solver_grid
 
 _QUANTITIES = ("Delta1", "Delta11", "Phi", "v1", "varphi", "v2")
-_POINTWISE = ("Phi", "v1", "varphi", "v2")
 _DEFAULT_RADII = (5.0, 10.0, 20.0, 40.0, 80.0)
 _EXP_CAP = 700.0
 
@@ -152,9 +151,16 @@ class RaySpec:
         return self.points() ** 2
 
 
-def _check_x(quantity: str, x, spec: ProblemSpec):
+def _check_args(quantity: str, x, spec: ProblemSpec, order: int):
+    """The checks `predict` and `asym_report` share: quantity, order and x."""
+    if quantity not in _QUANTITIES:
+        raise InputError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+    if order not in (0, 1):
+        raise InputError("order must be 0 or 1")
     T = spec.T
     if quantity in ("Delta1", "Delta11"):
+        if order != 0:
+            raise InputError(f"{quantity} has no derivative orders")
         if x is not None:
             raise InputError(f"{quantity} prediction takes no evaluation point x")
         return
@@ -177,15 +183,13 @@ def _check_x(quantity: str, x, spec: ProblemSpec):
             raise InputError(
                 f"varphi leading term needs x >= a/2 = {a / 2} (support end a = {a})"
             )
-    elif quantity == "v2":
+    else:  # v2
         if not (0.0 <= x < T):
             raise InputError("v2 leading term holds for x in [0, T)")
         if x < a / 2:
             raise InputError(
                 f"v2 leading term needs x >= a/2 = {a / 2} (support end a = {a})"
             )
-    else:
-        raise InputError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
 
 
 def predict(
@@ -196,13 +200,7 @@ def predict(
     `order` selects the derivative order (0 or 1) for the pointwise
     quantities; Delta1 and Delta11 take x=None and order 0 only.
     """
-    if quantity not in _QUANTITIES:
-        raise InputError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
-    if order not in (0, 1):
-        raise InputError("order must be 0 or 1")
-    if quantity in ("Delta1", "Delta11") and order != 0:
-        raise InputError(f"{quantity} has no derivative orders")
-    _check_x(quantity, x, spec)
+    _check_args(quantity, x, spec, order)
     rho = p.rho
     sig, tau = rho.real, rho.imag
     T = spec.T
@@ -244,25 +242,25 @@ def _unit(v: complex) -> complex:
 
 
 def _computed_values(
-    quantity: str, x, lams: np.ndarray, spec: ProblemSpec, gs: GridSpec, order: int
+    quantity: str, x, lams: np.ndarray, spec: ProblemSpec, order: int
 ) -> list[ScaledComplex]:
     """Solver-side values of the quantity at each lambda, scale-aware."""
     if quantity in ("Delta1", "Delta11"):
-        cb = char_batch(spec, lams, grid_spec=gs, route="Z")
+        cb = char_batch(spec, lams)
         vals = cb.delta1 if quantity == "Delta1" else cb.delta11
         return [ScaledComplex.from_value(v) for v in vals]
 
     x = float(x)
     if quantity in ("v1", "Phi"):
-        grid = solver_grid(spec.q, gs, extra_required=(x,))
+        grid = solver_grid(spec.q, extra_required=(x,))
         weights = [node_weights(LinearForm.point_value(x, order), grid)]
-        fam = integrate_family(spec.q, lams, "Z", grid, gs, weights=weights)
+        fam = integrate_family(spec.q, lams, "Z", grid, weights=weights)
         col = 0 if quantity == "v1" else 1
         w = fam.forms[0, :, col]
         s = fam.forms_s[0]
         if quantity == "v1":
             return [ScaledComplex(complex(w[j]), float(s[j])) for j in range(len(lams))]
-        cb = char_batch(spec, lams, grid_spec=gs, route="Z")
+        cb = char_batch(spec, lams)
         out = []
         for j in range(len(lams)):
             d1 = complex(cb.delta1[j])
@@ -274,10 +272,10 @@ def _computed_values(
         return out
 
     # varphi and v2 go through the split evaluation, one lambda at a time
-    cb = char_batch(spec, lams, grid_spec=gs, route="Z") if quantity == "v2" else None
+    cb = char_batch(spec, lams) if quantity == "v2" else None
     out = []
     for j, lam in enumerate(lams):
-        tr = phi_trace_stable(spec, SpectralPoint.from_lambda(lam), grid_spec=gs)
+        tr = phi_trace_stable(spec, SpectralPoint.from_lambda(lam))
         yv, dv, _ = tr.value_at(x)
         w = yv if order == 0 else dv
         if quantity == "varphi":
@@ -393,7 +391,7 @@ def asym_report(
     x,
     rays: RaySpec,
     spec: ProblemSpec,
-    grid_spec: GridSpec | None = None,
+    *,
     order: int = 0,
 ) -> AsymReport:
     """Compare solver values with the leading term along a ray.
@@ -402,19 +400,12 @@ def asym_report(
     `rel_error` is meaningful; for G_delta rays it is the bound envelope
     (no constants) and `ratio` is the boundedness proxy.
     """
-    if quantity not in _QUANTITIES:
-        raise InputError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
-    if rays.kind == "G_delta" and quantity not in _POINTWISE:
+    if rays.kind == "G_delta" and quantity in ("Delta1", "Delta11"):
         raise InputError("G_delta bounds cover Phi, v1, varphi and v2 only")
-    if order not in (0, 1):
-        raise InputError("order must be 0 or 1")
-    if quantity in ("Delta1", "Delta11") and order != 0:
-        raise InputError(f"{quantity} has no derivative orders")
-    _check_x(quantity, x, spec)
-    gs = grid_spec or GridSpec()
+    _check_args(quantity, x, spec, order)
     pts = rays.points()
     lams = pts**2
-    computed = _computed_values(quantity, x, lams, spec, gs, order)
+    computed = _computed_values(quantity, x, lams, spec, order)
     rows = []
     for j, rho in enumerate(pts):
         if rays.kind == "Pi_delta":

@@ -56,6 +56,7 @@ from .potential import Potential
 
 POLE_GUARD = 1e-10
 ROUTE_TOL = 1e-6
+_DEFECT_TOL = 1e-6  # collinearity defect above which a d_n is refused
 _EDGE = 1e-12
 _NAMES = ("omega", "delta1", "delta2", "delta11")  # the characteristic functions
 
@@ -283,13 +284,13 @@ def char_batch(
     return batch
 
 
-def char_handle(spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None, route: str = "Z"):
-    """Vectorized callable lambda-array -> values of one characteristic function."""
+def char_handle(spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None):
+    """Vectorized callable lambda-array -> Z-route values of one characteristic function."""
     if which not in _NAMES:
         raise InputError(f"unknown characteristic function {which!r}")
 
     def handle(lam):
-        return getattr(char_batch(spec, lam, grid_spec, route=route), which)
+        return getattr(char_batch(spec, lam, grid_spec), which)
 
     return handle
 
@@ -372,12 +373,7 @@ def _form_on_trace(form: LinearForm, trace: SolutionTrace) -> complex:
     return form.apply_sampled(trace.grid, trace.y * f, trace.dy * f, trace.cbar)
 
 
-def combo_solutions(
-    spec: ProblemSpec,
-    p: SpectralPoint,
-    grid_spec: GridSpec | None = None,
-    need=_ALL_COMBOS,
-) -> ComboSolutions:
+def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) -> ComboSolutions:
     """Build the requested combination solutions on a shared grid.
 
     The defining linear combinations of X1, X2 lose accuracy once
@@ -389,10 +385,9 @@ def combo_solutions(
     unknown = set(need) - set(_ALL_COMBOS)
     if unknown:
         raise InputError(f"unknown combination solutions {sorted(unknown)}")
-    gs = grid_spec or GridSpec()
     extras = [spec.required_points()]
-    X1, X2 = fundamental_X(spec.q, p, gs, extras)
-    Z1, Z2 = fundamental_Z(spec.q, p, gs, extras)
+    X1, X2 = fundamental_X(spec.q, p, extra_required=extras)
+    Z1, Z2 = fundamental_Z(spec.q, p, extra_required=extras)
 
     u11 = _form_on_trace(spec.form1, X1)
     u12 = _form_on_trace(spec.form1, X2)
@@ -464,9 +459,7 @@ def combo_solutions(
     )
 
 
-def phi_trace_stable(
-    spec: ProblemSpec, p: SpectralPoint, grid_spec: GridSpec | None = None
-) -> SolutionTrace:
+def phi_trace_stable(spec: ProblemSpec, p: SpectralPoint) -> SolutionTrace:
     """phi computed by coefficient extraction on [0, a] plus a restart at a.
 
     a is the support end of the first form.  Beyond a the combination is a
@@ -474,14 +467,13 @@ def phi_trace_stable(
     eps * exp(Im rho * a) instead of eps * exp(2 Im rho * T); with small
     form support this keeps phi usable far into the upper rho half-plane.
     """
-    gs = grid_spec or GridSpec()
     a = spec.form1.support_end
-    grid = solver_grid(spec.q, gs, extra_required=[spec.required_points(), [a]])
+    grid = solver_grid(spec.q, extra_required=[spec.required_points(), [a]])
     ia = _node_index(grid, a, "form support end")
 
     head = grid[: ia + 1]
     famH = integrate_family(
-        spec.q, [p.lam], "X", head, gs, weights=[node_weights(spec.form1, head)], store=True
+        spec.q, [p.lam], "X", head, weights=[node_weights(spec.form1, head)], store=True
     )
     u = famH.forms[0, 0]  # U1(X1), U1(X2) as mantissas
 
@@ -510,7 +502,6 @@ def phi_trace_stable(
         [p.lam],
         "X",
         tail,
-        gs,
         store=True,
         init=(np.asarray([[head_y[-1]]]), np.asarray([[head_dy[-1]]])),
     )
@@ -544,9 +535,7 @@ class SplitIdentityReport:
         return max(abs(self.residual_delta1), abs(self.residual_delta11)) / self.scale
 
 
-def split_identity_check(
-    spec: ProblemSpec, a: float, p: SpectralPoint, grid_spec: GridSpec | None = None
-) -> SplitIdentityReport:
+def split_identity_check(spec: ProblemSpec, a: float, p: SpectralPoint) -> SplitIdentityReport:
     """Check delta_1^(a/2) = delta_1^a + int_(a/2,a] Z_2 dsigma_1 and the
     delta_11 companion, where the superscript marks truncation of sigma_1."""
     T = spec.T
@@ -555,9 +544,7 @@ def split_identity_check(
     if spec.form1.kind != "nonlocal":
         raise InputError("the split identity needs a measure-type first form")
     sigma = spec.form1.measure
-    gs = grid_spec or GridSpec()
-    extras = [spec.required_points(), [a / 2.0, a]]
-    Z1, Z2 = fundamental_Z(spec.q, p, gs, extras)
+    Z1, Z2 = fundamental_Z(spec.q, p, extra_required=[spec.required_points(), [a / 2.0, a]])
 
     def apply(mu: BVMeasure, trace: SolutionTrace) -> complex:
         return _form_on_trace(LinearForm.from_measure(mu), trace)
@@ -617,7 +604,7 @@ def _row_ratios(cb: CharBatch):
         return np.where(infinite, np.nan, r * (mf / mt)), infinite, defect
 
 
-def d_sequence(spec: ProblemSpec, xi, grid_spec: GridSpec | None = None, defect_tol: float = 1e-6):
+def d_sequence(spec: ProblemSpec, xi):
     """Ratios d_n with phi(., xi_n) = d_n * theta(., xi_n) at simple omega zeros.
 
     With u_jk = U_j(X_k), phi = u11 X2 - u12 X1 and theta = u22 X1 - u21 X2,
@@ -626,7 +613,7 @@ def d_sequence(spec: ProblemSpec, xi, grid_spec: GridSpec | None = None, defect_
     invertible matrix, so they obey the same relation.  One Z-route
     `char_batch` over every xi_n yields them as form values; d_n is their
     least-squares ratio, and the relative residual of that fit is the
-    collinearity defect.  A defect above defect_tol means xi_n is not a
+    collinearity defect.  A defect above 1e-6 means xi_n is not a
     simple eigenvalue of the fully nonlocal problem, reported as an error
     rather than a ratio.
 
@@ -636,8 +623,8 @@ def d_sequence(spec: ProblemSpec, xi, grid_spec: GridSpec | None = None, defect_
     lambda that is not an eigenvalue.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    d, infinite, defect = _row_ratios(char_batch(spec, xi, grid_spec))
-    bad = np.flatnonzero(defect > defect_tol)
+    d, infinite, defect = _row_ratios(char_batch(spec, xi))
+    bad = np.flatnonzero(defect > _DEFECT_TOL)
     if len(bad):
         n = bad[0]
         raise CollinearityError(

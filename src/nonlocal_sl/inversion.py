@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -47,6 +47,13 @@ _PENALTY = 1e3
 _NEWTON_ROUNDS = 10
 _STEP_TOL = 1e-9  # relative Newton step size counted as converged
 _ROOT_F_TOL = 1e-4  # |f| <= this * modulus scale accepts a refined root
+_DATA_TOL = 1e-9  # the data builders' zeros meet |f| <= this * modulus scale
+_DATA_GRID_TOL = 1e-10  # grid tolerance of `residual`: the one the builders polish their zeros on
+_SEPARATION_TOL = 1e-6  # least gap of the three-spectra disjointness certificate
+_SPREAD = 0.5  # standard deviation of the random starts around the initial coefficients
+_LM_STEP_TOL = 1e-10  # relative LM step counted as converged
+_FD_STEP = 1e-6  # relative finite-difference step of the Jacobian
+_BOUNDS = (-20.0, 20.0)  # box the coefficients are clipped to
 
 
 def _pairs(vals) -> tuple:
@@ -251,14 +258,7 @@ class InverseTarget:
 # Data builders (forward generation, real potentials)
 
 
-def _first_n_real(
-    spec: ProblemSpec,
-    which: str,
-    n: int,
-    grid_spec: GridSpec | None = None,
-    tol: float = 1e-9,
-    length: float | None = None,
-) -> tuple:
+def _first_n_real(spec: ProblemSpec, which: str, n: int, *, length: float | None = None) -> tuple:
     """First n real zeros of one characteristic function, by real part.
 
     `length` is the effective interval length setting the zero spacing
@@ -274,44 +274,24 @@ def _first_n_real(
     found = None
     for _ in range(4):
         box = SearchBox(re_min=lo, re_max=hi, im_min=-1.0, im_max=1.0)
-        found = problem_spectrum(spec, which, box, grid_spec, tol=tol, real_axis=True)
+        found = problem_spectrum(spec, which, box, tol=_DATA_TOL, real_axis=True)
         if len(found) >= n:
             return tuple(complex(z) for z in found.eigenvalues[:n])
         hi = lo + (hi - lo) * 1.7
     raise NumericalError(f"found only {len(found)} zeros of {which}, needed {n}")
 
 
-def make_two_spectra_target(
-    spec: ProblemSpec,
-    n_each: int,
-    grid_spec: GridSpec | None = None,
-    tol: float = 1e-9,
-    weights=None,
-) -> InverseTarget:
+def make_two_spectra_target(spec: ProblemSpec, n_each: int) -> InverseTarget:
     """First n_each eigenvalues of the delta_1 and delta_11 problems."""
-    l1 = _first_n_real(spec, "delta1", n_each, grid_spec, tol)
-    l11 = _first_n_real(spec, "delta11", n_each, grid_spec, tol)
-    return InverseTarget(
-        kind="two_spectra",
-        lambda1=l1,
-        lambda11=l11,
-        weights=None if weights is None else tuple(weights),
-    )
+    l1 = _first_n_real(spec, "delta1", n_each)
+    l11 = _first_n_real(spec, "delta11", n_each)
+    return InverseTarget(kind="two_spectra", lambda1=l1, lambda11=l11)
 
 
-def make_weyl_target(
-    spec: ProblemSpec,
-    lam_grid,
-    with_d: bool = False,
-    n_xi: int = 6,
-    grid_spec: GridSpec | None = None,
-    tol: float = 1e-9,
-    certificate: ConditionReport | None = None,
-    weights=None,
-) -> InverseTarget:
+def make_weyl_target(spec: ProblemSpec, lam_grid, with_d: bool = False, n_xi: int = 6) -> InverseTarget:
     """M and omega samples on a lambda grid, optionally with d_n data."""
     lam = np.asarray(lam_grid, dtype=complex)
-    cb = char_batch(spec, lam, grid_spec)
+    cb = char_batch(spec, lam)
     m_vals, ok = cb.weyl_M_values()
     if not np.all(ok):
         bad = lam[~ok][0]
@@ -319,8 +299,8 @@ def make_weyl_target(
     kwargs = {}
     kind = "weyl_pair"
     if with_d:
-        xi = _first_n_real(spec, "omega", n_xi, grid_spec, tol)
-        ratios = d_sequence(spec, xi, grid_spec)
+        xi = _first_n_real(spec, "omega", n_xi)
+        ratios = d_sequence(spec, xi)
         kind = "weyl_pair_with_D"
         kwargs = {
             "xi": xi,
@@ -332,20 +312,11 @@ def make_weyl_target(
         lam_grid=_pairs(lam),
         m_values=_pairs(m_vals),
         omega_values=_pairs(cb.omega),
-        certificate=certificate,
-        weights=None if weights is None else tuple(weights),
         **kwargs,
     )
 
 
-def make_three_spectra_target(
-    spec: ProblemSpec,
-    n_each: int,
-    grid_spec: GridSpec | None = None,
-    tol: float = 1e-9,
-    separation_tol: float = 1e-6,
-    weights=None,
-) -> InverseTarget:
+def make_three_spectra_target(spec: ProblemSpec, n_each: int) -> InverseTarget:
     """Dirichlet spectra on (0, a), (0, T), (a, T) with the S' certificate.
 
     Needs the point-form configuration: form1 a pure jump at 0 and form2 the
@@ -362,21 +333,15 @@ def make_three_spectra_target(
     if f2.kind != "point_value" or f2.order != 0 or not (0.0 < f2.x0 < spec.T):
         raise InputError("three-spectra data needs form2 = y(a) with a inside (0, T)")
     a = float(f2.x0)
-    l0 = _first_n_real(spec, "omega", n_each, grid_spec, tol, length=a)
-    l1 = _first_n_real(spec, "delta1", n_each, grid_spec, tol, length=spec.T)
-    l2 = _first_n_real(spec, "delta2", n_each, grid_spec, tol, length=spec.T - a)
+    l0 = _first_n_real(spec, "omega", n_each, length=a)
+    l1 = _first_n_real(spec, "delta1", n_each, length=spec.T)
+    l2 = _first_n_real(spec, "delta2", n_each, length=spec.T - a)
     hi = max(z.real for z in (*l0, *l1, *l2)) + 2.0
     lo = min(0.0, min(z.real for z in (*l0, *l1, *l2)) - 1.0)
     box = SearchBox(re_min=lo, re_max=hi, im_min=-1.0, im_max=1.0)
-    cert = condition_S(spec, box, separation_tol, grid_spec, real_axis=True)
+    cert = condition_S(spec, box, _SEPARATION_TOL, real_axis=True)
     return InverseTarget(
-        kind="three_spectra",
-        lambda0=l0,
-        lambda1=l1,
-        lambda2=l2,
-        split=a,
-        certificate=cert,
-        weights=None if weights is None else tuple(weights),
+        kind="three_spectra", lambda0=l0, lambda1=l1, lambda2=l2, split=a, certificate=cert
     )
 
 
@@ -523,22 +488,18 @@ def _d_mismatch(value, is_inf, t_value, t_inf):
 
 
 def residual(
-    target: InverseTarget,
-    coeffs,
-    template: ProblemSpec,
-    basis: BasisSpec | None = None,
-    grid_tol: float = 1e-10,
+    target: InverseTarget, coeffs, template: ProblemSpec, basis: BasisSpec | None = None
 ) -> np.ndarray:
     """Weighted residual vector of one candidate (two real slots per datum).
 
-    The default grid tolerance matches the data builders, so a candidate
+    It runs on the data builders' grid tolerance, 1e-10, so a candidate
     equal to the generating potential scores essentially zero.  The
     optimizer runs a coarser grid (see ReconstructOptions.grid_tol); its
     small forward bias is far below the coefficient tolerances of interest.
     """
     c = np.asarray(coeffs, dtype=float)
     basis = basis or BasisSpec.cosine(template.T, len(c))
-    engine = _Engine(target, template, basis, grid_tol)
+    engine = _Engine(target, template, basis, _DATA_GRID_TOL)
     r, _ = engine.residuals(c[None, :])
     return r[0]
 
@@ -555,11 +516,8 @@ class ReconstructOptions:
     tol: float = 1e-9
     max_iter: int = 60
     seed: int = 0
-    spread: float = 0.5
-    step_tol: float = 1e-10
+    _: KW_ONLY
     grid_tol: float = 1e-7
-    fd_step: float = 1e-6
-    bounds: tuple[float, float] = (-20.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -589,7 +547,7 @@ class ReconstructionResult:
 
 
 def _lm_run(engine: _Engine, c0: np.ndarray, opts: ReconstructOptions):
-    lo, hi = opts.bounds
+    lo, hi = _BOUNDS
     c = np.clip(np.asarray(c0, dtype=float), lo, hi)
     K = len(c)
     R, inv = engine.residuals(c[None, :])
@@ -603,7 +561,7 @@ def _lm_run(engine: _Engine, c0: np.ndarray, opts: ReconstructOptions):
         if norm < opts.tol:
             converged, message = True, "residual below tolerance"
             break
-        h = opts.fd_step * (1.0 + np.abs(c))
+        h = _FD_STEP * (1.0 + np.abs(c))
         rows = np.vstack([c[None, :], c[None, :] + np.diag(h)])
         R, inv = engine.residuals(rows)
         r, invalid = R[0], inv[0]
@@ -631,7 +589,7 @@ def _lm_run(engine: _Engine, c0: np.ndarray, opts: ReconstructOptions):
         if not accepted:
             message = "damping limit reached without descent"
             break
-        if np.linalg.norm(delta) < opts.step_tol * (1.0 + np.linalg.norm(c)):
+        if np.linalg.norm(delta) < _LM_STEP_TOL * (1.0 + np.linalg.norm(c)):
             converged, message = True, "step below tolerance"
             break
         if norm < opts.tol:
@@ -659,7 +617,7 @@ def reconstruct(
     rng = np.random.default_rng(options.seed)
     starts = [c0]
     for _ in range(max(0, options.starts - 1)):
-        starts.append(c0 + rng.normal(0.0, options.spread, len(c0)))
+        starts.append(c0 + rng.normal(0.0, _SPREAD, len(c0)))
     runs = [_lm_run(engine, s, options) for s in starts]
     norms = [run[1] for run in runs]
     # residuals within tol of the lowest are one minimum: prefer a run that converged there
@@ -704,8 +662,6 @@ def distinguishability(
     data_kind: str,
     grid,
     xi=(),
-    grid_spec: GridSpec | None = None,
-    tol: float = 1e-9,
 ) -> float:
     """Normalized maximum deviation of the named data sets between two problems.
 
@@ -716,8 +672,8 @@ def distinguishability(
     """
     if data_kind in ("weyl_pair", "weyl_pair_with_D"):
         lam = np.asarray(grid, dtype=complex)
-        ca = char_batch(spec_a, lam, grid_spec)
-        cb = char_batch(spec_b, lam, grid_spec)
+        ca = char_batch(spec_a, lam)
+        cb = char_batch(spec_b, lam)
         ma, oka = ca.weyl_M_values()
         mb, okb = cb.weyl_M_values()
         if not np.all(oka & okb):
@@ -732,8 +688,8 @@ def distinguishability(
             if len(np.atleast_1d(np.asarray(xi))) == 0:
                 raise InputError("weyl_pair_with_D needs the omega zeros xi")
             xi = np.asarray(xi, dtype=complex)
-            da = d_sequence(spec_a, xi, grid_spec)
-            db = d_sequence(spec_b, xi, grid_spec)
+            da = d_sequence(spec_a, xi)
+            db = d_sequence(spec_b, xi)
             for ra, rb in zip(da, db):
                 va = None if ra.is_infinite else complex(ra.value)
                 vb = None if rb.is_infinite else complex(rb.value)
@@ -745,8 +701,8 @@ def distinguishability(
         real = spec_a.is_real and spec_b.is_real
         score = 0.0
         for which in ("delta1", "delta11"):
-            sa = problem_spectrum(spec_a, which, grid, grid_spec, tol, real_axis=real)
-            sb = problem_spectrum(spec_b, which, grid, grid_spec, tol, real_axis=real)
+            sa = problem_spectrum(spec_a, which, grid, tol=_DATA_TOL, real_axis=real)
+            sb = problem_spectrum(spec_b, which, grid, tol=_DATA_TOL, real_axis=real)
             n = min(len(sa), len(sb))
             if n == 0:
                 continue

@@ -23,7 +23,7 @@ values, so sums and truncations of densities stay exactly representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import DomainError, InputError
 from .ode_core import fitted_density_weights
 
 _EDGE_TOL = 1e-12
+_TV_POINTS = 65  # trapezoid nodes per density segment in `total_variation`
 
 
 def _close(a: float, b: float, scale: float = 1.0) -> bool:
@@ -132,13 +133,13 @@ class BVMeasure:
             pts.extend((lo, hi))
         return np.unique(np.asarray(pts, dtype=float))
 
-    def total_variation(self, quad_points: int = 65) -> float:
+    def total_variation(self) -> float:
         """|jump| + sum |atom weights| + int |density|; density term by quadrature."""
         tv = abs(self.jump_at_zero) + sum(abs(w) for _, w in self.atoms)
         for lo, hi, vlo, vhi in self.density_segments:
-            s = np.linspace(0.0, 1.0, quad_points)
+            s = np.linspace(0.0, 1.0, _TV_POINTS)
             mags = np.abs(vlo + (vhi - vlo) * s)
-            tv += float(np.trapezoid(mags, dx=(hi - lo) / (quad_points - 1)))
+            tv += float(np.trapezoid(mags, dx=(hi - lo) / (_TV_POINTS - 1)))
         return float(tv)
 
     # -- transformations ---------------------------------------------------

@@ -14,7 +14,7 @@ exponentially fitted weights on (y, y') at each cell's ends (Ixaru and
 Vanden Berghe 2004), exact for every solution of the cell's constant-c_bar
 equation.  Neither rule needs a step tied to |rho|, so the step law
 
-    h = min(h_max, q's own cap, h_q),   h_q = (720 tol / (T K_q))^(1/4),
+    h = min(T / n_min, q's own cap, h_q),   h_q = (720 tol / (T K_q))^(1/4),
 
 (K_q bounds |q'| + |q''|) gives one grid per potential, tolerance and set of
 required points, the same for every lambda.  A sweep multiplies out blocks
@@ -34,8 +34,9 @@ lambda is real non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import ceil, factorial, log
+from dataclasses import KW_ONLY, dataclass
+from math import ceil, factorial, inf, log
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -101,13 +102,17 @@ class GridSpec:
     """Step-size law and overflow guard; the sweep's block length follows from N."""
 
     tol: float = 1e-10  # target relative accuracy of propagation and density quadrature
-    h_max: float | None = None  # absolute cap on the step (default T / n_min)
-    n_min: int = 64
+    _: KW_ONLY
+    n_min: int = 64  # least number of steps; the step never exceeds T / n_min
     tau_T_budget: float = 600.0  # |Im rho| * T beyond this -> range error
 
-    def coarsened(self, tol: float) -> "GridSpec":
-        """Same spec with a looser tolerance (never tighter)."""
-        return replace(self, tol=max(self.tol, tol))
+    def __post_init__(self):
+        for name in ("tol", "tau_T_budget"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v < inf:  # False for nan
+                raise InputError(f"GridSpec.{name} must be a finite positive number, got {v!r}")
+        if isinstance(self.n_min, bool) or not isinstance(self.n_min, Integral) or self.n_min < 1:
+            raise InputError(f"GridSpec.n_min must be an integer of at least 1, got {self.n_min!r}")
 
 
 def solver_grid(
@@ -118,7 +123,7 @@ def solver_grid(
 ) -> np.ndarray:
     """Node grid on [0, T] resolving q and holding all marked points, for every lambda.
 
-    The step is h = min(h_max, q.suggested_hmax(), h_q), where
+    The step is h = min(T / n_min, q.suggested_hmax(), h_q), where
     h_q = (720 tol / (T K_q))^(1/4) holds the Magnus cell's error from the
     variation of q under tol, with K_q = q.derivative_bound() unless `k_q`
     gives it (a sweep over several potentials passes their largest).  Both
@@ -127,7 +132,7 @@ def solver_grid(
     """
     spec = spec or GridSpec()
     T = q.T
-    h = spec.h_max if spec.h_max is not None else T / spec.n_min
+    h = T / spec.n_min
     q_hmax = q.suggested_hmax()
     if q_hmax is not None:
         h = min(h, q_hmax)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InputError
 
 _KINDS = ("grid", "cosine", "piecewise")
+_NORM_POINTS = 2049  # samples of `l1_norm` and `max_abs_difference`
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +166,12 @@ class Potential:
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
 
-    def l1_norm(self, n: int = 2049) -> float:
-        x = np.linspace(0.0, self.T, n)
+    def l1_norm(self) -> float:
+        x = np.linspace(0.0, self.T, _NORM_POINTS)
         return float(np.trapezoid(np.abs(self(x)), x))
 
-    def max_abs_difference(self, other: "Potential", n: int = 2049) -> float:
-        x = np.linspace(0.0, min(self.T, other.T), n)
+    def max_abs_difference(self, other: "Potential") -> float:
+        x = np.linspace(0.0, min(self.T, other.T), _NORM_POINTS)
         return float(np.max(np.abs(self(x) - other(x))))
 
     # -- serialization -----------------------------------------------------------

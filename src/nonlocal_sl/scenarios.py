@@ -29,12 +29,14 @@ import numpy as np
 from .characteristic import ProblemSpec, char_batch
 from .errors import InputError, NumericalError
 from .measure import BVMeasure, LinearForm
-from .ode_core import GridSpec
 from .potential import Potential
 from .spectrum_finder import ConditionReport, SearchBox, condition_S, problem_spectrum
 
 _NAMES = ("counterexample1", "counterexample2", "three_spectra")
 _T = math.pi
+_CTREX2_AMPLITUDE = 6.0  # scale of counterexample 2's bump
+_OVERLAP_TOL = 1e-8  # zeros of the overlap rule meet |f| <= this * modulus scale
+_MATCH_TOL = 1e-6  # relative distance within which the overlap rule's zeros count as shared
 
 
 def counterexample1_preset(n_cells: int = 1024) -> Potential:
@@ -44,13 +46,13 @@ def counterexample1_preset(n_cells: int = 1024) -> Potential:
     return Potential.from_grid(x, v)
 
 
-def counterexample2_preset(alpha0: float, n_cells: int = 1024, amplitude: float = 6.0) -> Potential:
+def counterexample2_preset(alpha0: float, n_cells: int = 1024) -> Potential:
     """Smooth bump supported in (alpha0, pi - alpha0), asymmetric under reflection."""
     x = np.union1d(np.linspace(0.0, _T, n_cells + 1), [alpha0, _T - alpha0])
     u = (x - alpha0) / (_T - 2.0 * alpha0)
     inside = (u > 0.0) & (u < 1.0)
     uu = np.clip(u, 0.0, 1.0)
-    v = amplitude * (uu * (1.0 - uu)) ** 2 * (1.5 + np.sin(2.0 * math.pi * uu))
+    v = _CTREX2_AMPLITUDE * (uu * (1.0 - uu)) ** 2 * (1.5 + np.sin(2.0 * math.pi * uu))
     v[~inside] = 0.0
     return Potential.from_grid(x, v)
 
@@ -236,7 +238,7 @@ def verify_counterexample(
     cfg: ScenarioConfig,
     lam_grid,
     tol: float = 1e-6,
-    grid_spec: GridSpec | None = None,
+    *,
     s_box: SearchBox | None = None,
 ) -> CounterexampleReport:
     """Deviation maxima over the grid, sup distance of the potentials, and
@@ -247,8 +249,8 @@ def verify_counterexample(
     lam = np.asarray(lam_grid, dtype=complex)
     if lam.size == 0:
         raise InputError("the lambda grid is empty")
-    ca = char_batch(cfg.spec, lam, grid_spec)
-    cb = char_batch(cfg.spec_mirror, lam, grid_spec)
+    ca = char_batch(cfg.spec, lam)
+    cb = char_batch(cfg.spec_mirror, lam)
     ma, oka = ca.weyl_M_values()
     mb, okb = cb.weyl_M_values()
     if not np.all(oka & okb):
@@ -259,9 +261,7 @@ def verify_counterexample(
     m_dev = float(np.max(np.abs(ma - mb) / (1.0 + np.abs(ma) + np.abs(mb))))
     hi = float(np.max(lam.real)) + 10.0
     box = s_box or SearchBox(re_min=-3.0, re_max=hi, im_min=-1.0, im_max=1.0)
-    report = condition_S(
-        cfg.spec, box, 10.0 * tol, grid_spec, real_axis=cfg.spec.is_real
-    )
+    report = condition_S(cfg.spec, box, 10.0 * tol, real_axis=cfg.spec.is_real)
     containment = None
     if cfg.name == "counterexample2":
         alpha = float(cfg.params["alpha"])
@@ -271,9 +271,7 @@ def verify_counterexample(
             if (math.pi * n / alpha) ** 2 <= box.re_max
         ]
         if predicted:
-            found = problem_spectrum(
-                cfg.spec, "delta2", box, grid_spec, real_axis=cfg.spec.is_real
-            ).eigenvalues
+            found = problem_spectrum(cfg.spec, "delta2", box, real_axis=cfg.spec.is_real).eigenvalues
             if len(found) == 0:
                 raise NumericalError("no delta_2 zeros found for the containment check")
             containment = max(
@@ -321,20 +319,13 @@ class OverlapReport:
         return out
 
 
-def three_spectra_overlap_rule(
-    spec: ProblemSpec,
-    a: float,
-    box: SearchBox,
-    tol: float = 1e-8,
-    match_tol: float = 1e-6,
-    grid_spec: GridSpec | None = None,
-) -> OverlapReport:
+def three_spectra_overlap_rule(spec: ProblemSpec, a: float, box: SearchBox) -> OverlapReport:
     """Each zero belongs to exactly one or exactly three of the problems.
 
-    Zeros of the three characteristic functions within `match_tol`
-    (relative) of each other count as shared.  A pair whose missing third
-    lies within ten times the matching tolerance is reported as a warning
-    rather than a violation.
+    Zeros of the three characteristic functions within 1e-6 (relative) of
+    each other count as shared.  A pair whose missing third lies within ten
+    times the matching tolerance is reported as a warning rather than a
+    violation.
     """
     f2 = spec.form2
     if f2.kind != "point_value" or f2.order != 0 or abs(f2.x0 - a) > 1e-12 * max(1.0, spec.T):
@@ -348,13 +339,13 @@ def three_spectra_overlap_rule(
     real = spec.is_real
     labeled = []
     for which in ("omega", "delta1", "delta2"):
-        sp = problem_spectrum(spec, which, box, grid_spec, tol, real_axis=real)
+        sp = problem_spectrum(spec, which, box, tol=_OVERLAP_TOL, real_axis=real)
         for z in sp.eigenvalues:
             labeled.append((complex(z), which))
     if not labeled:
         return OverlapReport(entries=(), violations=(), warnings=())
     labeled.sort(key=lambda t: (t[0].real, t[0].imag))
-    eff = lambda z: match_tol * (1.0 + abs(z)) + 10.0 * tol
+    eff = lambda z: _MATCH_TOL * (1.0 + abs(z)) + 10.0 * _OVERLAP_TOL
     clusters = []
     for z, which in labeled:
         if clusters and abs(z - clusters[-1][0][-1]) <= eff(z):

@@ -43,12 +43,16 @@ from .errors import ContourError, InputError
 from .ode_core import GridSpec, modulus_scale
 
 _MAX_CONTOUR_POINTS = 20000
+_MAX_REFINE = 9  # midpoint refinements of one contour before its count is given up
+_MAX_DEPTH = 48  # bisection depth at which a box is no longer split
 _DIP_FLOOR = 1e-3
 _MAX_NUDGE = 5
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.42, 0.58)
 _SEED_GAP = 1e-2
 _GAUSS_T = (1.0 + np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])) / 2  # three-point Gauss on [0, 1]
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
+_SCAN_GRID = GridSpec(tol=1e-8)  # problem_spectrum counts on this grid
+_FINE_GRID = GridSpec(tol=1e-10)  # and polishes on this one
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ class SearchBox:
     im_min: float
     im_max: float
     n_samples: int = 64
-    max_depth: int = 48
 
     def __post_init__(self):
         vals = (self.re_min, self.re_max, self.im_min, self.im_max)
@@ -170,13 +173,13 @@ def _quadrature_winding(pts: np.ndarray, vals: np.ndarray) -> float:
     return float((total / (2j * np.pi)).real)
 
 
-def _winding(f: Callable, box: SearchBox, max_refine: int = 9) -> _ContourResult:
+def _winding(f: Callable, box: SearchBox) -> _ContourResult:
     for nudge in range(_MAX_NUDGE + 1):
         used = box if nudge == 0 else box.inflated(1.01**nudge)
         pts = _contour_points(used, used.n_samples)
         vals = _eval(f, pts)
         dipped = False
-        for _ in range(max_refine + 1):
+        for _ in range(_MAX_REFINE + 1):
             absv = np.abs(vals)
             med = float(np.median(absv))
             if med == 0.0 or absv.min() < _DIP_FLOOR * med:
@@ -374,7 +377,7 @@ def find_spectrum(
             b, cr, depth, seeded = stack.pop()
             if cr.winding == 0:
                 continue
-            if cr.winding > 1 and depth < box.max_depth and b.diag > floor * (1.0 + abs(b.center)):
+            if cr.winding > 1 and depth < _MAX_DEPTH and b.diag > floor * (1.0 + abs(b.center)):
                 seeds = _moment_seeds(cr) if seeded else None
                 if seeded and _certified(seeds, cr.box_used, _SEED_GAP * cr.box_used.diag / 2.0):
                     tasks.append((b, cr, depth, seeds, 1))
@@ -406,7 +409,7 @@ def find_spectrum(
             gap = np.maximum(_SEED_GAP * cr.box_used.diag / 2.0, 10.0 * tol * (1.0 + np.abs(z)))
             if len(z) > 1 and not (np.all(resid[idx] <= allowed[idx]) and _certified(z, cr.box_used, gap)):
                 # bisected from here on; one seed at the mean next round if no cut holds
-                pending.extend(_split(f, b, cr, depth, False) or [(b, cr, box.max_depth, False)])
+                pending.extend(_split(f, b, cr, depth, False) or [(b, cr, _MAX_DEPTH, False)])
             else:
                 found.extend(zip(z, mults[idx]))
 
@@ -484,22 +487,15 @@ def _real_axis_spectrum(f_scan, f_polish, box, tol, source, scale_fn, rho_gap_hi
 
 
 def problem_spectrum(
-    spec: ProblemSpec,
-    which: str,
-    box: SearchBox,
-    grid_spec: GridSpec | None = None,
-    tol: float = 1e-8,
-    real_axis: bool = False,
+    spec: ProblemSpec, which: str, box: SearchBox, *, tol: float = 1e-8, real_axis: bool = False
 ) -> Spectrum:
     """Spectrum of one characteristic function of the problem inside the box.
 
-    Counting runs on a grid tolerance of 1e-8 and refinement on 1e-10
-    (or the supplied grid_spec, never loosened for refinement).  Each grid
-    depends on the problem alone, so a value does not depend on its batch.
+    Counting runs on a grid tolerance of 1e-8 and refinement on 1e-10.  Each
+    grid depends on the problem alone, so a value does not depend on its batch.
     """
-    base = grid_spec or GridSpec(tol=1e-10)
-    f_scan = char_handle(spec, which, base.coarsened(1e-8))
-    f_fine = char_handle(spec, which, base)
+    f_scan = char_handle(spec, which, _SCAN_GRID)
+    f_fine = char_handle(spec, which, _FINE_GRID)
     return find_spectrum(
         f_scan,
         box,
@@ -543,12 +539,7 @@ def _disjointness(first: Spectrum, second: Spectrum, separation_tol: float) -> C
 
 
 def condition_S(
-    spec: ProblemSpec,
-    box: SearchBox,
-    separation_tol: float,
-    grid_spec: GridSpec | None = None,
-    tol: float = 1e-8,
-    real_axis: bool = False,
+    spec: ProblemSpec, box: SearchBox, separation_tol: float, *, real_axis: bool = False
 ) -> ConditionReport:
     """Whether the fully nonlocal spectrum avoids the zeros of delta_1 on the box.
 
@@ -556,6 +547,6 @@ def condition_S(
     disjointness condition of the three-spectra setting, since there the
     zero sets are the Dirichlet spectra on (0, a) and (0, T).
     """
-    xi = problem_spectrum(spec, "omega", box, grid_spec, tol, real_axis)
-    l1 = problem_spectrum(spec, "delta1", box, grid_spec, tol, real_axis)
+    xi = problem_spectrum(spec, "omega", box, real_axis=real_axis)
+    l1 = problem_spectrum(spec, "delta1", box, real_axis=real_axis)
     return _disjointness(xi, l1, separation_tol)

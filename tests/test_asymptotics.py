@@ -130,6 +130,27 @@ class TestPredictions:
 
 
 class TestReports:
+    @pytest.mark.parametrize(
+        "quantity, x, order",
+        [
+            ("Delta3", None, 0),
+            ("Phi", 1.0, 2),
+            ("Delta1", None, 1),
+            ("Delta11", 1.0, 0),
+            ("Phi", None, 0),
+            ("Phi", T, 0),
+            ("varphi", 0.0, 0),
+            ("v2", T, 1),
+        ],
+    )
+    def test_report_rejects_what_predict_rejects(self, quantity, x, order):
+        spec, ray = _spec(), RaySpec.pi_delta(np.pi / 3, radii=(5.0, 10.0))
+        with pytest.raises(InputError) as want:
+            predict(quantity, x, _point_from_rho(3.0 + 3.0j), spec, order)
+        with pytest.raises(InputError) as got:
+            asym_report(quantity, x, ray, spec, order=order)
+        assert str(got.value) == str(want.value)
+
     def test_zero_potential_bottoms_out_at_floor(self):
         rep = asym_report(
             "Delta1", None, RaySpec.pi_delta(np.pi / 3, radii=(5.0, 10.0, 20.0)), _spec()

@@ -227,7 +227,7 @@ class TestPenalty:
         lam = [3.0 + 0.6j, 12.0 + 0.6j, zero]
         w = np.ones(2 * len(lam))
         w[4] = 2.5  # the M datum at the zero
-        t = make_weyl_target(spec, lam, weights=w)
+        t = dataclasses.replace(make_weyl_target(spec, lam), weights=tuple(w))
         assert abs(t.m_values[2]) > 0.5
         r = residual(t, cand, spec)
         pen = 2.5 * _PENALTY * (1.0 + abs(t.m_values[2]))

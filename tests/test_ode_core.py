@@ -170,6 +170,26 @@ def test_budget_can_be_raised():
     assert np.log(abs(y)) + X1.log_scale == pytest.approx(800.0 - np.log(2.0), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", -1e-8),
+        ("tol", 0.0),
+        ("tol", float("nan")),
+        ("tol", float("inf")),
+        ("tol", "1e-8"),
+        ("tau_T_budget", 0.0),
+        ("tau_T_budget", float("nan")),
+        ("n_min", 0),
+        ("n_min", 8.0),
+        ("n_min", True),
+    ],
+)
+def test_grid_spec_rejects_bad_fields(field, value):
+    with pytest.raises(InputError, match=f"GridSpec.{field} "):
+        GridSpec(**{field: value})
+
+
 def test_value_at_outside_domain_raises():
     q = Potential.zero(1.0)
     X1, _ = fundamental_X(q, _point(4.0))
