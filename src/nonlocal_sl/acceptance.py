@@ -20,12 +20,13 @@ import numpy as np
 from . import scenarios
 from .asymptotics import RaySpec, asym_report
 from .characteristic import (
+    _DEFECT_TOL,
     ProblemSpec,
     SpectralPoint,
+    _row_ratios,
     char_batch,
     char_handle,
     combo_solutions,
-    d_sequence,
 )
 from .errors import NumericalError, PoleProximityError
 from .inversion import (
@@ -369,16 +370,19 @@ def _criterion_8():
     cert = condition_S(spec, box, 1e-6, real_axis=True)
     if not cert.holds:
         return False, f"disjointness fails on the data box (gap {cert.min_gap:.2e})"
-    seq = d_sequence(spec, xi)
+    # d_n (as d_sequence reads it) and M from one sweep over the zeros
     cb = char_batch(spec, np.asarray(xi))
+    d, infinite, defect = _row_ratios(cb)
+    if np.any(defect > _DEFECT_TOL):
+        return False, f"form rows not collinear at a zero of omega (defect {defect.max():.2e})"
     m_vals, ok = cb.weyl_M_values()
     if not np.all(ok):
         return False, "a zero of omega fell under the delta_1 pole guard"
+    if np.any(infinite):
+        return False, "unexpected infinite ratio at a simple zero"
     worst = 0.0
-    for r, m in zip(seq, m_vals):
-        if r.is_infinite:
-            return False, "unexpected infinite ratio at a simple zero"
-        worst = max(worst, abs(r.value - (-1.0 / m)) / abs(1.0 / m))
+    for v, m in zip(d, m_vals):
+        worst = max(worst, abs(complex(v) - (-1.0 / m)) / abs(1.0 / m))
     return worst <= 1e-6, f"max relative error {worst:.2e} (allowed 1e-06)"
 
 

@@ -151,8 +151,11 @@ class RaySpec:
         return self.points() ** 2
 
 
-def _check_args(quantity: str, x, spec: ProblemSpec, order: int):
-    """The checks `predict` and `asym_report` share: quantity, order and x."""
+def _check_args(quantity: str, x, spec: ProblemSpec, order: int) -> float | None:
+    """The checks `predict` and `asym_report` share: quantity, order and x.
+
+    Returns x as a float (None for Delta1 and Delta11).
+    """
     if quantity not in _QUANTITIES:
         raise InputError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
     if order not in (0, 1):
@@ -163,10 +166,13 @@ def _check_args(quantity: str, x, spec: ProblemSpec, order: int):
             raise InputError(f"{quantity} has no derivative orders")
         if x is not None:
             raise InputError(f"{quantity} prediction takes no evaluation point x")
-        return
+        return None
     if x is None:
         raise InputError(f"{quantity} prediction needs an evaluation point x")
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise InputError(f"evaluation point x must be a real number, got {x!r}") from None
     a = spec.form1.support_end
     if quantity == "Phi":
         if not (0.0 <= x < T):
@@ -190,6 +196,7 @@ def _check_args(quantity: str, x, spec: ProblemSpec, order: int):
             raise InputError(
                 f"v2 leading term needs x >= a/2 = {a / 2} (support end a = {a})"
             )
+    return x
 
 
 def predict(
@@ -200,7 +207,7 @@ def predict(
     `order` selects the derivative order (0 or 1) for the pointwise
     quantities; Delta1 and Delta11 take x=None and order 0 only.
     """
-    _check_args(quantity, x, spec, order)
+    x = _check_args(quantity, x, spec, order)
     rho = p.rho
     sig, tau = rho.real, rho.imag
     T = spec.T
@@ -402,7 +409,7 @@ def asym_report(
     """
     if rays.kind == "G_delta" and quantity in ("Delta1", "Delta11"):
         raise InputError("G_delta bounds cover Phi, v1, varphi and v2 only")
-    _check_args(quantity, x, spec, order)
+    x = _check_args(quantity, x, spec, order)
     pts = rays.points()
     lams = pts**2
     computed = _computed_values(quantity, x, lams, spec, order)

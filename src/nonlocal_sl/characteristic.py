@@ -306,8 +306,11 @@ def char_batch_multi(
 
     `q_list` holds candidate potentials on the same interval and `q_index`
     assigns one of them to each lambda column.  The whole family runs in a
-    single batched sweep, so a finite-difference Jacobian over basis
-    coefficients costs about as much as one forward evaluation.  The step
+    single batched sweep, so a Jacobian over basis coefficients costs about
+    as much as one forward evaluation: the inversion's finite-difference
+    columns of Weyl data, or, for eigenvalue data, f at fixed roots under
+    each perturbed potential, which gives df/dc_k for the implicit-function
+    derivative -(df/dc_k)/(df/dlambda) of every root.  The step
     law takes the largest derivative bound K_q over q_list and the other
     step caps from q_list[0]; keep the candidates structurally alike (same
     basis) so one grid suits them all.

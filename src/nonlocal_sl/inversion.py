@@ -17,10 +17,14 @@ Reconstruction runs a hand-rolled Levenberg-Marquardt loop over basis
 coefficients.  Eigenvalue residuals match computed roots to the target
 lists by optimal assignment, so no enumeration convention is needed.
 Candidate eigenvalues are obtained by Newton refinement seeded at the
-target values, and all finite-difference Jacobian columns share a single
-batched sweep (`char_batch_multi`), which is what keeps the optimizer at
-desk-scale runtimes.  Targets carrying d_n data put the xi_n into that same
-sweep and read each candidate's d_n from its form rows there.
+target values.  Their Jacobian needs no further Newton: a root z of the
+datum's characteristic function f moves by dz/dc_k = -(df/dc_k)/(df/dlambda)
+(the implicit function theorem, as in Poeschel & Trubowitz, Inverse
+Spectral Theory, 1987), and one batched sweep (`char_batch_multi`) at the
+fixed roots gives every difference quotient.  The Weyl kinds take
+finite-difference Jacobian columns, all in one such sweep; targets carrying
+d_n data put the xi_n into that same sweep and read each candidate's d_n
+from its form rows there.
 
 Data here are self-generated by the same forward solver (the usual inverse
 crime); noise robustness is out of scope.
@@ -45,6 +49,7 @@ _KINDS = ("two_spectra", "weyl_pair", "weyl_pair_with_D", "three_spectra")
 _BASES = ("cosine", "piecewise")
 _PENALTY = 1e3
 _NEWTON_ROUNDS = 10
+_LAMBDA_STEP = 1e-6  # relative lambda step of the difference quotient df/dlambda
 _STEP_TOL = 1e-9  # relative Newton step size counted as converged
 _ROOT_F_TOL = 1e-4  # |f| <= this * modulus scale accepts a refined root
 _DATA_TOL = 1e-9  # the data builders' zeros meet |f| <= this * modulus scale
@@ -52,7 +57,7 @@ _DATA_GRID_TOL = 1e-10  # grid tolerance of `residual`: the one the builders pol
 _SEPARATION_TOL = 1e-6  # least gap of the three-spectra disjointness certificate
 _SPREAD = 0.5  # standard deviation of the random starts around the initial coefficients
 _LM_STEP_TOL = 1e-10  # relative LM step counted as converged
-_FD_STEP = 1e-6  # relative finite-difference step of the Jacobian
+_FD_STEP = 1e-6  # relative coefficient step of the Jacobian
 _BOUNDS = (-20.0, 20.0)  # box the coefficients are clipped to
 
 
@@ -359,7 +364,9 @@ class _Engine:
     _PENALTY for d_n data and 0 for omega data, which is never flagged.  The
     residual row is w * mismatch as two real slots (re, im) per datum.  Rows
     of the coefficient matrix are independent candidates, which lets a
-    finite-difference Jacobian ride one fused sweep.
+    finite-difference Jacobian ride one fused sweep.  For eigenvalue data
+    `evaluate` also returns each datum's matched root, from which
+    `root_jacobian` builds the Jacobian in one sweep at those fixed roots.
     """
 
     def __init__(
@@ -392,12 +399,41 @@ class _Engine:
 
     def residuals(self, C) -> tuple[np.ndarray, np.ndarray]:
         """(residual rows (B, 2*n_data), invalid-datum flags (B, n_data))."""
+        R, invalid, _ = self.evaluate(C)
+        return R, invalid
+
+    def evaluate(self, C):
+        """`residuals` plus the matched roots (B, n_data) of eigenvalue data, else None."""
         C = np.atleast_2d(np.asarray(C, dtype=float))
         q_list = [self.basis.potential(c) for c in C]
         mismatch = self._spectra_mismatch if self.blocks else self._weyl_mismatch
-        diff, invalid = mismatch(q_list)
+        diff, invalid, roots = mismatch(q_list)
         diff = np.where(invalid, self.pen * (1 + 1j), diff)
-        return diff.view(float) * self.w2, invalid
+        return diff.view(float) * self.w2, invalid, roots
+
+    def root_jacobian(self, c, roots, invalid, h) -> np.ndarray:
+        """Jacobian (2*n_data, K) of the eigenvalue residuals at c, by the implicit function theorem.
+
+        `roots` and `invalid` are c's matched roots and flags from `evaluate`.
+        The root z of datum j's characteristic function f moves by
+        dz/dc_k = -(df/dc_k)/(df/dlambda).  One sweep at fixed lambda gives
+        both by forward differences: q(c) at z and at z + dlambda, and
+        q(c + h_k e_k) at z.  An invalid datum reads a constant penalty, so
+        its rows are 0.
+        """
+        K, n = len(c), len(roots)
+        z = np.where(invalid, self.seeds, roots)  # keeps the sweep finite
+        dlam = _LAMBDA_STEP * (1.0 + np.abs(z))
+        q_list = [self.basis.potential(row) for row in np.vstack([c, c + np.diag(h)])]
+        lam = np.concatenate([z, z + dlam, np.tile(z, K)])
+        cb = char_batch_multi(self.template, lam, q_list, np.repeat([0, 0, *range(1, K + 1)], n), self.gs)
+        f = np.empty((K + 2, n), dtype=complex)
+        for which, sl in self.blocks:
+            f[:, sl] = getattr(cb, which).reshape(K + 2, n)[:, sl]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dz = -((f[2:] - f[0]) / h[:, None]) / ((f[1] - f[0]) / dlam)
+        dz = np.where(np.isfinite(dz) & ~invalid, dz, 0.0)
+        return dz.view(float).T * self.w2[:, None]
 
     # -- eigenvalue targets --------------------------------------------------
 
@@ -411,7 +447,7 @@ class _Engine:
         z = np.tile(self.seeds, (B, 1))
         active = np.ones((B, total), dtype=bool)
         for _ in range(_NEWTON_ROUNDS):
-            h = 1e-6 * (1.0 + np.abs(z))
+            h = _LAMBDA_STEP * (1.0 + np.abs(z))
             lam_flat = np.concatenate([z.ravel(), (z + h).ravel()])
             q_idx = np.tile(np.repeat(np.arange(B), total), 2)
             cb = char_batch_multi(self.template, lam_flat, q_list, q_idx, self.gs)
@@ -435,9 +471,12 @@ class _Engine:
         return z, valid
 
     def _spectra_mismatch(self, q_list):
-        """Refined roots matched to each block's targets by optimal assignment."""
+        """Refined roots matched to each block's targets by optimal assignment.
+
+        Returns (mismatch, invalid, matched roots), all in target order.
+        """
         roots, valid = self._refined_roots(q_list)
-        diff = np.empty_like(roots)
+        matched = np.empty_like(roots)
         invalid = np.empty(roots.shape, dtype=bool)
         for b in range(len(roots)):
             for _, sl in self.blocks:
@@ -445,9 +484,9 @@ class _Engine:
                 cost = np.abs(r[:, None] - t[None, :])
                 cost = np.where(ok[:, None], cost, 1e9 * (1.0 + cost))
                 rows, cols = linear_sum_assignment(cost)
-                diff[b, sl][cols] = r[rows] - t[cols]
+                matched[b, sl][cols] = r[rows]
                 invalid[b, sl][cols] = ~ok[rows]
-        return diff, invalid
+        return matched - self.seeds, invalid, matched
 
     # -- Weyl targets ----------------------------------------------------------
 
@@ -473,7 +512,7 @@ class _Engine:
         d, d_inf, _ = (v.reshape(B, n)[:, ng:] for v in _row_ratios(cb))
         t_d, t_inf = np.asarray(t.d_values, dtype=complex), np.asarray(t.d_infinite, dtype=bool)
         d_diff, d_invalid = _d_mismatch(d, d_inf, t_d, t_inf)
-        return np.hstack([diff, d_diff]), np.hstack([invalid, d_invalid])
+        return np.hstack([diff, d_diff]), np.hstack([invalid, d_invalid]), None
 
 
 def _d_mismatch(value, is_inf, t_value, t_inf):
@@ -549,8 +588,7 @@ class ReconstructionResult:
 def _lm_run(engine: _Engine, c0: np.ndarray, opts: ReconstructOptions):
     lo, hi = _BOUNDS
     c = np.clip(np.asarray(c0, dtype=float), lo, hi)
-    K = len(c)
-    R, inv = engine.residuals(c[None, :])
+    R, inv, roots = engine.evaluate(c[None, :])
     r, invalid = R[0], inv[0]
     norm = float(np.linalg.norm(r))
     damp = 1e-3
@@ -562,11 +600,13 @@ def _lm_run(engine: _Engine, c0: np.ndarray, opts: ReconstructOptions):
             converged, message = True, "residual below tolerance"
             break
         h = _FD_STEP * (1.0 + np.abs(c))
-        rows = np.vstack([c[None, :], c[None, :] + np.diag(h)])
-        R, inv = engine.residuals(rows)
-        r, invalid = R[0], inv[0]
-        norm = float(np.linalg.norm(r))
-        J = (R[1:] - r[None, :]).T / h[None, :]
+        if roots is not None:
+            J = engine.root_jacobian(c, roots[0], invalid, h)
+        else:
+            R, inv = engine.residuals(np.vstack([c[None, :], c[None, :] + np.diag(h)]))
+            r, invalid = R[0], inv[0]
+            norm = float(np.linalg.norm(r))
+            J = (R[1:] - r[None, :]).T / h[None, :]
         A = J.T @ J
         g = J.T @ r
         diag = np.maximum(np.diag(A), 1e-12)
@@ -578,10 +618,10 @@ def _lm_run(engine: _Engine, c0: np.ndarray, opts: ReconstructOptions):
                 delta = None
             if delta is not None:
                 c_try = np.clip(c + delta, lo, hi)
-                R_try, inv_try = engine.residuals(c_try[None, :])
+                R_try, inv_try, roots_try = engine.evaluate(c_try[None, :])
                 norm_try = float(np.linalg.norm(R_try[0]))
                 if norm_try < norm:
-                    c, r, invalid, norm = c_try, R_try[0], inv_try[0], norm_try
+                    c, r, invalid, roots, norm = c_try, R_try[0], inv_try[0], roots_try, norm_try
                     damp = max(damp * 0.5, 1e-8)
                     accepted = True
                     break

@@ -104,6 +104,16 @@ class TestPredictions:
             predict("varphi", -0.1, p, spec)
         predict("v1", T, p, spec)  # endpoint allowed here
 
+    @pytest.mark.parametrize("x", ["abc", 1.0 + 0.5j, float("nan"), float("inf")])
+    def test_x_must_be_a_finite_real_number(self, x):
+        # a non-finite x fails the range check, a non-numeric one the conversion
+        spec = _spec()
+        p = _point_from_rho(6.0 + 6.0j)
+        with pytest.raises(InputError):
+            predict("Phi", x, p, spec)
+        with pytest.raises(InputError):
+            asym_report("Phi", x, RaySpec.pi_delta(np.pi / 3, delta=0.1), spec)
+
     def test_truncated_support_shifts_varphi_domain(self):
         # first form supported on [0, a]: the varphi term needs x >= a/2
         from nonlocal_sl import BVMeasure

@@ -16,6 +16,7 @@ from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, character
 from nonlocal_sl.acceptance import _c8_spec
 from nonlocal_sl.errors import InputError
 from nonlocal_sl.inversion import (
+    _FD_STEP,
     _PENALTY,
     BasisSpec,
     _Engine,
@@ -214,6 +215,18 @@ def _stop_at_start(target, template, c0):
     return reconstruct(target, np.asarray(c0, dtype=float), opts)
 
 
+def _patch_roots(monkeypatch, alter):
+    """Route every `_Engine._refined_roots` result through alter(engine, z, valid)."""
+    refined = _Engine._refined_roots
+    monkeypatch.setattr(_Engine, "_refined_roots", lambda self, *args: alter(self, *refined(self, *args)))
+
+
+def _second_root_invalid(engine, z, valid):
+    valid = valid.copy()
+    valid[:, 1] = False
+    return z, valid
+
+
 class TestPenalty:
     """Invalid data read w * _PENALTY * (1 + |t|) in both slots, t the target value."""
 
@@ -236,17 +249,7 @@ class TestPenalty:
         assert _stop_at_start(t, spec, cand).invalid_data == (4,)
 
     def test_eigenvalue_datum_with_an_invalid_root(self, truth, target, monkeypatch):
-        import nonlocal_sl.inversion as inversion
-
-        refined = inversion._Engine._refined_roots
-
-        def second_root_invalid(self, *args):
-            z, valid = refined(self, *args)
-            valid = valid.copy()
-            valid[:, 1] = False
-            return z, valid
-
-        monkeypatch.setattr(inversion._Engine, "_refined_roots", second_root_invalid)
+        _patch_roots(monkeypatch, _second_root_invalid)
         w = np.ones(target.n_data)
         w[1] = 2.5
         weighted = dataclasses.replace(target, weights=tuple(w))
@@ -256,6 +259,89 @@ class TestPenalty:
         assert r[3] == pytest.approx(pen, rel=1e-12)
         assert np.max(np.abs(np.delete(r, [2, 3]))) < 1e-7
         assert _stop_at_start(weighted, truth, TRUTH_COEFFS).invalid_data == (1,)
+
+
+def _ift_jacobian(engine, c):
+    """The LM Jacobian at c: one residual call, then `root_jacobian` at its matched roots."""
+    _, invalid, roots = engine.evaluate(c[None, :])
+    return engine.root_jacobian(c, roots[0], invalid[0], _FD_STEP * (1.0 + np.abs(c)))
+
+
+def _central_jacobian(engine, c, h=1e-4):
+    K = len(c)
+    R, _ = engine.residuals(np.vstack([c + h * np.eye(K), c - h * np.eye(K)]))
+    return (R[:K] - R[K:]).T / (2 * h)
+
+
+class TestRootJacobian:
+    """Eigenvalue-data Jacobian from one sweep at the fixed roots (implicit function theorem)."""
+
+    @pytest.fixture(scope="class", params=["two_spectra", "three_spectra"])
+    def case(self, request, truth, target):
+        """(engine, truth coefficients) for each eigenvalue data kind."""
+        if request.param == "two_spectra":
+            spec, tgt = truth, target
+        else:
+            spec = ProblemSpec(
+                q=Potential.from_cosine(T, [0.5, -0.35, 0.2]),
+                form1=LinearForm.from_measure(BVMeasure.from_jump(T, 1.0)),
+                form2=LinearForm.point_value(1.0),
+            )
+            tgt = make_three_spectra_target(spec, 3)
+        template = dataclasses.replace(spec, q=Potential.zero(T))
+        coeffs = spec.q.values.real
+        return _Engine(tgt, template, BasisSpec.cosine(T, len(coeffs))), coeffs
+
+    @staticmethod
+    def _start(coeffs):
+        direction = np.resize([1.0, -0.6, 0.8], len(coeffs))
+        return coeffs + 0.15 * direction / np.linalg.norm(direction)
+
+    def test_matches_central_differences(self, case):
+        engine, coeffs = case
+        c = self._start(coeffs)
+        J = _ift_jacobian(engine, c)
+        Jc = _central_jacobian(engine, c)
+        assert J.shape == (2 * engine.target.n_data, len(c))
+        assert np.linalg.norm(Jc) > 1e-2
+        assert np.linalg.norm(J - Jc) <= 1e-4 * np.linalg.norm(Jc)
+
+    def test_costs_one_sweep(self, case, monkeypatch):
+        engine, coeffs = case
+        c = self._start(coeffs)
+        _, invalid, roots = engine.evaluate(c[None, :])
+        sweep = characteristic.integrate_family
+        calls = []
+        monkeypatch.setattr(characteristic, "integrate_family", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        engine.root_jacobian(c, roots[0], invalid[0], _FD_STEP * (1.0 + np.abs(c)))
+        assert len(calls) == 1
+
+    def test_invalid_datum_gives_zero_rows(self, case, monkeypatch):
+        engine, coeffs = case
+        c = self._start(coeffs)
+        J = _ift_jacobian(engine, c)
+        _patch_roots(monkeypatch, _second_root_invalid)
+        J_bad = _ift_jacobian(engine, c)
+        assert np.all(J_bad[2:4] == 0.0)
+        assert np.abs(J[2:4]).max() > 1e-3
+        others = np.delete(np.arange(len(J)), [2, 3])
+        assert np.allclose(J_bad[others], J[others], rtol=1e-10, atol=0.0)
+
+    def test_rows_follow_the_assignment(self, case, monkeypatch):
+        # reversing each block's roots makes the assignment a reversal; the rows must not move
+        engine, coeffs = case
+        c = self._start(coeffs)
+        J = _ift_jacobian(engine, c)
+        R, _ = engine.residuals(c[None, :])
+
+        def reversed_blocks(eng, z, valid):
+            order = np.concatenate([np.arange(sl.start, sl.stop)[::-1] for _, sl in eng.blocks])
+            return z[:, order], valid[:, order]
+
+        _patch_roots(monkeypatch, reversed_blocks)
+        R_rev, _ = engine.residuals(c[None, :])
+        np.testing.assert_array_equal(R_rev, R)
+        np.testing.assert_array_equal(_ift_jacobian(engine, c), J)
 
 
 class TestDistinguishability:
