@@ -625,8 +625,18 @@ def d_sequence(spec: ProblemSpec, xi):
     rows follow the growing solution, and the defect can no longer flag a
     lambda that is not an eigenvalue.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    d, infinite, defect = _row_ratios(char_batch(spec, xi))
+    return _ratios_at(char_batch(spec, np.atleast_1d(np.asarray(xi, dtype=complex))))
+
+
+def _ratios_at(cb: CharBatch, first: int = 0) -> list[RatioValue]:
+    """`d_sequence`'s ratios at the xi_n = cb.lam[first:], from the batch's form rows.
+
+    A batch that also holds other lambdas (before `first`) reads them from
+    the same sweep; each value depends on its own lambda alone.  Raises
+    CollinearityError at the first xi_n whose defect passes 1e-6.
+    """
+    xi = cb.lam[first:]
+    d, infinite, defect = (v[first:] for v in _row_ratios(cb))
     bad = np.flatnonzero(defect > _DEFECT_TOL)
     if len(bad):
         n = bad[0]

@@ -591,14 +591,16 @@ def _run_spectrum(cfg: RunConfig, args):
 def _run_weyl(cfg: RunConfig, args):
     import numpy as np
 
-    from .characteristic import char_batch, d_sequence
+    from .characteristic import _ratios_at, char_batch
     from .inversion import _first_n_real
 
     spec = _need_problem(cfg)
     opts = _need(cfg, "weyl")
     lam = np.asarray(opts["lambdas"], dtype=complex)
-    cb = char_batch(spec, lam)
-    vals, ok = cb.weyl_M_values() if opts["which"] == "M" else cb.weyl_N_values()
+    n_xi = int(opts["xi_count"])
+    xi = _first_n_real(spec, "omega", n_xi) if n_xi > 0 else ()
+    cb = char_batch(spec, np.concatenate([lam, np.asarray(xi, dtype=complex)]))  # one sweep for M and d_n
+    vals, ok = (v[: len(lam)] for v in (cb.weyl_M_values() if opts["which"] == "M" else cb.weyl_N_values()))
     values, cells = _masked(vals, ok)
     payload = {
         "which": opts["which"],
@@ -606,10 +608,8 @@ def _run_weyl(cfg: RunConfig, args):
         "values": values,
         "ok": [bool(k) for k in ok],
     }
-    n_xi = int(opts["xi_count"])
     if n_xi > 0:
-        xi = _first_n_real(spec, "omega", n_xi)
-        seq = d_sequence(spec, xi)
+        seq = _ratios_at(cb, len(lam))
         payload["d"] = {
             "xi": _cpairs(xi),
             "values": ["inf" if r.is_infinite else [r.value.real, r.value.imag] for r in seq],

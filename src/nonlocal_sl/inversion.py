@@ -37,9 +37,8 @@ import math
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .characteristic import ProblemSpec, _row_ratios, char_batch, char_batch_multi, d_sequence
+from .characteristic import ProblemSpec, _ratios_at, _row_ratios, char_batch, char_batch_multi, d_sequence
 from .errors import InputError, NumericalError
 from .ode_core import GridSpec, modulus_scale
 from .potential import Potential
@@ -294,18 +293,22 @@ def make_two_spectra_target(spec: ProblemSpec, n_each: int) -> InverseTarget:
 
 
 def make_weyl_target(spec: ProblemSpec, lam_grid, with_d: bool = False, n_xi: int = 6) -> InverseTarget:
-    """M and omega samples on a lambda grid, optionally with d_n data."""
+    """M and omega samples on a lambda grid, optionally with d_n data.
+
+    With d_n data, M, omega and the d_n come from one sweep over the grid
+    and the omega zeros xi_n together.
+    """
     lam = np.asarray(lam_grid, dtype=complex)
-    cb = char_batch(spec, lam)
-    m_vals, ok = cb.weyl_M_values()
+    xi = _first_n_real(spec, "omega", n_xi) if with_d else ()
+    cb = char_batch(spec, np.concatenate([np.atleast_1d(lam), np.asarray(xi, dtype=complex)]))
+    m_vals, ok = (v[: lam.size] for v in cb.weyl_M_values())
     if not np.all(ok):
         bad = lam[~ok][0]
         raise InputError(f"lambda grid point {bad:.6g} falls under the delta_1 pole guard")
     kwargs = {}
     kind = "weyl_pair"
     if with_d:
-        xi = _first_n_real(spec, "omega", n_xi)
-        ratios = d_sequence(spec, xi)
+        ratios = _ratios_at(cb, lam.size)
         kind = "weyl_pair_with_D"
         kwargs = {
             "xi": xi,
@@ -316,7 +319,7 @@ def make_weyl_target(spec: ProblemSpec, lam_grid, with_d: bool = False, n_xi: in
         kind=kind,
         lam_grid=_pairs(lam),
         m_values=_pairs(m_vals),
-        omega_values=_pairs(cb.omega),
+        omega_values=_pairs(cb.omega[: lam.size]),
         **kwargs,
     )
 
@@ -475,6 +478,8 @@ class _Engine:
 
         Returns (mismatch, invalid, matched roots), all in target order.
         """
+        from scipy.optimize import linear_sum_assignment  # here, so importing the package does not load scipy
+
         roots, valid = self._refined_roots(q_list)
         matched = np.empty_like(roots)
         invalid = np.empty(roots.shape, dtype=bool)
@@ -736,6 +741,8 @@ def distinguishability(
                 score = max(score, _chordal(va, vb))
         return score
     if data_kind == "two_spectra":
+        from scipy.optimize import linear_sum_assignment
+
         if not isinstance(grid, SearchBox):
             raise InputError("two_spectra distinguishability takes a SearchBox grid")
         real = spec_a.is_real and spec_b.is_real

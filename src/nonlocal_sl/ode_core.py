@@ -23,7 +23,11 @@ the block starts, renormalizing it there into a per-lambda log-scale s (held
 values are the true solution times exp(-s)).  Boundary forms enter as node
 weights on y and y' and per-cell density values: while a block's partial
 products are multiplied out, they fold into two coefficients per block that
-act on the block-start state, so a form costs no node storage.  Only
+act on the block-start state, so a form costs no node storage.  The cells,
+the density rule's weights and their sums at each node depend on each
+lambda alone; they are evaluated for a chunk of block offsets per numpy
+call, so a small batch pays numpy's per-call cost once per chunk rather than
+once per offset, and only the products and folds run offset by offset.  Only
 single-lambda traces replay the blocks to keep every node.  One sweep
 integrates a whole family of spectral points (and both fundamental columns)
 at once; all public entry points are thin wrappers over that core.
@@ -46,6 +50,14 @@ from .potential import Potential
 _EDGE_TOL = 1e-12
 _MAX_NODES = 2_000_000  # grid cap
 _EPS = float(np.finfo(float).eps)
+# A chunk of block offsets in a sweep's first pass holds at most this many
+# (offset, block, lambda) entries per array.  A numpy call costs about 1 us
+# whatever its size, and 2048 complex entries take a few us of arithmetic, so
+# a small batch runs its whole first pass in a few calls.  Larger budgets
+# (4096, 8192) measured no faster on char_batch at 2 to 72 lambda and keep
+# more memory live; a batch with blocks * lambda >= 2048, such as 256 lambda,
+# gets one offset per chunk and the arrays of an offset-by-offset loop.
+_CHUNK = 2048
 # Every series below is in z = s^2 and is summed by Horner's rule for
 # |z| <= _Z_MAX, where its depth keeps the truncation under eps and the
 # terms' rounding stays under e^4 eps; beyond, the closed forms take over.
@@ -316,7 +328,8 @@ def _sums(z: np.ndarray, coef: np.ndarray, wide=None) -> np.ndarray:
             big = None
     V = c[-1] * z + c[-2]
     for k in range(len(c) - 3, -1, -1):
-        V = V * z + c[k]
+        V *= z
+        V += c[k]
     if big is not None:
         Vw = V[:, :, wide]
         Vw[:, big] = _closed_sums(zw[big])[: len(V)]
@@ -368,22 +381,26 @@ def _guard_rule_poles(z: np.ndarray, tol: float, label):
     The factors of `_cell` divide by 1 + S and by Q3 = (S - 1) / z.  Both
     vanish only past _Z_MAX (first at |z| = 22.8 and 63.9), where S is
     summed in closed form with a rounding of about eps |S|, which the
-    divisions amplify by |S| / |1 + S| and |S| / |S - 1|.  `z` has one
-    column per case; label(k) names column k in the error.
+    divisions amplify by |S| / |1 + S| and |S| / |S - 1|.  `z` has shape
+    (rows, cells, cases); the rows are checked in order, and the first
+    whose worst cell passes tol raises, naming that cell's case k by label(k).
     """
     big = np.abs(z) > _Z_MAX
     if not big.any():
         return
     x = np.sqrt(z[big])
     S = np.sinh(x) / x
+    amp = np.zeros(z.shape)
     with np.errstate(divide="ignore"):
-        amp = np.abs(S) / np.minimum(np.abs(1.0 + S), np.abs(S - 1.0))
-    i = int(np.argmax(amp))
-    if _EPS * amp[i] > tol:
+        amp[big] = np.abs(S) / np.minimum(np.abs(1.0 + S), np.abs(S - 1.0))
+    over = np.flatnonzero(_EPS * amp.reshape(len(z), -1).max(axis=1) > tol)
+    if len(over):
+        r = over[0]
+        i = int(np.argmax(amp[r]))
         raise RangeError(
-            f"{label(np.nonzero(big)[1][i])}: a density cell (h^2 cbar = "
-            f"{z[big][i]:.6g}) sits next to a pole of the fitted rule, whose rounding there "
-            f"({_EPS * amp[i]:.1e}) exceeds the grid tolerance {tol:.0e}"
+            f"{label(i % z.shape[2])}: a density cell (h^2 cbar = "
+            f"{z[r].flat[i]:.6g}) sits next to a pole of the fitted rule, whose rounding there "
+            f"({_EPS * amp[r].flat[i]:.1e}) exceeds the grid tolerance {tol:.0e}"
         )
 
 
@@ -439,7 +456,7 @@ def fitted_density_weights(grid, dens, cbar=None) -> tuple[np.ndarray, np.ndarra
     h = np.diff(grid)[:, None]
     cbar = np.zeros(h.shape) if cbar is None else np.asarray(cbar, dtype=complex).reshape(h.shape)
     z = h * h * cbar
-    _guard_rule_poles(z, GridSpec().tol, lambda k: "density weights on a trace")
+    _guard_rule_poles(z[None], GridSpec().tol, lambda k: "density weights on a trace")
     bound = np.abs(z).max(initial=0.0)
     wide = np.array([True]) if bound > _Z_MAX else None
     _, factors = _cell(h, 0.0, cbar, _series_coefficients([bound]), wide, rule=True, shift=True)
@@ -495,7 +512,7 @@ def _blocked(ws, reverse: bool, N: int, L: int, B: int):
 
 
 def _cells_blocked(ds, reverse: bool, h: np.ndarray, N: int, L: int, B: int):
-    """Density terms in sweep order as (4, F, B, L): cell b*L + j at [:, :, b, j].
+    """Density terms in sweep order as (4, F, L, B): cell b*L + j at [:, :, j, b].
 
     Each entry of `ds` is None or a density's values at each cell's left and
     right end, shape (2, N), in ascending grid order.  A backward sweep runs
@@ -511,7 +528,7 @@ def _cells_blocked(ds, reverse: bool, h: np.ndarray, N: int, L: int, B: int):
             if reverse:
                 d0, d1 = -d1[::-1], -d0[::-1]
             out[:, f, :N] = _density_terms(h, d0, d1)
-    return out.reshape(4, len(ds), B, L)
+    return np.ascontiguousarray(out.reshape(4, len(ds), B, L).transpose(0, 1, 3, 2))
 
 
 def integrate_family(
@@ -540,6 +557,13 @@ def integrate_family(
     integral by the exponentially fitted rule of `_rule_weights` at each
     lambda's own cbar.  `store` keeps every node's state as well, which costs
     O(n m k) memory; meant for single-lambda traces.
+
+    The first pass takes the block offsets in chunks (see _CHUNK), cut where
+    offsets with and without density cells meet: the cells, the rule's
+    weights and each node's summed weight come from one call per chunk, on
+    rows (offset, block).  The loop over offsets keeps only the block
+    products and the folds into the forms' coefficients, in offset order, so
+    every value is the same whatever the chunking and the batch.
     """
     spec = spec or GridSpec()
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -550,11 +574,12 @@ def integrate_family(
     m = len(lam)
     N = len(grid) - 1
     qa, qm, qb = q.step_samples(grid) if q_steps is None else q_steps
-    if init is None:
-        init = (np.tile([1.0 + 0j, 0j], (m, 1)), np.tile([0j, 1.0 + 0j], (m, 1)))
-    y, d = (np.asarray(v, dtype=complex) for v in init)
-    y, d = (y[:, None], d[:, None]) if y.ndim == 1 else (y, d)
-    k = y.shape[1]
+    if init is None:  # (y, y') of every column, shape (2, m, k)
+        Y = np.zeros((2, m, 2), dtype=complex)
+        Y[0, :, 0] = Y[1, :, 1] = 1.0
+    else:
+        Y = np.stack([np.asarray(v, dtype=complex).reshape(m, -1) for v in init])
+    k = Y.shape[2]
 
     # everything below runs in sweep order: step t goes from sweep node t to t+1
     reverse = side == "Z"
@@ -576,18 +601,20 @@ def integrate_family(
 
     L = max(1, ceil(N**0.5))
     B = -(-N // L)
-    starts = np.arange(B) * L
+    steps = np.minimum(np.arange(L)[:, None] + np.arange(B) * L, N)  # step b*L + j at [j, b]
     weights = list(weights)
     F = len(weights)
     Wy, Wd = (_blocked([w[i] for w in weights], reverse, N, L, B) for i in (0, 1))
     dens = _cells_blocked([w[2] for w in weights], reverse, h_sw[:N, 0], N, L, B)
-    rule_at = dens.any(axis=(0, 1, 2)) if dens is not None else np.zeros(L, dtype=bool)
+    rule_at = dens.any(axis=(0, 1, 3)) if dens is not None else np.zeros(L, dtype=bool)
 
-    def step_maps(t, rule=False):
-        t = np.minimum(t, N)
+    def step_cells(t, rule=False):
+        """`_cell` at the steps t, rows of `steps`, in the order of t.ravel()."""
+        t = t.ravel()
         cbar = qbar[t] - lam
         if rule and wide is not None:
-            _guard_rule_poles(h_sw[t] ** 2 * cbar[:, wide], spec.tol, lambda k: f"lambda = {lam[wide][k]:.10g}")
+            z = (h_sw[t] ** 2 * cbar[:, wide]).reshape(-1, B, np.count_nonzero(wide))
+            _guard_rule_poles(z, spec.tol, lambda k: f"lambda = {lam[wide][k]:.10g}")
         return _cell(h_sw[t], a_sw[t], cbar, coef, wide, rule, shift)
 
     # pass 1: the product P_j of each block's first j step maps, all blocks at
@@ -595,68 +622,88 @@ def integrate_family(
     # of the block-start (y, y') in sum_j w_y y_j + w_d y'_j.  A density's
     # cell j weighs nodes j and j + 1; its share of node j + 1 is carried to
     # the next offset, and from the last offset to the next block's start.
+    # The cells, the rule's weights and their sums at each node are evaluated
+    # for a chunk of offsets at once, offset j's blocks in rows
+    # (j - j0) B to (j - j0 + 1) B (see _CHUNK); a chunk's offsets either all
+    # have density cells or none does.
     cy = np.zeros((F, B + 1, m), dtype=complex)
     cd = np.zeros((F, B + 1, m), dtype=complex)
     if Wy is not None:
         cy += Wy[:, :, 0, None]
     if Wd is not None:
         cd += Wd[:, :, 0, None]
-    nodes = [(W, i, W[:, :B].any(axis=(0, 1))) for i, W in enumerate((Wy, Wd)) if W is not None]
+    cyB, cdB = cy[:, :B].copy(), cd[:, :B].copy()  # contiguous, for the folds; copied back below
+    nodes = [(W, v, W[:, :B].any(axis=(0, 1))) for v, W in enumerate((Wy, Wd)) if W is not None]
+    per_chunk = max(1, _CHUNK // max(1, B * m))  # offsets
+    cuts = sorted({*range(0, L, per_chunk), *(1 + np.flatnonzero(np.diff(rule_at))).tolist()})
     carry = P = None
-    for j in range(L):
-        M, factors = step_maps(starts + j, rule_at[j])
-        w = carry  # node j's weights on y and y', per form and block: fresh arrays or None
-        carry = None
-        if factors is not None:
-            here, carry = _rule_weights(dens[..., j, None], factors)
-            if w is None:
-                w = here
+    for j0, j1 in zip(cuts, [*cuts[1:], L]):
+        rule = rule_at[j0]
+        Mc, factors = step_cells(steps[j0:j1], rule)
+        head, carry = carry, None  # node j0's weights: the end weights of the cell before
+        if rule:  # node j's weights: cell j - 1's end weights plus cell j's start weights
+            start, end = _rule_weights(dens[:, :, j0:j1].reshape(4, F, (j1 - j0) * B, 1), factors)
+            for x, e in zip(start, end):
+                e[:, :-B] += x[:, B:]  # nodes j0 + 1 .. j1 - 1, in the rows of cell j - 1
+            if head is None:
+                head = [x[:, :B] for x in start]
             else:
-                w[0] += here[0]
-                w[1] += here[1]
-        w = w or [None, None]
-        for W, i, hit in nodes:
-            if j and hit[j]:
-                if w[i] is None:
-                    w[i] = W[:, :B, j, None]
-                else:
-                    w[i] += W[:, :B, j, None]
-        if P is None:  # offset 0, the block start itself
-            for c, x in zip((cy, cd), w):
-                if x is not None:
-                    c[:, :B] += x
-            P = M
-        else:
-            for x, a in zip(w, (0, 2)):
-                if x is not None:
-                    cy[:, :B] += x * P[a]
-                    cd[:, :B] += x * P[a + 1]
-            P = (
-                M[0] * P[0] + M[1] * P[2],
-                M[0] * P[1] + M[1] * P[3],
-                M[2] * P[0] + M[3] * P[2],
-                M[2] * P[1] + M[3] * P[3],
-            )
-        M = factors = here = w = x = None  # free this offset's arrays before the next
+                for c, x in zip(head, start):
+                    c += x[:, :B]
+            carry = [e[:, -B:] for e in end]
+        factors = start = None
+        for i, j in enumerate(range(j0, j1)):
+            if i == 0:
+                w = head or [None, None]
+            elif rule:
+                w = [e[:, (i - 1) * B : i * B] for e in end]
+            else:
+                w = [None, None]
+            for W, v, hit in nodes:
+                if j and hit[j]:
+                    if w[v] is None:
+                        w[v] = W[:, :B, j, None]
+                    else:
+                        w[v] += W[:, :B, j, None]
+            M = [x[i * B : (i + 1) * B] for x in Mc]
+            if P is None:  # offset 0, the block start itself
+                for c, x in zip((cyB, cdB), w):
+                    if x is not None:
+                        c += x
+                P = M
+            else:
+                for x, a in zip(w, (0, 2)):
+                    if x is not None:
+                        cyB += x * P[a]
+                        cdB += x * P[a + 1]
+                P = (
+                    M[0] * P[0] + M[1] * P[2],
+                    M[0] * P[1] + M[1] * P[3],
+                    M[2] * P[0] + M[3] * P[2],
+                    M[2] * P[1] + M[3] * P[3],
+                )
+        Mc = M = head = end = w = x = None  # free this chunk's arrays before the next
+    cy[:, :B], cd[:, :B] = cyB, cdB
     if carry is not None:
         cy[:, 1:] += carry[0]
         cd[:, 1:] += carry[1]
 
     # pass 2: carry the state over the block starts, renormalizing by powers of 2
     rho_div = np.maximum(1.0, np.abs(rho))
-    Ys, Ds = np.empty((2, B + 1, m, k), dtype=complex)
+    YD = np.empty((B + 1, 2, m, k), dtype=complex)  # (y, y') at each block start
     Es = np.zeros((B + 1, m), dtype=np.int64)
-    Ys[0], Ds[0] = y, d
-    for b in range(B):
-        p = [x[b][:, None] for x in P]
-        y, d = p[0] * y + p[1] * d, p[2] * y + p[3] * d
-        mag = np.maximum(np.abs(y).max(axis=1), np.abs(d).max(axis=1) / rho_div)
-        if not np.all(np.isfinite(mag)):
+    YD[0] = Y
+    for b, (p0, p1) in enumerate(np.stack(P).reshape(2, 2, B, m).transpose(2, 1, 0, 3)[..., None]):
+        Y = p0 * Y[0] + p1 * Y[1]  # p0, p1: the columns of block b's product
+        peak = np.abs(Y).max(axis=2)
+        peak[1] /= rho_div
+        mag = peak.max(axis=0)
+        if not np.isfinite(mag).all():
             raise RangeError("solution overflow within one block of steps")
         e = np.frexp(mag)[1]
-        f = np.ldexp(1.0, -e)[:, None]
-        y, d = y * f, d * f
-        Ys[b + 1], Ds[b + 1], Es[b + 1] = y, d, Es[b] + e
+        Y = Y * np.ldexp(1.0, -e)[:, None]
+        YD[b + 1], Es[b + 1] = Y, Es[b] + e
+    Ys, Ds = YD[:, 0], YD[:, 1]
     Ss = Es * log(2.0)
 
     # each form's sum is scaled to the largest block-start exponent it weighs
@@ -666,7 +713,7 @@ def integrate_family(
         for W, _, _ in nodes:
             used |= W.any(axis=2)
         if dens is not None:
-            cells = dens.any(axis=(0, 3))  # blocks holding a density cell, which weighs the next start too
+            cells = dens.any(axis=(0, 2))  # blocks holding a density cell, which weighs the next start too
             used[:, :B] |= cells
             used[:, 1:] |= cells
         low = np.iinfo(np.int64).min
@@ -682,7 +729,7 @@ def integrate_family(
         Yb, Db = Ys[:B], Ds[:B]
         ys, ds = [Yb], [Db]
         for j in range(1, L):
-            M = [x[..., None] for x in step_maps(starts + j - 1)[0]]
+            M = [x[..., None] for x in step_cells(steps[j - 1])[0]]
             Yb, Db = M[0] * Yb + M[1] * Db, M[2] * Yb + M[3] * Db
             ys.append(Yb)
             ds.append(Db)

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvals
 
 from .characteristic import ProblemSpec, char_handle
 from .errors import ContourError, InputError
@@ -248,6 +247,8 @@ def _moment_seeds(cr: _ContourResult, n: int | None = None) -> np.ndarray:
     `_contour_weights` on the samples.  n = w gives every enclosed zero;
     n = 1 gives the first moment, their mean.
     """
+    from scipy.linalg import eigvals  # here, so importing the package does not load scipy
+
     n = cr.winding if n is None else n
     b, r = cr.box_used, cr.box_used.diag / 2.0
     u = (np.append(cr.points, cr.points[0]) - b.center) / r  # the last edge closes at z_0

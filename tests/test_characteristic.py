@@ -481,14 +481,18 @@ def test_fitted_density_integrals_match_the_zero_potential(lam):
     assert np.all(np.abs(np.array(on_traces) - want) <= 1e-13 * scale)
 
 
+def _pole_spec():
+    densities = ([0.3 - 0.1j, -0.2 + 0.05j], [0.1 + 0.2j, 0.4 - 0.1j])
+    m1, m2 = (BVMeasure.with_density(T, [0.0, T], d, jump=j) for d, j in zip(densities, (1.0, 0.0)))
+    return ProblemSpec(q=Potential.zero(T), form1=LinearForm.from_measure(m1), form2=LinearForm.from_measure(m2))
+
+
 def test_density_rule_pole_raises():
     # with q = 0 every cell of the default 64-step grid has h^2 cbar = -h^2 lambda; at this
     # lambda that sits on the fitted rule's first pole, 1 + sinh(s) / s = 0 at
     # z = -12.678 + 18.962i.  Unguarded, delta2 missed a 1,024-step grid's value by 1.7e-7
     # relative here, against the grid's 1e-10 target
-    densities = ([0.3 - 0.1j, -0.2 + 0.05j], [0.1 + 0.2j, 0.4 - 0.1j])
-    m1, m2 = (BVMeasure.with_density(T, [0.0, T], d, jump=j) for d, j in zip(densities, (1.0, 0.0)))
-    spec = ProblemSpec(q=Potential.zero(T), form1=LinearForm.from_measure(m1), form2=LinearForm.from_measure(m2))
+    spec = _pole_spec()
     lam = 5261.7113 - 7869.4093j
     with pytest.raises(RangeError, match="lambda = 5261.7113-7869.4093j"):
         char_batch(spec, [lam])
@@ -516,3 +520,35 @@ def test_density_rule_pole_raises_on_traces():
     with pytest.raises(RangeError, match="density weights on a trace: .* pole of the fitted rule"):
         on_traces(lam)
     assert np.all(np.isfinite(on_traces(lam * (1.0 + 1e-3))))
+
+
+def test_density_rule_pole_raises_inside_a_large_batch():
+    # the same pole among 511 harmless lambda: a batch this large evaluates the sweep's cells
+    # one block offset at a time, and the error still names the pole's lambda.  At 9000 the
+    # cells pass the series range too (z = -21.7, far from a pole), ahead of the pole's column
+    others = np.array([1.0, 0.1j]) @ np.random.default_rng(4).uniform(-100.0, 100.0, (2, 511))
+    others[10] = 9000.0
+    with pytest.raises(RangeError, match="lambda = 5261.7113-7869.4093j"):
+        char_batch(_pole_spec(), np.insert(others, 300, 5261.7113 - 7869.4093j))
+
+
+def test_value_alone_equals_value_in_a_one_offset_chunk_batch():
+    # a lone lambda evaluates the cells of many block offsets per call, a 512-lambda batch
+    # those of one offset per call.  Both densities cover fewer cells than a block has
+    # offsets, so the lone lambda's chunks also split at offsets without a density cell.
+    # The arithmetic behind each value is the same either way, so the values are equal
+    q = Potential.from_cosine(T, [0.5, -0.3, 0.2, 0.1])
+    m1 = BVMeasure.with_density(T, [1.0, 1.04], [0.3 - 0.1j, -0.2], jump=1.0, atoms=[(1.1, 0.5)])
+    m2 = BVMeasure.with_density(T, [2.0, 2.03], [0.1, 0.4j], atoms=[(2.3, 0.9)])
+    spec = ProblemSpec(q, LinearForm.from_measure(m1), LinearForm.from_measure(m2))
+    grid = solver_grid(q, GridSpec(), extra_required=[spec.required_points()])
+    cells = sum(np.count_nonzero(node_weights(f, grid)[2].any(axis=0)) for f in (spec.form1, spec.form2))
+    assert cells < np.ceil(np.sqrt(len(grid) - 1))
+    rng = np.random.default_rng(5)
+    batch = rng.uniform(-400.0, 400.0, 512) + 1j * rng.uniform(-20.0, 20.0, 512)
+    batch[[7, 100]] = 2e5 + 5j, 3e5  # cells past the series range, summed in closed form
+    big = char_batch(spec, batch)
+    for k in (0, 7, 100, 511):
+        alone = char_batch(spec, batch[k : k + 1])
+        for name in (*_NAMES, "delta21"):
+            assert getattr(alone, name)[0] == getattr(big, name)[k]

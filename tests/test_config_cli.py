@@ -198,6 +198,22 @@ class TestWeyl:
         assert payload["d"]["values"][1][0] == pytest.approx(-1.0, abs=1e-6)
 
 
+    def test_one_sweep_for_values_and_d(self, tmp_path, capsys, monkeypatch):
+        # the zeros found, M at the lambdas and the d_n at the zeros come from one sweep
+        from nonlocal_sl import characteristic, inversion
+
+        monkeypatch.setattr(inversion, "_first_n_real", lambda *a, **k: (1.0 + 0j, 4.0 + 0j))
+        sweep = characteristic.integrate_family
+        calls = []
+        monkeypatch.setattr(characteristic, "integrate_family", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        section = {"lambdas": [[2.0, 0.5], [6.5, 0.5]], "which": "N", "xi_count": 2}
+        assert main(["weyl", _write(tmp_path, "w.json", _config("weyl", section))]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert payload["ok"] == [True, True]
+        assert [v[0] for v in payload["d"]["values"]] == pytest.approx([1.0, -1.0], abs=1e-6)
+
+
 class TestAsym:
     def test_sector_report(self, tmp_path, capsys):
         section = {
@@ -526,17 +542,31 @@ class TestRegress:
         assert doc["criteria"][0]["budget"] is None
 
 
-def _run_python(code):
-    """Run code in a fresh interpreter that imports the package from this checkout's src/."""
+def _run_python(code, *argv):
+    """Run code (or, with argv, `python *argv`) in a fresh interpreter that imports the
+    package from this checkout's src/."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    args = argv if code is None else ("-c", code)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_cli_import_does_not_load_numerics():
     res = _run_python("import nonlocal_sl.cli, sys; print('numpy' in sys.modules)")
     assert res.returncode == 0
     assert res.stdout.strip() == "False"
+
+
+def test_inversion_import_does_not_load_scipy():
+    res = _run_python("import nonlocal_sl.inversion, sys; print('scipy.optimize' in sys.modules)")
+    assert res.returncode == 0
+    assert res.stdout.strip() == "False"
+
+
+def test_python_m_runs_the_cli():
+    res = _run_python(None, "-m", "nonlocal_sl", "--help")
+    assert res.returncode == 0
+    assert res.stdout.startswith("usage: nonlocal-sl")
 
 
 def test_threads_flag_sets_env_before_numerics(tmp_path):

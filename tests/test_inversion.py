@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, characteristic
+from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, characteristic, inversion
 from nonlocal_sl.acceptance import _c8_spec
 from nonlocal_sl.errors import InputError
 from nonlocal_sl.inversion import (
@@ -127,6 +127,18 @@ class TestWeylWithD:
         rows = truth + np.vstack([np.zeros(4), 1e-3 * np.eye(4)])
         _Engine(target, spec, BasisSpec.cosine(T, 4)).residuals(rows)
         assert len(calls) == 1
+
+    def test_target_takes_one_sweep(self, data, monkeypatch):
+        # M, omega and the d_n of the target come from one batch over the grid and the zeros
+        target, spec, _ = data
+        xi = tuple(complex(z) for z in target.xi)
+        monkeypatch.setattr(inversion, "_first_n_real", lambda *a, **k: xi)
+        sweep = characteristic.integrate_family
+        calls = []
+        monkeypatch.setattr(characteristic, "integrate_family", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        again = make_weyl_target(spec, np.linspace(2.0, 60.0, 12) + 0.7j, with_d=True, n_xi=4)
+        assert len(calls) == 1
+        assert again == target
 
     def test_d_data_move_with_every_coefficient(self, data):
         # near the truth no d datum is flagged, and central differences of the d slots at h and
