@@ -15,7 +15,6 @@ _EXPORTS = {
     "errors": (
         "CollinearityError",
         "ConfigError",
-        "ConsistencyError",
         "ContourError",
         "DomainError",
         "InputError",

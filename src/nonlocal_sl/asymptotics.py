@@ -26,7 +26,7 @@ import numpy as np
 from .characteristic import ProblemSpec, char_batch, node_weights, phi_trace_stable
 from .errors import InputError, RangeError
 from .measure import LinearForm
-from .ode_core import SpectralPoint, integrate_family, principal_rho, solver_grid
+from .ode_core import Discretization, SpectralPoint, integrate_family, principal_rho
 
 _QUANTITIES = ("Delta1", "Delta11", "Phi", "v1", "varphi", "v2")
 _DEFAULT_RADII = (5.0, 10.0, 20.0, 40.0, 80.0)
@@ -259,9 +259,9 @@ def _computed_values(
 
     x = float(x)
     if quantity in ("v1", "Phi"):
-        grid = solver_grid(spec.q, extra_required=(x,))
-        weights = [node_weights(LinearForm.point_value(x, order), grid)]
-        fam = integrate_family(spec.q, lams, "Z", grid, weights=weights)
+        form = LinearForm.point_value(x, order)
+        disc = Discretization.build([spec.q], None, (x,), lambda grid: [node_weights(form, grid)])
+        fam = integrate_family(disc, lams, "Z")
         col = 0 if quantity == "v1" else 1
         w = fam.forms[0, :, col]
         s = fam.forms_s[0]

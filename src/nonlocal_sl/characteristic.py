@@ -28,19 +28,14 @@ form values, e.g. U_1(phi) = 0, U_2(phi) = omega, V_1(phi) = delta_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CollinearityError,
-    ConsistencyError,
-    DomainError,
-    InputError,
-    PoleProximityError,
-)
+from .errors import CollinearityError, DomainError, InputError, PoleProximityError
 from .measure import BVMeasure, LinearForm, density_node_weights
 from .ode_core import (
+    Discretization,
     GridSpec,
     SolutionTrace,
     SpectralPoint,
@@ -49,13 +44,11 @@ from .ode_core import (
     fundamental_Z,
     integrate_family,
     modulus_scale,
-    principal_rho,
-    solver_grid,
+    solver_grid,  # noqa: F401  (the grid builder; bench/tracing.py wraps it here too)
 )
 from .potential import Potential
 
 POLE_GUARD = 1e-10
-ROUTE_TOL = 1e-6
 _DEFECT_TOL = 1e-6  # collinearity defect above which a d_n is refused
 _EDGE = 1e-12
 _NAMES = ("omega", "delta1", "delta2", "delta11")  # the characteristic functions
@@ -198,7 +191,6 @@ class CharBatch:
     delta21: np.ndarray
     route: str
     T: float
-    alt: dict = field(default_factory=dict)
 
     def scale(self) -> np.ndarray:
         return np.asarray(modulus_scale(self.lam, self.T))
@@ -239,6 +231,21 @@ def _route_values(fam, route: str) -> dict:
     return {"omega": omega, **{name: _safe_det(*f) for name, f in dets.items()}}
 
 
+def _discretize(spec: ProblemSpec, grid_spec: GridSpec | None, q_list=None) -> Discretization:
+    """The problem's grid, q's samples (one column per candidate of `q_list`) and both forms' weights."""
+    qs, forms = [spec.q] if q_list is None else q_list, (spec.form1, spec.form2)
+    return Discretization.build(
+        qs, grid_spec, [spec.required_points()], lambda grid: [node_weights(f, grid) for f in forms]
+    )
+
+
+def _batch(disc: Discretization, T: float, lam, route: str = "Z", q_index=None) -> CharBatch:
+    """The CharBatch of one sweep over `disc` from `route`'s side."""
+    lam = _lam_batch(lam)
+    fam = integrate_family(disc, lam, route, q_index=q_index)
+    return CharBatch(lam=lam, route=route, T=T, **_route_values(fam, route))
+
+
 def char_batch(
     spec: ProblemSpec,
     lam,
@@ -248,49 +255,31 @@ def char_batch(
     """Evaluate omega, delta_1, delta_2, delta_11 and delta_21 at a batch of lambda values.
 
     route "Z" (default) uses one T-side sweep; "X" uses the defining
-    determinants; "both" computes the two and raises a consistency error
-    when they disagree beyond ROUTE_TOL relative to the natural scale.  The
-    sweep's grid depends on the problem and grid_spec only, so a value is a
-    function of its lambda alone, whatever else the batch holds.  The two
-    routes are one discrete system on that grid (the Magnus cell run
-    backwards is its inverse, and the density rule is symmetric in a cell's
-    ends), so a disagreement is rounding: cancellation in the X route's
-    determinants and growth through its propagation, both like
-    exp(Im rho * T), which the error names.
+    determinants.  The sweep's grid depends on the problem and grid_spec
+    only, so a value is a function of its lambda alone, whatever else the
+    batch holds.  The two routes are one discrete system on that grid (the
+    Magnus cell run backwards is its inverse, and the density rule is
+    symmetric in a cell's ends), so they differ by rounding only:
+    cancellation in the X route's determinants and growth through its
+    propagation, both like exp(Im rho * T).
     """
-    if route not in ("Z", "X", "both"):
+    if route not in ("Z", "X"):
         raise InputError(f"unknown route {route!r}")
-    lam = _lam_batch(lam)
-    gs = grid_spec or GridSpec()
-    grid = solver_grid(spec.q, gs, extra_required=[spec.required_points()])
-    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
-    routes = ("Z", "X") if route == "both" else (route,)
-    values = {r: _route_values(integrate_family(spec.q, lam, r, grid, gs, weights=weights), r) for r in routes}
-    batch = CharBatch(lam=lam, route=routes[0], T=spec.T, **values[routes[0]])
-    if route == "both":
-        batch.alt = values["X"]
-        sc = batch.scale()
-        for name, b in batch.alt.items():
-            a = getattr(batch, name)
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 0.1 * sc)
-            defect = np.abs(a - b) / denom
-            if np.any(defect > ROUTE_TOL):
-                i = int(np.argmax(defect))
-                tau_T = float(principal_rho(lam[i]).imag) * spec.T
-                raise ConsistencyError(
-                    f"{name} routes disagree by {defect[i]:.2e} at lambda={lam[i]:.6g} "
-                    f"(rounding from cancellation and growth at Im rho * T = {tau_T:.1f})"
-                )
-    return batch
+    return _batch(_discretize(spec, grid_spec), spec.T, lam, route)
 
 
 def char_handle(spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None):
-    """Vectorized callable lambda-array -> Z-route values of one characteristic function."""
+    """Vectorized callable lambda-array -> Z-route values of one characteristic function.
+
+    The handle holds one discretization of the problem, so its calls share
+    the grid, the samples and the sweep layout.
+    """
     if which not in _NAMES:
         raise InputError(f"unknown characteristic function {which!r}")
+    disc = _discretize(spec, grid_spec)
 
     def handle(lam):
-        return getattr(char_batch(spec, lam, grid_spec), which)
+        return getattr(_batch(disc, spec.T, lam), which)
 
     return handle
 
@@ -326,17 +315,7 @@ def char_batch_multi(
     for qq in q_list:
         if abs(qq.T - T) > 1e-12 * max(1.0, T):
             raise InputError("every candidate potential must live on (0, T)")
-    gs = grid_spec or GridSpec()
-    extra = [spec.required_points()]
-    extra.extend(qq.required_points() for qq in q_list[1:])
-    k_q = max(qq.derivative_bound() for qq in q_list)
-    grid = solver_grid(q_list[0], gs, extra_required=extra, k_q=k_q)
-    samples = [qq.step_samples(grid) for qq in q_list]
-    qa, qm, qb = (np.stack([s[i] for s in samples], axis=1)[:, q_index] for i in range(3))
-
-    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
-    fam = integrate_family(q_list[0], lam, "Z", grid, gs, weights=weights, q_steps=(qa, qm, qb))
-    return CharBatch(lam=lam, route="Z", T=T, **_route_values(fam, "Z"))
+    return _batch(_discretize(spec, grid_spec, q_list), T, lam, "Z", q_index)
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +450,12 @@ def phi_trace_stable(spec: ProblemSpec, p: SpectralPoint) -> SolutionTrace:
     form support this keeps phi usable far into the upper rho half-plane.
     """
     a = spec.form1.support_end
-    grid = solver_grid(spec.q, extra_required=[spec.required_points(), [a]])
+    disc = Discretization.build([spec.q], None, [spec.required_points(), [a]], None)
+    grid = disc.grid
     ia = _node_index(grid, a, "form support end")
 
-    head = grid[: ia + 1]
-    famH = integrate_family(
-        spec.q, [p.lam], "X", head, weights=[node_weights(spec.form1, head)], store=True
-    )
+    head = disc.piece(0, ia + 1, lambda head: [node_weights(spec.form1, head)])
+    famH = integrate_family(head, [p.lam], "X", store=True)
     u = famH.forms[0, 0]  # U1(X1), U1(X2) as mantissas
 
     # mantissa-space combination on the head, shared head scale
@@ -498,13 +476,11 @@ def phi_trace_stable(spec: ProblemSpec, p: SpectralPoint) -> SolutionTrace:
             cbar=famH.cbar[:, 0],
         )
 
-    tail = grid[ia:]
     init_scale = float(head_s[-1])
     famT = integrate_family(
-        spec.q,
+        disc.piece(ia, len(grid), None),
         [p.lam],
         "X",
-        tail,
         store=True,
         init=(np.asarray([[head_y[-1]]]), np.asarray([[head_dy[-1]]])),
     )

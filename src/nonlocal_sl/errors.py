@@ -34,10 +34,6 @@ class PoleProximityError(NumericalError):
     """Evaluation point too close to a pole of a Weyl-type quotient."""
 
 
-class ConsistencyError(NumericalError):
-    """Redundant computation routes disagree beyond tolerance."""
-
-
 class ContourError(NumericalError):
     """An argument-principle contour could not be certified."""
 

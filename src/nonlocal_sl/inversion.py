@@ -38,7 +38,8 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .characteristic import ProblemSpec, _ratios_at, _row_ratios, char_batch, char_batch_multi, d_sequence
+from .characteristic import ProblemSpec, _batch, _discretize, _ratios_at, _row_ratios, char_batch, char_batch_multi
+from .characteristic import d_sequence  # noqa: F401  (bench/tracing.py wraps it here)
 from .errors import InputError, NumericalError
 from .ode_core import GridSpec, modulus_scale
 from .potential import Potential
@@ -449,11 +450,12 @@ class _Engine:
         total = len(self.seeds)
         z = np.tile(self.seeds, (B, 1))
         active = np.ones((B, total), dtype=bool)
+        disc = _discretize(self.template, self.gs, q_list)  # one grid for every round
+        q_idx = np.tile(np.repeat(np.arange(B), total), 2)
         for _ in range(_NEWTON_ROUNDS):
             h = _LAMBDA_STEP * (1.0 + np.abs(z))
             lam_flat = np.concatenate([z.ravel(), (z + h).ravel()])
-            q_idx = np.tile(np.repeat(np.arange(B), total), 2)
-            cb = char_batch_multi(self.template, lam_flat, q_list, q_idx, self.gs)
+            cb = _batch(disc, self.template.T, lam_flat, "Z", q_idx)
             f0, f1 = np.concatenate(
                 [getattr(cb, which).reshape(2, B, total)[:, :, sl] for which, sl in self.blocks], axis=2
             )
@@ -716,29 +718,25 @@ def distinguishability(
     ratio against a finite one scores close to 1.
     """
     if data_kind in ("weyl_pair", "weyl_pair_with_D"):
-        lam = np.asarray(grid, dtype=complex)
-        ca = char_batch(spec_a, lam)
-        cb = char_batch(spec_b, lam)
-        ma, oka = ca.weyl_M_values()
-        mb, okb = cb.weyl_M_values()
+        lam = np.atleast_1d(np.asarray(grid, dtype=complex))
+        xi = np.atleast_1d(np.asarray(xi if data_kind == "weyl_pair_with_D" else (), dtype=complex))
+        if data_kind == "weyl_pair_with_D" and len(xi) == 0:
+            raise InputError("weyl_pair_with_D needs the omega zeros xi")
+        n = lam.size
+        # M, omega and the d_n of each problem from one sweep over the grid and the zeros
+        ca, cb = (char_batch(s, np.concatenate([lam, xi])) for s in (spec_a, spec_b))
+        ma, oka = (v[:n] for v in ca.weyl_M_values())
+        mb, okb = (v[:n] for v in cb.weyl_M_values())
         if not np.all(oka & okb):
             bad = lam[~(oka & okb)][0]
             raise InputError(f"lambda grid point {bad:.6g} falls under the pole guard")
+        oa, ob = ca.omega[:n], cb.omega[:n]
         score = float(np.max(np.abs(ma - mb) / (1.0 + np.abs(ma) + np.abs(mb))))
-        score = max(
-            score,
-            float(np.max(np.abs(ca.omega - cb.omega) / (1.0 + np.abs(ca.omega) + np.abs(cb.omega)))),
-        )
-        if data_kind == "weyl_pair_with_D":
-            if len(np.atleast_1d(np.asarray(xi))) == 0:
-                raise InputError("weyl_pair_with_D needs the omega zeros xi")
-            xi = np.asarray(xi, dtype=complex)
-            da = d_sequence(spec_a, xi)
-            db = d_sequence(spec_b, xi)
-            for ra, rb in zip(da, db):
-                va = None if ra.is_infinite else complex(ra.value)
-                vb = None if rb.is_infinite else complex(rb.value)
-                score = max(score, _chordal(va, vb))
+        score = max(score, float(np.max(np.abs(oa - ob) / (1.0 + np.abs(oa) + np.abs(ob)))))
+        for ra, rb in zip(_ratios_at(ca, n), _ratios_at(cb, n)):
+            va = None if ra.is_infinite else complex(ra.value)
+            vb = None if rb.is_infinite else complex(rb.value)
+            score = max(score, _chordal(va, vb))
         return score
     if data_kind == "two_spectra":
         from scipy.optimize import linear_sum_assignment

@@ -30,7 +30,10 @@ call, so a small batch pays numpy's per-call cost once per chunk rather than
 once per offset, and only the products and folds run offset by offset.  Only
 single-lambda traces replay the blocks to keep every node.  One sweep
 integrates a whole family of spectral points (and both fundamental columns)
-at once; all public entry points are thin wrappers over that core.
+at once; all public entry points are thin wrappers over that core.  All a
+sweep needs but lambda (the grid, q's samples, the forms' node weights and
+their blocked layout) is one `Discretization`, built once per problem, so
+lambda enters only the sweep.
 
 Branch convention: rho = sqrt(lambda) with Im rho >= 0, and rho >= 0 when
 lambda is real non-negative.
@@ -38,7 +41,7 @@ lambda is real non-negative.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from math import ceil, factorial, inf, log
 from numbers import Integral, Real
 
@@ -266,11 +269,6 @@ class FamilyStore:
     cbar: np.ndarray | None
     state0: tuple  # (y, dy, s) at grid[0]
     stateT: tuple  # (y, dy, s) at grid[-1]
-
-    def scale_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp(s - S), S) aligning stored nodes to a common per-lambda scale."""
-        S = self.s.max(axis=0)
-        return np.exp(self.s - S[None, :]), S
 
 
 def _check_budget(rho: np.ndarray, T: float, spec: GridSpec):
@@ -531,32 +529,114 @@ def _cells_blocked(ds, reverse: bool, h: np.ndarray, N: int, L: int, B: int):
     return np.ascontiguousarray(out.reshape(4, len(ds), B, L).transpose(0, 1, 3, 2))
 
 
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """Everything a sweep needs but lambda: the grid, q's step samples and the forms' node weights.
+
+    `samples` holds (q_left, q_mid, q_right) per step, each of shape (n-1, P)
+    with one column per candidate potential (P = 1 for one q).
+    `weights` lists forms, each (Wy, Wd, D) as `integrate_family` reads them.
+    Each side's sweep layout, everything the sweep derives from these, is
+    built on its first use and kept, so a caller that holds one
+    discretization per problem pays for it once.
+    """
+
+    grid: np.ndarray
+    spec: GridSpec
+    samples: tuple
+    weights: tuple
+    _layouts: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def build(cls, qs, spec: GridSpec | None, required, weigh) -> "Discretization":
+        """The discretization of the potentials `qs`: one, or candidates sharing a grid.
+
+        The grid is `solver_grid` of qs[0] holding the `required` points and
+        every other candidate's own, with K_q the largest over qs; `weigh`,
+        unless None, maps the grid to the forms' node weights.
+        """
+        spec = spec or GridSpec()
+        qs = list(qs)
+        extra = [*required, *(q.required_points() for q in qs[1:])]
+        grid = solver_grid(qs[0], spec, extra, max(q.derivative_bound() for q in qs))
+        samples = [q.step_samples(grid) for q in qs]
+        samples = tuple(np.stack([s[i] for s in samples], axis=1) for i in range(3))
+        return cls(grid, spec, samples, tuple(weigh(grid)) if weigh else ())
+
+    def piece(self, lo: int, hi: int, weigh) -> "Discretization":
+        """The discretization of grid[lo:hi] alone, its forms given by `weigh` as in `build`."""
+        grid = self.grid[lo:hi]
+        samples = tuple(v[lo : hi - 1] for v in self.samples)
+        return Discretization(grid, self.spec, samples, tuple(weigh(grid)) if weigh else ())
+
+    def _layout(self, side: str) -> "_Layout":
+        if side not in self._layouts:
+            self._layouts[side] = _Layout(self, side == "Z")
+        return self._layouts[side]
+
+
+class _Layout:
+    """The lambda-free part of a sweep from one side, in sweep order.
+
+    Step t goes from sweep node t to t + 1; step N, one past the end, has
+    h = 0 and so the identity matrix.  Steps sit in blocks of L = ceil(sqrt(N)),
+    step b L + j at steps[j, b], and the forms' node weights and density
+    terms are blocked to match (`_blocked`, `_cells_blocked`).
+    """
+
+    def __init__(self, disc: Discretization, reverse: bool):
+        grid, ws = disc.grid, disc.weights
+        N = len(grid) - 1
+        self.h = h = np.append(-np.diff(grid)[::-1] if reverse else np.diff(grid), 0.0)[:, None]
+        qa, qm, qb = disc.samples
+        sa, sm, sb = (qb[::-1], qm[::-1], qa[::-1]) if reverse else (qa, qm, qb)
+        pad = np.zeros((1, sm.shape[1]))
+        self.qbar = np.concatenate([(sa + 4.0 * sm + sb) / 6.0, pad])  # (N + 1, P)
+        self.a = -(h**2) * np.concatenate([sb - sa, pad]) / 12.0  # lambda cancels in c_b - c_a
+        # per column, the lambda-free part of the series bound, and the largest |a|
+        self.z_free = (np.abs(self.a) ** 2 + h**2 * np.abs(self.qbar)).max(axis=0)
+        self.h2_max, self.a_max = float(np.max(h**2)), np.abs(self.a).max(axis=0)
+        self.L = L = max(1, ceil(N**0.5))
+        self.B = B = -(-N // L)
+        self.steps = np.minimum(np.arange(L)[:, None] + np.arange(B) * L, N)
+        self.Wy, self.Wd = Ws = [_blocked([w[i] for w in ws], reverse, N, L, B) for i in (0, 1)]
+        self.dens = dens = _cells_blocked([w[2] for w in ws], reverse, h[:N, 0], N, L, B)
+        self.rule_at = dens.any(axis=(0, 1, 3)) if dens is not None else np.zeros(L, dtype=bool)
+        # (W, 0 for y or 1 for y', the offsets W weighs) per weighted variable
+        self.nodes = [(W, v, W[:, :B].any(axis=(0, 1))) for v, W in enumerate(Ws) if W is not None]
+        self.used = np.zeros((len(ws), B + 1), dtype=bool)  # the block starts each form weighs
+        for W, _, _ in self.nodes:
+            self.used |= W.any(axis=2)
+        if dens is not None:
+            cells = dens.any(axis=(0, 2))  # blocks holding a density cell, which weighs the next start too
+            self.used[:, :B] |= cells
+            self.used[:, 1:] |= cells
+
+
 def integrate_family(
-    q: Potential,
+    disc: Discretization,
     lam,
     side: str,
-    grid: np.ndarray,
-    spec: GridSpec | None = None,
     *,
-    weights=(),
     store: bool = False,
     init: tuple | None = None,
-    q_steps: tuple | None = None,
+    q_index=None,
 ) -> FamilyStore:
-    """Integrate the fundamental family (or custom initial data) over `grid`.
+    """Integrate the fundamental family (or custom initial data) over `disc`'s grid.
 
     side "X" starts at x=0, side "Z" at x=T, both with the identity initial
     state [[1, 0], [0, 1]] for (y, y') unless `init` gives (y0, dy0) arrays of
-    shape (m, k).  `q_steps` may supply precomputed (q_left, q_mid, q_right)
-    per step, each of shape (n-1,) or (n-1, m), to batch over potentials.
+    shape (m, k).  `q_index` picks each lambda's column of `disc.samples`, to
+    batch over potentials; a discretization of one potential needs none.
 
-    `weights` lists forms, each (Wy, Wd, D).  Wy and Wd are node weights of
-    shape (n,) in ascending grid order, D a density's values at each cell's
-    left and right end, shape (2, n-1); None marks zero.  Entry f
+    Each of `disc.weights` is a form (Wy, Wd, D).  Wy and Wd are node weights
+    of shape (n,) in ascending grid order, D a density's values at each
+    cell's left and right end, shape (2, n-1); None marks zero.  Entry f
     yields forms[f] = sum_u Wy[u] y(x_u) + Wd[u] y'(x_u) + int D y, the
     integral by the exponentially fitted rule of `_rule_weights` at each
     lambda's own cbar.  `store` keeps every node's state as well, which costs
-    O(n m k) memory; meant for single-lambda traces.
+    O(n m k) memory; meant for single-lambda traces.  Lambda enters only
+    here: the grid, the samples and the blocked weights come from `disc`.
 
     The first pass takes the block offsets in chunks (see _CHUNK), cut where
     offsets with and without density cells meet: the cells, the rule's
@@ -565,15 +645,15 @@ def integrate_family(
     products and the folds into the forms' coefficients, in offset order, so
     every value is the same whatever the chunking and the batch.
     """
-    spec = spec or GridSpec()
+    spec, grid = disc.spec, disc.grid
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     rho = principal_rho(lam)
     _check_budget(rho, float(grid[-1]), spec)
     if side not in ("X", "Z"):
         raise InputError("side must be 'X' or 'Z'")
+    lay = disc._layout(side)
     m = len(lam)
     N = len(grid) - 1
-    qa, qm, qb = q.step_samples(grid) if q_steps is None else q_steps
     if init is None:  # (y, y') of every column, shape (2, m, k)
         Y = np.zeros((2, m, 2), dtype=complex)
         Y[0, :, 0] = Y[1, :, 1] = 1.0
@@ -582,31 +662,16 @@ def integrate_family(
     k = Y.shape[2]
 
     # everything below runs in sweep order: step t goes from sweep node t to t+1
-    reverse = side == "Z"
-    # step N, one past the end, has h = 0 and so the identity matrix
-    h_sw = np.append(-np.diff(grid)[::-1] if reverse else np.diff(grid), 0.0)[:, None]
-    q_sw = [np.asarray(v) for v in ((qb, qm, qa) if reverse else (qa, qm, qb))]
-    q_sw = [v[::-1] for v in q_sw] if reverse else q_sw
-    sa, sm, sb = (v[:, None] if v.ndim == 1 else v for v in q_sw)  # (N, 1): q shared by every lambda
-    pad = np.zeros((1, sm.shape[1]))
-    qbar = np.concatenate([(sa + 4.0 * sm + sb) / 6.0, pad])
-    a_sw = -(h_sw**2) * np.concatenate([sb - sa, pad]) / 12.0  # lambda cancels in c_b - c_a
+    cols = slice(None) if q_index is None else np.asarray(q_index)
+    h_sw, qbar, a_sw = lay.h, lay.qbar[:, cols], lay.a[:, cols]
     # |s^2| <= |a|^2 + h^2 |q_bar| + h^2 |lambda| bounds each lambda's series alone
-    z_bound = (np.abs(a_sw) ** 2 + h_sw**2 * np.abs(qbar)).max(axis=0)
-    z_bound = z_bound + float(np.max(h_sw**2)) * np.abs(lam)
+    z_bound = lay.z_free[cols] + lay.h2_max * np.abs(lam)
     coef = _series_coefficients(z_bound)
     wide = z_bound > _Z_MAX
     wide = wide if wide.any() else None
-    shift = float(np.max(np.abs(a_sw))) ** 2 <= _A2_SHIFT
-
-    L = max(1, ceil(N**0.5))
-    B = -(-N // L)
-    steps = np.minimum(np.arange(L)[:, None] + np.arange(B) * L, N)  # step b*L + j at [j, b]
-    weights = list(weights)
-    F = len(weights)
-    Wy, Wd = (_blocked([w[i] for w in weights], reverse, N, L, B) for i in (0, 1))
-    dens = _cells_blocked([w[2] for w in weights], reverse, h_sw[:N, 0], N, L, B)
-    rule_at = dens.any(axis=(0, 1, 3)) if dens is not None else np.zeros(L, dtype=bool)
+    shift = float(lay.a_max[cols].max(initial=0.0)) ** 2 <= _A2_SHIFT
+    L, B, steps, F = lay.L, lay.B, lay.steps, len(disc.weights)
+    Wy, Wd, dens, rule_at, nodes = lay.Wy, lay.Wd, lay.dens, lay.rule_at, lay.nodes
 
     def step_cells(t, rule=False):
         """`_cell` at the steps t, rows of `steps`, in the order of t.ravel()."""
@@ -633,7 +698,6 @@ def integrate_family(
     if Wd is not None:
         cd += Wd[:, :, 0, None]
     cyB, cdB = cy[:, :B].copy(), cd[:, :B].copy()  # contiguous, for the folds; copied back below
-    nodes = [(W, v, W[:, :B].any(axis=(0, 1))) for v, W in enumerate((Wy, Wd)) if W is not None]
     per_chunk = max(1, _CHUNK // max(1, B * m))  # offsets
     cuts = sorted({*range(0, L, per_chunk), *(1 + np.flatnonzero(np.diff(rule_at))).tolist()})
     carry = P = None
@@ -709,15 +773,8 @@ def integrate_family(
     # each form's sum is scaled to the largest block-start exponent it weighs
     forms = forms_s = None
     if F:
-        used = np.zeros((F, B + 1), dtype=bool)
-        for W, _, _ in nodes:
-            used |= W.any(axis=2)
-        if dens is not None:
-            cells = dens.any(axis=(0, 2))  # blocks holding a density cell, which weighs the next start too
-            used[:, :B] |= cells
-            used[:, 1:] |= cells
         low = np.iinfo(np.int64).min
-        top = np.where(used[..., None], Es, low).max(axis=1)
+        top = np.where(lay.used[..., None], Es, low).max(axis=1)
         top = np.where(top == low, 0, top)
         f = np.ldexp(1.0, np.minimum(Es - top[:, None], 0))
         forms = np.einsum("fbm,bmk->fmk", cy * f, Ys) + np.einsum("fbm,bmk->fmk", cd * f, Ds)
@@ -738,13 +795,13 @@ def integrate_family(
             for v, e in ((ys, Ys), (ds, Ds))
         )
         s_st = np.concatenate([np.repeat(Ss[:B], L, axis=0)[:N], Ss[B:]])
-        qbar_asc = (np.asarray(qa) + 4.0 * np.asarray(qm) + np.asarray(qb)) / 6.0
-        cbar_st = (qbar_asc[:, None] if qbar_asc.ndim == 1 else qbar_asc) - lam
-        if reverse:
+        qa, qm, qb = disc.samples
+        cbar_st = ((qa + 4.0 * qm + qb) / 6.0)[:, cols] - lam
+        if side == "Z":
             y_st, dy_st, s_st = y_st[::-1], dy_st[::-1], s_st[::-1]
 
     ends = tuple(tuple(a[i].copy() for a in (Ys, Ds, Ss)) for i in (0, B))
-    state0, stateT = ends[::-1] if reverse else ends
+    state0, stateT = ends[::-1] if side == "Z" else ends
     return FamilyStore(
         grid=grid,
         lam=lam,
@@ -761,32 +818,20 @@ def integrate_family(
     )
 
 
-def _traces_from_store(fam: FamilyStore) -> list[SolutionTrace]:
-    """Per-column SolutionTraces of a stored single-lambda sweep."""
-    if fam.y is None or fam.y.shape[1] != 1:
-        raise InputError("traces need a stored single-lambda sweep")
-    E, S = fam.scale_weights()
-    out = []
-    for col in range(fam.y.shape[2]):
-        out.append(
-            SolutionTrace(
-                grid=fam.grid,
-                y=fam.y[:, 0, col] * E[:, 0],
-                dy=fam.dy[:, 0, col] * E[:, 0],
-                log_scale=float(S[0]),
-                cbar=fam.cbar[:, 0],
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Public single-point wrappers
 
 
-def _prep(q: Potential, grid_spec, extra_required):
-    spec = grid_spec or GridSpec()
-    return spec, solver_grid(q, spec, extra_required)
+def _traces(q: Potential, lam, side: str, grid_spec, extra_required, init=None) -> list[SolutionTrace]:
+    """Per-column traces of one stored single-lambda sweep on q's own grid."""
+    disc = Discretization.build([q], grid_spec, extra_required, None)
+    fam = integrate_family(disc, [lam], side, store=True, init=init)
+    S = fam.s.max(axis=0)
+    E = np.exp(fam.s - S[None, :])[:, 0]
+    return [
+        SolutionTrace(grid=fam.grid, y=y * E, dy=dy * E, log_scale=float(S[0]), cbar=fam.cbar[:, 0])
+        for y, dy in zip(fam.y[:, 0].T, fam.dy[:, 0].T)
+    ]
 
 
 def integrate_ivp(
@@ -809,17 +854,8 @@ def integrate_ivp(
         side = "Z"
     else:
         raise InputError(f"x0 must be an endpoint of [0, {T}], got {x0}")
-    spec, grid = _prep(q, grid_spec, extra_required)
-    fam = integrate_family(
-        q,
-        [p.lam],
-        side,
-        grid,
-        spec,
-        store=True,
-        init=(np.asarray([[y0]], dtype=complex), np.asarray([[dy0]], dtype=complex)),
-    )
-    return _traces_from_store(fam)[0]
+    init = (np.asarray([[y0]], dtype=complex), np.asarray([[dy0]], dtype=complex))
+    return _traces(q, p.lam, side, grid_spec, extra_required, init)[0]
 
 
 def fundamental_X(
@@ -829,10 +865,7 @@ def fundamental_X(
     extra_required=(),
 ) -> tuple[SolutionTrace, SolutionTrace]:
     """(X1, X2) with X1(0)=X2'(0)=1, X1'(0)=X2(0)=0."""
-    spec, grid = _prep(q, grid_spec, extra_required)
-    fam = integrate_family(q, [p.lam], "X", grid, spec, store=True)
-    t = _traces_from_store(fam)
-    return t[0], t[1]
+    return tuple(_traces(q, p.lam, "X", grid_spec, extra_required))
 
 
 def fundamental_Z(
@@ -842,10 +875,7 @@ def fundamental_Z(
     extra_required=(),
 ) -> tuple[SolutionTrace, SolutionTrace]:
     """(Z1, Z2) with Z1(T)=Z2'(T)=1, Z1'(T)=Z2(T)=0."""
-    spec, grid = _prep(q, grid_spec, extra_required)
-    fam = integrate_family(q, [p.lam], "Z", grid, spec, store=True)
-    t = _traces_from_store(fam)
-    return t[0], t[1]
+    return tuple(_traces(q, p.lam, "Z", grid_spec, extra_required))
 
 
 def modulus_scale(lam, T: float):

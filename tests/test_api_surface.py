@@ -68,7 +68,7 @@ def test_surface_is_on_record():
     assert settable_values(got) == SETTABLE_VALUES
 
 
-SETTABLE_VALUES = 93
+SETTABLE_VALUES = 90
 
 SURFACE = {
     "acceptance.CriterionResult": ("number", "name", "passed", "runtime", "budget", "detail"),
@@ -94,7 +94,7 @@ SURFACE = {
     "asymptotics.asym_report": ("quantity", "x", "rays", "spec", "*order="),
     "asymptotics.predict": ("quantity", "x", "p", "spec", "order="),
     "characteristic.CharBatch": (
-        "lam", "omega", "delta1", "delta2", "delta11", "delta21", "route", "T", "alt=",
+        "lam", "omega", "delta1", "delta2", "delta11", "delta21", "route", "T",
     ),
     "characteristic.CharBatch.scale": (),
     "characteristic.CharBatch.weyl_M_values": (),
@@ -166,11 +166,13 @@ SURFACE = {
     "measure.density_node_weights": ("m", "x"),
     "measure.merge": ("m1", "m2"),
     "measure.stieltjes_integrate": ("x", "fx", "m", "dfx=", "cbar="),
+    "ode_core.Discretization": ("grid", "spec", "samples", "weights"),
+    "ode_core.Discretization.build": ("qs", "spec", "required", "weigh"),
+    "ode_core.Discretization.piece": ("lo", "hi", "weigh"),
     "ode_core.FamilyStore": (
         "grid", "lam", "rho", "side", "forms", "forms_s", "y", "dy", "s", "cbar", "state0",
         "stateT",
     ),
-    "ode_core.FamilyStore.scale_weights": (),
     "ode_core.GridSpec": ("tol=", "*n_min=", "*tau_T_budget="),
     "ode_core.SolutionTrace": ("grid", "y", "dy", "log_scale=", "cbar="),
     "ode_core.SolutionTrace.value_at": ("x",),
@@ -180,9 +182,7 @@ SURFACE = {
     "ode_core.fitted_density_weights": ("grid", "dens", "cbar="),
     "ode_core.fundamental_X": ("q", "p", "grid_spec=", "extra_required="),
     "ode_core.fundamental_Z": ("q", "p", "grid_spec=", "extra_required="),
-    "ode_core.integrate_family": (
-        "q", "lam", "side", "grid", "spec=", "*weights=", "*store=", "*init=", "*q_steps=",
-    ),
+    "ode_core.integrate_family": ("disc", "lam", "side", "*store=", "*init=", "*q_index="),
     "ode_core.integrate_ivp": ("q", "p", "x0", "y0", "dy0", "grid_spec=", "extra_required="),
     "ode_core.modulus_scale": ("lam", "T"),
     "ode_core.principal_rho": ("lam",),

@@ -21,6 +21,7 @@ from nonlocal_sl.acceptance import _c8_spec, _c9_truth
 from nonlocal_sl.characteristic import (
     _NAMES,
     char_batch,
+    char_batch_multi,
     char_handle,
     combo_solutions,
     d_sequence,
@@ -28,9 +29,11 @@ from nonlocal_sl.characteristic import (
     phi_trace_stable,
     split_identity_check,
 )
-from nonlocal_sl.errors import CollinearityError, ConsistencyError, InputError, RangeError
+from nonlocal_sl.errors import CollinearityError, InputError, RangeError
 from nonlocal_sl.inversion import _first_n_real
 from nonlocal_sl.ode_core import (
+    _Z_MAX,
+    Discretization,
     GridSpec,
     SpectralPoint,
     fundamental_X,
@@ -107,10 +110,9 @@ class TestClosedForms:
         lam = 6.3 + 0.8j
         b = char_batch(spec, [lam])
         x = char_batch(spec, [lam], route="X")
-        both = char_batch(spec, [lam], route="both")
         assert complex(x.omega[0]) == pytest.approx(complex(b.omega[0]), rel=1e-9)
-        assert complex(both.delta1[0]) == pytest.approx(complex(b.delta1[0]), rel=1e-9)
-        assert complex(both.delta2[0]) == pytest.approx(complex(b.delta2[0]), rel=1e-9)
+        assert complex(x.delta1[0]) == pytest.approx(complex(b.delta1[0]), rel=1e-9)
+        assert complex(x.delta2[0]) == pytest.approx(complex(b.delta2[0]), rel=1e-9)
         with pytest.raises(InputError):
             char_handle(spec, "delta3")
 
@@ -121,43 +123,26 @@ class TestRouteAgreement:
         lam = np.array([1.5, 9.0, -4.0 + 3.0j, 25.0 + 1.0j])
         for _ in range(5):
             spec = _random_spec(rng)
-            b = char_batch(spec, lam, route="both")
+            z, x = (char_batch(spec, lam, route=route) for route in ("Z", "X"))
             sc = modulus_scale(lam, T)
             for name in ("omega", "delta1", "delta2", "delta11", "delta21"):
-                main = getattr(b, name)
-                alt = b.alt[name]
-                assert np.max(np.abs(main - alt) / sc) < TOL
+                assert np.max(np.abs(getattr(z, name) - getattr(x, name)) / sc) < TOL
 
     def test_bad_route_rejected(self):
         with pytest.raises(InputError):
             char_batch(_dirichlet(), [1.0], route="Y")
 
-    def _growing_spec(self):
-        c8 = _c8_spec()
-        q = Potential.from_cosine(T, [0.3, -0.5 + 0.1j, 0.2, 0.1])
-        return ProblemSpec(q=q, form1=c8.form1, form2=c8.form2)
-
-    def test_disagreement_from_cancellation_is_named(self):
-        # Im rho * T = 38.9: the determinants' products are ~exp(77.8) against a value ~exp(38.9)
-        with pytest.raises(ConsistencyError, match=r"cancellation .* Im rho \* T = 38\.9"):
-            char_batch(self._growing_spec(), [2500.0 * np.exp(0.5j)], route="both")
-
-    def test_disagreement_from_coarse_grid_is_named(self):
-        # The Magnus cell run backwards is its exact inverse and the density rule is symmetric
-        # in a cell's ends, so both routes see one discrete system and a coarse grid alone does
-        # not split them.  At Im rho * T = 28 the X route's propagation rounding does, and the
-        # message names rounding, not the grid.
-        lam = complex(3.0, 28.0 / T) ** 2
-        with pytest.raises(ConsistencyError, match=r"rounding .* Im rho \* T = 28\.0"):
-            char_batch(self._growing_spec(), [lam], GridSpec(tol=1e-2, n_min=8), route="both")
-
-    @pytest.mark.parametrize("route", ["Z", "X", "both"])
+    @pytest.mark.parametrize("route", ["Z", "X"])
     def test_empty_batch(self, route):
         b = char_batch(_dirichlet(), np.array([], dtype=complex), route=route)
-        names = {"omega", "delta1", "delta2", "delta11", "delta21"}
-        for name in names:
+        for name in ("omega", "delta1", "delta2", "delta11", "delta21"):
             assert getattr(b, name).shape == (0,)
-        assert set(b.alt) == (set() if route != "both" else names)
+
+    def test_empty_multi_batch(self):
+        spec = _dirichlet()
+        b = char_batch_multi(spec, np.array([], dtype=complex), [spec.q, Potential.from_cosine(T, [0.3])], [])
+        for name in ("omega", "delta1", "delta2", "delta11", "delta21"):
+            assert getattr(b, name).shape == (0,)
 
 
 class TestSolutionFamily:
@@ -253,9 +238,12 @@ def _trace_fit_ratio(spec, lam) -> complex:
 
 def _x_row_ratios(spec, xi) -> np.ndarray:
     """d with (U1(X1), U1(X2)) = -d (U2(X1), U2(X2)), by least squares on one X-route sweep."""
-    grid = solver_grid(spec.q, GridSpec(), extra_required=[spec.required_points()])
-    weights = [node_weights(f, grid) for f in (spec.form1, spec.form2)]
-    fam = integrate_family(spec.q, xi, "X", grid, weights=weights)
+
+    def weigh(grid):
+        return [node_weights(f, grid) for f in (spec.form1, spec.form2)]
+
+    disc = Discretization.build([spec.q], GridSpec(), [spec.required_points()], weigh)
+    fam = integrate_family(disc, xi, "X")
     f, t = fam.forms * np.exp(fam.forms_s)[..., None]
     return -np.sum(np.conj(t) * f, axis=1) / np.sum(np.abs(t) ** 2, axis=1)
 
@@ -460,7 +448,8 @@ def test_fitted_density_integrals_match_the_zero_potential(lam):
     a, b = 0.3 - 0.1j, -0.2 + 0.05j
     form = LinearForm.from_measure(BVMeasure.with_density(T, [0.0, T], [a, a + b * T]))
     q = Potential.zero(T)
-    grid = solver_grid(q, GridSpec())
+    disc = Discretization.build([q], GridSpec(), (), lambda g: [node_weights(form, g)])
+    grid = disc.grid
     rho = complex(principal_rho(lam))
 
     def J(k):  # int_0^T (a + b t) e^(k t) dt
@@ -468,7 +457,7 @@ def test_fitted_density_integrals_match_the_zero_potential(lam):
         return a * (e - 1.0) / k + b * (T * e / k - (e - 1.0) / k**2)
 
     want = [(J(1j * rho) + J(-1j * rho)) / 2.0, (J(1j * rho) - J(-1j * rho)) / (2j * rho)]
-    fam = integrate_family(q, [lam], "X", grid, weights=[node_weights(form, grid)])
+    fam = integrate_family(disc, [lam], "X")
     got = fam.forms[0, 0] * np.exp(fam.forms_s[0, 0])
     X = fundamental_X(q, SpectralPoint.from_lambda(lam))
     on_traces = [
@@ -552,3 +541,17 @@ def test_value_alone_equals_value_in_a_one_offset_chunk_batch():
         alone = char_batch(spec, batch[k : k + 1])
         for name in (*_NAMES, "delta21"):
             assert getattr(alone, name)[0] == getattr(big, name)[k]
+
+
+def test_handle_values_equal_char_batch_values():
+    # a handle sweeps the discretization it holds, char_batch one built per call: the same
+    # grid, samples and weights, so the values are equal, also for cells past the series range
+    spec = _c8_spec()
+    lam = np.array([3.0 + 1j, 400.0 - 20.0j, 3e5 + 5j])
+    grid = solver_grid(spec.q, GridSpec(), extra_required=[spec.required_points()])
+    assert np.max(np.diff(grid)) ** 2 * abs(lam[-1]) > _Z_MAX
+    batch = char_batch(spec, lam)
+    for name in _NAMES:
+        handle = char_handle(spec, name)
+        assert np.array_equal(handle(lam), getattr(batch, name))
+        assert handle(lam[-1:])[0] == getattr(batch, name)[-1]

@@ -12,7 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, characteristic, inversion
+from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, scenarios
+from nonlocal_sl import characteristic, inversion, ode_core
 from nonlocal_sl.acceptance import _c8_spec
 from nonlocal_sl.errors import InputError
 from nonlocal_sl.inversion import (
@@ -22,6 +23,7 @@ from nonlocal_sl.inversion import (
     _Engine,
     InverseTarget,
     ReconstructOptions,
+    _first_n_real,
     distinguishability,
     make_three_spectra_target,
     make_two_spectra_target,
@@ -33,6 +35,15 @@ from nonlocal_sl.spectrum_finder import SearchBox, problem_spectrum
 
 T = np.pi
 TRUTH_COEFFS = [0.4, -0.25]
+
+
+def _count_calls(monkeypatch, name, modules):
+    """A list that grows by one at every call of `name` through any of `modules`."""
+    calls = []
+    for mod in modules:
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    return calls
 
 
 def _truth():
@@ -356,7 +367,29 @@ class TestRootJacobian:
         np.testing.assert_array_equal(_ift_jacobian(engine, c), J)
 
 
+def test_residual_call_builds_one_grid(truth, target, monkeypatch):
+    # every Newton round of the root refinement sweeps one discretization of the candidates
+    engine = _Engine(target, dataclasses.replace(truth, q=Potential.zero(T)), BasisSpec.cosine(T, 2))
+    grids = _count_calls(monkeypatch, "solver_grid", (ode_core, characteristic))
+    sweeps = _count_calls(monkeypatch, "integrate_family", (characteristic,))
+    engine.residuals(np.array(TRUTH_COEFFS) + np.array([[0.0, 0.0], [0.1, -0.05]]))
+    assert len(sweeps) >= 3
+    assert len(grids) == 1
+
+
 class TestDistinguishability:
+    def test_weyl_pair_with_D_takes_one_sweep_per_problem(self, monkeypatch):
+        # criterion 6's mirror pair: M, omega and the d_n of each problem come from one batch
+        # over the grid and the zeros, and the score is the one four separate sweeps gave
+        _, (spec, mirror) = scenarios.build("counterexample1")
+        lam = np.linspace(1.0, 90.0, 50) + 0.5j
+        xi = _first_n_real(spec, "omega", 6, length=spec.T / 2.0)
+        sweeps = _count_calls(monkeypatch, "integrate_family", (characteristic,))
+        score = distinguishability(spec, mirror, "weyl_pair_with_D", lam, xi=xi)
+        assert len(sweeps) == 2
+        assert score == 0.15711996366437833
+
+
     def test_identical_problems_score_zero(self, truth):
         lam = np.linspace(3.0, 30.0, 7) + 0.5j
         assert distinguishability(truth, _truth(), "weyl_pair", lam) < 1e-12

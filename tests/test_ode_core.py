@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from nonlocal_sl import Potential
 from nonlocal_sl.errors import InputError, RangeError
 from nonlocal_sl.ode_core import (
+    Discretization,
     GridSpec,
     SpectralPoint,
     fundamental_X,
@@ -219,8 +220,7 @@ def test_stored_sweep_keeps_unit_wronskian(q_coeffs, sigma, tau_T):
     # the rounding of its two products
     q = Potential.from_cosine(T, q_coeffs)
     lam = complex(sigma, tau_T / T) ** 2
-    grid = solver_grid(q, GridSpec())
-    fam = integrate_family(q, [lam], "X", grid, store=True)
+    fam = integrate_family(Discretization.build([q], GridSpec(), (), None), [lam], "X", store=True)
     y, d, e2 = fam.y[:, 0], fam.dy[:, 0], np.exp(2.0 * fam.s[:, 0])
     w = (y[:, 0] * d[:, 1] - d[:, 0] * y[:, 1]) * e2
     size = (np.abs(y[:, 0] * d[:, 1]) + np.abs(d[:, 0] * y[:, 1])) * e2
@@ -230,8 +230,9 @@ def test_stored_sweep_keeps_unit_wronskian(q_coeffs, sigma, tau_T):
 def test_steps_beyond_the_series_range_use_the_closed_form():
     # one step of h = 3 at lambda = 100 has |s^2| = 900, far past the series range, and the cell
     # summed in closed form is still exact for q = 0
-    q = Potential.zero(3.0)
-    fam = integrate_family(q, [100.0], "X", np.array([0.0, 3.0]))
+    q, grid = Potential.zero(3.0), np.array([0.0, 3.0])
+    disc = Discretization(grid, GridSpec(), tuple(v[:, None] for v in q.step_samples(grid)), ())
+    fam = integrate_family(disc, [100.0], "X")
     assert fam.stateT[0][0, 0] * np.exp(fam.stateT[2][0]) == pytest.approx(np.cos(30.0), abs=1e-12)
 
 

@@ -14,7 +14,8 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, spectrum_finder
+from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec
+from nonlocal_sl import characteristic, ode_core, spectrum_finder
 from nonlocal_sl.errors import ContourError, InputError
 from nonlocal_sl.spectrum_finder import SearchBox, condition_S, find_spectrum, problem_spectrum
 
@@ -320,15 +321,12 @@ def _search_handles(spec, which, box):
     return seen["scan"], seen["polish"]
 
 
-_POLISH = _search_handles(
-    ProblemSpec(
-        q=Potential.from_cosine(T, [0.3, -0.2 + 0.1j, 0.15]),
-        form1=LinearForm.from_measure(BVMeasure(T, 1.0, ((1.1, 0.6 + 0.2j), (2.3, -0.3 + 0.1j)))),
-        form2=LinearForm.point_value(1.5, 0),
-    ),
-    "delta1",
-    _BOX,
-)[1]
+_ATOMS_SPEC = ProblemSpec(
+    q=Potential.from_cosine(T, [0.3, -0.2 + 0.1j, 0.15]),
+    form1=LinearForm.from_measure(BVMeasure(T, 1.0, ((1.1, 0.6 + 0.2j), (2.3, -0.3 + 0.1j)))),
+    form2=LinearForm.point_value(1.5, 0),
+)
+_POLISH = _search_handles(_ATOMS_SPEC, "delta1", _BOX)[1]
 _in_box = st.builds(complex, st.floats(_BOX.re_min, _BOX.re_max), st.floats(_BOX.im_min, _BOX.im_max))
 
 
@@ -339,3 +337,23 @@ def test_search_value_does_not_depend_on_its_batch(lam, others, pos):
     alone = complex(_POLISH(np.array([lam]))[0])
     batch = np.array(others[:pos] + [lam] + others[pos:])
     assert abs(complex(_POLISH(batch)[pos]) - alone) <= 1e-14 * abs(alone)
+
+
+def _count_calls(monkeypatch, name, modules):
+    """A list that grows by one at every call of `name` through any of `modules`."""
+    calls = []
+    for mod in modules:
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    return calls
+
+
+def test_a_contour_search_builds_two_grids(monkeypatch):
+    # the counting handle and the polish handle each hold one discretization, so the grid is
+    # built twice however many times the handles are evaluated
+    grids = _count_calls(monkeypatch, "solver_grid", (ode_core, characteristic))
+    sweeps = _count_calls(monkeypatch, "integrate_family", (characteristic,))
+    sp = problem_spectrum(_ATOMS_SPEC, "delta1", _BOX)
+    assert len(sp.entries) > 0
+    assert len(sweeps) > 2
+    assert len(grids) == 2

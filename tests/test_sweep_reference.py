@@ -18,7 +18,14 @@ from scipy.linalg import expm
 
 from nonlocal_sl import Potential
 from nonlocal_sl.errors import RangeError
-from nonlocal_sl.ode_core import GridSpec, fitted_density_weights, integrate_family, principal_rho, solver_grid
+from nonlocal_sl.ode_core import (
+    Discretization,
+    GridSpec,
+    fitted_density_weights,
+    integrate_family,
+    principal_rho,
+    solver_grid,
+)
 
 T = np.pi
 REL = 1e-12
@@ -129,17 +136,26 @@ def _weighted_mismatch(fam, cases, ry, rdy, rs, grid, cbar):
     return worst
 
 
-def _check_all_modes(q, lam, side, grid, spec=None, init=None, q_steps=None):
+def _disc(qs, grid, spec=None, weights=()):
+    """The discretization of `grid` with one column of samples per potential of `qs`."""
+    samples = [q.step_samples(grid) for q in qs]
+    samples = tuple(np.stack([np.asarray(v[c]) for v in samples], axis=1) for c in range(3))
+    return Discretization(grid, spec or GridSpec(), samples, tuple(weights))
+
+
+def _check_all_modes(q, lam, side, grid, spec=None, init=None, qs=None, q_index=None):
+    """The sweep of every weight case against the reference; with `qs`, lambda j sees qs[q_index[j]]."""
+    q_steps = None if qs is None else tuple(v[:, q_index] for v in _disc(qs, grid).samples)
     ry, rdy, rs = reference_sweep(q, lam, side, grid, init, q_steps)
     rho = principal_rho(np.asarray(lam, dtype=complex))
-    kw = dict(init=init, q_steps=q_steps)
+    kw = dict(init=init, q_index=q_index)
     n = len(grid)
     cases = _weight_cases(n, np.random.default_rng(n))
     qa, qm, qb = (np.asarray(v) for v in (q.step_samples(grid) if q_steps is None else q_steps))
     qbar = (qa + 4.0 * qm + qb) / 6.0
     cbar = (qbar[:, None] if qbar.ndim == 1 else qbar) - np.asarray(lam, dtype=complex)
     for store in (False, True):
-        fam = integrate_family(q, lam, side, grid, spec, weights=cases, store=store, **kw)
+        fam = integrate_family(_disc(qs or [q], grid, spec, cases), lam, side, store=store, **kw)
         for node, state in ((0, fam.state0), (n - 1, fam.stateT)):
             sl = slice(node, node + 1)
             assert _mismatch(
@@ -152,7 +168,7 @@ def _check_all_modes(q, lam, side, grid, spec=None, init=None, q_steps=None):
             continue
         assert fam.y.shape == fam.dy.shape == ry.shape
         assert _mismatch(fam.y, fam.dy, fam.s, ry, rdy, rs, rho) <= REL
-    plain = integrate_family(q, lam, side, grid, spec, **kw)
+    plain = integrate_family(_disc(qs or [q], grid, spec), lam, side, **kw)
     assert plain.forms is None and plain.forms_s is None
 
 
@@ -193,9 +209,7 @@ def test_per_column_potential_samples(side):
     lam = np.array([2.0, 9.5 + 1j, 30.0, -3.0, 14.0])
     idx = np.array([0, 1, 2, 1, 0])
     grid = solver_grid(qs[0], GridSpec())
-    samples = [qq.step_samples(grid) for qq in qs]
-    q_steps = tuple(np.stack([smp[c] for smp in samples], axis=1)[:, idx] for c in range(3))
-    _check_all_modes(qs[0], lam, side, grid, q_steps=q_steps)
+    _check_all_modes(qs[0], lam, side, grid, qs=qs, q_index=idx)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
@@ -209,7 +223,7 @@ def test_short_grids(n, side):
 def test_zero_step_grid_keeps_initial_state():
     q = _cosine()
     init = (np.array([[2.0 + 1j]]), np.array([[-0.5 + 0j]]))
-    fam = integrate_family(q, [4.0], "X", np.array([0.0]), store=True, init=init)
+    fam = integrate_family(_disc([q], np.array([0.0])), [4.0], "X", store=True, init=init)
     assert fam.y.shape == (1, 1, 1) and fam.s.shape == (1, 1)
     assert fam.y[0, 0, 0] * np.exp(fam.s[0, 0]) == 2.0 + 1j
     assert fam.dy[0, 0, 0] * np.exp(fam.s[0, 0]) == -0.5
@@ -218,7 +232,7 @@ def test_zero_step_grid_keeps_initial_state():
 
 def test_end_states_do_not_hold_the_sweep_buffers():
     q = _cosine()
-    fam = integrate_family(q, LAMS, "X", np.linspace(0.0, T, 401))
+    fam = integrate_family(_disc([q], np.linspace(0.0, T, 401)), LAMS, "X")
     assert all(a.base is None for a in fam.state0 + fam.stateT)
     assert fam.stateT[0].shape == (len(LAMS), 2) and fam.stateT[2].shape == (len(LAMS),)
 
@@ -231,8 +245,8 @@ def test_strong_growth_near_the_budget(side):
     q = _cosine()
     grid = solver_grid(q, spec)
     _check_all_modes(q, lam, side, grid, spec=spec)
-    fam = integrate_family(q, lam, side, grid, spec)
+    fam = integrate_family(_disc([q], grid, spec), lam, side)
     end = fam.stateT if side == "X" else fam.state0
     assert end[2].max() > 800.0
     with pytest.raises(RangeError):
-        integrate_family(q, lam, side, grid, GridSpec())
+        integrate_family(_disc([q], grid, GridSpec()), lam, side)
