@@ -16,15 +16,16 @@ rest of the package computes forward:
 Reconstruction runs a hand-rolled Levenberg-Marquardt loop over basis
 coefficients.  Eigenvalue residuals match computed roots to the target
 lists by optimal assignment, so no enumeration convention is needed.
-Candidate eigenvalues are obtained by Newton refinement seeded at the
-target values.  Their Jacobian needs no further Newton: a root z of the
-datum's characteristic function f moves by dz/dc_k = -(df/dc_k)/(df/dlambda)
-(the implicit function theorem, as in Poeschel & Trubowitz, Inverse
-Spectral Theory, 1987), and one batched sweep (`char_batch_multi`) at the
-fixed roots gives every difference quotient.  The Weyl kinds take
-finite-difference Jacobian columns, all in one such sweep; targets carrying
-d_n data put the xi_n into that same sweep and read each candidate's d_n
-from its form rows there.
+Candidate eigenvalues are refined from the target values by the package's
+one batched Newton (`spectrum_finder._batched_newton`), which sweeps only
+the seeds still moving.  Their Jacobian needs no further Newton: a root z
+of the datum's characteristic function f moves by
+dz/dc_k = -(df/dc_k)/(df/dlambda) (the implicit function theorem, as in
+Poeschel & Trubowitz, Inverse Spectral Theory, 1987), and one batched sweep
+(`char_batch_multi`) at the fixed roots gives every difference quotient.
+The Weyl kinds take finite-difference Jacobian columns, all in one such
+sweep; targets carrying d_n data put the xi_n into that same sweep and read
+each candidate's d_n from its form rows there.
 
 Data here are self-generated by the same forward solver (the usual inverse
 crime); noise robustness is out of scope.
@@ -43,14 +44,11 @@ from .characteristic import d_sequence  # noqa: F401  (bench/tracing.py wraps it
 from .errors import InputError, NumericalError
 from .ode_core import GridSpec, modulus_scale
 from .potential import Potential
-from .spectrum_finder import ConditionReport, SearchBox, condition_S, problem_spectrum
+from .spectrum_finder import _LAMBDA_STEP, ConditionReport, SearchBox, _batched_newton, condition_S, problem_spectrum
 
 _KINDS = ("two_spectra", "weyl_pair", "weyl_pair_with_D", "three_spectra")
 _BASES = ("cosine", "piecewise")
 _PENALTY = 1e3
-_NEWTON_ROUNDS = 10
-_LAMBDA_STEP = 1e-6  # relative lambda step of the difference quotient df/dlambda
-_STEP_TOL = 1e-9  # relative Newton step size counted as converged
 _ROOT_F_TOL = 1e-4  # |f| <= this * modulus scale accepts a refined root
 _DATA_TOL = 1e-9  # the data builders' zeros meet |f| <= this * modulus scale
 _DATA_GRID_TOL = 1e-10  # grid tolerance of `residual`: the one the builders polish their zeros on
@@ -444,35 +442,26 @@ class _Engine:
     def _refined_roots(self, q_list: list[Potential]):
         """Newton-refined roots seeded at the targets, per candidate potential.
 
-        Returns (roots (B, total), valid (B, total)) in target order.
+        One discretization of the candidates serves every round; a point of
+        seed idx sweeps candidate idx // n and reads its datum's block
+        function.  Returns (roots (B, n), valid (B, n)) in target order.
         """
-        B = len(q_list)
-        total = len(self.seeds)
-        z = np.tile(self.seeds, (B, 1))
-        active = np.ones((B, total), dtype=bool)
-        disc = _discretize(self.template, self.gs, q_list)  # one grid for every round
-        q_idx = np.tile(np.repeat(np.arange(B), total), 2)
-        for _ in range(_NEWTON_ROUNDS):
-            h = _LAMBDA_STEP * (1.0 + np.abs(z))
-            lam_flat = np.concatenate([z.ravel(), (z + h).ravel()])
-            cb = _batch(disc, self.template.T, lam_flat, "Z", q_idx)
-            f0, f1 = np.concatenate(
-                [getattr(cb, which).reshape(2, B, total)[:, :, sl] for which, sl in self.blocks], axis=2
-            )
-            fp = (f1 - f0) / h
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(fp != 0, f0 / np.where(fp != 0, fp, 1.0), 0.0)
-            step = np.where(np.isfinite(step), step, 0.0)
-            cap = 0.5 * (1.0 + np.abs(z))
-            mag = np.abs(step)
-            step = np.where(mag > cap, step * (cap / np.where(mag > 0, mag, 1.0)), step)
-            z = np.where(active, z - step, z)
-            done = np.abs(step) <= _STEP_TOL * (1.0 + np.abs(z))
-            active &= ~done
-            if not active.any():
-                break
-        scale = np.abs(modulus_scale(z, self.template.T))
-        valid = np.isfinite(z) & (np.abs(f0) <= _ROOT_F_TOL * scale)
+        B, n = len(q_list), len(self.seeds)
+        disc = _discretize(self.template, self.gs, q_list)
+
+        def f(lam, idx):
+            cb = _batch(disc, self.template.T, lam, "Z", idx // n)
+            col = idx % n
+            out = np.empty(len(lam), dtype=complex)
+            for which, sl in self.blocks:
+                at = (col >= sl.start) & (col < sl.stop)
+                out[at] = getattr(cb, which)[at]
+            return out
+
+        seeds = np.tile(self.seeds, B)
+        z, resid = _batched_newton(f, seeds, 1.0, 0.5 * (1.0 + np.abs(seeds)), 10, 1e-9, lambda z: 0.0)
+        z, resid = z.reshape(B, n), resid.reshape(B, n)
+        valid = np.isfinite(z) & (resid <= _ROOT_F_TOL * np.abs(modulus_scale(z, self.template.T)))
         return z, valid
 
     def _spectra_mismatch(self, q_list):

@@ -16,18 +16,27 @@ log f that the count tracks along the contour, by a sixth-order rule on the
 counting samples themselves (on each sample interval, the quintic through
 the six samples of its edge around it): seeding evaluates nothing beyond the
 count, and a refined stretch is integrated at its own spacing.  All seeds
-are polished in one batched damped Newton.  A box whose seeds or roots leave
-it, come close together or miss the residual bound is bisected instead
-(long-side splits, retried at shifted fractions until the counts add up) and
-polished in a next round.  Single zeros and clusters that no cut separates
-are polished from the first moment with their multiplicity.
+are polished in one batched damped Newton (below).  A box whose seeds or
+roots leave it, come close together or miss the residual bound is bisected
+instead (long-side splits, retried at shifted fractions until the counts add
+up) and polished in a next round.  Single zeros and clusters that no cut
+separates are polished from the first moment with their multiplicity.
 problem_spectrum runs a contour search on one grid, so no value depends on
 the batch it is in.
 
 A real-axis fast path scans sign changes of a handle that is real-valued on
-the real axis and refines each bracket with a safeguarded secant.  It assumes
-the spectrum in the window is real and simple, which holds for the Dirichlet
-style problems used by the reconstruction drivers.
+the real axis, refines each bracket with a safeguarded secant and polishes
+the midpoints in the same Newton.  It assumes the spectrum in the window is
+real and simple, which holds for the Dirichlet style problems used by the
+reconstruction drivers.  Every stage checks that the handle's values are
+finite and names itself and the first bad lambda when they are not.
+
+`_batched_newton` is the package's one Newton for zeros in lambda; the
+inversion refines its candidate eigenvalues with it too.  Each round
+evaluates only the seeds still moving, at z and z + h with
+h = _LAMBDA_STEP (1 + |z|), and takes f' as the forward difference: two
+points per seed and round.  A seed stops on a small step or a small |f|
+and keeps the |f| of its last round, so no point is evaluated twice.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ _DIP_FLOOR = 1e-3
 _MAX_NUDGE = 5
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.42, 0.58)
 _SEED_GAP = 1e-2
+_LAMBDA_STEP = 1e-6  # relative lambda step of the forward difference df/dlambda
 _GAUSS_T = (1.0 + np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])) / 2  # three-point Gauss on [0, 1]
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 _SCAN_GRID = GridSpec(tol=1e-8)  # problem_spectrum counts on this grid
@@ -154,12 +164,15 @@ def _contour_points(box: SearchBox, n: int) -> np.ndarray:
     return np.concatenate([a + t * (b - a) for a, b in zip(c, c[1:] + c[:1])])
 
 
-def _eval(f: Callable, pts: np.ndarray) -> np.ndarray:
+def _eval(f: Callable, pts: np.ndarray, stage: str) -> np.ndarray:
+    """f at pts; a ContourError names the stage and the first lambda where f is not finite."""
     vals = np.asarray(f(pts), dtype=complex)
     if vals.shape != pts.shape:
         raise InputError("handle must return one value per lambda")
-    if not np.all(np.isfinite(vals)):
-        raise ContourError("handle returned non-finite values on the contour")
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        lam = pts[np.argmax(bad)]
+        raise ContourError(f"handle returned a non-finite value in the {stage} at lambda = {lam:.8g}")
     return vals
 
 
@@ -176,7 +189,7 @@ def _winding(f: Callable, box: SearchBox) -> _ContourResult:
     for nudge in range(_MAX_NUDGE + 1):
         used = box if nudge == 0 else box.inflated(1.01**nudge)
         pts = _contour_points(used, used.n_samples)
-        vals = _eval(f, pts)
+        vals = _eval(f, pts, "contour count")
         dipped = False
         for _ in range(_MAX_REFINE + 1):
             absv = np.abs(vals)
@@ -201,7 +214,7 @@ def _winding(f: Callable, box: SearchBox) -> _ContourResult:
                 )
             idx = np.nonzero(bad)[0]
             mids = (pts[idx] + pts[(idx + 1) % len(pts)]) / 2.0
-            mvals = _eval(f, mids)
+            mvals = _eval(f, mids, "contour count")
             pts = np.insert(pts, idx + 1, mids)
             vals = np.insert(vals, idx + 1, mvals)
         if not dipped:
@@ -285,60 +298,41 @@ def _split(f: Callable, b: SearchBox, cr: _ContourResult, depth: int, seeded: bo
     return None
 
 
-def _batched_newton(f, seeds, mults, diags, tol, scale_fn, max_rounds=60):
-    """Damped Newton from each seed; (best points, |f| there) over every evaluation.
+def _batched_newton(f, seeds, mults, caps, rounds, step_tol, f_stop):
+    """Damped Newton from every seed at once: (points, |f| at each seed's last evaluated point).
 
-    The final evaluation takes only the points whose last step moved them:
-    one whose step rounded to nothing already has its |f| from that round.
-    This needs f(lambda) not to depend on the batch lambda is in.
+    A round evaluates only the seeds still active, at z and at z + h with
+    h = _LAMBDA_STEP (1 + |z|), in one call f(lambda, seed index).  It steps
+    by mults f / f', with f' the forward difference, clipped to each seed's
+    cap.  A seed stops when its step is at most step_tol (1 + |z|) or when
+    |f| <= f_stop(z); it returns the point after that last step, with |f| at
+    the point before it, so no point is evaluated twice.  A non-finite step
+    counts as none.  This needs f(lambda) not to depend on the batch lambda
+    is in.
     """
-    z = np.asarray(seeds, dtype=complex)
-    m = np.asarray(mults, dtype=float)
-    lim = np.asarray(diags, dtype=float)
-    best = z.copy()
-    best_f = np.full(len(z), np.inf)  # round 1 evaluates the seeds as v0
-    final_f = np.full(len(z), np.inf)  # |f| at z, known where the last step did not move z
-    moved = np.ones(len(z), dtype=bool)
-    active = np.ones(len(z), dtype=bool)
-    for _ in range(max_rounds):
-        if not active.any():
+    z = np.array(seeds, dtype=complex)
+    m = np.broadcast_to(np.asarray(mults, dtype=float), z.shape)
+    caps = np.broadcast_to(np.asarray(caps, dtype=float), z.shape)
+    resid = np.full(z.shape, np.inf)
+    active = np.arange(len(z))
+    for _ in range(rounds):
+        if not len(active):
             break
         za = z[active]
-        h = 1e-6 * (1.0 + np.abs(za))
-        allpts = np.concatenate([za - h, za + h, za])
-        vals = _eval(f, allpts)
-        k = len(za)
-        vm, vp, v0 = vals[:k], vals[k : 2 * k], vals[2 * k :]
-        fp = (vp - vm) / (2.0 * h)
+        h = _LAMBDA_STEP * (1.0 + np.abs(za))
+        vals = np.asarray(f(np.concatenate([za, za + h]), np.tile(active, 2)), dtype=complex)
+        v0 = vals[: len(za)]
+        fp = (vals[len(za) :] - v0) / h
         with np.errstate(divide="ignore", invalid="ignore"):
             step = m[active] * v0 / fp
         step = np.where(np.isfinite(step), step, 0.0)
-        too_big = np.abs(step) > lim[active]
-        step = np.where(too_big, step * lim[active] / np.maximum(np.abs(step), 1e-300), step)
-        z_new = za - step
-        improved = np.abs(v0) < best_f[active]
-        ba = best[active]
-        bf = best_f[active]
-        ba[improved] = za[improved]
-        bf[improved] = np.abs(v0)[improved]
-        best[active] = ba
-        best_f[active] = bf
-        zz = z.copy()
-        zz[active] = z_new
-        z = zz
-        moved[active] = z_new != za
-        final_f[active] = np.abs(v0)
-        done = np.abs(step) <= 1e-13 * (1.0 + np.abs(z_new))
-        done |= np.abs(v0) <= 1e-3 * tol * np.asarray(scale_fn(za), dtype=float)
-        aa = active.copy()
-        aa[np.nonzero(active)[0][done]] = False
-        active = aa
-    if moved.any():
-        final_f[moved] = np.abs(_eval(f, z[moved]))
-    use_final = final_f < best_f
-    best[use_final] = z[use_final]
-    best_f[use_final] = final_f[use_final]
-    return best, best_f
+        step *= caps[active] / np.maximum(np.abs(step), caps[active])
+        z[active] = za - step
+        resid[active] = np.abs(v0)
+        done = np.abs(step) <= step_tol * (1.0 + np.abs(z[active]))
+        done |= resid[active] <= f_stop(za)
+        active = active[~done]
+    return z, resid
 
 
 def find_spectrum(
@@ -365,8 +359,10 @@ def find_spectrum(
     """
     scale_fn = scale if scale is not None else (lambda z: (1.0 + np.abs(z)) ** 0.5)
     fp = f_polish if f_polish is not None else f
+    polish = lambda lam, _: _eval(fp, lam, "Newton polish")
+    f_stop = lambda z: 1e-3 * tol * np.asarray(scale_fn(z), dtype=float)
     if real_axis:
-        return _real_axis_spectrum(f, fp, box, tol, source, scale_fn, rho_gap_hint)
+        return _real_axis_spectrum(f, polish, f_stop, box, tol, source, scale_fn, rho_gap_hint)
 
     root = _winding(f, box)
     floor = max(tol, 1e-10)
@@ -396,7 +392,8 @@ def find_spectrum(
         sizes = [len(t[3]) for t in tasks]
         mults = np.repeat([t[4] for t in tasks], sizes)
         diags = np.repeat([t[0].diag for t in tasks], sizes)
-        roots, resid = _batched_newton(fp, np.concatenate([t[3] for t in tasks]), mults, diags, tol, scale_fn)
+        seeds = np.concatenate([t[3] for t in tasks])
+        roots, resid = _batched_newton(polish, seeds, mults, diags, 60, 1e-13, f_stop)
         allowed = tol * np.asarray(scale_fn(roots), dtype=float)
         lone = np.repeat(np.asarray(sizes) == 1, sizes)
         if np.any(lone & (resid > allowed)):
@@ -424,7 +421,7 @@ def find_spectrum(
     return Spectrum(entries=entries, source=source, box=box, winding_total=root.winding)
 
 
-def _real_axis_spectrum(f_scan, f_polish, box, tol, source, scale_fn, rho_gap_hint):
+def _real_axis_spectrum(f_scan, polish, f_stop, box, tol, source, scale_fn, rho_gap_hint):
     lo, hi = box.re_min, box.re_max
     t_lo = -np.sqrt(-lo) if lo < 0 else np.sqrt(lo)
     t_hi = -np.sqrt(-hi) if hi < 0 else np.sqrt(hi)
@@ -433,14 +430,14 @@ def _real_axis_spectrum(f_scan, f_polish, box, tol, source, scale_fn, rho_gap_hi
     ts = np.linspace(t_lo, t_hi, n)
     lams = np.sign(ts) * ts * ts
 
-    def real_values(handle, arr):
-        v = np.asarray(handle(arr + 0j), dtype=complex)
+    def real_values(handle, arr, stage):
+        v = _eval(handle, arr + 0j, stage)
         bound = 1e-6 * (np.abs(v) + 1.0)
         if np.any(np.abs(v.imag) > bound):
             raise InputError("handle is not real-valued on the real axis")
         return v.real
 
-    vs = real_values(f_scan, lams)
+    vs = real_values(f_scan, lams, "sign scan")
     sign_change = np.nonzero((vs[:-1] * vs[1:] < 0))[0]
     exact = np.nonzero(vs == 0)[0]
 
@@ -459,7 +456,7 @@ def _real_axis_spectrum(f_scan, f_polish, box, tol, source, scale_fn, rho_gap_hi
         if round_ % 3 == 2:
             use_mid |= True
         x = np.where(use_mid, mid, x)
-        fx = real_values(f_scan, x)
+        fx = real_values(f_scan, x, "bracket refinement")
         hit = fx == 0.0
         left = np.sign(fx) == np.sign(fa)
         a = np.where(hit, x, np.where(left, x, a))
@@ -471,10 +468,7 @@ def _real_axis_spectrum(f_scan, f_polish, box, tol, source, scale_fn, rho_gap_hi
     if len(seeds) == 0:
         return Spectrum(entries=(), source=source, box=box, winding_total=0)
     widths = np.concatenate([b - a, np.full(len(exact), 1e-6)])
-    roots, resid = _batched_newton(
-        f_polish, seeds.astype(complex), np.ones(len(seeds)), 1e3 * widths + 1e-9, tol, scale_fn,
-        max_rounds=12,
-    )
+    roots, resid = _batched_newton(polish, seeds, 1.0, 1e3 * widths + 1e-9, 12, 1e-13, f_stop)
     allowed = tol * np.asarray(scale_fn(roots), dtype=float)
     if np.any(resid > allowed):
         i = int(np.argmax(resid / allowed))

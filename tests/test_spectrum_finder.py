@@ -76,8 +76,9 @@ class TestSyntheticHandles:
 
     @pytest.mark.parametrize("real_axis", [False, True])
     def test_seed_and_root_batches_evaluated_once(self, real_axis):
-        # the seeds are evaluated only inside the first Newton round, and the
-        # residual check reuses the last evaluation instead of repeating it
+        # the seeds are evaluated only at the head of the first Newton round, and the
+        # residual check reuses the last round's values: every polish call is a round
+        # (k iterates, then each one lambda step further), so none follows the last round
         roots = np.array([np.sqrt(5.0), 7.0 + np.pi / 30.0])
 
         def f(lam):
@@ -92,9 +93,11 @@ class TestSyntheticHandles:
 
         s = find_spectrum(f, SearchBox(0.0, 10.0, -2.0, 2.0), f_polish=polish, real_axis=real_axis)
         assert sorted(s.eigenvalues.real) == pytest.approx(roots, abs=1e-8)
-        seeds = calls[0][-len(roots) :]
-        for batch in (seeds, s.eigenvalues):
-            assert sum(bool(np.isin(batch, c).all()) for c in calls) == 1
+        seeds = calls[0][: len(roots)]
+        assert sum(bool(np.isin(seeds, c).all()) for c in calls) == 1
+        for c in calls:
+            k = len(c) // 2
+            assert len(c) == 2 * k and np.all(c[k:] == c[:k] + spectrum_finder._LAMBDA_STEP * (1.0 + np.abs(c[:k])))
 
     @pytest.mark.parametrize("real_axis", [False, True])
     def test_no_point_is_evaluated_twice(self, real_axis):
@@ -116,7 +119,8 @@ class TestSyntheticHandles:
         assert len(np.unique(points)) == len(points)
 
     def test_newton_reuses_the_value_of_a_point_that_did_not_move(self):
-        # a seed exactly on the root 2.3 has f = 0 and a zero step, so its first value is its last
+        # a seed exactly on the root 2.3 has f = 0 and a zero step, so its first value is its last:
+        # it costs one call, comes back unchanged and reports |f| = 0
         calls = []
 
         def polish(lam):
@@ -128,15 +132,50 @@ class TestSyntheticHandles:
             calls.clear()
             n = len(seeds)
             return spectrum_finder._batched_newton(
-                polish, np.array(seeds, dtype=complex), np.ones(n), np.ones(n), 1e-8, np.abs
+                lambda lam, _: polish(lam), seeds, 1.0, np.ones(n), 60, 1e-13, lambda z: 1e-11 * np.abs(z)
             )
 
-        best, resid = run([2.3, 7.0])
-        assert best == pytest.approx([2.3, 7.1], abs=1e-12) and resid[0] == 0.0
+        roots, resid = run([2.3, 7.0])
+        assert roots == pytest.approx([2.3, 7.1], abs=1e-12) and resid[0] == 0.0
         points = np.concatenate(calls)
         assert len(np.unique(points)) == len(points)
-        run([2.3])
-        assert len(calls) == 1  # nothing moved, so no final evaluation
+        roots, resid = run([2.3])
+        assert len(calls) == 1 and roots[0] == 2.3 and resid[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "stage, real_axis, nan_in",
+        [
+            ("contour count", False, "scan"),
+            ("sign scan", True, "scan"),
+            ("bracket refinement", True, "refinement"),
+            ("Newton polish", False, "polish"),
+            ("Newton polish", True, "polish"),
+        ],
+    )
+    def test_non_finite_value_names_its_stage(self, stage, real_axis, nan_in):
+        # (lambda - 2.3)(lambda - 7.1), not finite for |Re lambda - 7| < 0.3 in the counting handle,
+        # in its calls after the first (the bracket refinement's), or in the polish handle: the
+        # zero at 7.1 is not lost, the search stops at the first lambda where the value is not finite
+        def f(lam):
+            lam = np.asarray(lam, dtype=complex)
+            return (lam - 2.3) * (lam - 7.1)
+
+        def nan_near_7(lam):
+            lam = np.asarray(lam, dtype=complex)
+            return np.where(np.abs(lam.real - 7.0) < 0.3, np.nan, f(lam))
+
+        calls = []
+
+        def after_first(lam):
+            calls.append(1)
+            return nan_near_7(lam) if len(calls) > 1 else f(lam)
+
+        scan = {"scan": nan_near_7, "refinement": after_first, "polish": f}[nan_in]
+        polish = nan_near_7 if nan_in == "polish" else None
+        with pytest.raises(ContourError, match=f"in the {stage} at lambda = ") as err:
+            find_spectrum(scan, SearchBox(0.0, 10.0, -2.0, 2.0), f_polish=polish, real_axis=real_axis)
+        bad = complex(str(err.value).rsplit("= ", 1)[1])
+        assert abs(bad.real - 7.0) < 0.3 and not np.isfinite(nan_near_7([bad])[0])
 
     def test_double_zero_reported_with_multiplicity(self):
         def f(lam):
@@ -160,8 +199,8 @@ class TestSyntheticHandles:
 
         s = find_spectrum(f, _SEED_BOX)
         # the box's own contour, no child boxes; then Newton rounds from the pencil's seeds
-        assert len(calls) == 5 and len(calls[0]) == 256
-        assert np.max(np.abs(np.sort_complex(calls[1][-4:]) - roots)) <= 1e-4
+        assert len(calls) == 4 and len(calls[0]) == 256
+        assert np.max(np.abs(np.sort_complex(calls[1][:4]) - roots)) <= 1e-4
         assert s.winding_total == 4 and list(s.multiplicities) == [1] * 4
         got = np.array(sorted(s.eigenvalues, key=lambda z: z.real))
         assert np.max(np.abs(got - roots)) <= 1e-8
@@ -220,6 +259,51 @@ def test_moment_seeds_lie_near_simple_zeros(roots):
     assert cr.winding == len(roots)
     error = _seed_error(roots, spectrum_finder._moment_seeds(cr))
     assert error <= max(1e-2, 0.05 * _seed_error(roots, _midpoint_seeds(cr)))
+
+
+_offset = st.builds(lambda r, t: r * np.exp(2j * np.pi * t), st.floats(0.0, 0.05), st.floats(0.0, 1.0))
+
+
+def _recorded(roots):
+    """(handle f(lambda, seed index) of the zeros roots x e^{0.2 lambda}, {seed: every |f| it returned})."""
+    seen = {}
+
+    def f(lam, idx):
+        vals = _exp_poly(roots, lam)
+        for i, v in zip(idx, np.abs(vals)):
+            seen.setdefault(int(i), set()).add(v)
+        return vals
+
+    return f, seen
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(roots=st.lists(_inner, min_size=1, max_size=4), offsets=st.lists(_offset, min_size=4, max_size=4))
+def test_shared_newton_polishes_simple_zeros(roots, offsets):
+    # seeds within 0.05 of 1-4 simple zeros: every root to 1e-10 (1 + |r|), and the |f| reported
+    # for a seed is one the handle returned for it
+    roots = np.array(roots)
+    assume(_apart(roots))
+    f, seen = _recorded(roots)
+    z, resid = spectrum_finder._batched_newton(f, roots + offsets[: len(roots)], 1.0, 1.0, 60, 1e-13, lambda z: 0.0)
+    assert np.all(np.abs(z - roots) <= 1e-10 * (1.0 + np.abs(roots)))
+    assert all(resid[i] in seen[i] for i in range(len(roots)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(double=_inner, other=_inner, offset=_offset)
+def test_shared_newton_polishes_a_double_zero(double, other, offset):
+    # with multiplicity 2 and the contour polish's stop rule, a seed within 0.05 of a double zero
+    # stops well inside the round limit at |f| <= f_stop, close to the zero
+    assume(abs(double - other) >= 0.5)
+    f, seen = _recorded(np.array([double, double, other]))
+    f_stop = lambda z: 1e-11 * (1.0 + np.abs(z)) ** 0.5
+    rounds = []
+    z, resid = spectrum_finder._batched_newton(
+        lambda lam, idx: rounds.append(1) or f(lam, idx), [double + offset], 2.0, 1.0, 60, 1e-13, f_stop
+    )
+    assert len(rounds) < 20 and resid[0] in seen[0]
+    assert resid[0] <= 1e-11 * (2.0 + abs(double)) ** 0.5 and abs(z[0] - double) <= 1e-6 * (1.0 + abs(double))
 
 
 @pytest.mark.parametrize("n_samples, edge_gap", [(64, 0.05), (10, None)])
