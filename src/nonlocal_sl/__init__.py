@@ -44,7 +44,6 @@ _EXPORTS = {
         "char_handle",
         "combo_solutions",
         "d_sequence",
-        "phi_trace_stable",
         "split_identity_check",
     ),
     "spectrum_finder": (

@@ -13,6 +13,15 @@ upper rho half-plane (`asym_report`).  Two ray domains are supported:
 
 Magnitudes grow like exp(|Im rho| T), so every comparison is done in
 log-magnitude plus phase.
+
+Every pointwise value is a plain form value of sweeps anchored at a grid
+node, so no value is interpolated or formed by cancellation.  Let W1, W2 be
+the fundamental system at x: W1(x) = W2'(x) = 1, W1'(x) = W2(x) = 0.  Its
+Wronskian is 1, so phi = U_1(W_1) W_2 - U_1(W_2) W_1 for any such pair and
+phi(x) = -U_1(W_2), phi'(x) = U_1(W_1); at x = T these are delta_1 and
+delta_11.  Hence varphi^(k)(x) is U_1 on the system anchored at x,
+v2 = phi / delta_11, and with V(y) = y^(k)(x) on the system anchored at T,
+v1 = V(Z_1) and Phi = -V(Z_2) / delta_1.
 """
 
 from __future__ import annotations
@@ -23,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristic import ProblemSpec, char_batch, node_weights, phi_trace_stable
+from .characteristic import ProblemSpec, char_batch, node_weights
 from .errors import InputError, RangeError
 from .measure import LinearForm
-from .ode_core import Discretization, SpectralPoint, integrate_family, principal_rho
+from .ode_core import Discretization, SpectralPoint, _node_index, integrate_family, principal_rho
 
 _QUANTITIES = ("Delta1", "Delta11", "Phi", "v1", "varphi", "v2")
 _DEFAULT_RADII = (5.0, 10.0, 20.0, 40.0, 80.0)
@@ -248,10 +257,47 @@ def _unit(v: complex) -> complex:
     return 1.0 + 0j if a == 0.0 else v / a
 
 
+def _anchored(spec: ProblemSpec, form: LinearForm, x: float, lams: np.ndarray):
+    """The form's values on the fundamental system (W1, W2) at x, for each lambda.
+
+    W1(x) = W2'(x) = 1 and W1'(x) = W2(x) = 0.  The grid holds q's points,
+    the form's points and x.  [0, x] is swept backwards from x, [x, T]
+    forwards, each with its share of the form's node weights (the node at x
+    counts in the first), and a share that weighs nothing is not swept.
+    Returns mantissas of shape (m, 2), one column per W_k, and log-scales of
+    shape (m,).
+    """
+    disc = Discretization.build([spec.q], None, [form.required_points(spec.T), [x]], None)
+    grid = disc.grid
+    i, n = _node_index(grid, x), len(grid)
+    wy, wd, dens = node_weights(form, grid)
+    first = np.arange(n) <= i
+    parts = []
+    for lo, hi, side, nodes in ((0, i + 1, "Z", first), (i, n, "X", ~first)):
+        w = [None if v is None else np.where(nodes, v, 0)[lo:hi] for v in (wy, wd)]
+        w.append(None if dens is None else dens[:, lo : hi - 1])
+        if any(v is not None and v.any() for v in w):
+            fam = integrate_family(disc.piece(lo, hi, lambda g: [w]), lams, side)
+            parts.append((fam.forms[0], fam.forms_s[0]))
+    if len(parts) == 1:
+        return parts[0]
+    (u, s), (v, t) = parts
+    top = np.maximum(s, t)
+    return u * np.exp(s - top)[:, None] + v * np.exp(t - top)[:, None], top
+
+
 def _computed_values(
     quantity: str, x, lams: np.ndarray, spec: ProblemSpec, order: int
 ) -> list[ScaledComplex]:
-    """Solver-side values of the quantity at each lambda, scale-aware."""
+    """Solver-side values of the quantity at each lambda, scale-aware.
+
+    Delta1 and Delta11 come from `char_batch`.  The pointwise quantities are
+    form values on a fundamental system anchored at a node (see the module
+    docstring): v1 = V(Z_1) and Phi = -V(Z_2) / delta_1 with V the point form
+    y^(k)(x) and the system anchored at T; varphi(x) = -U_1(W_2),
+    varphi'(x) = U_1(W_1) with the system anchored at x, and
+    v2 = varphi / delta_11.
+    """
     if quantity in ("Delta1", "Delta11"):
         cb = char_batch(spec, lams)
         vals = cb.delta1 if quantity == "Delta1" else cb.delta11
@@ -259,40 +305,19 @@ def _computed_values(
 
     x = float(x)
     if quantity in ("v1", "Phi"):
-        form = LinearForm.point_value(x, order)
-        disc = Discretization.build([spec.q], None, (x,), lambda grid: [node_weights(form, grid)])
-        fam = integrate_family(disc, lams, "Z")
-        col = 0 if quantity == "v1" else 1
-        w = fam.forms[0, :, col]
-        s = fam.forms_s[0]
-        if quantity == "v1":
-            return [ScaledComplex(complex(w[j]), float(s[j])) for j in range(len(lams))]
-        cb = char_batch(spec, lams)
-        out = []
-        for j in range(len(lams)):
-            d1 = complex(cb.delta1[j])
-            out.append(
-                ScaledComplex(
-                    -complex(w[j]) / _unit(d1), float(s[j]) - math.log(abs(d1))
-                )
-            )
-        return out
-
-    # varphi and v2 go through the split evaluation, one lambda at a time
-    cb = char_batch(spec, lams) if quantity == "v2" else None
-    out = []
-    for j, lam in enumerate(lams):
-        tr = phi_trace_stable(spec, SpectralPoint.from_lambda(lam))
-        yv, dv, _ = tr.value_at(x)
-        w = yv if order == 0 else dv
-        if quantity == "varphi":
-            out.append(ScaledComplex(complex(w), tr.log_scale))
-        else:
-            d11 = complex(cb.delta11[j])
-            out.append(
-                ScaledComplex(complex(w) / _unit(d11), tr.log_scale - math.log(abs(d11)))
-            )
-    return out
+        w, s = _anchored(spec, LinearForm.point_value(x, order), spec.T, lams)
+        vals = w[:, 0] if quantity == "v1" else -w[:, 1]
+    else:
+        w, s = _anchored(spec, spec.form1, x, lams)
+        vals = -w[:, 1] if order == 0 else w[:, 0]
+    if quantity in ("v1", "varphi"):
+        return [ScaledComplex(complex(v), float(e)) for v, e in zip(vals, s)]
+    cb = char_batch(spec, lams)
+    div = [complex(d) for d in (cb.delta1 if quantity == "Phi" else cb.delta11)]
+    return [
+        ScaledComplex(complex(v) / _unit(d), float(e) - math.log(abs(d)))
+        for v, e, d in zip(vals, s, div)
+    ]
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .ode_core import (
     GridSpec,
     SolutionTrace,
     SpectralPoint,
+    _node_index,
     combine_traces,
     fundamental_X,
     fundamental_Z,
@@ -117,15 +118,6 @@ class ProblemSpec:
 # Form application over swept families
 
 
-def _node_index(grid: np.ndarray, x: float, label: str = "point") -> int:
-    tiny = _EDGE * max(1.0, float(grid[-1]))
-    i = int(np.searchsorted(grid, x))
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(grid) and abs(float(grid[j]) - x) <= tiny:
-            return j
-    raise InputError(f"{label}: no grid node at x={x}")
-
-
 def node_weights(form: LinearForm, grid: np.ndarray) -> tuple:
     """The form over `grid` as (Wy, Wd, D) for `integrate_family`; None marks zero.
 
@@ -133,15 +125,22 @@ def node_weights(form: LinearForm, grid: np.ndarray) -> tuple:
     is Wd on y'.  A density is D, its values at each cell's ends, which the
     sweep integrates at each lambda's own c_bar.
     """
+
+    def node(x: float, label: str) -> int:
+        i = _node_index(grid, x)
+        if i is None:
+            raise InputError(f"{label}: no grid node at x={x}")
+        return i
+
     w = np.zeros(len(grid), dtype=complex)
     if form.kind == "point_value":
-        w[_node_index(grid, form.x0, "point form")] = 1.0
+        w[node(form.x0, "point form")] = 1.0
         return (w, None, None) if form.order == 0 else (None, w, None)
     mu = form.measure
     if mu.jump_at_zero != 0:
-        w[_node_index(grid, 0.0)] += mu.jump_at_zero
+        w[node(0.0, "point")] += mu.jump_at_zero
     for t, wt in mu.atoms:
-        w[_node_index(grid, t, "atom")] += wt
+        w[node(t, "atom")] += wt
     return w, None, (density_node_weights(mu, grid) if mu.has_density else None)
 
 
@@ -360,8 +359,8 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
 
     The defining linear combinations of X1, X2 lose accuracy once
     exp(2 Im rho T) meets machine precision; intended for desk-scale lambda.
-    Large-|rho| point evaluation should go through phi_trace_stable and the
-    Z-side formulas instead.
+    At large |rho|, `asymptotics` reads phi, Phi, v1 and v2 at a point as
+    form values of sweeps anchored there, with no combination.
     """
     need = tuple(need)
     unknown = set(need) - set(_ALL_COMBOS)
@@ -439,60 +438,6 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
         N=N,
         boundary_values=bv,
     )
-
-
-def phi_trace_stable(spec: ProblemSpec, p: SpectralPoint) -> SolutionTrace:
-    """phi computed by coefficient extraction on [0, a] plus a restart at a.
-
-    a is the support end of the first form.  Beyond a the combination is a
-    single initial-value solution, so the relative error stays near
-    eps * exp(Im rho * a) instead of eps * exp(2 Im rho * T); with small
-    form support this keeps phi usable far into the upper rho half-plane.
-    """
-    a = spec.form1.support_end
-    disc = Discretization.build([spec.q], None, [spec.required_points(), [a]], None)
-    grid = disc.grid
-    ia = _node_index(grid, a, "form support end")
-
-    head = disc.piece(0, ia + 1, lambda head: [node_weights(spec.form1, head)])
-    famH = integrate_family(head, [p.lam], "X", store=True)
-    u = famH.forms[0, 0]  # U1(X1), U1(X2) as mantissas
-
-    # mantissa-space combination on the head, shared head scale
-    cmax = float(np.abs(u).max()) or 1.0
-    c1, c2 = u / cmax
-    su = float(famH.forms_s[0, 0] + np.log(cmax))
-    head_y = c1 * famH.y[:, 0, 1] - c2 * famH.y[:, 0, 0]
-    head_dy = c1 * famH.dy[:, 0, 1] - c2 * famH.dy[:, 0, 0]
-    head_s = famH.s[:, 0] + su
-
-    if ia == len(grid) - 1:
-        S = float(head_s.max())
-        return SolutionTrace(
-            grid=grid,
-            y=head_y * np.exp(head_s - S),
-            dy=head_dy * np.exp(head_s - S),
-            log_scale=S,
-            cbar=famH.cbar[:, 0],
-        )
-
-    init_scale = float(head_s[-1])
-    famT = integrate_family(
-        disc.piece(ia, len(grid), None),
-        [p.lam],
-        "X",
-        store=True,
-        init=(np.asarray([[head_y[-1]]]), np.asarray([[head_dy[-1]]])),
-    )
-    tail_y = famT.y[:, 0, 0]
-    tail_dy = famT.dy[:, 0, 0]
-    tail_s = famT.s[:, 0] + init_scale
-
-    S = float(max(head_s.max(), tail_s.max()))
-    y = np.concatenate([head_y[:-1] * np.exp(head_s[:-1] - S), tail_y * np.exp(tail_s - S)])
-    dy = np.concatenate([head_dy[:-1] * np.exp(head_s[:-1] - S), tail_dy * np.exp(tail_s - S)])
-    cbar = np.concatenate([famH.cbar[:, 0], famT.cbar[:, 0]])
-    return SolutionTrace(grid=grid, y=y, dy=dy, log_scale=S, cbar=cbar)
 
 
 # ---------------------------------------------------------------------------

@@ -705,22 +705,11 @@ def _run_invert(cfg: RunConfig, args):
     return payload, (["index", "coefficient"], rows)
 
 
-def _condition_s_dict(rep) -> dict:
-    w = None if rep.witness is None else _cpairs(rep.witness)
-    return {
-        "holds": rep.holds,
-        "min_gap": rep.min_gap,
-        "witness": w,
-        "n_first": rep.n_first,
-        "n_second": rep.n_second,
-    }
-
-
 def _run_scenario(cfg: RunConfig, args):
     import numpy as np
 
     from . import scenarios
-    from .inversion import _first_n_real, distinguishability
+    from .inversion import _certificate_to_dict, _first_n_real, distinguishability
     from .spectrum_finder import SearchBox
 
     if args.name is not None:
@@ -763,7 +752,9 @@ def _run_scenario(cfg: RunConfig, args):
         "delta1_deviation": rep.delta1_deviation,
         "delta2_deviation": rep.delta2_deviation,
         "q_sup_difference": rep.q_sup_difference,
-        "condition_s": _condition_s_dict(rep.condition_s),
+        "condition_s": {
+            k: v for k, v in _certificate_to_dict(rep.condition_s).items() if k != "separation_tol"
+        },
         "s_failure": not rep.condition_s.holds,
     }
     if built.name == "counterexample1":

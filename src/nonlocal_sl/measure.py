@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .ode_core import fitted_density_weights
+from .ode_core import _node_index, fitted_density_weights
 
 _EDGE_TOL = 1e-12
 _TV_POINTS = 65  # trapezoid nodes per density segment in `total_variation`
@@ -259,11 +259,9 @@ def density_node_weights(m: BVMeasure, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     D = np.zeros((2, max(len(x) - 1, 0)), dtype=complex)
-    scale = max(1.0, m.domain_length)
     for lo, hi, vlo, vhi in m.density_segments:
-        i_lo = int(np.searchsorted(x, lo - _EDGE_TOL * scale))
-        i_hi = int(np.searchsorted(x, hi - _EDGE_TOL * scale))
-        if i_lo >= len(x) or not _close(x[i_lo], lo, scale) or i_hi >= len(x) or not _close(x[i_hi], hi, scale):
+        i_lo, i_hi = _node_index(x, lo), _node_index(x, hi)
+        if i_lo is None or i_hi is None:
             raise InputError(
                 f"sample grid is missing a density breakpoint of the measure ({lo} or {hi})"
             )
@@ -271,17 +269,6 @@ def density_node_weights(m: BVMeasure, x: np.ndarray) -> np.ndarray:
         D[0, i_lo:i_hi] += dvals[:-1]
         D[1, i_lo:i_hi] += dvals[1:]
     return D
-
-
-def _atom_indices(m: BVMeasure, x: np.ndarray) -> list[int]:
-    scale = max(1.0, m.domain_length)
-    idxs = []
-    for t, _ in m.atoms:
-        i = int(np.searchsorted(x, t - _EDGE_TOL * scale))
-        if i >= len(x) or not _close(x[i], t, scale):
-            raise InputError(f"function not sampled at atom location t={t}; refusing to interpolate")
-        idxs.append(i)
-    return idxs
 
 
 def _interp_complex(xq: np.ndarray, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
@@ -313,7 +300,10 @@ def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure, dfx=None, c
         )
 
     total = m.jump_at_zero * fx[0]
-    for i, (_, w) in zip(_atom_indices(m, x), m.atoms):
+    for t, w in m.atoms:
+        i = _node_index(x, t)
+        if i is None:
+            raise InputError(f"function not sampled at atom location t={t}; refusing to interpolate")
         total += w * fx[i]
     if not m.has_density:
         return complex(total)
@@ -398,9 +388,8 @@ class LinearForm:
         """
         if self.kind == "nonlocal":
             return stieltjes_integrate(x, y, self.measure, dy, cbar)
-        x = np.asarray(x, dtype=float)
-        i = int(np.searchsorted(x, self.x0 - _EDGE_TOL))
-        if i >= len(x) or not _close(x[i], self.x0, max(1.0, x[-1])):
+        i = _node_index(np.asarray(x, dtype=float), self.x0)
+        if i is None:
             raise InputError(f"function not sampled at x0={self.x0}")
         if self.order == 0:
             return complex(y[i])

@@ -177,6 +177,13 @@ def solver_grid(
     return grid[keep]
 
 
+def _node_index(grid: np.ndarray, x: float) -> int | None:
+    """The index of `grid`'s node at x, within _EDGE_TOL * max(1, grid[-1]); None if there is none."""
+    tiny = _EDGE_TOL * max(1.0, float(grid[-1])) if len(grid) else 0.0
+    i = int(np.searchsorted(grid, x - tiny))
+    return i if i < len(grid) and abs(grid[i] - x) <= tiny else None
+
+
 @dataclass(frozen=True, eq=False)
 class SolutionTrace:
     """Solution samples on a grid; true values are exp(log_scale) * stored values.
@@ -200,12 +207,12 @@ class SolutionTrace:
         density rule is (cubic Hermite when `cbar` is None).
         """
         g = self.grid
-        i = int(np.searchsorted(g, x - _EDGE_TOL * max(1.0, g[-1])))
-        if i < len(g) and abs(g[i] - x) <= _EDGE_TOL * max(1.0, g[-1]):
+        i = _node_index(g, x)
+        if i is not None:
             return complex(self.y[i]), complex(self.dy[i]), False
         if x < g[0] or x > g[-1]:
             raise InputError(f"x={x} outside the trace domain [{g[0]}, {g[-1]}]")
-        i = min(max(i - 1, 0), len(g) - 2)
+        i = min(max(int(np.searchsorted(g, x)) - 1, 0), len(g) - 2)
         cbar = 0.0 if self.cbar is None else self.cbar[i]
         yv, dv = _fitted_readout(
             g[i + 1] - g[i], cbar, x - 0.5 * (g[i] + g[i + 1]), self.y[i : i + 2], self.dy[i : i + 2]
@@ -619,15 +626,14 @@ def integrate_family(
     side: str,
     *,
     store: bool = False,
-    init: tuple | None = None,
     q_index=None,
 ) -> FamilyStore:
-    """Integrate the fundamental family (or custom initial data) over `disc`'s grid.
+    """Integrate the fundamental family over `disc`'s grid.
 
-    side "X" starts at x=0, side "Z" at x=T, both with the identity initial
-    state [[1, 0], [0, 1]] for (y, y') unless `init` gives (y0, dy0) arrays of
-    shape (m, k).  `q_index` picks each lambda's column of `disc.samples`, to
-    batch over potentials; a discretization of one potential needs none.
+    side "X" starts at the grid's first node, side "Z" at its last, both with
+    the identity initial state [[1, 0], [0, 1]] for (y, y').  `q_index` picks
+    each lambda's column of `disc.samples`, to batch over potentials; a
+    discretization of one potential needs none.
 
     Each of `disc.weights` is a form (Wy, Wd, D).  Wy and Wd are node weights
     of shape (n,) in ascending grid order, D a density's values at each
@@ -654,12 +660,9 @@ def integrate_family(
     lay = disc._layout(side)
     m = len(lam)
     N = len(grid) - 1
-    if init is None:  # (y, y') of every column, shape (2, m, k)
-        Y = np.zeros((2, m, 2), dtype=complex)
-        Y[0, :, 0] = Y[1, :, 1] = 1.0
-    else:
-        Y = np.stack([np.asarray(v, dtype=complex).reshape(m, -1) for v in init])
-    k = Y.shape[2]
+    k = 2
+    Y = np.zeros((2, m, k), dtype=complex)  # (y, y') of every column
+    Y[0, :, 0] = Y[1, :, 1] = 1.0
 
     # everything below runs in sweep order: step t goes from sweep node t to t+1
     cols = slice(None) if q_index is None else np.asarray(q_index)
@@ -822,10 +825,10 @@ def integrate_family(
 # Public single-point wrappers
 
 
-def _traces(q: Potential, lam, side: str, grid_spec, extra_required, init=None) -> list[SolutionTrace]:
+def _traces(q: Potential, lam, side: str, grid_spec, extra_required) -> list[SolutionTrace]:
     """Per-column traces of one stored single-lambda sweep on q's own grid."""
     disc = Discretization.build([q], grid_spec, extra_required, None)
-    fam = integrate_family(disc, [lam], side, store=True, init=init)
+    fam = integrate_family(disc, [lam], side, store=True)
     S = fam.s.max(axis=0)
     E = np.exp(fam.s - S[None, :])[:, 0]
     return [
@@ -843,7 +846,10 @@ def integrate_ivp(
     grid_spec: GridSpec | None = None,
     extra_required=(),
 ) -> SolutionTrace:
-    """Solve -y'' + q y = lambda y with y(x0)=y0, y'(x0)=dy0, x0 an endpoint of [0, T]."""
+    """Solve -y'' + q y = lambda y with y(x0)=y0, y'(x0)=dy0, x0 an endpoint of [0, T].
+
+    The solution is y0 F1 + dy0 F2 over the fundamental pair (F1, F2) at x0.
+    """
     for v in (y0, dy0):
         if not np.isfinite(complex(v)):
             raise InputError("initial data must be finite")
@@ -854,8 +860,7 @@ def integrate_ivp(
         side = "Z"
     else:
         raise InputError(f"x0 must be an endpoint of [0, {T}], got {x0}")
-    init = (np.asarray([[y0]], dtype=complex), np.asarray([[dy0]], dtype=complex))
-    return _traces(q, p.lam, side, grid_spec, extra_required, init)[0]
+    return combine_traces(_traces(q, p.lam, side, grid_spec, extra_required), [y0, dy0])
 
 
 def fundamental_X(

@@ -68,7 +68,7 @@ def test_surface_is_on_record():
     assert settable_values(got) == SETTABLE_VALUES
 
 
-SETTABLE_VALUES = 90
+SETTABLE_VALUES = 89
 
 SURFACE = {
     "acceptance.CriterionResult": ("number", "name", "passed", "runtime", "budget", "detail"),
@@ -119,7 +119,6 @@ SURFACE = {
     "characteristic.combo_solutions": ("spec", "p", "*need="),
     "characteristic.d_sequence": ("spec", "xi"),
     "characteristic.node_weights": ("form", "grid"),
-    "characteristic.phi_trace_stable": ("spec", "p"),
     "characteristic.split_identity_check": ("spec", "a", "p"),
     "inversion.BasisSpec": ("kind", "T", "dim"),
     "inversion.BasisSpec.cosine": ("T", "dim"),
@@ -182,7 +181,7 @@ SURFACE = {
     "ode_core.fitted_density_weights": ("grid", "dens", "cbar="),
     "ode_core.fundamental_X": ("q", "p", "grid_spec=", "extra_required="),
     "ode_core.fundamental_Z": ("q", "p", "grid_spec=", "extra_required="),
-    "ode_core.integrate_family": ("disc", "lam", "side", "*store=", "*init=", "*q_index="),
+    "ode_core.integrate_family": ("disc", "lam", "side", "*store=", "*q_index="),
     "ode_core.integrate_ivp": ("q", "p", "x0", "y0", "dy0", "grid_spec=", "extra_required="),
     "ode_core.modulus_scale": ("lam", "T"),
     "ode_core.principal_rho": ("lam",),

@@ -7,9 +7,11 @@ the punctured domain is exercised with explicit pole references.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonlocal_sl import LinearForm, Potential, ProblemSpec
-from nonlocal_sl.asymptotics import RaySpec, ScaledComplex, asym_report, predict
+from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, asymptotics, characteristic
+from nonlocal_sl.asymptotics import _DEFAULT_RADII, RaySpec, ScaledComplex, asym_report, predict
 from nonlocal_sl.errors import InputError, RangeError
 from nonlocal_sl.ode_core import SpectralPoint, principal_rho
 from nonlocal_sl.spectrum_finder import SearchBox, problem_spectrum
@@ -198,3 +200,80 @@ class TestReports:
         table = rep.csv_rows()
         assert table[0][0] == "radius" and table[0][-1] == "ratio"
         assert len(table) == 3 and all(len(row) == 7 for row in table)
+
+
+def _density_spec():
+    """Cosine q; sigma_1 a density on [0, 2] plus a jump and two atoms, so a = 2."""
+    m = BVMeasure.with_density(T, [0.0, 2.0], [1.0, 0.5], jump=1.0, atoms=[(0.5, 0.3), (1.0, -0.2)])
+    return ProblemSpec(
+        q=Potential.from_cosine(T, [0.5, 0.3]),
+        form1=LinearForm.from_measure(m),
+        form2=LinearForm.point_value(T, 0),
+    )
+
+
+class TestAnchoredValues:
+    """varphi and v2 as form values on the fundamental system at x (and at T)."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(st.integers(1, 100), st.floats(-0.5, 0.5).filter(lambda w: abs(w) >= 0.1)),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda a: a[0],
+        ),
+        u=st.floats(0.0, 0.99),
+        angle=st.floats(np.pi / 6, np.pi / 2),
+    )
+    def test_zero_potential_matches_the_closed_forms(self, atoms, u, angle):
+        # q = 0: phi(x) = -sum w sin(rho (t - x)) / rho, phi'(x) = sum w cos(rho (t - x)),
+        # delta_11 = sum w cos(rho (t - T)), over the jump (t = 0) and the atoms.  |w| <= 0.5
+        # keeps an atom at t = a = 2x from cancelling the jump's term, which it matches in size.
+        atoms = sorted((k * T / 100, w) for k, w in atoms)
+        sigma = BVMeasure.from_atoms(T, atoms, jump=1.0)
+        spec = ProblemSpec(Potential.zero(T), LinearForm.from_measure(sigma), LinearForm.point_value(T, 0))
+        a = atoms[-1][0]
+        x = a / 2 + u * (T - a / 2)
+        t = np.array([0.0] + [p for p, _ in atoms])
+        w = np.array([1.0] + [v for _, v in atoms])
+        rho = RaySpec.pi_delta(angle).points()[:, None]
+        phi = -np.sum(w * np.sin(rho * (t - x)), axis=1) / rho[:, 0], np.sum(w * np.cos(rho * (t - x)), axis=1)
+        d11 = np.sum(w * np.cos(rho * (t - T)), axis=1)
+        for order in (0, 1):
+            for quantity, want in (("varphi", phi[order]), ("v2", phi[order] / d11)):
+                rep = asym_report(quantity, x, RaySpec.pi_delta(angle), spec, order=order)
+                got = np.array([r.computed.value for r in rep.rows])
+                assert np.all(np.abs(got / want - 1.0) <= 1e-12), (quantity, order)
+
+    def test_jump_and_atom_reach_the_rounding_floor(self):
+        # the parent's coefficient extraction read 3.00 and 1.02e4 at radii 40 and 80
+        sigma = BVMeasure.from_atoms(T, [(1.0, 0.5)], jump=1.0)
+        spec = ProblemSpec(Potential.zero(T), LinearForm.from_measure(sigma), LinearForm.point_value(T, 0))
+        for order in (0, 1):
+            rep = asym_report("varphi", 1.5, RaySpec.pi_delta(np.pi / 2), spec, order=order)
+            assert np.all(rep.rel_errors[3:] <= 1e-12)
+            assert rep.decreasing_with_floor(1e-12)
+
+    @pytest.mark.parametrize("quantity, x", [("varphi", 1.2), ("v2", 2.7)])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_density_form_errors_fall_at_every_radius(self, quantity, x, order):
+        rep = asym_report(quantity, x, RaySpec.pi_delta(np.pi / 3), _density_spec(), order=order)
+        assert rep.strictly_decreasing
+        assert rep.final_rel_error < 0.05
+
+    @pytest.mark.parametrize(
+        "quantity, x, sweeps",
+        [("varphi", 2.5, 1), ("varphi", 1.2, 2), ("v2", 2.7, 2), ("v2", 1.2, 3), ("v1", 1.2, 1), ("Phi", 1.2, 2)],
+    )
+    def test_one_sweep_per_part_that_the_form_weighs(self, monkeypatch, quantity, x, sweeps):
+        # a = 2: [x, T] holds part of sigma_1 only when x < a; v2 and Phi add one char_batch sweep
+        calls = []
+        for mod in (asymptotics, characteristic):
+            real = mod.integrate_family
+            monkeypatch.setattr(
+                mod, "integrate_family", lambda *args, _real=real, **kw: calls.append(1) or _real(*args, **kw)
+            )
+        rep = asym_report(quantity, x, RaySpec.pi_delta(np.pi / 3), _density_spec())
+        assert len(rep.rows) == len(_DEFAULT_RADII)
+        assert len(calls) == sweeps

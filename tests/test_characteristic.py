@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, scenarios
 from nonlocal_sl.acceptance import _c8_spec, _c9_truth
+from nonlocal_sl.asymptotics import _anchored
 from nonlocal_sl.characteristic import (
     _NAMES,
     char_batch,
@@ -26,7 +27,6 @@ from nonlocal_sl.characteristic import (
     combo_solutions,
     d_sequence,
     node_weights,
-    phi_trace_stable,
     split_identity_check,
 )
 from nonlocal_sl.errors import CollinearityError, InputError, RangeError
@@ -199,19 +199,18 @@ class TestSolutionFamily:
             assert ok[0]
             assert complex(vals[0]) == pytest.approx(want, rel=1e-7)
 
-    def test_phi_stable_trace_matches_combo(self):
+    def test_anchored_phi_matches_combo(self):
+        # phi(x) = -U_1(W_2) and phi'(x) = U_1(W_1) on the fundamental system at x
         rng = np.random.default_rng(13)
         spec = _random_spec(rng)
         lam = 30.0 + 12.0j
-        p = _point(lam)
-        c = combo_solutions(spec, p, need=("phi",))
-        tr = phi_trace_stable(spec, p)
+        c = combo_solutions(spec, _point(lam), need=("phi",))
         for x in (0.3, 1.5, 2.8):
-            ya, _, _ = c.phi.value_at(x)
-            yb, _, _ = tr.value_at(x)
-            va = ya * np.exp(c.phi.log_scale)
-            vb = yb * np.exp(tr.log_scale)
-            assert va == pytest.approx(vb, rel=1e-7, abs=1e-12)
+            ya, da, _ = c.phi.value_at(x)
+            w, s = _anchored(spec, spec.form1, x, np.array([lam]))
+            f = np.exp(c.phi.log_scale)
+            assert ya * f == pytest.approx(-w[0, 1] * np.exp(s[0]), rel=1e-7, abs=1e-12)
+            assert da * f == pytest.approx(w[0, 0] * np.exp(s[0]), rel=1e-7, abs=1e-12)
 
 
 class TestRatioPoles:

@@ -221,3 +221,19 @@ class TestLinearForm:
         m_cplx = BVMeasure.from_atoms(1.0, [(0.5, 2.0j)], jump=1.0)
         assert LinearForm.from_measure(m_real).is_real
         assert not LinearForm.from_measure(m_cplx).is_real
+
+    def test_every_lookup_finds_a_node_within_the_grid_scaled_tolerance(self):
+        # one lookup, at 1e-12 * max(1, x[-1]): 5e-11 off the node at 50 on [0, 100]
+        from nonlocal_sl.characteristic import node_weights
+
+        x = np.linspace(0.0, 100.0, 201)
+        f = x**2 + 1j * x
+        t = 50.0 + 5e-11
+        assert LinearForm.point_value(t).apply_sampled(x, f) == f[100]
+        assert LinearForm.point_value(t, 1).apply_sampled(x, f, 2 * x + 0j) == 100.0
+        atom = LinearForm.from_measure(BVMeasure.from_atoms(100.0, [(t, 1.0)]))
+        assert atom.apply_sampled(x, f) == f[100]
+        assert np.flatnonzero(node_weights(LinearForm.point_value(t), x)[0]).tolist() == [100]
+        assert np.flatnonzero(node_weights(atom, x)[0]).tolist() == [100]
+        with pytest.raises(InputError, match="not sampled at x0"):
+            LinearForm.point_value(50.0 + 2e-10).apply_sampled(x, f)

@@ -31,17 +31,14 @@ T = np.pi
 REL = 1e-12
 
 
-def reference_sweep(q, lam, side, grid, init=None, q_steps=None):
+def reference_sweep(q, lam, side, grid, q_steps=None):
     """(y, dy, s) at every node in ascending grid order, one Magnus step at a time."""
     lam = np.asarray(lam, dtype=complex)
     rho_div = np.maximum(1.0, np.abs(principal_rho(lam)))
     m, n = len(lam), len(grid)
     qa, qm, qb = q.step_samples(grid) if q_steps is None else q_steps
-    if init is None:
-        y = np.tile([[1.0 + 0j, 0j]], (m, 1))
-        d = np.tile([[0j, 1.0 + 0j]], (m, 1))
-    else:
-        y, d = (np.array(v, dtype=complex) for v in init)
+    y = np.tile([[1.0 + 0j, 0j]], (m, 1))
+    d = np.tile([[0j, 1.0 + 0j]], (m, 1))
     s = np.zeros(m)
     ys, ds, ss = [y], [d], [s]
     reverse = side == "Z"
@@ -143,19 +140,18 @@ def _disc(qs, grid, spec=None, weights=()):
     return Discretization(grid, spec or GridSpec(), samples, tuple(weights))
 
 
-def _check_all_modes(q, lam, side, grid, spec=None, init=None, qs=None, q_index=None):
+def _check_all_modes(q, lam, side, grid, spec=None, qs=None, q_index=None):
     """The sweep of every weight case against the reference; with `qs`, lambda j sees qs[q_index[j]]."""
     q_steps = None if qs is None else tuple(v[:, q_index] for v in _disc(qs, grid).samples)
-    ry, rdy, rs = reference_sweep(q, lam, side, grid, init, q_steps)
+    ry, rdy, rs = reference_sweep(q, lam, side, grid, q_steps)
     rho = principal_rho(np.asarray(lam, dtype=complex))
-    kw = dict(init=init, q_index=q_index)
     n = len(grid)
     cases = _weight_cases(n, np.random.default_rng(n))
     qa, qm, qb = (np.asarray(v) for v in (q.step_samples(grid) if q_steps is None else q_steps))
     qbar = (qa + 4.0 * qm + qb) / 6.0
     cbar = (qbar[:, None] if qbar.ndim == 1 else qbar) - np.asarray(lam, dtype=complex)
     for store in (False, True):
-        fam = integrate_family(_disc(qs or [q], grid, spec, cases), lam, side, store=store, **kw)
+        fam = integrate_family(_disc(qs or [q], grid, spec, cases), lam, side, store=store, q_index=q_index)
         for node, state in ((0, fam.state0), (n - 1, fam.stateT)):
             sl = slice(node, node + 1)
             assert _mismatch(
@@ -168,7 +164,7 @@ def _check_all_modes(q, lam, side, grid, spec=None, init=None, qs=None, q_index=
             continue
         assert fam.y.shape == fam.dy.shape == ry.shape
         assert _mismatch(fam.y, fam.dy, fam.s, ry, rdy, rs, rho) <= REL
-    plain = integrate_family(_disc(qs or [q], grid, spec), lam, side, **kw)
+    plain = integrate_family(_disc(qs or [q], grid, spec), lam, side, q_index=q_index)
     assert plain.forms is None and plain.forms_s is None
 
 
@@ -194,16 +190,6 @@ def test_complex_piecewise_potential(side):
 
 
 @pytest.mark.parametrize("side", ["X", "Z"])
-def test_custom_init_single_column(side):
-    q = _cosine()
-    lam = LAMS[:4]
-    rng = np.random.default_rng(3)
-    init = (rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1)), rng.normal(size=(4, 1)) + 0j)
-    grid = solver_grid(q, GridSpec(tol=1e-9))
-    _check_all_modes(q, lam, side, grid, init=init)
-
-
-@pytest.mark.parametrize("side", ["X", "Z"])
 def test_per_column_potential_samples(side):
     qs = [_cosine(), Potential.from_cosine(T, [0.1, 0.5, -0.2, 0.4]), Potential.zero(T)]
     lam = np.array([2.0, 9.5 + 1j, 30.0, -3.0, 14.0])
@@ -220,14 +206,13 @@ def test_short_grids(n, side):
     _check_all_modes(q, LAMS[:2], side, grid)
 
 
-def test_zero_step_grid_keeps_initial_state():
+def test_zero_step_grid_keeps_identity_state():
     q = _cosine()
-    init = (np.array([[2.0 + 1j]]), np.array([[-0.5 + 0j]]))
-    fam = integrate_family(_disc([q], np.array([0.0])), [4.0], "X", store=True, init=init)
-    assert fam.y.shape == (1, 1, 1) and fam.s.shape == (1, 1)
-    assert fam.y[0, 0, 0] * np.exp(fam.s[0, 0]) == 2.0 + 1j
-    assert fam.dy[0, 0, 0] * np.exp(fam.s[0, 0]) == -0.5
-    assert fam.state0[0][0, 0] == fam.stateT[0][0, 0] == 2.0 + 1j
+    fam = integrate_family(_disc([q], np.array([0.0])), [4.0], "X", store=True)
+    assert fam.y.shape == (1, 1, 2) and fam.s.shape == (1, 1)
+    assert np.array_equal(fam.y[0, 0] * np.exp(fam.s[0, 0]), [1.0, 0.0])
+    assert np.array_equal(fam.dy[0, 0] * np.exp(fam.s[0, 0]), [0.0, 1.0])
+    assert np.array_equal(fam.state0[0][0], fam.stateT[0][0]) and np.array_equal(fam.state0[0][0], [1.0, 0.0])
 
 
 def test_end_states_do_not_hold_the_sweep_buffers():
