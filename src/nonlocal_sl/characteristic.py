@@ -28,7 +28,7 @@ form values, e.g. U_1(phi) = 0, U_2(phi) = omega, V_1(phi) = delta_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .ode_core import (
     SolutionTrace,
     SpectralPoint,
     _node_index,
+    _traces,
     combine_traces,
-    fundamental_X,
     fundamental_Z,
     integrate_family,
     modulus_scale,
@@ -57,11 +57,17 @@ _NAMES = ("omega", "delta1", "delta2", "delta11")  # the characteristic function
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A potential on (0, T) together with the two boundary forms."""
+    """A potential on (0, T) together with the two boundary forms.
+
+    The problem holds one discretization per GridSpec (see `_discretize`)
+    for as long as it lives; equality, hashing and `dataclasses.replace` see
+    only q and the forms.
+    """
 
     q: Potential
     form1: LinearForm
     form2: LinearForm
+    _discretizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         T = self.q.T
@@ -231,11 +237,19 @@ def _route_values(fam, route: str) -> dict:
 
 
 def _discretize(spec: ProblemSpec, grid_spec: GridSpec | None, q_list=None) -> Discretization:
-    """The problem's grid, q's samples (one column per candidate of `q_list`) and both forms' weights."""
-    qs, forms = [spec.q] if q_list is None else q_list, (spec.form1, spec.form2)
-    return Discretization.build(
-        qs, grid_spec, [spec.required_points()], lambda grid: [node_weights(f, grid) for f in forms]
-    )
+    """The problem's grid, q's samples (one column per candidate of `q_list`) and both forms' weights.
+
+    Without `q_list` it is the discretization the problem holds for
+    `grid_spec`, built on first use; a candidate list gets a fresh one.
+    """
+    key = grid_spec or GridSpec()
+    held = spec._discretizations if q_list is None else {}
+    if key not in held:
+        qs, forms = [spec.q] if q_list is None else q_list, (spec.form1, spec.form2)
+        held[key] = Discretization.build(
+            qs, key, [spec.required_points()], lambda grid: [node_weights(f, grid) for f in forms]
+        )
+    return held[key]
 
 
 def _batch(disc: Discretization, T: float, lam, route: str = "Z", q_index=None) -> CharBatch:
@@ -270,8 +284,9 @@ def char_batch(
 def char_handle(spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None):
     """Vectorized callable lambda-array -> Z-route values of one characteristic function.
 
-    The handle holds one discretization of the problem, so its calls share
-    the grid, the samples and the sweep layout.
+    The handle sweeps the discretization the problem holds for `grid_spec`,
+    so its calls, and every other evaluation of the problem on that grid,
+    share the grid, the samples, the forms' node weights and the sweep layout.
     """
     if which not in _NAMES:
         raise InputError(f"unknown characteristic function {which!r}")
@@ -366,9 +381,13 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
     unknown = set(need) - set(_ALL_COMBOS)
     if unknown:
         raise InputError(f"unknown combination solutions {sorted(unknown)}")
-    extras = [spec.required_points()]
-    X1, X2 = fundamental_X(spec.q, p, extra_required=extras)
-    Z1, Z2 = fundamental_Z(spec.q, p, extra_required=extras)
+    # the held grid and samples without the forms: the traces need no folds, and a
+    # weighted sweep's density offsets take the shifted cell (see `ode_core._cell`),
+    # which would move them by a rounding
+    disc = _discretize(spec, None)
+    bare = disc.piece(0, len(disc.grid), None)
+    X1, X2 = _traces(bare, p.lam, "X")
+    Z1, Z2 = _traces(bare, p.lam, "Z")
 
     u11 = _form_on_trace(spec.form1, X1)
     u12 = _form_on_trace(spec.form1, X2)

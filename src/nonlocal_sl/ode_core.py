@@ -32,8 +32,9 @@ single-lambda traces replay the blocks to keep every node.  One sweep
 integrates a whole family of spectral points (and both fundamental columns)
 at once; all public entry points are thin wrappers over that core.  All a
 sweep needs but lambda (the grid, q's samples, the forms' node weights and
-their blocked layout) is one `Discretization`, built once per problem, so
-lambda enters only the sweep.
+their blocked layout) is one `Discretization`, so lambda enters only the
+sweep; a problem (`characteristic.ProblemSpec`) holds one per GridSpec for
+as long as it lives, so repeat evaluations of it skip all of that.
 
 Branch convention: rho = sqrt(lambda) with Im rho >= 0, and rho >= 0 when
 lambda is real non-negative.
@@ -545,7 +546,9 @@ class Discretization:
     `weights` lists forms, each (Wy, Wd, D) as `integrate_family` reads them.
     Each side's sweep layout, everything the sweep derives from these, is
     built on its first use and kept, so a caller that holds one
-    discretization per problem pays for it once.
+    discretization per problem pays for it once.  Every sweep of the
+    problem shares these arrays, so they are made read-only here: a caller
+    that writes into one fails at once instead of moving later values.
     """
 
     grid: np.ndarray
@@ -553,6 +556,11 @@ class Discretization:
     samples: tuple
     weights: tuple
     _layouts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for a in (self.grid, *self.samples, *(w for form in self.weights for w in form)):
+            if a is not None:
+                a.flags.writeable = False
 
     @classmethod
     def build(cls, qs, spec: GridSpec | None, required, weigh) -> "Discretization":
@@ -825,9 +833,8 @@ def integrate_family(
 # Public single-point wrappers
 
 
-def _traces(q: Potential, lam, side: str, grid_spec, extra_required) -> list[SolutionTrace]:
-    """Per-column traces of one stored single-lambda sweep on q's own grid."""
-    disc = Discretization.build([q], grid_spec, extra_required, None)
+def _traces(disc: Discretization, lam, side: str) -> list[SolutionTrace]:
+    """Per-column traces of one stored single-lambda sweep over `disc`."""
     fam = integrate_family(disc, [lam], side, store=True)
     S = fam.s.max(axis=0)
     E = np.exp(fam.s - S[None, :])[:, 0]
@@ -860,7 +867,8 @@ def integrate_ivp(
         side = "Z"
     else:
         raise InputError(f"x0 must be an endpoint of [0, {T}], got {x0}")
-    return combine_traces(_traces(q, p.lam, side, grid_spec, extra_required), [y0, dy0])
+    disc = Discretization.build([q], grid_spec, extra_required, None)
+    return combine_traces(_traces(disc, p.lam, side), [y0, dy0])
 
 
 def fundamental_X(
@@ -870,7 +878,7 @@ def fundamental_X(
     extra_required=(),
 ) -> tuple[SolutionTrace, SolutionTrace]:
     """(X1, X2) with X1(0)=X2'(0)=1, X1'(0)=X2(0)=0."""
-    return tuple(_traces(q, p.lam, "X", grid_spec, extra_required))
+    return tuple(_traces(Discretization.build([q], grid_spec, extra_required, None), p.lam, "X"))
 
 
 def fundamental_Z(
@@ -880,7 +888,7 @@ def fundamental_Z(
     extra_required=(),
 ) -> tuple[SolutionTrace, SolutionTrace]:
     """(Z1, Z2) with Z1(T)=Z2'(T)=1, Z1'(T)=Z2(T)=0."""
-    return tuple(_traces(q, p.lam, "Z", grid_spec, extra_required))
+    return tuple(_traces(Discretization.build([q], grid_spec, extra_required, None), p.lam, "Z"))
 
 
 def modulus_scale(lam, T: float):

@@ -543,13 +543,14 @@ def test_value_alone_equals_value_in_a_one_offset_chunk_batch():
 
 
 def test_handle_values_equal_char_batch_values():
-    # a handle sweeps the discretization it holds, char_batch one built per call: the same
-    # grid, samples and weights, so the values are equal, also for cells past the series range
+    # a handle sweeps the discretization its problem holds, char_batch here that of a second
+    # problem built alike: the same grid, samples and weights, so the values are equal, also
+    # for cells past the series range
     spec = _c8_spec()
     lam = np.array([3.0 + 1j, 400.0 - 20.0j, 3e5 + 5j])
     grid = solver_grid(spec.q, GridSpec(), extra_required=[spec.required_points()])
     assert np.max(np.diff(grid)) ** 2 * abs(lam[-1]) > _Z_MAX
-    batch = char_batch(spec, lam)
+    batch = char_batch(_c8_spec(), lam)
     for name in _NAMES:
         handle = char_handle(spec, name)
         assert np.array_equal(handle(lam), getattr(batch, name))

@@ -405,11 +405,15 @@ def _search_handles(spec, which, box):
     return seen["scan"], seen["polish"]
 
 
-_ATOMS_SPEC = ProblemSpec(
-    q=Potential.from_cosine(T, [0.3, -0.2 + 0.1j, 0.15]),
-    form1=LinearForm.from_measure(BVMeasure(T, 1.0, ((1.1, 0.6 + 0.2j), (2.3, -0.3 + 0.1j)))),
-    form2=LinearForm.point_value(1.5, 0),
-)
+def _atoms_spec():
+    return ProblemSpec(
+        q=Potential.from_cosine(T, [0.3, -0.2 + 0.1j, 0.15]),
+        form1=LinearForm.from_measure(BVMeasure(T, 1.0, ((1.1, 0.6 + 0.2j), (2.3, -0.3 + 0.1j)))),
+        form2=LinearForm.point_value(1.5, 0),
+    )
+
+
+_ATOMS_SPEC = _atoms_spec()
 _POLISH = _search_handles(_ATOMS_SPEC, "delta1", _BOX)[1]
 _in_box = st.builds(complex, st.floats(_BOX.re_min, _BOX.re_max), st.floats(_BOX.im_min, _BOX.im_max))
 
@@ -433,11 +437,15 @@ def _count_calls(monkeypatch, name, modules):
 
 
 def test_a_contour_search_builds_two_grids(monkeypatch):
-    # the counting handle and the polish handle each hold one discretization, so the grid is
-    # built twice however many times the handles are evaluated
+    # the counting handle and the polish handle each sweep one discretization, so a fresh problem's
+    # grid is built twice however many times the handles are evaluated, and the problem keeps both
+    spec = _atoms_spec()
     grids = _count_calls(monkeypatch, "solver_grid", (ode_core, characteristic))
     sweeps = _count_calls(monkeypatch, "integrate_family", (characteristic,))
-    sp = problem_spectrum(_ATOMS_SPEC, "delta1", _BOX)
+    sp = problem_spectrum(spec, "delta1", _BOX)
     assert len(sp.entries) > 0
     assert len(sweeps) > 2
     assert len(grids) == 2
+    again = problem_spectrum(spec, "delta1", _BOX)
+    assert len(grids) == 2
+    assert again.entries == sp.entries
