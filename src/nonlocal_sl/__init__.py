@@ -28,12 +28,8 @@ _EXPORTS = {
         "GridSpec",
         "SolutionTrace",
         "SpectralPoint",
-        "fundamental_X",
-        "fundamental_Z",
-        "integrate_ivp",
         "modulus_scale",
         "principal_rho",
-        "wronskian",
     ),
     "characteristic": (
         "CharBatch",
@@ -44,7 +40,6 @@ _EXPORTS = {
         "char_handle",
         "combo_solutions",
         "d_sequence",
-        "split_identity_check",
     ),
     "spectrum_finder": (
         "ConditionReport",

@@ -197,7 +197,7 @@ def _identity_residuals(spec: ProblemSpec, lam: complex) -> dict:
     w, m = _wronskian(c.v1, c.v2)
     out["wronskian_v1_v2"] = float(np.max(np.abs(w - 1.0) / (m + 1.0)))
 
-    v2T, dv2T, _ = c.v2.value_at(spec.T)
+    v2T, dv2T = c.v2.value_at(spec.T)
     f2 = np.exp(c.v2.log_scale)
     out["v2_normalization"] = max(
         abs(dv2T * f2 - 1.0) / (1.0 + sc),
@@ -319,7 +319,7 @@ def _criterion_5():
 
 def _criterion_6():
     """Mirror pair with matching Weyl data, failing disjointness, split by d_n."""
-    cfg, (spec, mirror) = scenarios.build("counterexample1")
+    cfg, (spec, mirror) = scenarios.build_scenario("counterexample1")
     lam = np.linspace(1.0, 90.0, 50) + 0.5j
     rep = scenarios.verify_counterexample(cfg, lam, tol=1e-6)
     xi = _first_n_real(spec, "omega", 6, length=spec.T / 2.0)
@@ -340,7 +340,7 @@ def _criterion_6():
 
 def _criterion_7():
     """Mirror pair where disjointness holds yet M still matches."""
-    cfg, _ = scenarios.build("counterexample2")
+    cfg, _ = scenarios.build_scenario("counterexample2")
     lam = np.linspace(1.0, 90.0, 50) + 0.5j
     rep = scenarios.verify_counterexample(cfg, lam, tol=1e-6)
     s = rep.condition_s
@@ -448,7 +448,7 @@ def _criterion_11():
     for _ in range(10):
         q = Potential.from_cosine(T, rng.normal(0.0, 0.5, 4))
         a = float(rng.uniform(0.25, 0.75) * T)
-        cfg, _ = scenarios.build("three_spectra", {"a": a, "q": q})
+        cfg, _ = scenarios.build_scenario("three_spectra", {"a": a, "q": q})
         rep = scenarios.three_spectra_overlap_rule(cfg.spec, a, box)
         counts = rep.counts()
         if counts[2] > 0 or not rep.ok:

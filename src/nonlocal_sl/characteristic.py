@@ -42,7 +42,6 @@ from .ode_core import (
     _node_index,
     _traces,
     combine_traces,
-    fundamental_Z,
     integrate_family,
     modulus_scale,
     solver_grid,  # noqa: F401  (the grid builder; bench/tracing.py wraps it here too)
@@ -394,8 +393,8 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
     u21 = _form_on_trace(spec.form2, X1)
     u22 = _form_on_trace(spec.form2, X2)
     om = complex(_safe_det(u11, u22, u12, u21))
-    x1T, dx1T, _ = X1.value_at(spec.T)
-    x2T, dx2T, _ = X2.value_at(spec.T)
+    x1T, dx1T = X1.value_at(spec.T)
+    x2T, dx2T = X2.value_at(spec.T)
     sX = np.exp(X1.log_scale)
     d1 = complex(_safe_det(u11, x2T * sX, u12, x1T * sX))
     d2 = complex(_safe_det(u21, x2T * sX, u22, x1T * sX))
@@ -432,7 +431,7 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
 
     bv = {}
     for name, tr in traces.items():
-        yT, dyT, _ = tr.value_at(spec.T)
+        yT, dyT = tr.value_at(spec.T)
         f = np.exp(tr.log_scale)
         bv[name] = {
             "U1": _form_on_trace(spec.form1, tr),
@@ -456,52 +455,6 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
         M=M,
         N=N,
         boundary_values=bv,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Split-support identity
-
-
-@dataclass(frozen=True)
-class SplitIdentityReport:
-    """Residuals of the support-splitting relations for delta_1 and delta_11."""
-
-    a: float
-    lam: complex
-    residual_delta1: complex
-    residual_delta11: complex
-    scale: float
-
-    @property
-    def max_normalized(self) -> float:
-        return max(abs(self.residual_delta1), abs(self.residual_delta11)) / self.scale
-
-
-def split_identity_check(spec: ProblemSpec, a: float, p: SpectralPoint) -> SplitIdentityReport:
-    """Check delta_1^(a/2) = delta_1^a + int_(a/2,a] Z_2 dsigma_1 and the
-    delta_11 companion, where the superscript marks truncation of sigma_1."""
-    T = spec.T
-    if not 0 < a <= T + _EDGE * max(1.0, T):
-        raise InputError(f"a must lie in (0, T], got {a}")
-    if spec.form1.kind != "nonlocal":
-        raise InputError("the split identity needs a measure-type first form")
-    sigma = spec.form1.measure
-    Z1, Z2 = fundamental_Z(spec.q, p, extra_required=[spec.required_points(), [a / 2.0, a]])
-
-    def apply(mu: BVMeasure, trace: SolutionTrace) -> complex:
-        return _form_on_trace(LinearForm.from_measure(mu), trace)
-
-    half, full = sigma.truncate(a / 2.0), sigma.truncate(a)
-    mid = sigma.window(a / 2.0, a)
-    r1 = (-apply(half, Z2)) - (-apply(full, Z2)) - apply(mid, Z2)
-    r2 = apply(half, Z1) - apply(full, Z1) + apply(mid, Z1)
-    return SplitIdentityReport(
-        a=a,
-        lam=complex(p.lam),
-        residual_delta1=r1,
-        residual_delta11=r2,
-        scale=modulus_scale(p.lam, T),
     )
 
 

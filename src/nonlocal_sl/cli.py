@@ -719,7 +719,7 @@ def _run_scenario(cfg: RunConfig, args):
             opts["params"] = {"a": 1.0}
     else:
         opts = _need(cfg, "scenario")
-    built, _ = scenarios.build(opts["name"], opts["params"])
+    built, _ = scenarios.build_scenario(opts["name"], opts["params"])
     if opts["name"] == "three_spectra":
         rep = scenarios.three_spectra_overlap_rule(
             built.spec, built.params["a"], SearchBox(*opts["box"])

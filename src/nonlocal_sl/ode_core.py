@@ -28,13 +28,13 @@ the density rule's weights and their sums at each node depend on each
 lambda alone; they are evaluated for a chunk of block offsets per numpy
 call, so a small batch pays numpy's per-call cost once per chunk rather than
 once per offset, and only the products and folds run offset by offset.  Only
-single-lambda traces replay the blocks to keep every node.  One sweep
-integrates a whole family of spectral points (and both fundamental columns)
-at once; all public entry points are thin wrappers over that core.  All a
-sweep needs but lambda (the grid, q's samples, the forms' node weights and
-their blocked layout) is one `Discretization`, so lambda enters only the
-sweep; a problem (`characteristic.ProblemSpec`) holds one per GridSpec for
-as long as it lives, so repeat evaluations of it skip all of that.
+a stored sweep replays the blocks to keep every node; stored sweeps serve
+`characteristic.combo_solutions` alone.  One sweep integrates a whole family
+of spectral points (and both fundamental columns) at once.  All a sweep
+needs but lambda (the grid, q's samples, the forms' node weights and their
+blocked layout) is one `Discretization`, so lambda enters only the sweep; a
+problem (`characteristic.ProblemSpec`) holds one per GridSpec for as long as
+it lives, so repeat evaluations of it skip all of that.
 
 Branch convention: rho = sqrt(lambda) with Im rho >= 0, and rho >= 0 when
 lambda is real non-negative.
@@ -187,7 +187,8 @@ def _node_index(grid: np.ndarray, x: float) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class SolutionTrace:
-    """Solution samples on a grid; true values are exp(log_scale) * stored values.
+    """Solution samples at a grid's nodes, read only there; true values are
+    exp(log_scale) * stored values.
 
     `cbar` holds each cell's Simpson mean of q - lambda, shape (n-1,), when
     the trace comes from a sweep; forms applied to the trace use it to
@@ -201,36 +202,12 @@ class SolutionTrace:
     cbar: np.ndarray | None = None
 
     def value_at(self, x: float):
-        """(y, dy, interpolated) at x; between nodes the cell's fitted interpolant, flagged.
-
-        The interpolant is the function of `_rule_weights`' span that matches
-        (y, y') at both ends of the cell, so a readout is exact wherever the
-        density rule is (cubic Hermite when `cbar` is None).
-        """
+        """(y, dy) at the grid node x; InputError anywhere else."""
         g = self.grid
         i = _node_index(g, x)
-        if i is not None:
-            return complex(self.y[i]), complex(self.dy[i]), False
-        if x < g[0] or x > g[-1]:
-            raise InputError(f"x={x} outside the trace domain [{g[0]}, {g[-1]}]")
-        i = min(max(int(np.searchsorted(g, x)) - 1, 0), len(g) - 2)
-        cbar = 0.0 if self.cbar is None else self.cbar[i]
-        yv, dv = _fitted_readout(
-            g[i + 1] - g[i], cbar, x - 0.5 * (g[i] + g[i + 1]), self.y[i : i + 2], self.dy[i : i + 2]
-        )
-        return complex(yv), complex(dv), True
-
-
-def wronskian(u: SolutionTrace, v: SolutionTrace, x: float) -> complex:
-    """u(x) v'(x) - u'(x) v(x), true scale (may raise if the scales overflow)."""
-    if len(u.grid) != len(v.grid) or not np.allclose(u.grid, v.grid, rtol=0, atol=1e-12):
-        raise InputError("Wronskian requires traces on a shared grid")
-    uy, udy, _ = u.value_at(x)
-    vy, vdy, _ = v.value_at(x)
-    s = u.log_scale + v.log_scale
-    if abs(s) > 700.0:
-        raise RangeError(f"Wronskian scale exp({s:.1f}) is not representable")
-    return complex((uy * vdy - udy * vy) * np.exp(s))
+        if i is None:
+            raise InputError(f"x={x} is not a node of the trace's grid on [{g[0]}, {g[-1]}]")
+        return complex(self.y[i]), complex(self.dy[i])
 
 
 def combine_traces(traces, coeffs) -> SolutionTrace:
@@ -471,34 +448,6 @@ def fitted_density_weights(grid, dens, cbar=None) -> tuple[np.ndarray, np.ndarra
     W[:, :-1] += start
     W[:, 1:] += end
     return W[0], W[1]
-
-
-def _fitted_readout(h: float, cbar, tau: float, y, dy):
-    """(y, y') at offset tau from the middle of a cell of width h with end data (y, dy).
-
-    The function of `_rule_weights`' span through the end data, split into
-    even and odd parts about the middle.  With w^2 = W = h^2 cbar / 4,
-    xi = 2 tau / h, c(u) = cosh sqrt(u), s(u) = sinh sqrt(u) / sqrt(u) and
-    g(u) = (c(u) - s(u)) / u, the even part is a c(W xi^2) + b xi^2 s(W xi^2)
-    and the odd part e xi s(W xi^2) + f xi^3 g(W xi^2).
-    """
-    z = h * h * complex(cbar)
-    W, xi = z / 4.0, 2.0 * tau / h
-    u = np.array([[z], [W], [W * xi * xi]])
-    wide = np.array([True]) if abs(z) > _Z_MAX else None
-    q2, q3 = _sums(u, _series_coefficients([abs(z)])[:, :2], wide)[:, :, 0]
-    c, c1 = 1.0 + u[1:, 0] * q2[1:]
-    s, s1 = 1.0 + u[1:, 0] * q3[1:]
-    g, g1 = q2[1:] - q3[1:]
-    H = 0.5 * h
-    ym, yh = 0.5 * (y[0] + y[1]), 0.5 * (y[1] - y[0])
-    dm, dh = 0.5 * (dy[0] + dy[1]) * H, 0.5 * (dy[1] - dy[0]) * H
-    de, do = 1.0 + c * s, 4.0 * q3[0]  # do = (c s - 1) / W, without the cancellation
-    a, b = (ym * (s + c) - s * dh) / de, (c * dh - W * s * ym) / de
-    e, f = (yh * s - g * dm) / do, (s * dm - c * yh) / do
-    yv = a * c1 + b * xi * xi * s1 + e * xi * s1 + f * xi**3 * g1
-    dv = (xi * (a * W * s1 + b * (s1 + c1)) + e * c1 + f * xi * xi * s1) / H
-    return yv, dv
 
 
 def _blocked(ws, reverse: bool, N: int, L: int, B: int):
@@ -829,10 +778,6 @@ def integrate_family(
     )
 
 
-# ---------------------------------------------------------------------------
-# Public single-point wrappers
-
-
 def _traces(disc: Discretization, lam, side: str) -> list[SolutionTrace]:
     """Per-column traces of one stored single-lambda sweep over `disc`."""
     fam = integrate_family(disc, [lam], side, store=True)
@@ -842,53 +787,6 @@ def _traces(disc: Discretization, lam, side: str) -> list[SolutionTrace]:
         SolutionTrace(grid=fam.grid, y=y * E, dy=dy * E, log_scale=float(S[0]), cbar=fam.cbar[:, 0])
         for y, dy in zip(fam.y[:, 0].T, fam.dy[:, 0].T)
     ]
-
-
-def integrate_ivp(
-    q: Potential,
-    p: SpectralPoint,
-    x0: float,
-    y0: complex,
-    dy0: complex,
-    grid_spec: GridSpec | None = None,
-    extra_required=(),
-) -> SolutionTrace:
-    """Solve -y'' + q y = lambda y with y(x0)=y0, y'(x0)=dy0, x0 an endpoint of [0, T].
-
-    The solution is y0 F1 + dy0 F2 over the fundamental pair (F1, F2) at x0.
-    """
-    for v in (y0, dy0):
-        if not np.isfinite(complex(v)):
-            raise InputError("initial data must be finite")
-    T = q.T
-    if abs(x0) <= _EDGE_TOL * max(1.0, T):
-        side = "X"
-    elif abs(x0 - T) <= _EDGE_TOL * max(1.0, T):
-        side = "Z"
-    else:
-        raise InputError(f"x0 must be an endpoint of [0, {T}], got {x0}")
-    disc = Discretization.build([q], grid_spec, extra_required, None)
-    return combine_traces(_traces(disc, p.lam, side), [y0, dy0])
-
-
-def fundamental_X(
-    q: Potential,
-    p: SpectralPoint,
-    grid_spec: GridSpec | None = None,
-    extra_required=(),
-) -> tuple[SolutionTrace, SolutionTrace]:
-    """(X1, X2) with X1(0)=X2'(0)=1, X1'(0)=X2(0)=0."""
-    return tuple(_traces(Discretization.build([q], grid_spec, extra_required, None), p.lam, "X"))
-
-
-def fundamental_Z(
-    q: Potential,
-    p: SpectralPoint,
-    grid_spec: GridSpec | None = None,
-    extra_required=(),
-) -> tuple[SolutionTrace, SolutionTrace]:
-    """(Z1, Z2) with Z1(T)=Z2'(T)=1, Z1'(T)=Z2(T)=0."""
-    return tuple(_traces(Discretization.build([q], grid_spec, extra_required, None), p.lam, "Z"))
 
 
 def modulus_scale(lam, T: float):

@@ -192,7 +192,7 @@ _PARAM_KEYS = {
 }
 
 
-def build(name: str, params: dict | None = None):
+def build_scenario(name: str, params: dict | None = None):
     """Construct a named scenario; returns (config, (spec, mirror spec))."""
     if name not in _NAMES:
         raise InputError(f"unknown scenario {name!r}; expected one of {_NAMES}")
@@ -210,10 +210,6 @@ def build(name: str, params: dict | None = None):
     else:
         cfg = _build_three_spectra(params)
     return cfg, (cfg.spec, cfg.spec_mirror)
-
-
-# package-level alias; `build` alone is too generic outside this module
-build_scenario = build
 
 
 # ---------------------------------------------------------------------------

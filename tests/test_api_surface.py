@@ -68,7 +68,7 @@ def test_surface_is_on_record():
     assert settable_values(got) == SETTABLE_VALUES
 
 
-SETTABLE_VALUES = 89
+SETTABLE_VALUES = 82
 
 SURFACE = {
     "acceptance.CriterionResult": ("number", "name", "passed", "runtime", "budget", "detail"),
@@ -110,16 +110,12 @@ SURFACE = {
     "characteristic.ProblemSpec.with_measures": ("q", "sigma1", "sigma2"),
     "characteristic.RatioValue": ("value", "is_infinite", "defect"),
     "characteristic.RatioValue.reciprocal": (),
-    "characteristic.SplitIdentityReport": (
-        "a", "lam", "residual_delta1", "residual_delta11", "scale",
-    ),
     "characteristic.char_batch": ("spec", "lam", "grid_spec=", "route="),
     "characteristic.char_batch_multi": ("spec", "lam", "q_list", "q_index", "grid_spec="),
     "characteristic.char_handle": ("spec", "which", "grid_spec="),
     "characteristic.combo_solutions": ("spec", "p", "*need="),
     "characteristic.d_sequence": ("spec", "xi"),
     "characteristic.node_weights": ("form", "grid"),
-    "characteristic.split_identity_check": ("spec", "a", "p"),
     "inversion.BasisSpec": ("kind", "T", "dim"),
     "inversion.BasisSpec.cosine": ("T", "dim"),
     "inversion.BasisSpec.piecewise": ("T", "dim"),
@@ -179,14 +175,10 @@ SURFACE = {
     "ode_core.SpectralPoint.from_lambda": ("lam",),
     "ode_core.combine_traces": ("traces", "coeffs"),
     "ode_core.fitted_density_weights": ("grid", "dens", "cbar="),
-    "ode_core.fundamental_X": ("q", "p", "grid_spec=", "extra_required="),
-    "ode_core.fundamental_Z": ("q", "p", "grid_spec=", "extra_required="),
     "ode_core.integrate_family": ("disc", "lam", "side", "*store=", "*q_index="),
-    "ode_core.integrate_ivp": ("q", "p", "x0", "y0", "dy0", "grid_spec=", "extra_required="),
     "ode_core.modulus_scale": ("lam", "T"),
     "ode_core.principal_rho": ("lam",),
     "ode_core.solver_grid": ("q", "spec=", "extra_required=", "k_q="),
-    "ode_core.wronskian": ("u", "v", "x"),
     "potential.Potential": ("kind", "T", "nodes", "values"),
     "potential.Potential.derivative_bound": (),
     "potential.Potential.from_cosine": ("T", "coefficients"),
@@ -210,7 +202,6 @@ SURFACE = {
     "scenarios.OverlapReport": ("entries", "violations", "warnings"),
     "scenarios.OverlapReport.counts": (),
     "scenarios.ScenarioConfig": ("name", "params", "q", "spec", "spec_mirror"),
-    "scenarios.build": ("name", "params="),
     "scenarios.build_scenario": ("name", "params="),
     "scenarios.counterexample1_preset": ("n_cells=",),
     "scenarios.counterexample2_preset": ("alpha0", "n_cells="),

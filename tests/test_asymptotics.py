@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, asymptotics, characteristic
 from nonlocal_sl.asymptotics import _DEFAULT_RADII, RaySpec, ScaledComplex, asym_report, predict
 from nonlocal_sl.errors import InputError, RangeError
-from nonlocal_sl.ode_core import SpectralPoint, principal_rho
+from nonlocal_sl.ode_core import SpectralPoint
 from nonlocal_sl.spectrum_finder import SearchBox, problem_spectrum
 
 T = np.pi

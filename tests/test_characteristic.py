@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, scenarios
-from nonlocal_sl.acceptance import _c8_spec, _c9_truth
+from nonlocal_sl.acceptance import _c8_spec, _c9_truth, _truncation_residual, _wronskian
 from nonlocal_sl.asymptotics import _anchored
 from nonlocal_sl.characteristic import (
     _NAMES,
@@ -27,7 +27,6 @@ from nonlocal_sl.characteristic import (
     combo_solutions,
     d_sequence,
     node_weights,
-    split_identity_check,
 )
 from nonlocal_sl.errors import CollinearityError, InputError, RangeError
 from nonlocal_sl.inversion import _first_n_real
@@ -36,13 +35,11 @@ from nonlocal_sl.ode_core import (
     Discretization,
     GridSpec,
     SpectralPoint,
-    fundamental_X,
-    fundamental_Z,
+    _traces,
     integrate_family,
     modulus_scale,
     principal_rho,
     solver_grid,
-    wronskian,
 )
 
 TOL = 1e-7
@@ -179,13 +176,13 @@ class TestSolutionFamily:
         lam = 8.2 + 1.4j
         c = combo_solutions(spec, _point(lam))
         sc = float(modulus_scale(lam, T))
-        for x in (0.0, T / 2, T):
-            w_theta_phi = complex(wronskian(c.theta, c.phi, x))
-            assert abs(w_theta_phi - c.omega) / (sc + abs(c.omega)) < TOL
-            w_psi_phi = complex(wronskian(c.psi, c.phi, x))
-            assert abs(w_psi_phi - c.delta1) / (sc + abs(c.delta1)) < TOL
-            assert complex(wronskian(c.Phi, c.phi, x)) == pytest.approx(1.0, abs=1e-6)
-            assert complex(wronskian(c.v1, c.v2, x)) == pytest.approx(1.0, abs=1e-6)
+        # at every node of the shared grid, 0 and T among them
+        w_theta_phi, _ = _wronskian(c.theta, c.phi)
+        assert np.max(np.abs(w_theta_phi - c.omega)) / (sc + abs(c.omega)) < TOL
+        w_psi_phi, _ = _wronskian(c.psi, c.phi)
+        assert np.max(np.abs(w_psi_phi - c.delta1)) / (sc + abs(c.delta1)) < TOL
+        assert np.max(np.abs(_wronskian(c.Phi, c.phi)[0] - 1.0)) <= 1e-6
+        assert np.max(np.abs(_wronskian(c.v1, c.v2)[0] - 1.0)) <= 1e-6
 
     def test_ratio_definitions(self):
         rng = np.random.default_rng(12)
@@ -205,8 +202,9 @@ class TestSolutionFamily:
         spec = _random_spec(rng)
         lam = 30.0 + 12.0j
         c = combo_solutions(spec, _point(lam), need=("phi",))
-        for x in (0.3, 1.5, 2.8):
-            ya, da, _ = c.phi.value_at(x)
+        grid = c.phi.grid
+        for x in grid[np.abs(grid[:, None] - [0.3, 1.5, 2.8]).argmin(axis=0)]:  # the nearest nodes
+            ya, da = c.phi.value_at(x)
             w, s = _anchored(spec, spec.form1, x, np.array([lam]))
             f = np.exp(c.phi.log_scale)
             assert ya * f == pytest.approx(-w[0, 1] * np.exp(s[0]), rel=1e-7, abs=1e-12)
@@ -263,7 +261,7 @@ class TestDSequence:
 
     def test_matches_trace_fit_on_counterexample_1(self):
         # both problems of the mirror pair, at omega zeros where delta_1 vanishes too
-        cfg, (spec, mirror) = scenarios.build("counterexample1")
+        cfg, (spec, mirror) = scenarios.build_scenario("counterexample1")
         xi = _first_n_real(spec, "omega", 6, length=spec.T / 2.0)
         for s in (spec, mirror):
             _assert_matches_trace_fit(s, xi)
@@ -284,17 +282,10 @@ class TestDSequence:
 
 
 def test_split_identity_residuals_small():
+    # truncating sigma_1 at a and at a / 2 shifts delta_1 and delta_11 by window integrals
     rng = np.random.default_rng(31)
     spec = _random_spec(rng)
-    rep = split_identity_check(spec, 0.7 * T, _point(6.0 + 2.0j))
-    assert abs(rep.residual_delta1) / rep.scale < TOL
-    assert abs(rep.residual_delta11) / rep.scale < TOL
-
-
-def test_split_identity_needs_measure_form():
-    spec = _dirichlet()
-    with pytest.raises(InputError):
-        split_identity_check(spec, 1.0, _point(4.0))
+    assert _truncation_residual(spec, 6.0 + 2.0j) < TOL
 
 
 def test_char_handle_is_vectorized():
@@ -355,7 +346,7 @@ def test_weighted_sweep_matches_forms_on_traces(form1, form2, q_coeffs, sigma, t
     spec = ProblemSpec(q=Potential.from_cosine(T, q_coeffs), form1=form1, form2=form2)
     lam = complex(sigma, tau_T / T) ** 2
     b = char_batch(spec, [lam])
-    Z1, Z2 = fundamental_Z(spec.q, SpectralPoint.from_lambda(lam), GridSpec(), [spec.required_points()])
+    Z1, Z2 = _traces(Discretization.build([spec.q], GridSpec(), [spec.required_points()], None), lam, "Z")
 
     def apply(form, trace):
         f = np.exp(trace.log_scale)
@@ -458,7 +449,7 @@ def test_fitted_density_integrals_match_the_zero_potential(lam):
     want = [(J(1j * rho) + J(-1j * rho)) / 2.0, (J(1j * rho) - J(-1j * rho)) / (2j * rho)]
     fam = integrate_family(disc, [lam], "X")
     got = fam.forms[0, 0] * np.exp(fam.forms_s[0, 0])
-    X = fundamental_X(q, SpectralPoint.from_lambda(lam))
+    X = _traces(Discretization.build([q], None, (), None), lam, "X")
     on_traces = [
         form.apply_sampled(t.grid, t.y * np.exp(t.log_scale), t.dy * np.exp(t.log_scale), t.cbar)
         for t in X
@@ -501,7 +492,7 @@ def test_density_rule_pole_raises_on_traces():
     def on_traces(lam):
         return [
             form.apply_sampled(t.grid, t.y * np.exp(t.log_scale), t.dy * np.exp(t.log_scale), t.cbar)
-            for t in fundamental_X(q, SpectralPoint.from_lambda(lam))
+            for t in _traces(Discretization.build([q], None, (), None), lam, "X")
         ]
 
     lam = 5261.7113 - 7869.4093j

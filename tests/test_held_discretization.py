@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec
+from nonlocal_sl import BVMeasure, Potential, ProblemSpec
 from nonlocal_sl import characteristic, ode_core
 from nonlocal_sl.acceptance import _c8_spec
 from nonlocal_sl.characteristic import (
@@ -24,7 +24,7 @@ from nonlocal_sl.characteristic import (
     d_sequence,
 )
 from nonlocal_sl.inversion import _first_n_real
-from nonlocal_sl.ode_core import _Z_MAX, GridSpec, SpectralPoint, fundamental_X, fundamental_Z
+from nonlocal_sl.ode_core import _Z_MAX, Discretization, GridSpec, SpectralPoint
 from nonlocal_sl.spectrum_finder import SearchBox, problem_spectrum
 
 T = np.pi
@@ -146,8 +146,8 @@ def test_combo_solutions_sweep_the_held_grid(lam, monkeypatch):
     c = combo_solutions(spec, p)
     assert len(grids) == 1
     extras = [spec.required_points()]
-    want = [*fundamental_X(spec.q, p, extra_required=extras)]
-    want += fundamental_Z(spec.q, p, extra_required=extras)
+    want = [*traces(Discretization.build([spec.q], None, extras, None), lam, "X")]
+    want += traces(Discretization.build([spec.q], None, extras, None), lam, "Z")
     assert len(grids) == 3
     assert len(swept) == 4
     for got, ref in zip(swept, want):

@@ -395,7 +395,7 @@ class TestDistinguishability:
     def test_weyl_pair_with_D_takes_one_sweep_per_problem(self, monkeypatch):
         # criterion 6's mirror pair: M, omega and the d_n of each problem come from one batch
         # over the grid and the zeros; the score is pinned to its last digit
-        _, (spec, mirror) = scenarios.build("counterexample1")
+        _, (spec, mirror) = scenarios.build_scenario("counterexample1")
         lam = np.linspace(1.0, 90.0, 50) + 0.5j
         xi = _first_n_real(spec, "omega", 6, length=spec.T / 2.0)
         sweeps = _count_calls(monkeypatch, "integrate_family", (characteristic,))

@@ -3,8 +3,8 @@
 With q = 0 the fundamental systems are trigonometric, which pins down the
 initial conditions, the branch of rho, the Wronskian normalization, and the
 log-scaling used for large |Im rho|.  A constant potential checks the
-spectral-shift relation, and random complex spectral points exercise the
-Hermite readout between grid nodes.
+spectral-shift relation.  Traces are read at their grid nodes only, so each
+test asks for its probe points as required grid points.
 """
 
 import numpy as np
@@ -13,20 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocal_sl import Potential
+from nonlocal_sl.acceptance import _wronskian
 from nonlocal_sl.errors import InputError, RangeError
 from nonlocal_sl.ode_core import (
     Discretization,
     GridSpec,
     SpectralPoint,
-    fundamental_X,
+    _node_index,
+    _traces,
+    combine_traces,
     fitted_density_weights,
-    fundamental_Z,
     integrate_family,
-    integrate_ivp,
     modulus_scale,
     principal_rho,
     solver_grid,
-    wronskian,
 )
 
 TOL = 5e-9
@@ -37,8 +37,13 @@ def _point(lam):
     return SpectralPoint(complex(lam), complex(principal_rho([lam])[0]))
 
 
+def _sweep(q, lam, side, grid_spec=None, extras=()):
+    """The traces of q's fundamental pair at lambda from `side`, on q's grid holding `extras`."""
+    return _traces(Discretization.build([q], grid_spec, extras, None), lam, side)
+
+
 def _true(trace, x):
-    y, dy, _ = trace.value_at(x)
+    y, dy = trace.value_at(x)
     s = np.exp(trace.log_scale)
     return y * s, dy * s
 
@@ -66,7 +71,7 @@ class TestZeroPotentialClosedForms:
         probes = (0.0, 0.4, 1.1, T)
         for lam in (2.0, 17.3, -5.0, 3.0 + 4.0j):
             p = _point(lam)
-            X1, X2 = fundamental_X(q, p, extra_required=[probes])
+            X1, X2 = _sweep(q, p.lam, "X", extras=[probes])
             for x in probes:
                 y1, dy1 = _true(X1, x)
                 y2, dy2 = _true(X2, x)
@@ -78,12 +83,12 @@ class TestZeroPotentialClosedForms:
     def test_Z_system_anchored_at_T(self):
         q = Potential.zero(T)
         p = _point(6.0 + 1.5j)
-        Z1, Z2 = fundamental_Z(q, p)
+        x = 0.9
+        Z1, Z2 = _sweep(q, p.lam, "Z", extras=[[x]])
         y1T, dy1T = _true(Z1, T)
         y2T, dy2T = _true(Z2, T)
         assert y1T == pytest.approx(1.0, abs=TOL) and dy1T == pytest.approx(0.0, abs=TOL)
         assert y2T == pytest.approx(0.0, abs=TOL) and dy2T == pytest.approx(1.0, abs=TOL)
-        x = 0.9
         y2, _ = _true(Z2, x)
         assert y2 == pytest.approx(np.sin(p.rho * (x - T)) / p.rho, abs=TOL)
 
@@ -94,17 +99,10 @@ class TestZeroPotentialClosedForms:
         probes = (0.0, 0.7, 2.2, T)
         for lam in (5.0, -2.0, 2.0 - 3.0j):
             p = _point(lam)
-            X1, X2 = fundamental_X(q, p, extra_required=[probes])
-            for x in probes:
-                assert not X1.value_at(x)[2] and not X2.value_at(x)[2]
-                assert wronskian(X1, X2, x) == pytest.approx(1.0, abs=1e-8)
-
-    def test_wronskian_flags_interpolated_readout(self):
-        q = Potential.zero(T)
-        X1, X2 = fundamental_X(q, _point(5.0))
-        x = 0.7001234
-        assert X1.value_at(x)[2] and X2.value_at(x)[2]
-        assert wronskian(X1, X2, x) == pytest.approx(1.0, abs=1e-5)
+            X1, X2 = _sweep(q, p.lam, "X", extras=[probes])
+            assert all(_node_index(X1.grid, x) is not None for x in probes)
+            w, _ = _wronskian(X1, X2)  # at every node, the probes among them
+            assert np.max(np.abs(w - 1.0)) <= 1e-8
 
 
 def test_constant_potential_shifts_lambda():
@@ -112,8 +110,8 @@ def test_constant_potential_shifts_lambda():
     q = Potential.from_cosine(T, [c])
     p = _point(9.0)
     p_shift = _point(9.0 - c)
-    X1, X2 = fundamental_X(q, p)
     x = 1.7
+    X1, X2 = _sweep(q, p.lam, "X", extras=[[x]])
     y1, _ = _true(X1, x)
     y2, _ = _true(X2, x)
     assert y1 == pytest.approx(np.cos(p_shift.rho * x), abs=TOL)
@@ -124,31 +122,24 @@ def test_log_scaled_growth_matches_cosh():
     # rho = 40i: cos(rho x) = cosh(40 x) overflows the plain representation
     q = Potential.zero(T)
     p = _point(-1600.0)
-    X1, _ = fundamental_X(q, p)
-    y, _, _ = X1.value_at(T)
+    X1, _ = _sweep(q, p.lam, "X")
+    y, _ = X1.value_at(T)
     assert np.log(abs(y)) + X1.log_scale == pytest.approx(40.0 * T - np.log(2.0), abs=1e-8)
 
 
-def test_hermite_readout_between_nodes():
+def test_required_points_become_nodes():
     q = Potential.from_cosine(1.0, [1.0, 0.5])
-    p = _point(30.0)
-    X1, X2 = fundamental_X(q, p, extra_required=[[0.377]])
-    yr, _, interp_r = X1.value_at(0.377)
-    rng = np.random.default_rng(3)
-    for x in rng.uniform(0.05, 0.95, size=5):
-        ya, _, interp_a = X1.value_at(float(x))
-        yb, _, _ = fundamental_X(q, p, extra_required=[[float(x)]])[0].value_at(float(x))
-        assert ya == pytest.approx(yb, rel=1e-9, abs=1e-12)
-    assert not interp_r  # requested points become grid nodes
+    X1, _ = _sweep(q, 30.0, "X", extras=[[0.377]])
+    assert _node_index(X1.grid, 0.377) is not None
 
 
-def test_integrate_ivp_matches_fundamental_combination():
+def test_combine_traces_matches_fundamental_combination():
     q = Potential.from_cosine(T, [0.4, -0.3])
     p = _point(12.0 + 2.0j)
     a, b = 1.3 - 0.2j, 0.7j
-    tr = integrate_ivp(q, p, 0.0, a, b)
-    X1, X2 = fundamental_X(q, p)
     x = 2.4
+    X1, X2 = _sweep(q, p.lam, "X", extras=[[x]])
+    tr = combine_traces([X1, X2], [a, b])
     y, _ = _true(tr, x)
     y1, _ = _true(X1, x)
     y2, _ = _true(X2, x)
@@ -159,15 +150,15 @@ def test_tau_budget_guard():
     q = Potential.zero(T)
     p = _point(-4.0e6)  # rho = 2000i, tau * T far beyond the default budget
     with pytest.raises(RangeError):
-        fundamental_X(q, p)
+        _sweep(q, p.lam, "X")
 
 
 def test_budget_can_be_raised():
     q = Potential.zero(1.0)
     p = SpectralPoint(-640000.0, 800.0j)
     gs = GridSpec(tau_T_budget=900.0)
-    X1, _ = fundamental_X(q, p, gs)
-    y, _, _ = X1.value_at(1.0)
+    X1, _ = _sweep(q, p.lam, "X", gs)
+    y, _ = X1.value_at(1.0)
     assert np.log(abs(y)) + X1.log_scale == pytest.approx(800.0 - np.log(2.0), abs=1e-6)
 
 
@@ -193,9 +184,18 @@ def test_grid_spec_rejects_bad_fields(field, value):
 
 def test_value_at_outside_domain_raises():
     q = Potential.zero(1.0)
-    X1, _ = fundamental_X(q, _point(4.0))
+    X1, _ = _sweep(q, 4.0, "X")
     with pytest.raises(InputError):
         X1.value_at(1.5)
+
+
+def test_value_at_between_nodes_raises():
+    # a trace holds its nodes only; a point inside the domain off the grid has no value
+    q = Potential.zero(1.0)
+    X1, _ = _sweep(q, 4.0, "X")
+    x = 0.5 * (X1.grid[3] + X1.grid[4])
+    with pytest.raises(InputError, match="not a node"):
+        X1.value_at(x)
 
 
 def test_modulus_scale_envelope():

@@ -10,10 +10,9 @@ closed-form spectra.
 import numpy as np
 import pytest
 
-from nonlocal_sl import Potential
 from nonlocal_sl.characteristic import char_batch
 from nonlocal_sl.errors import InputError
-from nonlocal_sl.scenarios import build, three_spectra_overlap_rule, verify_counterexample
+from nonlocal_sl.scenarios import build_scenario, three_spectra_overlap_rule, verify_counterexample
 from nonlocal_sl.spectrum_finder import SearchBox
 
 T = np.pi
@@ -21,34 +20,35 @@ T = np.pi
 
 @pytest.fixture(scope="module")
 def ctrex1():
-    cfg, (spec, mirror) = build("counterexample1", {"n_cells": 512})
+    cfg, (spec, mirror) = build_scenario("counterexample1", {"n_cells": 512})
     return cfg, spec, mirror
 
 
 @pytest.fixture(scope="module")
 def ctrex2():
-    cfg, (spec, mirror) = build("counterexample2", {"alpha": 0.45, "alpha0": 0.5, "box_hi": 40.0})
+    params = {"alpha": 0.45, "alpha0": 0.5, "box_hi": 40.0}
+    cfg, (spec, mirror) = build_scenario("counterexample2", params)
     return cfg, spec, mirror
 
 
 class TestBuildValidation:
     def test_unknown_name(self):
         with pytest.raises(InputError):
-            build("counterexample3")
+            build_scenario("counterexample3")
 
     def test_unknown_parameter(self):
         with pytest.raises(InputError):
-            build("counterexample1", {"cells": 4})
+            build_scenario("counterexample1", {"cells": 4})
 
     def test_three_spectra_needs_interior_a(self):
         with pytest.raises(InputError):
-            build("three_spectra", {"a": 0.0})
+            build_scenario("three_spectra", {"a": 0.0})
         with pytest.raises(InputError):
-            build("three_spectra", {"a": 4.0})
+            build_scenario("three_spectra", {"a": 4.0})
 
     def test_three_spectra_requires_a(self):
         with pytest.raises(InputError):
-            build("three_spectra")
+            build_scenario("three_spectra")
 
 
 class TestPeriodicPairStructure:
@@ -119,7 +119,7 @@ class TestTruncatedSupportPair:
 
 class TestOverlapRule:
     def test_commensurate_point_splits_one_or_all(self):
-        _, (spec, _) = build("three_spectra", {"a": T / 2})
+        _, (spec, _) = build_scenario("three_spectra", {"a": T / 2})
         rep = three_spectra_overlap_rule(spec, T / 2, SearchBox(0.5, 40.0, -1.0, 1.0))
         assert rep.ok
         counts = rep.counts()
@@ -131,7 +131,7 @@ class TestOverlapRule:
         assert all(e.members == ("delta1",) for e in rep.entries if e.count == 1)
 
     def test_incommensurate_point_gives_all_singles(self):
-        _, (spec, _) = build("three_spectra", {"a": 1.0})
+        _, (spec, _) = build_scenario("three_spectra", {"a": 1.0})
         rep = three_spectra_overlap_rule(spec, 1.0, SearchBox(0.5, 30.0, -1.0, 1.0))
         assert rep.ok
         assert rep.counts().get(1, 0) == len(rep.entries)
