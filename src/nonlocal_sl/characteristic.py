@@ -380,13 +380,9 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
     unknown = set(need) - set(_ALL_COMBOS)
     if unknown:
         raise InputError(f"unknown combination solutions {sorted(unknown)}")
-    # the held grid and samples without the forms: the traces need no folds, and a
-    # weighted sweep's density offsets take the shifted cell (see `ode_core._cell`),
-    # which would move them by a rounding
     disc = _discretize(spec, None)
-    bare = disc.piece(0, len(disc.grid), None)
-    X1, X2 = _traces(bare, p.lam, "X")
-    Z1, Z2 = _traces(bare, p.lam, "Z")
+    X1, X2 = _traces(disc, p.lam, "X")
+    Z1, Z2 = _traces(disc, p.lam, "Z")
 
     u11 = _form_on_trace(spec.form1, X1)
     u12 = _form_on_trace(spec.form1, X2)

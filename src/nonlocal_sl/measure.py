@@ -9,12 +9,11 @@ Integrating a sampled function f against sigma realizes the nonlocal form
 
     U(f) = jump_at_zero * f(0) + sum_i w_i * f(t_i) + int_0^T f(t) d(t) dt.
 
-Given f and f' on a grid that holds the density breakpoints, the absolutely
-continuous term is evaluated by the exponentially fitted rule the sweeps use
-(`ode_core.fitted_density_weights`), cubic Hermite unless each cell's mean of
-q - lambda is given.  Given f alone, it is evaluated on the union of the
-sample grid and the breakpoints by the plain trapezoid rule.  Atoms are never
-interpolated: f must carry exact samples at every atom location.
+The absolutely continuous term needs f and f' on a grid that holds the
+density breakpoints; it is evaluated by the exponentially fitted rule the
+sweeps use (`ode_core.fitted_density_weights`), cubic Hermite unless each
+cell's mean of q - lambda is given.  Atoms are never interpolated: f must
+carry exact samples at every atom location.
 
 The density is stored as a list of linear segments (lo, hi, v_lo, v_hi),
 zero outside the segments.  Segments may touch with different one-sided
@@ -271,18 +270,13 @@ def density_node_weights(m: BVMeasure, x: np.ndarray) -> np.ndarray:
     return D
 
 
-def _interp_complex(xq: np.ndarray, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    return np.interp(xq, x, fx.real) + 1j * np.interp(xq, x, fx.imag)
-
-
 def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure, dfx=None, cbar=None) -> complex:
     """int_0^T f dsigma for f sampled on the grid x.
 
-    With derivative samples `dfx` the density term uses the exponentially
-    fitted rule at each cell's mean `cbar` of q - lambda, the rule the
-    sweeps fold in (cubic Hermite without `cbar`); the grid must then hold
-    the density breakpoints.  Without them it uses the plain trapezoid rule
-    on f taken piecewise linear between nodes.
+    A density term needs the derivative samples `dfx` and a grid that holds
+    the density breakpoints; it uses the exponentially fitted rule at each
+    cell's mean `cbar` of q - lambda, the rule the sweeps fold in (cubic
+    Hermite without `cbar`).  Without a density, `dfx` may be left out.
     """
     x = np.asarray(x, dtype=float)
     fx = np.asarray(fx, dtype=complex)
@@ -307,15 +301,10 @@ def stieltjes_integrate(x: np.ndarray, fx: np.ndarray, m: BVMeasure, dfx=None, c
         total += w * fx[i]
     if not m.has_density:
         return complex(total)
-    if dfx is not None:
-        wy, wd = fitted_density_weights(x, density_node_weights(m, x), cbar)
-        return complex(total + np.dot(wy, fx) + np.dot(wd, samples[1]))
-    edges = [e for lo, hi, _, _ in m.density_segments for e in (lo, hi)]
-    u = np.unique(np.concatenate([x, np.asarray(edges)]))
-    # keep edge values exact: drop near-duplicates in favor of the later entry
-    u = u[np.concatenate([np.diff(u) > _EDGE_TOL * scale, [True]])]
-    D, f = density_node_weights(m, u), _interp_complex(u, x, fx)
-    return complex(total + 0.5 * np.sum(np.diff(u) * (D[0] * f[:-1] + D[1] * f[1:])))
+    if dfx is None:
+        raise InputError("a density term needs derivative samples dfx")
+    wy, wd = fitted_density_weights(x, density_node_weights(m, x), cbar)
+    return complex(total + np.dot(wy, fx) + np.dot(wd, samples[1]))
 
 
 # ----------------------------------------------------------------------------
@@ -382,9 +371,9 @@ class LinearForm:
     ) -> complex:
         """Apply to a function sampled on x.
 
-        dy is needed for order-1 point forms; for a density it selects the
-        exponentially fitted rule the sweeps use, at each cell's mean `cbar`
-        of q - lambda (see `stieltjes_integrate`).
+        dy is needed for order-1 point forms and for a density, which is
+        integrated by the exponentially fitted rule the sweeps use, at each
+        cell's mean `cbar` of q - lambda (see `stieltjes_integrate`).
         """
         if self.kind == "nonlocal":
             return stieltjes_integrate(x, y, self.measure, dy, cbar)

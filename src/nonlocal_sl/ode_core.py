@@ -27,8 +27,10 @@ act on the block-start state, so a form costs no node storage.  The cells,
 the density rule's weights and their sums at each node depend on each
 lambda alone; they are evaluated for a chunk of block offsets per numpy
 call, so a small batch pays numpy's per-call cost once per chunk rather than
-once per offset, and only the products and folds run offset by offset.  Only
-a stored sweep replays the blocks to keep every node; stored sweeps serve
+once per offset, and only the products and folds run offset by offset.  A
+stored sweep also keeps each offset's partial products and reads every node
+as one of them times its block's start, so its nodes and its forms come from
+the same cells, each evaluated once; stored sweeps serve
 `characteristic.combo_solutions` alone.  One sweep integrates a whole family
 of spectral points (and both fundamental columns) at once.  All a sweep
 needs but lambda (the grid, q's samples, the forms' node weights and their
@@ -190,16 +192,16 @@ class SolutionTrace:
     """Solution samples at a grid's nodes, read only there; true values are
     exp(log_scale) * stored values.
 
-    `cbar` holds each cell's Simpson mean of q - lambda, shape (n-1,), when
-    the trace comes from a sweep; forms applied to the trace use it to
-    integrate densities by the sweep's own rule.
+    `cbar` holds each cell's Simpson mean of q - lambda, shape (n-1,), from
+    the sweep's layout; forms applied to the trace use it to integrate
+    densities by the sweep's own rule.
     """
 
     grid: np.ndarray
     y: np.ndarray
     dy: np.ndarray
-    log_scale: float = 0.0
-    cbar: np.ndarray | None = None
+    log_scale: float
+    cbar: np.ndarray
 
     def value_at(self, x: float):
         """(y, dy) at the grid node x; InputError anywhere else."""
@@ -237,21 +239,18 @@ class FamilyStore:
     sweep's `weights`, per spectral point and column, as a mantissa whose true
     value is forms * exp(forms_s)[..., None] with `forms_s` of shape (F, m).
     Only a stored sweep keeps `y`/`dy` at every node, shape (n, m, k) in
-    ascending grid order, with the per-node log-scale `s`, shape (n, m), and
-    each cell's c_bar = mean of q - lambda, shape (n-1, m).  Endpoint states
-    are always kept.
+    ascending grid order, with the per-node log-scale `s`, shape (n, m); each
+    node is its block's prefix product times the block's start, the products
+    the forms fold with.  Endpoint states are always kept.
     """
 
     grid: np.ndarray
     lam: np.ndarray
-    rho: np.ndarray
-    side: str  # "X": initial data at 0; "Z": initial data at T
     forms: np.ndarray | None
     forms_s: np.ndarray | None
     y: np.ndarray | None
     dy: np.ndarray | None
     s: np.ndarray | None
-    cbar: np.ndarray | None
     state0: tuple  # (y, dy, s) at grid[0]
     stateT: tuple  # (y, dy, s) at grid[-1]
 
@@ -531,7 +530,7 @@ class Discretization:
         """The discretization of grid[lo:hi] alone, its forms given by `weigh` as in `build`."""
         grid = self.grid[lo:hi]
         samples = tuple(v[lo : hi - 1] for v in self.samples)
-        return Discretization(grid, self.spec, samples, tuple(weigh(grid)) if weigh else ())
+        return Discretization(grid, self.spec, samples, tuple(weigh(grid)))
 
     def _layout(self, side: str) -> "_Layout":
         if side not in self._layouts:
@@ -598,7 +597,10 @@ def integrate_family(
     yields forms[f] = sum_u Wy[u] y(x_u) + Wd[u] y'(x_u) + int D y, the
     integral by the exponentially fitted rule of `_rule_weights` at each
     lambda's own cbar.  `store` keeps every node's state as well, which costs
-    O(n m k) memory; meant for single-lambda traces.  Lambda enters only
+    O(n m k) memory; meant for single-lambda traces.  It keeps each offset's
+    partial products P_j from the first pass and, once the second has carried
+    the state to every block start, reads node b L + j as P_j of block b
+    times that start: no cell is evaluated twice.  Lambda enters only
     here: the grid, the samples and the blocked weights come from `disc`.
 
     The first pass takes the block offsets in chunks (see _CHUNK), cut where
@@ -661,6 +663,7 @@ def integrate_family(
     per_chunk = max(1, _CHUNK // max(1, B * m))  # offsets
     cuts = sorted({*range(0, L, per_chunk), *(1 + np.flatnonzero(np.diff(rule_at))).tolist()})
     carry = P = None
+    prods = []  # P_j of offsets 1 .. L - 1, kept by a stored sweep
     for j0, j1 in zip(cuts, [*cuts[1:], L]):
         rule = rule_at[j0]
         Mc, factors = step_cells(steps[j0:j1], rule)
@@ -696,6 +699,8 @@ def integrate_family(
                         c += x
                 P = M
             else:
+                if store:
+                    prods.append(P)
                 for x, a in zip(w, (0, 2)):
                     if x is not None:
                         cyB += x * P[a]
@@ -740,23 +745,17 @@ def integrate_family(
         forms = np.einsum("fbm,bmk->fmk", cy * f, Ys) + np.einsum("fbm,bmk->fmk", cd * f, Ds)
         forms_s = top * log(2.0)
 
-    # pass 3: replay every block from its start to keep each node's state
-    y_st = dy_st = s_st = cbar_st = None
+    # a stored sweep reads node b L + j as P_j of block b times the block's start
+    y_st = dy_st = s_st = None
     if store:
-        Yb, Db = Ys[:B], Ds[:B]
-        ys, ds = [Yb], [Db]
-        for j in range(1, L):
-            M = [x[..., None] for x in step_cells(steps[j - 1])[0]]
-            Yb, Db = M[0] * Yb + M[1] * Db, M[2] * Yb + M[3] * Db
-            ys.append(Yb)
-            ds.append(Db)
+        eye = np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0])[:, None, None], (4, B, m))
+        Pj = np.stack([eye, *(np.stack(p) for p in prods)], axis=2)[..., None]  # (4, B, L, m, 1)
+        Yb, Db = Ys[:B, None], Ds[:B, None]
         y_st, dy_st = (
-            np.concatenate([np.stack(v, axis=1).reshape(B * L, m, k)[:N], e[B:]])
-            for v, e in ((ys, Ys), (ds, Ds))
+            np.concatenate([(p0 * Yb + p1 * Db).reshape(B * L, m, k)[:N], e[B:]])
+            for p0, p1, e in ((Pj[0], Pj[1], Ys), (Pj[2], Pj[3], Ds))
         )
         s_st = np.concatenate([np.repeat(Ss[:B], L, axis=0)[:N], Ss[B:]])
-        qa, qm, qb = disc.samples
-        cbar_st = ((qa + 4.0 * qm + qb) / 6.0)[:, cols] - lam
         if side == "Z":
             y_st, dy_st, s_st = y_st[::-1], dy_st[::-1], s_st[::-1]
 
@@ -765,14 +764,11 @@ def integrate_family(
     return FamilyStore(
         grid=grid,
         lam=lam,
-        rho=rho,
-        side=side,
         forms=forms,
         forms_s=forms_s,
         y=y_st,
         dy=dy_st,
         s=s_st,
-        cbar=cbar_st,
         state0=state0,
         stateT=stateT,
     )
@@ -783,8 +779,10 @@ def _traces(disc: Discretization, lam, side: str) -> list[SolutionTrace]:
     fam = integrate_family(disc, [lam], side, store=True)
     S = fam.s.max(axis=0)
     E = np.exp(fam.s - S[None, :])[:, 0]
+    qbar = disc._layout(side).qbar[:-1, 0]  # sweep order, the identity step N left out
+    cbar = (qbar[::-1] if side == "Z" else qbar) - lam
     return [
-        SolutionTrace(grid=fam.grid, y=y * E, dy=dy * E, log_scale=float(S[0]), cbar=fam.cbar[:, 0])
+        SolutionTrace(grid=fam.grid, y=y * E, dy=dy * E, log_scale=float(S[0]), cbar=cbar)
         for y, dy in zip(fam.y[:, 0].T, fam.dy[:, 0].T)
     ]
 

@@ -68,7 +68,7 @@ def test_surface_is_on_record():
     assert settable_values(got) == SETTABLE_VALUES
 
 
-SETTABLE_VALUES = 82
+SETTABLE_VALUES = 80
 
 SURFACE = {
     "acceptance.CriterionResult": ("number", "name", "passed", "runtime", "budget", "detail"),
@@ -164,12 +164,9 @@ SURFACE = {
     "ode_core.Discretization": ("grid", "spec", "samples", "weights"),
     "ode_core.Discretization.build": ("qs", "spec", "required", "weigh"),
     "ode_core.Discretization.piece": ("lo", "hi", "weigh"),
-    "ode_core.FamilyStore": (
-        "grid", "lam", "rho", "side", "forms", "forms_s", "y", "dy", "s", "cbar", "state0",
-        "stateT",
-    ),
+    "ode_core.FamilyStore": ("grid", "lam", "forms", "forms_s", "y", "dy", "s", "state0", "stateT"),
     "ode_core.GridSpec": ("tol=", "*n_min=", "*tau_T_budget="),
-    "ode_core.SolutionTrace": ("grid", "y", "dy", "log_scale=", "cbar="),
+    "ode_core.SolutionTrace": ("grid", "y", "dy", "log_scale", "cbar"),
     "ode_core.SolutionTrace.value_at": ("x",),
     "ode_core.SpectralPoint": ("lam", "rho"),
     "ode_core.SpectralPoint.from_lambda": ("lam",),

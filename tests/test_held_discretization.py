@@ -3,7 +3,9 @@
 Repeat evaluations of one problem object build no grid, and their values
 equal those of a freshly built equal problem.  The held arrays are
 read-only, and nothing that makes a new problem (replace, a dict round trip)
-or evaluates candidate lists sees them.
+or evaluates candidate lists sees them.  A stored sweep over the held
+discretization evaluates each cell once, and its nodes agree with the point
+forms it folds.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ from nonlocal_sl.characteristic import (
     d_sequence,
 )
 from nonlocal_sl.inversion import _first_n_real
-from nonlocal_sl.ode_core import _Z_MAX, Discretization, GridSpec, SpectralPoint
+from nonlocal_sl.ode_core import _Z_MAX, GridSpec, SpectralPoint
 from nonlocal_sl.spectrum_finder import SearchBox, problem_spectrum
 
 T = np.pi
@@ -136,8 +138,8 @@ def _density_spec():
 
 @pytest.mark.parametrize("lam", [6.0 + 2.0j, 30.0 - 1.0j])
 def test_combo_solutions_sweep_the_held_grid(lam, monkeypatch):
-    # X1, X2, Z1, Z2 equal the traces of q's own discretization, bit for bit, although the
-    # problem's forms carry densities; one grid for both sides, none on a second call
+    # X1, X2, Z1, Z2 equal the traces of the problem's held discretization, forms and all,
+    # bit for bit; one grid for both sides, none on a second call, which reuses the layouts
     spec, p = _density_spec(), SpectralPoint.from_lambda(lam)
     swept = []
     traces = characteristic._traces
@@ -145,17 +147,58 @@ def test_combo_solutions_sweep_the_held_grid(lam, monkeypatch):
     grids = _count_grids(monkeypatch)
     c = combo_solutions(spec, p)
     assert len(grids) == 1
-    extras = [spec.required_points()]
-    want = [*traces(Discretization.build([spec.q], None, extras, None), lam, "X")]
-    want += traces(Discretization.build([spec.q], None, extras, None), lam, "Z")
-    assert len(grids) == 3
+    disc = _discretize(spec, None)
+    layouts = dict(disc._layouts)
+    assert sorted(layouts) == ["X", "Z"]
+    want = [*traces(disc, lam, "X"), *traces(disc, lam, "Z")]
     assert len(swept) == 4
     for got, ref in zip(swept, want):
         assert np.array_equal(got.grid, ref.grid)
         assert np.array_equal(got.y, ref.y) and np.array_equal(got.dy, ref.dy)
         assert got.log_scale == ref.log_scale and np.array_equal(got.cbar, ref.cbar)
     again = combo_solutions(spec, p)
-    assert len(grids) == 3
+    assert len(grids) == 1
+    assert all(disc._layouts[side] is layouts[side] for side in layouts)
     for name in ("phi", "theta", "Phi", "v2"):
         assert np.array_equal(getattr(again, name).y, getattr(c, name).y)
     assert (again.omega, again.M, again.boundary_values) == (c.omega, c.M, c.boundary_values)
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_a_stored_sweep_evaluates_each_cell_once(side, monkeypatch):
+    # the stored nodes come from the first pass's products: storing evaluates no cell again
+    disc = _discretize(_density_spec(), None)
+    calls = []
+    cell = ode_core._cell
+    monkeypatch.setattr(ode_core, "_cell", lambda *a, **k: calls.append(1) or cell(*a, **k))
+    counts = []
+    for store in (False, True):
+        calls.clear()
+        ode_core.integrate_family(disc, [6.0 + 2.0j], side, store=store)
+        counts.append(len(calls))
+    assert counts[0] >= 1
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("lam", [3.7, 12.0 + 2.0j, 150.0 - 40.0j])
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_stored_nodes_agree_with_the_sweeps_own_point_folds(lam, side):
+    # each node's (y, y') against point forms on them folded by the same weighted sweep: both
+    # come from one set of cells, so they differ by the rounding of the fold's sums alone
+    disc = _discretize(_density_spec(), None)
+    n, F = len(disc.grid), len(disc.weights)
+    points = []
+    for i in range(n):
+        e = np.zeros(n, dtype=complex)
+        e[i] = 1.0
+        points += [(e, None, None), (None, e, None)]
+    fam = ode_core.integrate_family(
+        ode_core.Discretization(disc.grid, disc.spec, disc.samples, (*disc.weights, *points)),
+        [lam], side, store=True,
+    )
+    folds = fam.forms[F:, 0] * np.exp(fam.forms_s[F:, 0] - np.repeat(fam.s[:, 0], 2))[:, None]
+    rho = max(1.0, abs(ode_core.principal_rho(lam)))
+    y, dy = fam.y[:, 0], fam.dy[:, 0] / rho
+    scale = np.maximum(np.abs(y), np.abs(dy)).max(axis=1, keepdims=True)
+    for got, want in ((folds[0::2], y), (folds[1::2] / rho, dy)):
+        assert np.max(np.abs(got - want) / scale) <= 4 * np.finfo(float).eps

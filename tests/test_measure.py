@@ -42,24 +42,23 @@ def test_atom_outside_domain_rejected():
 
 
 def test_density_trapezoid_is_exact_for_linear_integrand():
-    # constant density, linear f: the sampled trapezoid rule has no error
+    # constant density, linear f: the density rule, exact for cubics, has no error
     m = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 1.0], jump=2.0)
     x = np.linspace(0.0, 1.0, 7)
     f = 2.0 * x + 1.0
     expected = 2.0 * 1.0 + 2.0  # jump * f(0) + int_0^1 (2x+1) dx
-    assert stieltjes_integrate(x, f, m) == pytest.approx(expected, abs=TOL)
+    assert stieltjes_integrate(x, f, m, np.full(7, 2.0)) == pytest.approx(expected, abs=TOL)
 
 
-def test_density_integral_converges_quadratically():
-    m = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 2.0])
-    exact = 19.0 / 6.0  # int_0^1 (2x+1)(1+x) dx
-    errs = []
-    for n in (9, 17, 33):
-        x = np.linspace(0.0, 1.0, n)
-        errs.append(abs(stieltjes_integrate(x, 2.0 * x + 1.0, m) - exact))
-    assert errs[0] > errs[1] > errs[2]
-    # halving h should cut the error by about 4
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+def test_density_without_derivative_samples_raises():
+    # a density is integrated only by the sweeps' rule, which reads f'; atoms alone need none
+    m = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 1.0], jump=2.0)
+    x = np.linspace(0.0, 1.0, 7)
+    with pytest.raises(InputError, match="derivative samples"):
+        stieltjes_integrate(x, x + 1.0, m)
+    with pytest.raises(InputError, match="derivative samples"):
+        LinearForm.from_measure(m).apply_sampled(x, x + 1.0)
+    assert stieltjes_integrate(x, x + 1.0, BVMeasure.from_jump(1.0, 2.0)) == 2.0
 
 
 def test_corrected_density_rule_is_exact_for_cubic_integrands():
@@ -148,9 +147,9 @@ def test_merge_is_linear():
     m1 = BVMeasure.from_atoms(1.0, [(0.25, 1.0)], jump=2.0)
     m2 = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 1.0])
     x = np.linspace(0.0, 1.0, 9)
-    f = 3.0 * x - 1.0
-    lhs = stieltjes_integrate(x, f, merge(m1, m2))
-    rhs = stieltjes_integrate(x, f, m1) + stieltjes_integrate(x, f, m2)
+    f, df = 3.0 * x - 1.0, np.full(9, 3.0)
+    lhs = stieltjes_integrate(x, f, merge(m1, m2), df)
+    rhs = stieltjes_integrate(x, f, m1, df) + stieltjes_integrate(x, f, m2, df)
     assert lhs == pytest.approx(rhs, abs=TOL)
 
 
@@ -174,9 +173,9 @@ def test_measure_dict_round_trip():
     assert m2.jump_at_zero == m.jump_at_zero
     assert m2.atoms == m.atoms
     x = np.sort(np.unique(np.concatenate([np.linspace(0.0, 1.5, 31), [0.4, 1.1]])))
-    f = np.sin(x) + 1.0
-    assert stieltjes_integrate(x, f, m2) == pytest.approx(
-        stieltjes_integrate(x, f, m), abs=TOL
+    f, df = np.sin(x) + 1.0, np.cos(x)
+    assert stieltjes_integrate(x, f, m2, df) == pytest.approx(
+        stieltjes_integrate(x, f, m, df), abs=TOL
     )
 
 
@@ -202,8 +201,8 @@ class TestLinearForm:
         m = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 1.0], jump=2.0, atoms=[(0.5, 1.0)])
         form = LinearForm.from_measure(m)
         x = np.sort(np.unique(np.concatenate([np.linspace(0, 1, 41), [0.5]])))
-        f = np.cos(x)
-        assert form.apply_sampled(x, f) == pytest.approx(stieltjes_integrate(x, f, m), abs=TOL)
+        f, df = np.cos(x), -np.sin(x)
+        assert form.apply_sampled(x, f, df) == pytest.approx(stieltjes_integrate(x, f, m, df), abs=TOL)
 
     def test_form_dict_round_trip(self):
         m = BVMeasure.with_density(2.0, [0.0, 2.0], [0.5, 1.5], jump=1.0, atoms=[(0.9, 1.0j)])

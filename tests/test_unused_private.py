@@ -1,0 +1,64 @@
+"""Every private module-level name in `src/` is referenced somewhere in `src/`.
+
+A private function, class or constant (a name with one leading underscore,
+defined at a module's top level) serves only the package, so one that no
+module of the package refers to is dead: a helper left behind when its last
+caller went.  References are found with the standard library's `ast`: a
+name read anywhere, an attribute such as `ode_core._cell`, an imported name,
+or a name inside a quoted annotation.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined(tree: ast.Module) -> dict:
+    """The module's top-level private functions, classes and constants, with their lines."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node.lineno) for name in names if _private(name))
+    return out
+
+
+def _referenced(tree: ast.Module) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a quoted annotation such as "_Layout"
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    assert trees
+    used = set().union(*(_referenced(tree) for tree in trees.values()))
+    unused = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in _defined(tree).items()
+        if name not in used
+    ]
+    assert unused == []
