@@ -164,8 +164,7 @@ def _identity_residuals(spec: ProblemSpec, lam: complex) -> dict:
     out = {}
 
     bz = char_batch(spec, [lam], route="Z")
-    bx = char_batch(spec, [lam], route="X")
-    out["det_route_agreement"] = abs(complex(bz.omega[0]) - complex(bx.omega[0])) / sc
+    out["det_route_agreement"] = abs(complex(bz.omega[0]) - c.omega) / sc  # c holds the X route's
 
     w, m = _wronskian(c.theta, c.phi)
     out["wronskian_theta_phi"] = float(np.max(np.abs(w - c.omega) / (m + abs(c.omega) + sc)))

@@ -199,18 +199,18 @@ class CharBatch:
     def scale(self) -> np.ndarray:
         return np.asarray(modulus_scale(self.lam, self.T))
 
+    def _guarded(self, num, den):
+        """(num / den, valid mask); entries whose den fails the pole guard are NaN."""
+        ok = np.abs(den) >= POLE_GUARD * self.scale()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(ok, num / np.where(ok, den, 1.0), np.nan + 0j), ok
+
     def weyl_M_values(self):
         """(values, valid mask); entries failing the delta_1 pole guard are NaN."""
-        ok = np.abs(self.delta1) >= POLE_GUARD * self.scale()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(ok, self.delta2 / np.where(ok, self.delta1, 1.0), np.nan + 0j)
-        return vals, ok
+        return self._guarded(self.delta2, self.delta1)
 
     def weyl_N_values(self):
-        ok = np.abs(self.delta11) >= POLE_GUARD * self.scale()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(ok, self.delta1 / np.where(ok, self.delta11, 1.0), np.nan + 0j)
-        return vals, ok
+        return self._guarded(self.delta1, self.delta11)
 
 
 def _lam_batch(lam) -> np.ndarray:
@@ -226,7 +226,7 @@ def _route_values(fam, route: str) -> dict:
     omega = _safe_det(u11, u22, u12, u21)
     if route == "Z":
         return {"omega": omega, "delta1": -u12, "delta2": -u22, "delta11": u11, "delta21": u21}
-    yT, dT, eT = fam.stateT[0], fam.stateT[1], np.exp(fam.stateT[2])[:, None]
+    yT, dT, eT = fam.end[0], fam.end[1], np.exp(fam.end[2])[:, None]
     (v11, v12), (v21, v22) = (yT * eT).T, (dT * eT).T
     dets = {  # name: the factors (a1, b1, a2, b2) of a1 b1 - a2 b2
         "delta1": (u11, v12, u12, v11), "delta2": (u21, v12, u22, v11),
@@ -371,37 +371,25 @@ def _form_on_trace(form: LinearForm, trace: SolutionTrace) -> complex:
 def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) -> ComboSolutions:
     """Build the requested combination solutions on a shared grid.
 
-    The defining linear combinations of X1, X2 lose accuracy once
-    exp(2 Im rho T) meets machine precision; intended for desk-scale lambda.
-    At large |rho|, `asymptotics` reads phi, Phi, v1 and v2 at a point as
-    form values of sweeps anchored there, with no combination.
+    omega, the deltas, M and N are the route-X `char_batch` values, read from
+    the stored sweep that also gives the traces X1, X2.  The defining linear
+    combinations of X1, X2 lose accuracy once exp(2 Im rho T) meets machine
+    precision; intended for desk-scale lambda.  At large |rho|, `asymptotics`
+    reads phi, Phi, v1 and v2 at a point as form values of sweeps anchored
+    there, with no combination.
     """
     need = tuple(need)
     unknown = set(need) - set(_ALL_COMBOS)
     if unknown:
         raise InputError(f"unknown combination solutions {sorted(unknown)}")
     disc = _discretize(spec, None)
-    X1, X2 = _traces(disc, p.lam, "X")
-    Z1, Z2 = _traces(disc, p.lam, "Z")
-
-    u11 = _form_on_trace(spec.form1, X1)
-    u12 = _form_on_trace(spec.form1, X2)
-    u21 = _form_on_trace(spec.form2, X1)
-    u22 = _form_on_trace(spec.form2, X2)
-    om = complex(_safe_det(u11, u22, u12, u21))
-    x1T, dx1T = X1.value_at(spec.T)
-    x2T, dx2T = X2.value_at(spec.T)
-    sX = np.exp(X1.log_scale)
-    d1 = complex(_safe_det(u11, x2T * sX, u12, x1T * sX))
-    d2 = complex(_safe_det(u21, x2T * sX, u22, x1T * sX))
-    d11 = complex(_safe_det(u11, dx2T * sX, u12, dx1T * sX))
-
-    sc = modulus_scale(p.lam, spec.T)
-    M = N = None
-    if abs(d1) >= POLE_GUARD * sc:
-        M = d2 / d1
-    if abs(d11) >= POLE_GUARD * sc:
-        N = d1 / d11
+    fam, (X1, X2) = _traces(disc, p.lam, "X")
+    _, (Z1, Z2) = _traces(disc, p.lam, "Z")
+    (u11, u12), (u21, u22) = _form_values(fam)[:, 0]
+    cb = CharBatch(lam=fam.lam, route="X", T=spec.T, **_route_values(fam, "X"))
+    values = {name: complex(getattr(cb, name)[0]) for name in _NAMES}
+    d1, d11 = values["delta1"], values["delta11"]
+    M, N = (complex(v[0]) if ok[0] else None for v, ok in (cb.weyl_M_values(), cb.weyl_N_values()))
 
     traces = {}
     if "phi" in need:
@@ -429,28 +417,11 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
     for name, tr in traces.items():
         yT, dyT = tr.value_at(spec.T)
         f = np.exp(tr.log_scale)
-        bv[name] = {
-            "U1": _form_on_trace(spec.form1, tr),
-            "U2": _form_on_trace(spec.form2, tr),
-            "V1": yT * f,
-            "V2": dyT * f,
-        }
+        U1, U2 = (_form_on_trace(form, tr) for form in (spec.form1, spec.form2))
+        bv[name] = {"U1": U1, "U2": U2, "V1": yT * f, "V2": dyT * f}
 
     return ComboSolutions(
-        point=p,
-        phi=traces.get("phi"),
-        theta=traces.get("theta"),
-        psi=traces.get("psi"),
-        Phi=traces.get("Phi"),
-        v1=traces.get("v1"),
-        v2=traces.get("v2"),
-        omega=om,
-        delta1=d1,
-        delta2=d2,
-        delta11=d11,
-        M=M,
-        N=N,
-        boundary_values=bv,
+        point=p, **{name: traces.get(name) for name in _ALL_COMBOS}, **values, M=M, N=N, boundary_values=bv
     )
 
 

@@ -122,12 +122,17 @@ def _box(ctx, v, path):
     return None if re is None or im is None else (*re, *im)
 
 
+def _whole(ctx, v, path, low):
+    """v if it is an integer of at least `low`, 0 or 1 (booleans are not integers)."""
+    if type(v) is not int or v < low:
+        ctx.err(path, f"expected a {('non-negative', 'positive')[low]} integer")
+        return None
+    return v
+
+
 def _threads(ctx, raw):
     threads = raw.get("threads")
-    if threads is not None and (type(threads) is not int or threads < 1):
-        ctx.err(".threads", "expected a positive integer")
-        return None
-    return threads
+    return None if threads is None else _whole(ctx, threads, ".threads", 1)
 
 
 def _check_potential(ctx, d, path, T):
@@ -466,9 +471,7 @@ def _validate(raw: dict) -> RunConfig:
             except InputError as e:
                 ctx.err(".", str(e))
 
-    seed = raw.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        ctx.err(".seed", "expected a non-negative integer")
+    seed = _whole(ctx, raw.get("seed", 0), ".seed", 0)
     threads = _threads(ctx, raw)
     out = raw.get("output", {})
     if not isinstance(out, dict):
@@ -783,7 +786,13 @@ def _run_regress(args) -> int:
 
     numbers = None
     if args.criteria:
-        numbers = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
+        known = acceptance.criterion_numbers()
+        tokens = [tok.strip() for tok in args.criteria.split(",") if tok.strip()]
+        for tok in tokens:
+            if not (tok.isdigit() and int(tok) in known):
+                known_text = ", ".join(map(str, known))
+                raise ConfigError([("--criteria", f"unknown criterion {tok!r}; known: {known_text}")])
+        numbers = [int(tok) for tok in tokens]
     results = acceptance.run_all(numbers)
     for r in results:
         sys.stdout.write(r.line + "\n")
@@ -836,6 +845,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_flags(args) -> None:
+    """Each numeric flag given, by the rule of the config key it overrides."""
+    ctx = _Ctx()
+    for key, low in (("seed", 0), ("threads", 1), ("dim", 1), ("starts", 1)):
+        if getattr(args, key, None) is not None:
+            _whole(ctx, getattr(args, key), f"--{key}", low)
+    if getattr(args, "tol", None) is not None:
+        _number(ctx, args.tol, "--tol", positive=True)
+    if ctx.errors:
+        raise ConfigError(ctx.errors)
+
+
 def _apply_threads(n: int | None) -> None:
     if n is None:
         return
@@ -850,8 +871,9 @@ def _apply_threads(n: int | None) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_threads(args.threads)
     try:
+        _check_flags(args)
+        _apply_threads(args.threads)
         if args.command == "regress":
             return _run_regress(args)
         cfg = RunConfig()

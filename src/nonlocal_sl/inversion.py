@@ -554,6 +554,14 @@ class ReconstructOptions:
     _: KW_ONLY
     grid_tol: float = 1e-7
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise InputError("starts must be at least 1")
+        if not self.tol >= 0:  # NaN fails too
+            raise InputError("tol must be a non-negative number")
+        if self.max_iter < 0:
+            raise InputError("max_iter must be at least 0")
+
 
 @dataclass(frozen=True)
 class ReconstructionResult:

@@ -241,7 +241,9 @@ class FamilyStore:
     Only a stored sweep keeps `y`/`dy` at every node, shape (n, m, k) in
     ascending grid order, with the per-node log-scale `s`, shape (n, m); each
     node is its block's prefix product times the block's start, the products
-    the forms fold with.  Endpoint states are always kept.
+    the forms fold with.  `end` is always kept: the state where the sweep
+    ends, at T on side X and at 0 on side Z.  With `forms` it gives the X
+    route's characteristic values, to `char_batch` and `combo_solutions` alike.
     """
 
     grid: np.ndarray
@@ -251,8 +253,7 @@ class FamilyStore:
     y: np.ndarray | None
     dy: np.ndarray | None
     s: np.ndarray | None
-    state0: tuple  # (y, dy, s) at grid[0]
-    stateT: tuple  # (y, dy, s) at grid[-1]
+    end: tuple  # (y, dy, s) at the sweep's last node
 
 
 def _check_budget(rho: np.ndarray, T: float, spec: GridSpec):
@@ -759,8 +760,6 @@ def integrate_family(
         if side == "Z":
             y_st, dy_st, s_st = y_st[::-1], dy_st[::-1], s_st[::-1]
 
-    ends = tuple(tuple(a[i].copy() for a in (Ys, Ds, Ss)) for i in (0, B))
-    state0, stateT = ends[::-1] if side == "Z" else ends
     return FamilyStore(
         grid=grid,
         lam=lam,
@@ -769,19 +768,19 @@ def integrate_family(
         y=y_st,
         dy=dy_st,
         s=s_st,
-        state0=state0,
-        stateT=stateT,
+        end=tuple(a[B].copy() for a in (Ys, Ds, Ss)),
     )
 
 
-def _traces(disc: Discretization, lam, side: str) -> list[SolutionTrace]:
-    """Per-column traces of one stored single-lambda sweep over `disc`."""
+def _traces(disc: Discretization, lam, side: str) -> tuple[FamilyStore, list[SolutionTrace]]:
+    """One stored single-lambda sweep over `disc` and its two columns' traces; the
+    sweep's forms and end state give the characteristic values of those solutions."""
     fam = integrate_family(disc, [lam], side, store=True)
     S = fam.s.max(axis=0)
     E = np.exp(fam.s - S[None, :])[:, 0]
     qbar = disc._layout(side).qbar[:-1, 0]  # sweep order, the identity step N left out
     cbar = (qbar[::-1] if side == "Z" else qbar) - lam
-    return [
+    return fam, [
         SolutionTrace(grid=fam.grid, y=y * E, dy=dy * E, log_scale=float(S[0]), cbar=cbar)
         for y, dy in zip(fam.y[:, 0].T, fam.dy[:, 0].T)
     ]

@@ -164,7 +164,7 @@ SURFACE = {
     "ode_core.Discretization": ("grid", "spec", "samples", "weights"),
     "ode_core.Discretization.build": ("qs", "spec", "required", "weigh"),
     "ode_core.Discretization.piece": ("lo", "hi", "weigh"),
-    "ode_core.FamilyStore": ("grid", "lam", "forms", "forms_s", "y", "dy", "s", "state0", "stateT"),
+    "ode_core.FamilyStore": ("grid", "lam", "forms", "forms_s", "y", "dy", "s", "end"),
     "ode_core.GridSpec": ("tol=", "*n_min=", "*tau_T_budget="),
     "ode_core.SolutionTrace": ("grid", "y", "dy", "log_scale", "cbar"),
     "ode_core.SolutionTrace.value_at": ("x",),

@@ -215,7 +215,7 @@ def _density_spec():
 class TestAnchoredValues:
     """varphi and v2 as form values on the fundamental system at x (and at T)."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(
         atoms=st.lists(
             st.tuples(st.integers(1, 100), st.floats(-0.5, 0.5).filter(lambda w: abs(w) >= 0.1)),

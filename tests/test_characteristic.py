@@ -334,7 +334,7 @@ def _forms(draw, needs_y0=False):
     return LinearForm.from_measure(BVMeasure(T, jump, tuple(atoms), segs))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     form1=_forms(needs_y0=True),
     form2=_forms(),
@@ -346,7 +346,7 @@ def test_weighted_sweep_matches_forms_on_traces(form1, form2, q_coeffs, sigma, t
     spec = ProblemSpec(q=Potential.from_cosine(T, q_coeffs), form1=form1, form2=form2)
     lam = complex(sigma, tau_T / T) ** 2
     b = char_batch(spec, [lam])
-    Z1, Z2 = _traces(Discretization.build([spec.q], GridSpec(), [spec.required_points()], None), lam, "Z")
+    _, (Z1, Z2) = _traces(Discretization.build([spec.q], GridSpec(), [spec.required_points()], None), lam, "Z")
 
     def apply(form, trace):
         f = np.exp(trace.log_scale)
@@ -416,7 +416,7 @@ def test_default_grid_meets_its_tolerance(tol, lam):
 _wide_lam = st.builds(lambda s, t: complex(s, t / T) ** 2, st.floats(0.0, 100.0), st.floats(0.0, 40.0))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(lam=_wide_lam, others=st.lists(_wide_lam, max_size=8), pos=st.integers(0, 8))
 def test_value_does_not_depend_on_its_batch(lam, others, pos):
     # |lambda| up to 1e4 and Im rho * T up to 40, with densities and atoms in both forms: the
@@ -449,7 +449,7 @@ def test_fitted_density_integrals_match_the_zero_potential(lam):
     want = [(J(1j * rho) + J(-1j * rho)) / 2.0, (J(1j * rho) - J(-1j * rho)) / (2j * rho)]
     fam = integrate_family(disc, [lam], "X")
     got = fam.forms[0, 0] * np.exp(fam.forms_s[0, 0])
-    X = _traces(Discretization.build([q], None, (), None), lam, "X")
+    _, X = _traces(Discretization.build([q], None, (), None), lam, "X")
     on_traces = [
         form.apply_sampled(t.grid, t.y * np.exp(t.log_scale), t.dy * np.exp(t.log_scale), t.cbar)
         for t in X
@@ -492,7 +492,7 @@ def test_density_rule_pole_raises_on_traces():
     def on_traces(lam):
         return [
             form.apply_sampled(t.grid, t.y * np.exp(t.log_scale), t.dy * np.exp(t.log_scale), t.cbar)
-            for t in _traces(Discretization.build([q], None, (), None), lam, "X")
+            for t in _traces(Discretization.build([q], None, (), None), lam, "X")[1]
         ]
 
     lam = 5261.7113 - 7869.4093j

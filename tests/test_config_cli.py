@@ -494,6 +494,32 @@ def test_malformed_invert_data_is_one_line(tmp_path, capsys, section, target, li
     assert capsys.readouterr().err == line.format(path=path) + "\n"
 
 
+# Bad command-line values, each with its one stderr line: a flag is checked by the rule of
+# the config key it overrides, before the thread cap is applied or any numerics run.
+INVERT = _config("invert", {"dim": 1, "starts": 1})
+KNOWN = "known: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11"
+BAD_FLAGS = [
+    ("criteria_number", None, ["regress", "--criteria", "99"], f"--criteria: unknown criterion '99'; {KNOWN}"),
+    ("criteria_text", None, ["regress", "--criteria", "1,abc"], f"--criteria: unknown criterion 'abc'; {KNOWN}"),
+    ("seed", INVERT, ["invert", "--seed", "-1"], "--seed: expected a non-negative integer"),
+    ("tol", INVERT, ["invert", "--tol", "-1"], "--tol: must be positive"),
+    ("starts", INVERT, ["invert", "--starts", "0"], "--starts: expected a positive integer"),
+    ("dim", INVERT, ["invert", "--dim", "0"], "--dim: expected a positive integer"),
+    ("threads", _bad(), ["spectrum", "--threads", "0"], "--threads: expected a positive integer"),
+]
+
+
+@pytest.mark.parametrize("config, argv, line", [c[1:] for c in BAD_FLAGS], ids=[c[0] for c in BAD_FLAGS])
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, config, argv, line):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if config is not None:
+        argv = [argv[0], _write(tmp_path, "c.json", config), *argv[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error at {line}\n"
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
 class TestExitCodes:
     def test_validation_failure_is_2(self, tmp_path, capsys):
         bad = dict(BASE_PROBLEM, T=-1.0)

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nonlocal_sl import BVMeasure, Potential, ProblemSpec
+from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec
 from nonlocal_sl import characteristic, ode_core
 from nonlocal_sl.acceptance import _c8_spec
 from nonlocal_sl.characteristic import (
@@ -143,14 +143,14 @@ def test_combo_solutions_sweep_the_held_grid(lam, monkeypatch):
     spec, p = _density_spec(), SpectralPoint.from_lambda(lam)
     swept = []
     traces = characteristic._traces
-    monkeypatch.setattr(characteristic, "_traces", lambda *a: swept.extend(traces(*a)) or swept[-2:])
+    monkeypatch.setattr(characteristic, "_traces", lambda *a: (got := traces(*a), swept.extend(got[1]))[0])
     grids = _count_grids(monkeypatch)
     c = combo_solutions(spec, p)
     assert len(grids) == 1
     disc = _discretize(spec, None)
     layouts = dict(disc._layouts)
     assert sorted(layouts) == ["X", "Z"]
-    want = [*traces(disc, lam, "X"), *traces(disc, lam, "Z")]
+    want = [*traces(disc, lam, "X")[1], *traces(disc, lam, "Z")[1]]
     assert len(swept) == 4
     for got, ref in zip(swept, want):
         assert np.array_equal(got.grid, ref.grid)
@@ -162,6 +162,32 @@ def test_combo_solutions_sweep_the_held_grid(lam, monkeypatch):
     for name in ("phi", "theta", "Phi", "v2"):
         assert np.array_equal(getattr(again, name).y, getattr(c, name).y)
     assert (again.omega, again.M, again.boundary_values) == (c.omega, c.M, c.boundary_values)
+
+
+@pytest.mark.parametrize("lam", [6.0 + 2.0j, 30.0 - 1.0j])
+def test_combo_values_are_the_x_route_batch(lam):
+    # omega, the deltas, M and N come from the combination's own X sweep, which is the sweep
+    # of char_batch(route="X"): the same values, bit for bit
+    spec = _density_spec()
+    c = combo_solutions(spec, SpectralPoint.from_lambda(lam))
+    cb = char_batch(spec, [lam], route="X")
+    for name in _NAMES:
+        assert getattr(c, name) == getattr(cb, name)[0]
+    for got, (vals, ok) in ((c.M, cb.weyl_M_values()), (c.N, cb.weyl_N_values())):
+        assert ok[0] and got == vals[0]
+
+
+def test_combo_applies_the_forms_to_its_traces_only_for_boundary_values(monkeypatch):
+    # two stored sweeps; U1 and U2 applied to each of the six combinations, nothing else
+    spec, p = _density_spec(), SpectralPoint.from_lambda(6.0 + 2.0j)
+    combo_solutions(spec, p)  # the held discretization is built
+    applied, sweeps = [], []
+    apply, sweep = LinearForm.apply_sampled, ode_core.integrate_family
+    monkeypatch.setattr(LinearForm, "apply_sampled", lambda *a, **k: applied.append(1) or apply(*a, **k))
+    monkeypatch.setattr(ode_core, "integrate_family", lambda *a, **k: sweeps.append(k) or sweep(*a, **k))
+    combo_solutions(spec, p)
+    assert len(applied) == 12
+    assert sweeps == [{"store": True}, {"store": True}]
 
 
 @pytest.mark.parametrize("side", ["X", "Z"])

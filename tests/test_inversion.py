@@ -14,7 +14,7 @@ import pytest
 
 from nonlocal_sl import BVMeasure, LinearForm, Potential, ProblemSpec, scenarios
 from nonlocal_sl import characteristic, inversion, ode_core
-from nonlocal_sl.acceptance import _c8_spec
+from nonlocal_sl.acceptance import _c8_spec, _c9_truth
 from nonlocal_sl.errors import InputError
 from nonlocal_sl.inversion import (
     _FD_STEP,
@@ -206,6 +206,21 @@ def test_recovery_from_two_spectra(truth, target):
     assert res.convergence_flag
     assert np.max(np.abs(np.asarray(res.coeffs) - TRUTH_COEFFS)) < 1e-5
     assert res.residual_norm < 1e-6
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"starts": 0}, "starts must be at least 1"),
+        ({"tol": -1.0}, "tol must be a non-negative number"),
+        ({"tol": float("nan")}, "tol must be a non-negative number"),
+        ({"max_iter": -1}, "max_iter must be at least 0"),
+    ],
+    ids=["starts", "tol_negative", "tol_nan", "max_iter"],
+)
+def test_reconstruct_options_reject_bad_values(truth, bad, message):
+    with pytest.raises(InputError, match=message):
+        ReconstructOptions(template=truth, **bad)
 
 
 def test_tied_starts_report_the_converged_run(truth, target, monkeypatch):
@@ -412,6 +427,15 @@ class TestDistinguishability:
         other = dataclasses.replace(truth, q=Potential.from_cosine(T, [0.4, 0.25]))
         lam = np.linspace(3.0, 30.0, 7) + 0.5j
         assert distinguishability(truth, other, "weyl_pair", lam) > 1e-3
+
+    def test_two_spectra_scores_the_matched_eigenvalues(self):
+        # criterion 9's truth: zero against itself, and a shifted last coefficient moves its spectra
+        truth, box = _c9_truth(), SearchBox(-3.0, 60.0, -1.0, 1.0)
+        assert distinguishability(truth, truth, "two_spectra", box) == 0.0
+        other = dataclasses.replace(truth, q=Potential.from_cosine(T, [0.6, -0.4, 0.25, -0.10]))
+        assert distinguishability(truth, other, "two_spectra", box) > 1e-3
+        with pytest.raises(InputError, match="takes a SearchBox grid"):
+            distinguishability(truth, truth, "two_spectra", np.linspace(1.0, 9.0, 5))
 
     def test_unknown_kind_rejected(self, truth):
         with pytest.raises(InputError):

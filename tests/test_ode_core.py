@@ -39,7 +39,7 @@ def _point(lam):
 
 def _sweep(q, lam, side, grid_spec=None, extras=()):
     """The traces of q's fundamental pair at lambda from `side`, on q's grid holding `extras`."""
-    return _traces(Discretization.build([q], grid_spec, extras, None), lam, side)
+    return _traces(Discretization.build([q], grid_spec, extras, None), lam, side)[1]
 
 
 def _true(trace, x):
@@ -209,7 +209,7 @@ def test_modulus_scale_envelope():
 _coef = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     q_coeffs=st.lists(_coef, min_size=1, max_size=4),
     sigma=st.floats(0.0, 30.0),
@@ -233,7 +233,7 @@ def test_steps_beyond_the_series_range_use_the_closed_form():
     q, grid = Potential.zero(3.0), np.array([0.0, 3.0])
     disc = Discretization(grid, GridSpec(), tuple(v[:, None] for v in q.step_samples(grid)), ())
     fam = integrate_family(disc, [100.0], "X")
-    assert fam.stateT[0][0, 0] * np.exp(fam.stateT[2][0]) == pytest.approx(np.cos(30.0), abs=1e-12)
+    assert fam.end[0][0, 0] * np.exp(fam.end[2][0]) == pytest.approx(np.cos(30.0), abs=1e-12)
 
 
 def test_step_law():

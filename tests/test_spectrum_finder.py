@@ -244,7 +244,7 @@ class TestSyntheticHandles:
             SearchBox(5.0, 1.0, -1.0, 1.0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(roots=st.lists(_inner, min_size=1, max_size=4))
 def test_moment_seeds_lie_near_simple_zeros(roots):
     # by-parts moments with the sixth-order rule on the 64-per-edge contour.  Four zeros packed
@@ -277,7 +277,7 @@ def _recorded(roots):
     return f, seen
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(roots=st.lists(_inner, min_size=1, max_size=4), offsets=st.lists(_offset, min_size=4, max_size=4))
 def test_shared_newton_polishes_simple_zeros(roots, offsets):
     # seeds within 0.05 of 1-4 simple zeros: every root to 1e-10 (1 + |r|), and the |f| reported
@@ -290,7 +290,7 @@ def test_shared_newton_polishes_simple_zeros(roots, offsets):
     assert all(resid[i] in seen[i] for i in range(len(roots)))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(double=_inner, other=_inner, offset=_offset)
 def test_shared_newton_polishes_a_double_zero(double, other, offset):
     # with multiplicity 2 and the contour polish's stop rule, a seed within 0.05 of a double zero
@@ -418,7 +418,7 @@ _POLISH = _search_handles(_ATOMS_SPEC, "delta1", _BOX)[1]
 _in_box = st.builds(complex, st.floats(_BOX.re_min, _BOX.re_max), st.floats(_BOX.im_min, _BOX.im_max))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(lam=_in_box, others=st.lists(_in_box, max_size=12), pos=st.integers(0, 12))
 def test_search_value_does_not_depend_on_its_batch(lam, others, pos):
     pos = min(pos, len(others))

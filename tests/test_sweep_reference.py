@@ -152,11 +152,9 @@ def _check_all_modes(q, lam, side, grid, spec=None, qs=None, q_index=None):
     cbar = (qbar[:, None] if qbar.ndim == 1 else qbar) - np.asarray(lam, dtype=complex)
     for store in (False, True):
         fam = integrate_family(_disc(qs or [q], grid, spec, cases), lam, side, store=store, q_index=q_index)
-        for node, state in ((0, fam.state0), (n - 1, fam.stateT)):
-            sl = slice(node, node + 1)
-            assert _mismatch(
-                state[0][None], state[1][None], state[2][None], ry[sl], rdy[sl], rs[sl], rho
-            ) <= REL
+        sl = slice(n - 1, n) if side == "X" else slice(0, 1)  # the node where the sweep ends
+        y, dy, s = fam.end
+        assert _mismatch(y[None], dy[None], s[None], ry[sl], rdy[sl], rs[sl], rho) <= REL
         assert fam.forms.shape == (len(cases),) + ry.shape[1:]
         assert _weighted_mismatch(fam, cases, ry, rdy, rs, grid, cbar) <= REL
         if not store:
@@ -212,14 +210,14 @@ def test_zero_step_grid_keeps_identity_state():
     assert fam.y.shape == (1, 1, 2) and fam.s.shape == (1, 1)
     assert np.array_equal(fam.y[0, 0] * np.exp(fam.s[0, 0]), [1.0, 0.0])
     assert np.array_equal(fam.dy[0, 0] * np.exp(fam.s[0, 0]), [0.0, 1.0])
-    assert np.array_equal(fam.state0[0][0], fam.stateT[0][0]) and np.array_equal(fam.state0[0][0], [1.0, 0.0])
+    assert np.array_equal(fam.end[0][0], [1.0, 0.0])
 
 
 def test_end_states_do_not_hold_the_sweep_buffers():
     q = _cosine()
     fam = integrate_family(_disc([q], np.linspace(0.0, T, 401)), LAMS, "X")
-    assert all(a.base is None for a in fam.state0 + fam.stateT)
-    assert fam.stateT[0].shape == (len(LAMS), 2) and fam.stateT[2].shape == (len(LAMS),)
+    assert all(a.base is None for a in fam.end)
+    assert fam.end[0].shape == (len(LAMS), 2) and fam.end[2].shape == (len(LAMS),)
 
 
 @pytest.mark.parametrize("side", ["X", "Z"])
@@ -231,7 +229,6 @@ def test_strong_growth_near_the_budget(side):
     grid = solver_grid(q, spec)
     _check_all_modes(q, lam, side, grid, spec=spec)
     fam = integrate_family(_disc([q], grid, spec), lam, side)
-    end = fam.stateT if side == "X" else fam.state0
-    assert end[2].max() > 800.0
+    assert fam.end[2].max() > 800.0
     with pytest.raises(RangeError):
         integrate_family(_disc([q], grid, GridSpec()), lam, side)
