@@ -22,7 +22,7 @@ _EXPORTS = {
         "PoleProximityError",
         "RangeError",
     ),
-    "measure": ("BVMeasure", "LinearForm", "merge", "stieltjes_integrate"),
+    "measure": ("BVMeasure", "LinearForm", "stieltjes_integrate"),
     "potential": ("Potential",),
     "ode_core": (
         "GridSpec",

@@ -156,9 +156,6 @@ class RaySpec:
     def points(self) -> np.ndarray:
         return np.asarray(self.radii, dtype=float) * np.exp(1j * self.angle)
 
-    def lambdas(self) -> np.ndarray:
-        return self.points() ** 2
-
 
 def _check_args(quantity: str, x, spec: ProblemSpec, order: int) -> float | None:
     """The checks `predict` and `asym_report` share: quantity, order and x.
@@ -377,11 +374,6 @@ class AsymReport:
         """
         e = np.maximum(self.rel_errors, floor)
         return bool(np.all(np.diff(e) <= 0))
-
-    def bounded(self, factor: float = 10.0) -> bool:
-        """G_delta-style check: ratios never exceed factor x the first ratio."""
-        r = self.ratios
-        return bool(np.all(r <= factor * r[0]))
 
     def summary(self) -> dict:
         return {

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollinearityError, DomainError, InputError, PoleProximityError
-from .measure import BVMeasure, LinearForm, density_node_weights
+from .errors import CollinearityError, ConfigError, DomainError, InputError, PoleProximityError, _read
+from .measure import BVMeasure, LinearForm, _read_form, density_node_weights
 from .ode_core import (
     Discretization,
     GridSpec,
@@ -46,7 +46,7 @@ from .ode_core import (
     modulus_scale,
     solver_grid,  # noqa: F401  (the grid builder; bench/tracing.py wraps it here too)
 )
-from .potential import Potential
+from .potential import Potential, _read_potential
 
 POLE_GUARD = 1e-10
 _DEFECT_TOL = 1e-6  # collinearity defect above which a d_n is refused
@@ -69,20 +69,21 @@ class ProblemSpec:
     _discretizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        T = self.q.T
-        for label, form in (("form1", self.form1), ("form2", self.form2)):
+        # misplaced points and a missing first jump are named by their `to_dict`
+        # paths, which `from_dict` reports them at
+        T, problems = self.q.T, []
+        for key, form in (("U1", self.form1), ("U2", self.form2)):
             if form.kind == "nonlocal":
                 if abs(form.measure.domain_length - T) > _EDGE * max(1.0, T):
                     raise DomainError(
-                        f"{label}: measure domain {form.measure.domain_length} != T {T}"
+                        f"{key}: measure domain {form.measure.domain_length} != T {T}"
                     )
-            else:
-                if not -_EDGE <= form.x0 <= T + _EDGE:
-                    raise DomainError(f"{label}: evaluation point {form.x0} outside [0, {T}]")
+            elif not -_EDGE <= form.x0 <= T + _EDGE:
+                problems.append((f".{key}.x", f"must lie in [0, {T:g}]"))
         if self.form1.kind == "nonlocal" and self.form1.measure.jump_at_zero == 0:
-            raise InputError(
-                "the first form needs a nonzero jump at 0; use a point form to bypass"
-            )
+            problems.append((".U1.measure.jump", "the first form needs a nonzero point mass at 0"))
+        if problems:
+            raise ConfigError(problems)
 
     @classmethod
     def with_measures(cls, q: Potential, sigma1: BVMeasure, sigma2: BVMeasure) -> "ProblemSpec":
@@ -111,12 +112,19 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSpec":
-        q = Potential.from_dict(data["q"])
-        return cls(
-            q=q,
-            form1=LinearForm.from_dict(data["U1"], q.T),
-            form2=LinearForm.from_dict(data["U2"], q.T),
-        )
+        """The problem `to_dict` wrote, q carrying T; a ConfigError names every bad path,
+        as the CLI does for a config's problem fields."""
+        return _read(_read_problem, data)
+
+
+def _read_problem(ctx, d, path: str, T=None):
+    """The ProblemSpec that d at `path` describes, or None after any problem; T as in `_read_potential`."""
+    if not ctx.obj(d, path, ("q", "U1", "U2")):
+        return None
+    q = _read_potential(ctx, d.get("q"), f"{path}.q", T)
+    T = None if q is None else q.T
+    forms = [_read_form(ctx, d.get(key), f"{path}.{key}", T) for key in ("U1", "U2")]
+    return None if ctx.errors else ctx.build(path, ProblemSpec, q, *forms)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +392,8 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
         raise InputError(f"unknown combination solutions {sorted(unknown)}")
     disc = _discretize(spec, None)
     fam, (X1, X2) = _traces(disc, p.lam, "X")
-    _, (Z1, Z2) = _traces(disc, p.lam, "Z")
+    if set(need) & {"psi", "Phi", "v1", "v2"}:  # phi and theta are X combinations alone
+        _, (Z1, Z2) = _traces(disc, p.lam, "Z")
     (u11, u12), (u21, u22) = _form_values(fam)[:, 0]
     cb = CharBatch(lam=fam.lam, route="X", T=spec.T, **_route_values(fam, "X"))
     values = {name: complex(getattr(cb, name)[0]) for name in _NAMES}
@@ -436,13 +445,6 @@ class RatioValue:
     value: complex
     is_infinite: bool
     defect: float
-
-    def reciprocal(self) -> complex:
-        if self.is_infinite:
-            return 0j
-        if self.value == 0:
-            raise InputError("reciprocal of a zero ratio")
-        return 1.0 / self.value
 
 
 def _row_ratios(cb: CharBatch):

@@ -5,6 +5,12 @@ fields are rejected with their path, so a typo in a measure cannot silently
 change the problem.  All outputs are byte-stable across reruns with the
 same config and seed.
 
+The library reads the problem's schema: `q`, `U1` and `U2` go through the
+reader behind `ProblemSpec.from_dict`, whose paths are the config's own, and
+a target through `InverseTarget.from_dict`.  This module checks what is its
+own: the top-level `T` (required once any problem field is present, and
+matched by `q.T`), seed, threads, output and the command sections.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure,
 4 failed regression criterion.
 
@@ -25,80 +31,18 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, _Ctx, _number, _order, _pair_list, _reals, _whole
 
 # argparse checks these choices before any numerics load, so they cannot be
 # read from the library; they serve argparse only, and a test pins them to
 # inversion._BASES and scenarios._NAMES.
 _BASES = ("cosine", "piecewise")
 _SCENARIO_NAMES = ("counterexample1", "counterexample2", "three_spectra")
+_PROBLEM = ("q", "U1", "U2")  # with T, the config's problem fields
 
 
 # ---------------------------------------------------------------------------
 # Schema validation
-
-
-class _Ctx:
-    def __init__(self):
-        self.errors: list = []
-
-    def err(self, path: str, msg: str):
-        self.errors.append((path or ".", msg))
-
-    def strict(self, d: dict, path: str, allowed):
-        for k in d:
-            if k not in allowed:
-                self.err(f"{path}.{k}", "unknown field")
-
-
-def _real(v) -> bool:
-    return not isinstance(v, bool) and isinstance(v, (int, float))
-
-
-def _reals(v, min_len=0) -> bool:
-    """True for a list of at least min_len real numbers (booleans are not numbers)."""
-    return isinstance(v, list) and len(v) >= min_len and all(_real(u) for u in v)
-
-
-def _number(ctx, v, path, positive=False, integer=False, minimum=None):
-    if not _real(v):
-        ctx.err(path, "expected a number")
-        return None
-    if integer and not isinstance(v, int):
-        ctx.err(path, "expected an integer")
-        return None
-    if not math.isfinite(v):
-        ctx.err(path, "must be finite")
-        return None
-    if positive and not v > 0:
-        ctx.err(path, "must be positive")
-        return None
-    if minimum is not None and v < minimum:
-        ctx.err(path, f"must be at least {minimum}")
-        return None
-    return v
-
-
-def _order(ctx, v, path):
-    if type(v) is not int or v not in (0, 1):  # true == 1 and 1.0 == 1 are not orders
-        ctx.err(path, "expected 0 or 1")
-        return None
-    return v
-
-
-def _pair(ctx, v, path):
-    if not (_reals(v) and len(v) == 2):
-        ctx.err(path, "expected a [re, im] pair")
-        return None
-    return complex(v[0], v[1])
-
-
-def _pair_list(ctx, v, path, min_len=1):
-    if not isinstance(v, list) or len(v) < min_len:
-        ctx.err(path, f"expected a list of at least {min_len} [re, im] pairs")
-        return None
-    out = [_pair(ctx, u, f"{path}[{i}]") for i, u in enumerate(v)]
-    return None if any(c is None for c in out) else out
 
 
 def _interval(ctx, v, path):
@@ -122,130 +66,9 @@ def _box(ctx, v, path):
     return None if re is None or im is None else (*re, *im)
 
 
-def _whole(ctx, v, path, low):
-    """v if it is an integer of at least `low`, 0 or 1 (booleans are not integers)."""
-    if type(v) is not int or v < low:
-        ctx.err(path, f"expected a {('non-negative', 'positive')[low]} integer")
-        return None
-    return v
-
-
 def _threads(ctx, raw):
     threads = raw.get("threads")
     return None if threads is None else _whole(ctx, threads, ".threads", 1)
-
-
-def _check_potential(ctx, d, path, T):
-    if not isinstance(d, dict):
-        ctx.err(path, "expected an object")
-        return None
-    ctx.strict(d, path, {"type", "T", "data"})
-    kind = d.get("type")
-    if kind not in ("zero", "grid", "piecewise", "cosine"):
-        ctx.err(f"{path}.type", "expected zero, grid, piecewise, or cosine")
-        return None
-    if "T" in d:
-        tq = _number(ctx, d["T"], f"{path}.T", positive=True)
-        if tq is not None and T is not None and abs(tq - T) > 1e-12 * max(1.0, T):
-            ctx.err(f"{path}.T", "must match the top-level T")
-    if T is None:
-        return None
-    from .potential import Potential
-
-    if kind == "zero":
-        if "data" in d:
-            ctx.err(f"{path}.data", "the zero potential takes no data")
-            return None
-        return Potential.zero(T)
-    data = d.get("data")
-    if not isinstance(data, dict):
-        ctx.err(f"{path}.data", "expected an object")
-        return None
-    fields = {
-        "grid": {"x": False, "values": True},
-        "piecewise": {"breakpoints": False, "values": True},
-        "cosine": {"coefficients": True},
-    }[kind]
-    ctx.strict(data, f"{path}.data", set(fields))
-    ok = True
-    for key, is_pairs in fields.items():
-        v, p = data.get(key), f"{path}.data.{key}"
-        if is_pairs:
-            ok &= _pair_list(ctx, v, p) is not None
-        elif not _reals(v):
-            ctx.err(p, "expected a list of numbers")
-            ok = False
-    if not ok:
-        return None
-    try:
-        return Potential.from_dict({"type": kind, "T": T, "data": data})
-    except InputError as e:
-        ctx.err(f"{path}.data", str(e))
-        return None
-
-
-def _check_form(ctx, d, path, T, first):
-    if not isinstance(d, dict):
-        ctx.err(path, "expected an object")
-        return None
-    kind = d.get("type")
-    if kind == "point":
-        ctx.strict(d, path, {"type", "x", "order"})
-        x = _number(ctx, d.get("x"), f"{path}.x")
-        if _order(ctx, d.get("order", 0), f"{path}.order") is None or x is None:
-            return None
-        if T is not None and not 0.0 <= x <= T:
-            ctx.err(f"{path}.x", f"must lie in [0, {T:g}]")
-            return None
-    elif kind == "nonlocal":
-        ctx.strict(d, path, {"type", "measure"})
-        m = d.get("measure")
-        if not isinstance(m, dict):
-            ctx.err(f"{path}.measure", "expected an object")
-            return None
-        ctx.strict(m, f"{path}.measure", {"jump", "atoms", "density"})
-        jump = 0j
-        if "jump" in m:
-            jump = _pair(ctx, m["jump"], f"{path}.measure.jump")
-        atoms = m.get("atoms", [])
-        if not isinstance(atoms, list):
-            ctx.err(f"{path}.measure.atoms", "expected a list of [t, [re, im]] entries")
-        else:
-            for i, a in enumerate(atoms):
-                p = f"{path}.measure.atoms[{i}]"
-                if not isinstance(a, list) or len(a) != 2:
-                    ctx.err(p, "expected [t, [re, im]]")
-                    continue
-                t = _number(ctx, a[0], p)
-                _pair(ctx, a[1], p)
-                if t is not None and t <= 0.0:
-                    ctx.err(p, "atoms live in (0, T]; the point mass at 0 is the jump field")
-                elif t is not None and T is not None and t > T:
-                    ctx.err(p, f"atom location exceeds T = {T:g}")
-        dens = m.get("density")
-        if dens is not None:
-            p = f"{path}.measure.density"
-            if not isinstance(dens, dict):
-                ctx.err(p, "expected an object")
-            else:
-                ctx.strict(dens, p, {"breakpoints", "values"})
-                if not _reals(dens.get("breakpoints"), 2):
-                    ctx.err(f"{p}.breakpoints", "expected at least two numbers")
-                _pair_list(ctx, dens.get("values"), f"{p}.values", 2)
-        if first and jump == 0:
-            ctx.err(f"{path}.measure.jump", "the first form needs a nonzero point mass at 0")
-    else:
-        ctx.err(f"{path}.type", "expected point or nonlocal")
-        return None
-    if ctx.errors or T is None:
-        return None
-    from .measure import LinearForm
-
-    try:
-        return LinearForm.from_dict(d, T)
-    except InputError as e:
-        ctx.err(path, str(e))
-        return None
 
 
 def _sec_forward(ctx, d, path):
@@ -302,12 +125,9 @@ def _sec_asym(ctx, d, path):
     if d.get("x") is not None:
         x = _number(ctx, d["x"], f"{path}.x")
     order = _order(ctx, d.get("order", 0), f"{path}.order")
-    ray = d.get("ray")
-    if not isinstance(ray, dict):
-        ctx.err(f"{path}.ray", "expected an object")
+    ray, p = d.get("ray"), f"{path}.ray"
+    if not ctx.obj(ray, p, {"kind", "angle", "delta", "radii", "reference"}):
         return None
-    p = f"{path}.ray"
-    ctx.strict(ray, p, {"kind", "angle", "delta", "radii", "reference"})
     kind = ray.get("kind", "Pi_delta")
     if kind not in ("Pi_delta", "G_delta"):
         ctx.err(f"{p}.kind", "expected Pi_delta or G_delta")
@@ -391,19 +211,13 @@ def _sec_scenario(ctx, d, path):
     if name not in _NAMES:
         ctx.err(f"{path}.name", f"expected one of {_NAMES}")
         return None
-    if not isinstance(out["params"], dict):
-        ctx.err(f"{path}.params", "expected an object")
-    else:
-        # every builder parameter but the potential q, which JSON cannot express
-        ctx.strict(out["params"], f"{path}.params", _PARAM_KEYS[name] - {"q"})
+    # every builder parameter but the potential q, which JSON cannot express
+    if ctx.obj(out["params"], f"{path}.params", _PARAM_KEYS[name] - {"q"}):
         for k, v in out["params"].items():
             _number(ctx, v, f"{path}.params.{k}")
         out["params"] = dict(out["params"])  # never the module default itself
     grid, out["grid"] = out["grid"], dict(_SCENARIO_DEFAULTS["grid"])
-    if not isinstance(grid, dict):
-        ctx.err(f"{path}.grid", "expected an object")
-    else:
-        ctx.strict(grid, f"{path}.grid", out["grid"])
+    if ctx.obj(grid, f"{path}.grid", out["grid"]):
         for k in out["grid"]:
             if k in grid:
                 count = k == "count"
@@ -451,33 +265,31 @@ def _load(text: str, where: str = ".") -> dict:
 
 
 def _validate(raw: dict) -> RunConfig:
-    from .characteristic import ProblemSpec
-
+    """The RunConfig of a config object; raises ConfigError listing every problem."""
     ctx = _Ctx()
-    ctx.strict(raw, "", {"T", "q", "U1", "U2", "seed", "threads", "output", *_SECTION_CHECKS})
-    problem = T = None
-    if any(k in raw for k in ("T", "q", "U1", "U2")):
-        for k in ("T", "q", "U1", "U2"):
-            if k not in raw:
-                ctx.err(f".{k}", "required once any problem field is present")
-        if "T" in raw:
-            T = _number(ctx, raw["T"], ".T", positive=True)
-        q = _check_potential(ctx, raw["q"], ".q", T) if "q" in raw else None
-        u1 = _check_form(ctx, raw["U1"], ".U1", T, first=True) if "U1" in raw else None
-        u2 = _check_form(ctx, raw["U2"], ".U2", T, first=False) if "U2" in raw else None
-        if not ctx.errors and q is not None and u1 is not None and u2 is not None:
-            try:
-                problem = ProblemSpec(q=q, form1=u1, form2=u2)
-            except InputError as e:
-                ctx.err(".", str(e))
+    ctx.strict(raw, "", {"T", *_PROBLEM, "seed", "threads", "output", *_SECTION_CHECKS})
+    problem = None
+    missing = [k for k in ("T", *_PROBLEM) if k not in raw]
+    if len(missing) <= len(_PROBLEM):  # some problem field is present
+        for k in missing:
+            ctx.err(f".{k}", "required once any problem field is present")
+        T = _number(ctx, raw["T"], ".T", positive=True) if "T" in raw else None
+        q = raw.get("q")
+        if T is not None and isinstance(q, dict) and "T" in q:
+            tq = _number(ctx, q["T"], ".q.T", positive=True)
+            if tq is not None and abs(tq - T) > 1e-12 * max(1.0, T):
+                ctx.err(".q.T", "must match the top-level T")
+        if T is not None and not missing:
+            from .characteristic import _read_problem
+
+            # the library reads the problem fields; its paths are the config's own
+            problem = _read_problem(ctx, {k: raw[k] for k in _PROBLEM}, "", T)
 
     seed = _whole(ctx, raw.get("seed", 0), ".seed", 0)
     threads = _threads(ctx, raw)
     out = raw.get("output", {})
-    if not isinstance(out, dict):
-        ctx.err(".output", "expected an object")
+    if not ctx.obj(out, ".output", {"path", "format"}):
         out = {}
-    ctx.strict(out, ".output", {"path", "format"})
     if out.get("path") is not None and not isinstance(out["path"], str):
         ctx.err(".output.path", "expected a string")
     if out.get("format") is not None and out["format"] not in ("json", "csv"):
@@ -485,20 +297,12 @@ def _validate(raw: dict) -> RunConfig:
 
     sections = {}
     for name, check in _SECTION_CHECKS.items():
-        if name in raw:
-            if not isinstance(raw[name], dict):
-                ctx.err(f".{name}", "expected an object")
-            else:
-                sections[name] = check(ctx, raw[name], f".{name}")
+        if name in raw and ctx.obj(raw[name], f".{name}"):
+            sections[name] = check(ctx, raw[name], f".{name}")
 
     if ctx.errors:
         raise ConfigError(ctx.errors)
     return RunConfig(problem, seed, threads, out.get("path"), out.get("format"), sections)
-
-
-def parse_config(text: str) -> "RunConfig":
-    """Validate config text; raises ConfigError listing every schema problem."""
-    return _validate(_load(text))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +458,11 @@ def _build_target(spec, opts):
     )
 
     if opts["data"] is not None:
-        return InverseTarget.from_dict(opts["data"])
+        try:
+            return InverseTarget.from_dict(opts["data"])
+        except ConfigError as e:  # a target's problems are one input-error line, not config paths
+            lines = (m if p == "." else f"target {p[1:]}: {m}" for p, m in e.errors)
+            raise InputError("; ".join(lines)) from None
     kind = opts["kind"]
     n = int(opts["n_each"])
     if kind == "two_spectra":

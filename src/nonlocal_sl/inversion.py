@@ -41,7 +41,7 @@ import numpy as np
 
 from .characteristic import ProblemSpec, _batch, _discretize, _ratios_at, _row_ratios, char_batch, char_batch_multi
 from .characteristic import d_sequence  # noqa: F401  (bench/tracing.py wraps it here)
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _is_pair, _read, _real, _reals
 from .ode_core import GridSpec, modulus_scale
 from .potential import Potential
 from .spectrum_finder import _LAMBDA_STEP, ConditionReport, SearchBox, _batched_newton, condition_S, problem_spectrum
@@ -84,11 +84,6 @@ class BasisSpec:
         """Coefficients of cos(k pi x / T), k = 0 .. dim-1."""
         return cls(kind="cosine", T=float(T), dim=int(dim))
 
-    @classmethod
-    def piecewise(cls, T: float, dim: int) -> "BasisSpec":
-        """Constant values on dim equal cells."""
-        return cls(kind="piecewise", T=float(T), dim=int(dim))
-
     def potential(self, coeffs) -> Potential:
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (self.dim,):
@@ -106,30 +101,11 @@ def _certificate_to_dict(c: ConditionReport | None):
     return {**dataclasses.asdict(c), "witness": w}
 
 
-def _certificate_from_dict(d) -> ConditionReport:
-    w = d.get("witness")
-    witness = None if w is None else tuple(complex(p[0], p[1]) for p in w)
-    return ConditionReport(
-        holds=bool(d["holds"]),
-        min_gap=float(d["min_gap"]),
-        witness=witness,
-        n_first=int(d["n_first"]),
-        n_second=int(d["n_second"]),
-        separation_tol=float(d["separation_tol"]),
-    )
-
-
-def _target_field(d: dict, key: str, parse, expected: str):
-    """parse(d[key]), None for an absent or null field, or an InputError naming the field."""
-    v = d.get(key)
-    if v is None:
-        return None
-    try:
-        return parse(v)
-    except KeyError as e:
-        raise InputError(f"target {key}: missing field {e.args[0]!r}") from None
-    except (AttributeError, IndexError, TypeError, ValueError):
-        raise InputError(f"target {key}: expected {expected}, got {v!r}") from None
+# the target's complex-valued fields, and a disjointness certificate's fields
+_PAIR_FIELDS = (
+    "lambda1", "lambda11", "lam_grid", "m_values", "omega_values", "xi", "d_values", "lambda0", "lambda2"
+)
+_CERTIFICATE = ("holds", "min_gap", "witness", "n_first", "n_second", "separation_tol")
 
 
 @dataclass(frozen=True)
@@ -206,19 +182,10 @@ class InverseTarget:
         return np.asarray(self.weights, dtype=float)
 
     def to_dict(self) -> dict:
-        enc = lambda t: [[v.real, v.imag] for v in t]
         return {
             "kind": self.kind,
-            "lambda1": enc(self.lambda1),
-            "lambda11": enc(self.lambda11),
-            "lam_grid": enc(self.lam_grid),
-            "m_values": enc(self.m_values),
-            "omega_values": enc(self.omega_values),
-            "xi": enc(self.xi),
-            "d_values": enc(self.d_values),
+            **{key: [[v.real, v.imag] for v in getattr(self, key)] for key in _PAIR_FIELDS},
             "d_infinite": list(self.d_infinite),
-            "lambda0": enc(self.lambda0),
-            "lambda2": enc(self.lambda2),
             "split": self.split,
             "certificate": _certificate_to_dict(self.certificate),
             "weights": None if self.weights is None else list(self.weights),
@@ -226,35 +193,69 @@ class InverseTarget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InverseTarget":
-        if "kind" not in d:
-            raise InputError("target data needs a 'kind' field")
+        """The target `to_dict` wrote; absent lists are empty, absent split, certificate and
+        weights None.  A ConfigError names every bad field's path, its first problem and value."""
+        return _read(_read_target, d)
 
-        def dec(key):
-            out = []
-            for i, p in enumerate(d.get(key, [])):
-                try:
-                    a, b = p
-                    out.append(complex(a, b))
-                except (TypeError, ValueError):
-                    raise InputError(f"target {key}[{i}]: expected a [re, im] pair, got {p!r}") from None
-            return tuple(out)
 
-        return cls(
-            kind=d["kind"],
-            lambda1=dec("lambda1"),
-            lambda11=dec("lambda11"),
-            lam_grid=dec("lam_grid"),
-            m_values=dec("m_values"),
-            omega_values=dec("omega_values"),
-            xi=dec("xi"),
-            d_values=dec("d_values"),
-            d_infinite=tuple(bool(b) for b in d.get("d_infinite", [])),
-            lambda0=dec("lambda0"),
-            lambda2=dec("lambda2"),
-            split=_target_field(d, "split", float, "a number"),
-            certificate=_target_field(d, "certificate", _certificate_from_dict, "a certificate object"),
-            weights=_target_field(d, "weights", lambda w: tuple(float(x) for x in w), "a list of numbers"),
-        )
+def _is_certificate(c) -> bool:
+    w = c.get("witness") if isinstance(c, dict) else None
+    return (
+        isinstance(c, dict)
+        and set(c) == set(_CERTIFICATE)
+        and isinstance(c["holds"], bool)
+        and all(_real(c[k]) for k in ("min_gap", "separation_tol"))
+        and all(type(c[k]) is int for k in ("n_first", "n_second"))
+        and (w is None or isinstance(w, list) and all(_is_pair(p) for p in w))
+    )
+
+
+def _certificate(c: dict) -> ConditionReport:
+    w = c["witness"]
+    return ConditionReport(**{**c, "witness": None if w is None else tuple(complex(a, b) for a, b in w)})
+
+
+def _flags(v) -> bool:
+    return isinstance(v, list) and all(isinstance(b, bool) for b in v)
+
+
+# The target's fields besides kind and the pair lists: a test of the JSON
+# value, what the test expects, and the value kept.
+_FIELDS = {
+    "d_infinite": (_flags, "a list of true/false flags", tuple),
+    "split": (_real, "a number", float),
+    "certificate": (_is_certificate, "a certificate object", _certificate),
+    "weights": (_reals, "a list of numbers", tuple),
+}
+
+
+def _read_target(ctx, d, path: str):
+    """The InverseTarget that d at `path` describes, or None after any problem."""
+    if not isinstance(d, dict) or "kind" not in d:
+        ctx.err(path, "target data needs a 'kind' field")
+        return None
+    ctx.strict(d, path, ("kind", *_PAIR_FIELDS, *_FIELDS))
+    out = {"kind": d["kind"]}
+    for key in _PAIR_FIELDS:
+        v = d.get(key, [])
+        i = next((i for i, u in enumerate(v) if not _is_pair(u)), None) if isinstance(v, list) else -1
+        if i is None:
+            out[key] = tuple(complex(a, b) for a, b in v)
+        elif i < 0:
+            ctx.err(f"{path}.{key}", f"expected a list of [re, im] pairs, got {v!r}")
+        else:
+            ctx.err(f"{path}.{key}[{i}]", f"expected a [re, im] pair, got {v[i]!r}")
+    for key, (ok, expected, keep) in _FIELDS.items():
+        v = d.get(key)
+        certificate = key == "certificate" and isinstance(v, dict)
+        missing = [k for k in _CERTIFICATE if k not in v] if certificate else ()
+        if missing:
+            ctx.err(f"{path}.{key}", f"missing field {missing[0]!r}")
+        elif v is not None and not ok(v):
+            ctx.err(f"{path}.{key}", f"expected {expected}, got {v!r}")
+        elif v is not None:
+            out[key] = keep(v)
+    return None if ctx.errors else ctx.build(path, lambda: InverseTarget(**out))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import ConfigError, DomainError, InputError, _number, _order, _pair, _pair_list, _read, _reals
 from .ode_core import _node_index, fitted_density_weights
 
 _EDGE_TOL = 1e-12
@@ -54,9 +54,13 @@ class BVMeasure:
         object.__setattr__(self, "jump_at_zero", complex(self.jump_at_zero))
         atoms = tuple((float(t), complex(w)) for t, w in self.atoms)
         prev = 0.0
-        for t, _ in atoms:
-            if t <= 0 or t > T + _EDGE_TOL * max(1.0, T):
-                raise InputError(f"atom location {t} outside (0, T], T={T}")
+        for i, (t, _) in enumerate(atoms):
+            # named by their `to_dict` path, which `from_dict` reports them at
+            if t <= 0:
+                msg = "atoms live in (0, T]; the point mass at 0 is the jump field"
+                raise ConfigError([(f".atoms[{i}]", msg)])
+            if t > T + _EDGE_TOL * max(1.0, T):
+                raise ConfigError([(f".atoms[{i}]", f"atom location exceeds T = {T:g}")])
             if t <= prev:
                 raise InputError("atom locations must be strictly increasing")
             prev = t
@@ -196,54 +200,39 @@ class BVMeasure:
 
     @classmethod
     def from_dict(cls, d: dict, T: float) -> "BVMeasure":
-        jump = complex(*d.get("jump", [0.0, 0.0]))
-        atoms = tuple((t, complex(*w)) for t, w in d.get("atoms", []))
-        dens = d.get("density")
-        if dens is None:
-            return cls(T, jump, atoms)
-        vals = [complex(v[0], v[1]) for v in dens["values"]]
-        return cls.with_density(T, dens["breakpoints"], vals, jump=jump, atoms=atoms)
+        """The measure on [0, T] that `to_dict` wrote, absent fields zero; a ConfigError
+        names every bad path."""
+        return _read(_read_measure, d, T)
 
 
-def merge(m1: BVMeasure, m2: BVMeasure) -> BVMeasure:
-    """Measure-sum: integrates any f to I(f, m1) + I(f, m2)."""
-    if not _close(m1.domain_length, m2.domain_length, m1.domain_length):
-        raise DomainError(
-            f"cannot merge measures on different domains ({m1.domain_length} vs {m2.domain_length})"
-        )
-    atoms: dict[float, complex] = {}
-    for t, w in m1.atoms + m2.atoms:
-        hit = next((s for s in atoms if _close(s, t, m1.domain_length)), None)
-        if hit is None:
-            atoms[t] = w
+def _read_measure(ctx, d, path: str, T: float, at: str | None = None):
+    """The BVMeasure on [0, T] that d at `path` describes, or None after any problem; the
+    constructor's named fields are reported below `path`, its other problems at `at`
+    (default `path`)."""
+    if not ctx.obj(d, path, ("jump", "atoms", "density")):
+        return None
+    jump = _pair(ctx, d["jump"], f"{path}.jump") if "jump" in d else 0j
+    atoms = d.get("atoms", [])
+    if not isinstance(atoms, list):
+        ctx.err(f"{path}.atoms", "expected a list of [t, [re, im]] entries")
+        atoms = []
+    read = []
+    for i, a in enumerate(atoms):
+        p = f"{path}.atoms[{i}]"
+        if isinstance(a, list) and len(a) == 2:
+            read.append((_number(ctx, a[0], p), _pair(ctx, a[1], p)))
         else:
-            atoms[hit] += w
-    seg_edges = sorted(
-        {e for lo, hi, _, _ in m1.density_segments + m2.density_segments for e in (lo, hi)}
-    )
-    segs = []
-    for lo, hi in zip(seg_edges[:-1], seg_edges[1:]):
-        if hi - lo <= _EDGE_TOL:
-            continue
-        vlo = _density_inside(m1, lo, hi, lo) + _density_inside(m2, lo, hi, lo)
-        vhi = _density_inside(m1, lo, hi, hi) + _density_inside(m2, lo, hi, hi)
-        if vlo != 0 or vhi != 0:
-            segs.append((lo, hi, vlo, vhi))
-    return BVMeasure(
-        m1.domain_length,
-        m1.jump_at_zero + m2.jump_at_zero,
-        tuple(sorted(atoms.items())),
-        tuple(segs),
-    )
-
-
-def _density_inside(m: BVMeasure, cell_lo: float, cell_hi: float, x: float) -> complex:
-    """Density value at x, taking limits from within the cell (cell_lo, cell_hi)."""
-    mid = 0.5 * (cell_lo + cell_hi)
-    for lo, hi, vlo, vhi in m.density_segments:
-        if lo <= mid <= hi:
-            return vlo + (vhi - vlo) * (x - lo) / (hi - lo)
-    return 0j
+            ctx.err(p, "expected [t, [re, im]]")
+    dens, p = d.get("density"), f"{path}.density"
+    if dens is not None and ctx.obj(dens, p, ("breakpoints", "values")):
+        if not _reals(dens.get("breakpoints"), 2):
+            ctx.err(f"{p}.breakpoints", "expected at least two numbers")
+        dens = (dens.get("breakpoints"), _pair_list(ctx, dens.get("values"), f"{p}.values", 2))
+    if ctx.errors:
+        return None
+    if dens is None:
+        return ctx.build(path, BVMeasure, T, jump, tuple(read), at=at)
+    return ctx.build(path, BVMeasure.with_density, T, *dens, jump, read, at=at)
 
 
 def density_node_weights(m: BVMeasure, x: np.ndarray) -> np.ndarray:
@@ -329,8 +318,8 @@ class LinearForm:
             if self.measure is None:
                 raise InputError("nonlocal form needs a measure")
         elif self.kind == "point_value":
-            if self.x0 is None or self.x0 < 0:
-                raise InputError("point form needs x0 >= 0")
+            if self.x0 is None:
+                raise InputError("point form needs x0")
             if self.order not in (0, 1):
                 raise InputError("point form order must be 0 or 1")
         else:
@@ -393,6 +382,23 @@ class LinearForm:
 
     @classmethod
     def from_dict(cls, d: dict, T: float) -> "LinearForm":
-        if d["type"] == "nonlocal":
-            return cls.from_measure(BVMeasure.from_dict(d["measure"], T))
-        return cls.point_value(d["x"], d.get("order", 0))
+        """The form that `to_dict` wrote, its measure on [0, T]; a ConfigError names every bad path."""
+        return _read(_read_form, d, T)
+
+
+def _read_form(ctx, d, path: str, T: float):
+    """The LinearForm that d at `path` describes, its measure on [0, T], or None after any problem."""
+    if not ctx.obj(d, path):
+        return None
+    kind = d.get("type")
+    if kind == "point":
+        ctx.strict(d, path, ("type", "x", "order"))
+        x = _number(ctx, d.get("x"), f"{path}.x")
+        order = _order(ctx, d.get("order", 0), f"{path}.order")
+        return None if ctx.errors else LinearForm.point_value(x, order)
+    if kind == "nonlocal":
+        ctx.strict(d, path, ("type", "measure"))
+        m = _read_measure(ctx, d.get("measure"), f"{path}.measure", T, at=path)
+        return None if m is None else LinearForm.from_measure(m)
+    ctx.err(f"{path}.type", "expected point or nonlocal")
+    return None

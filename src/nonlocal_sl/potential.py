@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _number, _pair_list, _read, _reals
 
-_KINDS = ("grid", "cosine", "piecewise")
+# each kind's `data` fields: its nodes (none for a cosine) and its values
+_DATA = {"grid": ("x", "values"), "cosine": (None, "coefficients"), "piecewise": ("breakpoints", "values")}
 _NORM_POINTS = 2049  # samples of `l1_norm` and `max_abs_difference`
 
 
@@ -31,7 +32,7 @@ class Potential:
     values: np.ndarray  # grid: q(nodes); piecewise: cell values; cosine: coefficients
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _DATA:
             raise InputError(f"unknown potential kind {self.kind!r}")
         if not np.isfinite(self.T) or self.T <= 0:
             raise InputError(f"interval length must be positive, got {self.T}")
@@ -177,28 +178,38 @@ class Potential:
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.kind == "grid":
-            data = {"x": self.nodes.tolist(), "values": [[v.real, v.imag] for v in self.values]}
-        elif self.kind == "piecewise":
-            data = {
-                "breakpoints": self.nodes.tolist(),
-                "values": [[v.real, v.imag] for v in self.values],
-            }
-        else:
-            data = {"coefficients": [[v.real, v.imag] for v in self.values]}
+        node_key, value_key = _DATA[self.kind]
+        data = {} if node_key is None else {node_key: self.nodes.tolist()}
+        data[value_key] = [[v.real, v.imag] for v in self.values]
         return {"type": self.kind, "T": self.T, "data": data}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Potential":
-        kind, T, data = d["type"], d["T"], d["data"]
-        if kind == "grid":
-            return cls(kind, T, np.asarray(data["x"], dtype=float), _cx(data["values"]))
-        if kind == "piecewise":
-            return cls(kind, T, np.asarray(data["breakpoints"], dtype=float), _cx(data["values"]))
-        if kind == "cosine":
-            return cls(kind, T, None, _cx(data["coefficients"]))
-        raise InputError(f"unknown potential type {kind!r}")
+        """The potential `to_dict` wrote, or {"type": "zero", "T": T}; a ConfigError names every bad path."""
+        return _read(_read_potential, d)
 
 
-def _cx(pairs) -> np.ndarray:
-    return np.asarray([complex(p[0], p[1]) for p in pairs], dtype=complex)
+def _read_potential(ctx, d, path: str, T=None):
+    """The Potential that d at `path` describes, or None after any problem; T is the interval
+    length when the caller fixes it (a config's top-level T), else d carries its own."""
+    if not ctx.obj(d, path, ("type", "T", "data")):
+        return None
+    kind = d.get("type")
+    if kind not in ("zero", *_DATA):
+        ctx.err(f"{path}.type", "expected zero, grid, piecewise, or cosine")
+        return None
+    if T is None:
+        T = _number(ctx, d.get("T"), f"{path}.T", positive=True)
+    if kind == "zero":
+        if "data" in d:
+            ctx.err(f"{path}.data", "the zero potential takes no data")
+        return None if ctx.errors else Potential.zero(T)
+    node_key, value_key = _DATA[kind]
+    data, at = d.get("data"), f"{path}.data"
+    if not ctx.obj(data, at, (node_key, value_key)):
+        return None
+    nodes = data.get(node_key)
+    if node_key and not _reals(nodes):
+        ctx.err(f"{at}.{node_key}", "expected a list of numbers")
+    values = _pair_list(ctx, data.get(value_key), f"{at}.{value_key}")
+    return None if ctx.errors else ctx.build(at, Potential, kind, T, nodes, values)

@@ -58,3 +58,18 @@ def test_criterion_10_three_spectra_recovery():
 
 def test_criterion_11_overlap_rule():
     _check(11)
+
+
+def test_a_nan_residual_fails_criterion_3(monkeypatch):
+    # Python's max drops a NaN that is not its first argument; the criterion must not
+    from nonlocal_sl import acceptance
+
+    real = acceptance._identity_residuals
+
+    def with_nan(spec, lam):
+        return {**real(spec, lam), "wronskian_theta_phi": float("nan")}
+
+    monkeypatch.setattr(acceptance, "_identity_residuals", with_nan)
+    passed, detail = acceptance._criterion_3()
+    assert not passed
+    assert detail == "worst residual nan (wronskian_theta_phi, allowed 1e-07)"

@@ -68,7 +68,7 @@ def test_surface_is_on_record():
     assert settable_values(got) == SETTABLE_VALUES
 
 
-SETTABLE_VALUES = 80
+SETTABLE_VALUES = 79
 
 SURFACE = {
     "acceptance.CriterionResult": ("number", "name", "passed", "runtime", "budget", "detail"),
@@ -77,14 +77,12 @@ SURFACE = {
     "acceptance.run_all": ("numbers=",),
     "acceptance.run_criterion": ("number",),
     "asymptotics.AsymReport": ("quantity", "x", "order", "ray", "rows"),
-    "asymptotics.AsymReport.bounded": ("factor=",),
     "asymptotics.AsymReport.csv_rows": (),
     "asymptotics.AsymReport.decreasing_with_floor": ("floor=",),
     "asymptotics.AsymReport.summary": (),
     "asymptotics.AsymRow": ("radius", "rho", "computed", "predicted", "rel_error", "ratio"),
     "asymptotics.RaySpec": ("kind", "angle", "delta=", "radii=", "reference="),
     "asymptotics.RaySpec.g_delta": ("angle", "reference", "delta=", "radii="),
-    "asymptotics.RaySpec.lambdas": (),
     "asymptotics.RaySpec.pi_delta": ("angle", "delta=", "radii="),
     "asymptotics.RaySpec.points": (),
     "asymptotics.ScaledComplex": ("mantissa", "log_scale="),
@@ -109,7 +107,6 @@ SURFACE = {
     "characteristic.ProblemSpec.to_dict": (),
     "characteristic.ProblemSpec.with_measures": ("q", "sigma1", "sigma2"),
     "characteristic.RatioValue": ("value", "is_infinite", "defect"),
-    "characteristic.RatioValue.reciprocal": (),
     "characteristic.char_batch": ("spec", "lam", "grid_spec=", "route="),
     "characteristic.char_batch_multi": ("spec", "lam", "q_list", "q_index", "grid_spec="),
     "characteristic.char_handle": ("spec", "which", "grid_spec="),
@@ -118,7 +115,6 @@ SURFACE = {
     "characteristic.node_weights": ("form", "grid"),
     "inversion.BasisSpec": ("kind", "T", "dim"),
     "inversion.BasisSpec.cosine": ("T", "dim"),
-    "inversion.BasisSpec.piecewise": ("T", "dim"),
     "inversion.BasisSpec.potential": ("coeffs",),
     "inversion.InverseTarget": (
         "kind", "lambda1=", "lambda11=", "lam_grid=", "m_values=", "omega_values=", "xi=",
@@ -159,7 +155,6 @@ SURFACE = {
     "measure.LinearForm.required_points": ("T",),
     "measure.LinearForm.to_dict": (),
     "measure.density_node_weights": ("m", "x"),
-    "measure.merge": ("m1", "m2"),
     "measure.stieltjes_integrate": ("x", "fx", "m", "dfx=", "cbar="),
     "ode_core.Discretization": ("grid", "spec", "samples", "weights"),
     "ode_core.Discretization.build": ("qs", "spec", "required", "weigh"),

@@ -196,6 +196,27 @@ class TestSolutionFamily:
             assert ok[0]
             assert complex(vals[0]) == pytest.approx(want, rel=1e-7)
 
+    def test_z_sweep_runs_only_for_psi_Phi_v1_v2(self, monkeypatch):
+        import nonlocal_sl.ode_core as ode_core
+
+        calls = []
+        real = ode_core.integrate_family
+        monkeypatch.setattr(ode_core, "integrate_family", lambda *a, **k: calls.append(a) or real(*a, **k))
+        spec, p = _random_spec(np.random.default_rng(4)), _point(3.7 + 0.9j)
+        full = combo_solutions(spec, p)
+        assert len(calls) == 2
+        calls.clear()
+        part = combo_solutions(spec, p, need=("phi", "theta"))
+        assert len(calls) == 1
+        for name in ("omega", "delta1", "delta2", "delta11", "M", "N"):
+            assert getattr(part, name) == getattr(full, name)
+        for name in ("phi", "theta"):
+            a, b = getattr(part, name), getattr(full, name)
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("grid", "y", "dy", "cbar"))
+            assert a.log_scale == b.log_scale
+            assert part.boundary_values[name] == full.boundary_values[name]
+        assert part.psi is part.Phi is part.v1 is part.v2 is None
+
     def test_anchored_phi_matches_combo(self):
         # phi(x) = -U_1(W_2) and phi'(x) = U_1(W_1) on the fundamental system at x
         rng = np.random.default_rng(13)

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocal_sl.cli import main, parse_config
-from nonlocal_sl.errors import ConfigError
+from nonlocal_sl import LinearForm, ProblemSpec
+from nonlocal_sl.cli import _validate, main
+from nonlocal_sl.errors import ConfigError, InputError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -48,14 +49,14 @@ def _config(section_name, section, problem=None):
 
 class TestConfigValidation:
     def test_minimal_config_parses(self):
-        cfg = parse_config(json.dumps(_config("spectrum", {"which": "delta1", "box": {"re": [0.5, 10.0], "im": [-1.0, 1.0]}})))
+        cfg = _validate(_config("spectrum", {"which": "delta1", "box": {"re": [0.5, 10.0], "im": [-1.0, 1.0]}}))
         assert cfg.problem is not None
         assert cfg.sections["spectrum"]["tol"] == 1e-8
 
     def test_negative_T_reports_exact_path(self):
         bad = dict(BASE_PROBLEM, T=-1.0)
         with pytest.raises(ConfigError) as exc:
-            parse_config(json.dumps(_config("spectrum", {"box": {"re": [0.5, 2.0], "im": [-1.0, 1.0]}}, problem=bad)))
+            _validate(_config("spectrum", {"box": {"re": [0.5, 2.0], "im": [-1.0, 1.0]}}, problem=bad))
         paths = [p for p, _ in exc.value.errors]
         assert ".T" in paths
 
@@ -66,7 +67,7 @@ class TestConfigValidation:
             "measure": {"jump": [1.0, 0.0], "atoms": [[0.0, [1.0, 0.0]]], "density": None},
         }
         with pytest.raises(ConfigError) as exc:
-            parse_config(json.dumps(_config("forward", {"lambdas": [[1.0, 0.0]]}, problem=bad)))
+            _validate(_config("forward", {"lambdas": [[1.0, 0.0]]}, problem=bad))
         hits = [(p, m) for p, m in exc.value.errors if "atoms[0]" in p]
         assert hits
         assert "jump" in hits[0][1]
@@ -78,27 +79,27 @@ class TestConfigValidation:
             "measure": {"jump": [0.0, 0.0], "atoms": [[1.0, [1.0, 0.0]]], "density": None},
         }
         with pytest.raises(ConfigError) as exc:
-            parse_config(json.dumps(_config("forward", {"lambdas": [[1.0, 0.0]]}, problem=bad)))
+            _validate(_config("forward", {"lambdas": [[1.0, 0.0]]}, problem=bad))
         assert any(p.endswith(".measure.jump") for p, _ in exc.value.errors)
 
     def test_unknown_keys_rejected_with_paths(self):
         cfg = _config("spectrum", {"box": {"re": [0.5, 2.0], "im": [-1.0, 1.0]}, "wat": 1})
         cfg["extra_top"] = True
         with pytest.raises(ConfigError) as exc:
-            parse_config(json.dumps(cfg))
+            _validate(cfg)
         paths = [p for p, _ in exc.value.errors]
         assert any("extra_top" in p for p in paths)
         assert any("spectrum.wat" in p for p in paths)
 
     def test_complex_pairs_enforced(self):
         with pytest.raises(ConfigError) as exc:
-            parse_config(json.dumps(_config("forward", {"lambdas": [1.0, 2.0]})))
+            _validate(_config("forward", {"lambdas": [1.0, 2.0]}))
         assert any("forward.lambdas[0]" in p for p, _ in exc.value.errors)
 
     def test_booleans_are_not_numbers(self):
         bad = dict(BASE_PROBLEM, T=True)
         with pytest.raises(ConfigError):
-            parse_config(json.dumps(_config("forward", {"lambdas": [[1.0, 0.0]]}, problem=bad)))
+            _validate(_config("forward", {"lambdas": [[1.0, 0.0]]}, problem=bad))
 
 
 class TestForward:
@@ -445,6 +446,50 @@ def test_config_error_lines(tmp_path, capsys, command, config, lines):
     path = _write(tmp_path, "bad.json", config)
     assert main([command, path]) == 2
     assert capsys.readouterr().err == "".join(f"config error at {line}\n" for line in lines)
+
+
+# The library reads a problem's fields for the CLI: each problem row above, fed
+# straight to ProblemSpec.from_dict (q carrying the top-level T), reports the
+# CLI's lines.  Which problem fields a config needs, and a q.T that disagrees
+# with the top-level T, are the CLI's own checks.
+CLI_OWN = ("required once any problem field is present", "must match the top-level T")
+PROBLEM_ROWS = [
+    c for c in ERROR_LINES if all(line.startswith((".q", ".U1", ".U2")) and not line.endswith(CLI_OWN) for line in c[3])
+]
+
+
+@pytest.mark.parametrize("config, lines", [c[2:] for c in PROBLEM_ROWS], ids=[c[0] for c in PROBLEM_ROWS])
+def test_library_reader_reports_the_config_lines(config, lines):
+    q = config["q"]
+    data = {"q": {"T": config["T"], **q} if isinstance(q, dict) else q, "U1": config["U1"], "U2": config["U2"]}
+    with pytest.raises(ConfigError) as exc:
+        ProblemSpec.from_dict(data)
+    assert [f"{path}: {msg}" for path, msg in exc.value.errors] == lines
+
+
+POINT = {"type": "point", "x": 0.0}
+# Malformed dicts that the library's from_dict used to read into a traceback or
+# a silently different problem: (reader, dict, the one path reported).
+READER_DEFECTS = [
+    ("cosine_no_data", "problem", {"q": {"type": "cosine", "T": 2}, "U1": POINT, "U2": POINT}, ".q.data"),
+    ("text_coefficient", "problem",
+     {"q": {"type": "cosine", "T": 2, "data": {"coefficients": [["a", 0]]}}, "U1": POINT, "U2": POINT},
+     ".q.data.coefficients[0]"),
+    ("grid_no_values", "problem",
+     {"q": {"type": "grid", "T": 2, "data": {"x": [0, 2]}}, "U1": POINT, "U2": POINT}, ".q.data.values"),
+    ("short_atom", "form", {"type": "nonlocal", "measure": {"jump": [1, 0], "atoms": [[1.0]]}}, ".measure.atoms[0]"),
+    ("point_no_x", "form", {"type": "point"}, ".x"),
+    ("one_number_jump", "form", {"type": "nonlocal", "measure": {"jump": [1]}}, ".measure.jump"),
+    ("order_true", "form", {"type": "point", "x": 0.5, "order": True}, ".order"),
+    ("dirichlet", "form", {"type": "dirichlet", "x": 0.5}, ".type"),
+]
+
+
+@pytest.mark.parametrize("reader, data, path", [c[1:] for c in READER_DEFECTS], ids=[c[0] for c in READER_DEFECTS])
+def test_library_reader_names_the_bad_field(reader, data, path):
+    with pytest.raises(InputError) as exc:
+        ProblemSpec.from_dict(data) if reader == "problem" else LinearForm.from_dict(data, 2.0)
+    assert [p for p, _ in exc.value.errors] == [path]
 
 
 MISSING = "<no such file>"

@@ -10,7 +10,7 @@ import pytest
 
 from nonlocal_sl import BVMeasure, LinearForm
 from nonlocal_sl.errors import InputError
-from nonlocal_sl.measure import density_node_weights, merge, stieltjes_integrate
+from nonlocal_sl.measure import density_node_weights, stieltjes_integrate
 
 TOL = 1e-12
 
@@ -141,16 +141,6 @@ def test_window_has_no_jump():
     w = m.window(1.0, 3.0)
     assert w.jump_at_zero == 0
     assert len(w.atoms) == 1 and w.atoms[0][0] == pytest.approx(2.5)
-
-
-def test_merge_is_linear():
-    m1 = BVMeasure.from_atoms(1.0, [(0.25, 1.0)], jump=2.0)
-    m2 = BVMeasure.with_density(1.0, [0.0, 1.0], [1.0, 1.0])
-    x = np.linspace(0.0, 1.0, 9)
-    f, df = 3.0 * x - 1.0, np.full(9, 3.0)
-    lhs = stieltjes_integrate(x, f, merge(m1, m2), df)
-    rhs = stieltjes_integrate(x, f, m1, df) + stieltjes_integrate(x, f, m2, df)
-    assert lhs == pytest.approx(rhs, abs=TOL)
 
 
 def test_required_points_cover_atoms_and_breakpoints():

@@ -62,3 +62,35 @@ def test_no_unreferenced_private_definitions():
         if name not in used
     ]
     assert unused == []
+
+
+BENCH = SRC.parent / "bench"
+# Public names that stay although nothing in src/ or bench/ calls them, each with its reason.
+PUBLIC_ALLOWED = {
+    "from_atoms": "README's example builds its measure with it",
+}
+
+
+def _public(tree: ast.Module) -> dict:
+    """The module's public functions and classes, and their classes' public methods, with their lines."""
+    out = {}
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for n in [node, *members]:
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not n.name.startswith("_"):
+                out[n.name] = n.lineno
+    return out
+
+
+def test_no_unreferenced_public_definitions():
+    src = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.rglob("*.py"))]
+    assert src and bench
+    used = set().union(*(_referenced(tree) for tree in [*src.values(), *bench]))
+    unused = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path, tree in src.items()
+        for name, line in _public(tree).items()
+        if name not in used and name not in PUBLIC_ALLOWED
+    ]
+    assert unused == []
