@@ -182,7 +182,7 @@ def _sec_invert(ctx, d, path):
     out["dim"] = _number(ctx, out["dim"], f"{path}.dim", integer=True, minimum=1)
     out["starts"] = _number(ctx, out["starts"], f"{path}.starts", integer=True, minimum=1)
     out["tol"] = _number(ctx, out["tol"], f"{path}.tol", positive=True)
-    out["max_iter"] = _number(ctx, out["max_iter"], f"{path}.max_iter", integer=True, minimum=1)
+    out["max_iter"] = _number(ctx, out["max_iter"], f"{path}.max_iter", integer=True, minimum=0)
     if "initial" in d:
         if _reals(d["initial"]):
             out["initial"] = [float(u) for u in d["initial"]]

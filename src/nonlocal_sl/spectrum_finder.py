@@ -24,12 +24,17 @@ separates are polished from the first moment with their multiplicity.
 problem_spectrum runs a contour search on one grid, so no value depends on
 the batch it is in.
 
-A real-axis fast path scans sign changes of a handle that is real-valued on
-the real axis, refines each bracket with a safeguarded secant and polishes
-the midpoints in the same Newton.  It assumes the spectrum in the window is
-real and simple, which holds for the Dirichlet style problems used by the
-reconstruction drivers.  Every stage checks that the handle's values are
-finite and names itself and the first bad lambda when they are not.
+The real-axis path, for a handle real on the real axis, interpolates
+f(lo + t^2), entire in t, at Chebyshev points on t in [0, sqrt(hi - lo)],
+doubling the degree from 16 until the last three coefficients fall below
+1e-9 of the largest, the scan grid's accuracy (Boyd 2002; Trefethen, ATAP,
+chs. 8 and 18).  The proxy's real roots, from its colleague matrix, seed the
+Newton polish.  Its roots are trusted inside the Bernstein ellipse that its
+coefficients' decay implies; a trusted non-real root in the box, or a real
+pair it cannot tell from a split double zero, sends the window to the
+contour search (a partial certificate: a non-real zero beyond that ellipse
+is not seen).  A window not resolved at degree 256 is searched as two halves.
+Every stage names itself and the first lambda where a value is not finite.
 
 `_batched_newton` is the package's one Newton for zeros in lambda; the
 inversion refines its candidate eigenvalues with it too.  Each round
@@ -62,6 +67,8 @@ _GAUSS_T = (1.0 + np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])) / 2  # three-point 
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 _SCAN_GRID = GridSpec(tol=1e-8)  # problem_spectrum counts on this grid
 _FINE_GRID = GridSpec(tol=1e-10)  # and polishes on this one
+_CHOP = 1e-9  # relative accuracy of the scan grid, at which a real-axis proxy is resolved
+_MAX_DEGREE = 256  # a real-axis window not resolved at this degree is searched as two halves
 
 
 @dataclass(frozen=True)
@@ -176,13 +183,9 @@ def _eval(f: Callable, pts: np.ndarray, stage: str) -> np.ndarray:
     return vals
 
 
-def _quadrature_winding(pts: np.ndarray, vals: np.ndarray) -> float:
-    zp = np.roll(pts, -1)
-    zm = np.roll(pts, 1)
-    fp = (np.roll(vals, -1) - np.roll(vals, 1)) / (zp - zm)
-    dz = (zp - zm) / 2.0
-    total = np.sum(fp / vals * dz)
-    return float((total / (2j * np.pi)).real)
+def _quadrature_winding(vals: np.ndarray) -> float:
+    """(1/2 pi i) oint f'/f dz with f' by central differences, whose dz cancels that of the rule."""
+    return float((np.sum((np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * vals)) / (2j * np.pi)).real)
 
 
 def _winding(f: Callable, box: SearchBox) -> _ContourResult:
@@ -204,7 +207,7 @@ def _winding(f: Callable, box: SearchBox) -> _ContourResult:
                 w = int(round(float(steps.sum() / (2 * np.pi))))
                 if w < 0:
                     raise ContourError("negative winding: handle is not analytic inside the box")
-                resid = abs(_quadrature_winding(pts, vals) - w)
+                resid = abs(_quadrature_winding(vals) - w)
                 if resid < 0.1:
                     return _ContourResult(w, pts, vals, steps, used)
                 bad = np.ones(len(pts), dtype=bool)  # quadrature disagrees: refine everywhere
@@ -344,7 +347,6 @@ def find_spectrum(
     scale: Callable | None = None,
     f_polish: Callable | None = None,
     real_axis: bool = False,
-    rho_gap_hint: float | None = None,
 ) -> Spectrum:
     """All zeros of the handle inside the box, refined to |f| <= tol * scale.
 
@@ -355,14 +357,27 @@ def find_spectrum(
     by-parts moments of its counting contour, see `_moment_seeds`) or their
     roots fail the certificate: inside the box, pairwise farther apart than a
     hundredth of its half-diagonal and the merge distance 10 tol (1 + |lambda|),
-    residual bound met.  `f_polish` should not depend on the batch a lambda is in.
+    residual bound met.  With real_axis, a handle real on the real axis is
+    searched by its Chebyshev proxy first (module docstring), and the contour
+    route runs only on a window the proxy cannot certify.  `f_polish` should
+    not depend on the batch a lambda is in.
     """
     scale_fn = scale if scale is not None else (lambda z: (1.0 + np.abs(z)) ** 0.5)
     fp = f_polish if f_polish is not None else f
     polish = lambda lam, _: _eval(fp, lam, "Newton polish")
     f_stop = lambda z: 1e-3 * tol * np.asarray(scale_fn(z), dtype=float)
-    if real_axis:
-        return _real_axis_spectrum(f, polish, f_stop, box, tol, source, scale_fn, rho_gap_hint)
+    if real_axis and (seeds := _proxy_seeds(f, box)) is not None:
+        roots, resid = _batched_newton(polish, seeds, 1.0, 1e-3 * (1.0 + np.abs(seeds)), 12, 1e-13, f_stop)
+        allowed = tol * np.asarray(scale_fn(roots), dtype=float)
+        if np.any(resid > allowed):
+            i = int(np.argmax(resid / allowed))
+            raise ContourError(
+                f"real-axis refinement stalled: |{source}({roots[i].real:.8g})| = "
+                f"{resid[i]:.3e} exceeds {allowed[i]:.3e}"
+            )
+        roots = np.sort(roots.real)  # a zero on a halving cut is found by both halves, and kept once
+        roots = roots[np.diff(roots, prepend=-np.inf) > 10.0 * tol * (1.0 + np.abs(roots))]
+        return Spectrum(tuple((complex(r), 1) for r in roots), source, box, len(roots))
 
     root = _winding(f, box)
     floor = max(tol, 1e-10)
@@ -421,64 +436,50 @@ def find_spectrum(
     return Spectrum(entries=entries, source=source, box=box, winding_total=root.winding)
 
 
-def _real_axis_spectrum(f_scan, polish, f_stop, box, tol, source, scale_fn, rho_gap_hint):
-    lo, hi = box.re_min, box.re_max
-    t_lo = -np.sqrt(-lo) if lo < 0 else np.sqrt(lo)
-    t_hi = -np.sqrt(-hi) if hi < 0 else np.sqrt(hi)
-    gap = rho_gap_hint if rho_gap_hint else max((t_hi - t_lo) / 256.0, 1e-3)
-    n = max(64, int(np.ceil((t_hi - t_lo) / (gap / 16.0))) + 1)
-    ts = np.linspace(t_lo, t_hi, n)
-    lams = np.sign(ts) * ts * ts
+def _proxy_seeds(f: Callable, box: SearchBox):
+    """Seeds for the real zeros of f in the box from a Chebyshev proxy, or None (module docstring).
 
-    def real_values(handle, arr, stage):
-        v = _eval(handle, arr + 0j, stage)
-        bound = 1e-6 * (np.abs(v) + 1.0)
-        if np.any(np.abs(v.imag) > bound):
+    err is the sum of the coefficients past degree n at their mean decay, at
+    least 1e-15 max|c|; roots r with B(r)^n < e^-3 max|c| / err are trusted.
+    A trusted non-real root in the box fails the certificate, and so do two
+    adjacent trusted real roots, one in the window, with the proxy within
+    10 err of zero at their midpoint; while they do, the degree doubles on.
+    """
+    lo, tau = box.re_min, np.sqrt(box.width)
+    lam = lambda x: lo + (tau * (1.0 + x) / 2.0) ** 2
+
+    def values(x, stage):  # f at lam(x), which must be real
+        v = _eval(f, lam(x) + 0j, stage)
+        if np.any(np.abs(v.imag) > 1e-6 * (np.abs(v) + 1.0)):
             raise InputError("handle is not real-valued on the real axis")
         return v.real
 
-    vs = real_values(f_scan, lams, "sign scan")
-    sign_change = np.nonzero((vs[:-1] * vs[1:] < 0))[0]
-    exact = np.nonzero(vs == 0)[0]
-
-    a = lams[sign_change]
-    b = lams[sign_change + 1]
-    fa = vs[sign_change]
-    fb = vs[sign_change + 1]
-    for round_ in range(60):
-        widths = b - a
-        if np.all(widths <= 1e-6 * (1.0 + np.abs(a))):
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = b - fb * (b - a) / (fb - fa)
-        mid = (a + b) / 2.0
-        use_mid = ~np.isfinite(x) | (x <= a + 0.05 * widths) | (x >= b - 0.05 * widths)
-        if round_ % 3 == 2:
-            use_mid |= True
-        x = np.where(use_mid, mid, x)
-        fx = real_values(f_scan, x, "bracket refinement")
-        hit = fx == 0.0
-        left = np.sign(fx) == np.sign(fa)
-        a = np.where(hit, x, np.where(left, x, a))
-        fa = np.where(hit, 0.0, np.where(left, fx, fa))
-        b = np.where(hit, x, np.where(left, b, x))
-        fb = np.where(hit, 0.0, np.where(left, fb, fx))
-
-    seeds = np.concatenate([(a + b) / 2.0, lams[exact]])
-    if len(seeds) == 0:
-        return Spectrum(entries=(), source=source, box=box, winding_total=0)
-    widths = np.concatenate([b - a, np.full(len(exact), 1e-6)])
-    roots, resid = _batched_newton(polish, seeds, 1.0, 1e3 * widths + 1e-9, 12, 1e-13, f_stop)
-    allowed = tol * np.asarray(scale_fn(roots), dtype=float)
-    if np.any(resid > allowed):
-        i = int(np.argmax(resid / allowed))
-        raise ContourError(
-            f"real-axis refinement stalled: |{source}({roots[i].real:.8g})| = "
-            f"{resid[i]:.3e} exceeds {allowed[i]:.3e}"
-        )
-    order = np.argsort(roots.real)
-    entries = tuple((complex(roots[i].real), 1) for i in order)
-    return Spectrum(entries=entries, source=source, box=box, winding_total=len(entries))
+    n = 16
+    v = values(np.cos(np.pi * np.arange(n + 1) / n), "Chebyshev scan")
+    while True:
+        c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n  # DCT-I
+        c[[0, -1]] /= 2.0
+        big, tail = np.abs(c).max(), np.abs(c[-3:]).max()
+        if tail <= _CHOP * big:
+            q, floor = (tail / big) ** (1.0 / n), 1e-15 * big  # q: the mean decay per degree
+            err = max(2.0 * tail * q / (1.0 - q), floor)  # the dropped coefficients' sum at that decay
+            r = np.polynomial.chebyshev.chebroots(c)  # log B(r) = |log|r + sqrt(r^2 - 1)||
+            trusted = n * np.abs(np.log(np.abs(r + np.sqrt(r * r - 1.0 + 0j)))) < np.log(big / err) - 3.0
+            x = np.sort(r.real[(r.imag == 0) & trusted])
+            near = np.abs(x) <= 1.0
+            hump = np.abs(np.polynomial.chebyshev.chebval((x[1:] + x[:-1]) / 2.0, c))[near[1:] | near[:-1]]
+            if np.all(hump >= 10.0 * err) or err == floor or n == _MAX_DEGREE:
+                break
+        elif n == _MAX_DEGREE:
+            halves = [_proxy_seeds(f, replace(box, **{side: box.center.real})) for side in ("re_max", "re_min")]
+            return None if any(h is None for h in halves) else np.concatenate(halves)
+        new = values(np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)), "Chebyshev doubling")
+        v = np.insert(v, np.arange(1, n + 1), new)
+        n *= 2
+    off = r[(r.imag != 0) & trusted & (r.real >= -1.0)]  # of t and -t, the preimage nearer the interval
+    if any(box.contains(z) for z in lam(off)) or np.any(hump < 10.0 * err):
+        return None
+    return lam(x[near])
 
 
 def problem_spectrum(
@@ -499,7 +500,6 @@ def problem_spectrum(
         scale=lambda z: modulus_scale(z, spec.T),
         f_polish=f_fine,
         real_axis=real_axis,
-        rho_gap_hint=np.pi / spec.T,
     )
 
 

@@ -68,7 +68,7 @@ def test_surface_is_on_record():
     assert settable_values(got) == SETTABLE_VALUES
 
 
-SETTABLE_VALUES = 79
+SETTABLE_VALUES = 78
 
 SURFACE = {
     "acceptance.CriterionResult": ("number", "name", "passed", "runtime", "budget", "detail"),
@@ -209,7 +209,7 @@ SURFACE = {
     "spectrum_finder.Spectrum": ("entries", "source", "box", "winding_total"),
     "spectrum_finder.condition_S": ("spec", "box", "separation_tol", "*real_axis="),
     "spectrum_finder.find_spectrum": (
-        "f", "box", "tol=", "*source=", "*scale=", "*f_polish=", "*real_axis=", "*rho_gap_hint=",
+        "f", "box", "tol=", "*source=", "*scale=", "*f_polish=", "*real_axis=",
     ),
     "spectrum_finder.problem_spectrum": ("spec", "which", "box", "*tol=", "*real_axis="),
 }

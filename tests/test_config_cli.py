@@ -96,6 +96,13 @@ class TestConfigValidation:
             _validate(_config("forward", {"lambdas": [1.0, 2.0]}))
         assert any("forward.lambdas[0]" in p for p, _ in exc.value.errors)
 
+    def test_invert_max_iter_takes_the_library_minimum(self):
+        # ReconstructOptions(max_iter=0) scores the starts without an LM step; the section agrees
+        assert _validate(_config("invert", {"max_iter": 0})).sections["invert"]["max_iter"] == 0
+        with pytest.raises(ConfigError) as exc:
+            _validate(_config("invert", {"max_iter": -1}))
+        assert exc.value.errors == [(".invert.max_iter", "must be at least 0")]
+
     def test_booleans_are_not_numbers(self):
         bad = dict(BASE_PROBLEM, T=True)
         with pytest.raises(ConfigError):

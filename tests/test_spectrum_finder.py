@@ -146,19 +146,21 @@ class TestSyntheticHandles:
         "stage, real_axis, nan_in",
         [
             ("contour count", False, "scan"),
-            ("sign scan", True, "scan"),
-            ("bracket refinement", True, "refinement"),
+            ("Chebyshev scan", True, "scan"),
+            ("Chebyshev doubling", True, "doubling"),
             ("Newton polish", False, "polish"),
             ("Newton polish", True, "polish"),
         ],
     )
     def test_non_finite_value_names_its_stage(self, stage, real_axis, nan_in):
-        # (lambda - 2.3)(lambda - 7.1), not finite for |Re lambda - 7| < 0.3 in the counting handle,
-        # in its calls after the first (the bracket refinement's), or in the polish handle: the
-        # zero at 7.1 is not lost, the search stops at the first lambda where the value is not finite
+        # (lambda - 2.3)(lambda - 7.1) exp(sin lambda), not finite for |Re lambda - 7| < 0.3 in the
+        # counting handle, in its calls after the first (the real-axis proxy's first scan at degree
+        # 16 has a point there, its doubling to 32 has none and its doubling to 64 has one), or in
+        # the polish handle: the zero at 7.1 is not lost, the search stops at the first lambda
+        # where the value is not finite
         def f(lam):
             lam = np.asarray(lam, dtype=complex)
-            return (lam - 2.3) * (lam - 7.1)
+            return (lam - 2.3) * (lam - 7.1) * np.exp(np.sin(lam))
 
         def nan_near_7(lam):
             lam = np.asarray(lam, dtype=complex)
@@ -170,12 +172,83 @@ class TestSyntheticHandles:
             calls.append(1)
             return nan_near_7(lam) if len(calls) > 1 else f(lam)
 
-        scan = {"scan": nan_near_7, "refinement": after_first, "polish": f}[nan_in]
+        scan = {"scan": nan_near_7, "doubling": after_first, "polish": f}[nan_in]
         polish = nan_near_7 if nan_in == "polish" else None
         with pytest.raises(ContourError, match=f"in the {stage} at lambda = ") as err:
             find_spectrum(scan, SearchBox(0.0, 10.0, -2.0, 2.0), f_polish=polish, real_axis=real_axis)
         bad = complex(str(err.value).rsplit("= ", 1)[1])
         assert abs(bad.real - 7.0) < 0.3 and not np.isfinite(nan_near_7([bad])[0])
+
+    @pytest.mark.parametrize(
+        "f, zeros",
+        [
+            (lambda lam: ((lam - 7.0) ** 2 + 0.01) * (lam - 12.0) * (lam - 20.0), [7.0 - 0.1j, 7.0 + 0.1j, 12.0, 20.0]),
+            (lambda lam: (lam - 7.0) ** 2 * (lam - 12.0) * (lam - 20.0), [(7.0, 2), 12.0, 20.0]),
+            (
+                lambda lam: ((lam - 7.0) ** 2 + 0.25) * (lam - 12.0) * (lam - 20.0) * np.exp(0.2 * lam),
+                [7.0 - 0.5j, 7.0 + 0.5j, 12.0, 20.0],
+            ),
+            (
+                lambda lam: ((lam - 1.4118) ** 2 + 0.04) * (lam - 27.8) * (lam - 28.47) * np.exp(np.sin(1.309 * lam)),
+                [1.4118 - 0.2j, 1.4118 + 0.2j, 27.8, 28.47],
+            ),
+        ],
+        ids=["pair at 0.1i", "double zero", "pair at 0.5i", "pair at 0.2i, degree 256"],
+    )
+    def test_real_axis_search_reports_zeros_off_the_axis_and_double_zeros(self, f, zeros):
+        # none of them changes sign on the axis; the proxy's colleague roots hold the pair or the
+        # split double zero, so the certificate fails and the window goes to the contour search.
+        # The last proxy resolves at degree 256, where its pair lies at B^n = e^12.8: inside the
+        # trusted ellipse B^n < e^-3 max|c| / err = e^17.5, though B^2n > max|c| / tail = e^23.5
+        box = SearchBox(0.5, 30.0, -1.0, 1.0)
+        handle = lambda lam: f(np.asarray(lam, dtype=complex))
+        s = find_spectrum(handle, box, real_axis=True)
+        got = sorted(s.entries, key=lambda e: (round(e[0].real), e[0].imag))
+        want = [z if isinstance(z, tuple) else (z, 1) for z in zeros]
+        assert [m for _, m in got] == [m for _, m in want]
+        assert [z for z, _ in got] == pytest.approx([z for z, _ in want], abs=1e-6)
+        assert s.entries == find_spectrum(handle, box).entries
+
+    def test_real_axis_search_keeps_close_simple_zeros_on_a_window_of_wide_range(self):
+        # seven real factors times cos(3a sqrt(lambda + 5)) on [-5, 60]: 39.56 and 39.75 lie close in
+        # a window where |f| spans ten decades, so the proxy's value between them is 1e-8 of max|c|,
+        # yet far above its error (1e-15 max|c|); the window stays on the proxy, where the contour
+        # search on the same box stops at its dip floor
+        roots, a = [3.78, 20.28, 29.15, 37.28, 39.56, 39.75, 41.9], 0.255
+
+        def f(lam):
+            lam = np.asarray(lam, dtype=complex)
+            return np.prod([(lam - r) / 30.0 for r in roots], axis=0) * np.cos(3.0 * a * np.sqrt(lam + 5.0))
+
+        s = find_spectrum(f, SearchBox(-5.0, 60.0, -1.0, 1.0), real_axis=True)
+        exact = np.sort([*roots, *(((np.arange(2) + 0.5) * np.pi / (3.0 * a)) ** 2 - 5.0)])
+        assert np.allclose(s.eigenvalues.real, exact, rtol=1e-10, atol=0.0)
+        assert np.all(s.eigenvalues.imag == 0.0) and np.all(s.multiplicities == 1)
+
+    def test_real_axis_search_halves_a_window_beyond_the_degree_cap(self):
+        # sin(L sqrt(lambda)) / sqrt(lambda), zeros (n pi / L)^2: on [0.5, 2500] with L = 10 the proxy
+        # is not resolved at degree 256, and each half of the window is (each scan starts at 17 points)
+        L = 10.0
+        calls = []
+
+        def f(lam):
+            return L * np.sinc(L * np.sqrt(np.asarray(lam, dtype=complex)) / np.pi)
+
+        def scan(lam):
+            calls.append(len(lam))
+            return f(lam)
+
+        s = find_spectrum(scan, SearchBox(0.5, 2500.0, -1.0, 1.0), f_polish=f, real_axis=True)
+        assert calls.count(17) == 3
+        exact = (np.arange(1, 160) * np.pi / L) ** 2
+        exact = exact[exact >= 0.5]
+        assert len(s) == len(exact) == 157
+        assert np.allclose(s.eigenvalues.real, exact, rtol=1e-10, atol=0.0)
+        assert np.all(s.eigenvalues.imag == 0.0) and np.all(s.multiplicities == 1)
+
+    def test_real_axis_search_rejects_a_handle_not_real_on_the_axis(self):
+        with pytest.raises(InputError, match="not real-valued on the real axis"):
+            find_spectrum(lambda lam: (np.asarray(lam) - 2.0) * (1.0 + 0.1j), _SEED_BOX, real_axis=True)
 
     def test_double_zero_reported_with_multiplicity(self):
         def f(lam):

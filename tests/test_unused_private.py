@@ -5,7 +5,9 @@ defined at a module's top level) serves only the package, so one that no
 module of the package refers to is dead: a helper left behind when its last
 caller went.  References are found with the standard library's `ast`: a
 name read anywhere, an attribute such as `ode_core._cell`, an imported name,
-or a name inside a quoted annotation.
+or a name inside a quoted annotation.  A string counts only as an annotation
+or as an entry of the package's export table (`__init__._EXPORTS`), so a
+config key or a kind spelled like a method does not keep the method alive.
 """
 
 import ast
@@ -33,7 +35,21 @@ def _defined(tree: ast.Module) -> dict:
     return out
 
 
-def _referenced(tree: ast.Module) -> set:
+def _quoted(tree: ast.Module, path: Path):
+    """The expressions in which a string names code: annotations and the package's export table."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+        elif path.name == "__init__.py" and isinstance(node, ast.Assign):
+            if any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+                yield node.value
+
+
+def _referenced(tree: ast.Module, path: Path) -> set:
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -42,8 +58,9 @@ def _referenced(tree: ast.Module) -> set:
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:  # a quoted annotation such as "_Layout"
+    for node in (n for expr in _quoted(tree, path) for n in ast.walk(expr)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a quoted annotation such as "_Layout", or an exported name
                 inner = ast.parse(node.value, mode="eval")
             except SyntaxError:
                 continue
@@ -54,7 +71,7 @@ def _referenced(tree: ast.Module) -> set:
 def test_no_unreferenced_private_definitions():
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
     assert trees
-    used = set().union(*(_referenced(tree) for tree in trees.values()))
+    used = set().union(*(_referenced(tree, path) for path, tree in trees.items()))
     unused = [
         f"{path.relative_to(SRC)}:{line}: {name}"
         for path, tree in trees.items()
@@ -84,9 +101,9 @@ def _public(tree: ast.Module) -> dict:
 
 def test_no_unreferenced_public_definitions():
     src = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
-    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.rglob("*.py"))]
+    bench = {path: ast.parse(path.read_text()) for path in sorted(BENCH.rglob("*.py"))}
     assert src and bench
-    used = set().union(*(_referenced(tree) for tree in [*src.values(), *bench]))
+    used = set().union(*(_referenced(tree, path) for path, tree in [*src.items(), *bench.items()]))
     unused = [
         f"{path.relative_to(SRC)}:{line}: {name}"
         for path, tree in src.items()
