@@ -29,6 +29,7 @@ form values, e.g. U_1(phi) = 0, U_2(phi) = omega, V_1(phi) = delta_1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -196,13 +197,20 @@ class CharBatch:
     """
 
     lam: np.ndarray
-    omega: np.ndarray
     delta1: np.ndarray
     delta2: np.ndarray
     delta11: np.ndarray
     delta21: np.ndarray
     route: str
     T: float
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """det [U_j(Z_k)], the determinant of the form rows, computed when first read.
+
+        A route-X batch holds det [U_j(X_k)] of its own sweep instead.
+        """
+        return _safe_det(self.delta11, -self.delta2, -self.delta1, self.delta21)
 
     def scale(self) -> np.ndarray:
         return np.asarray(modulus_scale(self.lam, self.T))
@@ -228,19 +236,20 @@ def _lam_batch(lam) -> np.ndarray:
     return lam
 
 
-def _route_values(fam, route: str) -> dict:
-    """omega, delta1, delta2, delta11, delta21 from a weighted sweep from `route`'s side."""
+def _char_batch(fam, route: str, T: float) -> CharBatch:
+    """The CharBatch of a weighted sweep from `route`'s side."""
     (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
-    omega = _safe_det(u11, u22, u12, u21)
     if route == "Z":
-        return {"omega": omega, "delta1": -u12, "delta2": -u22, "delta11": u11, "delta21": u21}
+        return CharBatch(fam.lam, delta1=-u12, delta2=-u22, delta11=u11, delta21=u21, route=route, T=T)
     yT, dT, eT = fam.end[0], fam.end[1], np.exp(fam.end[2])[:, None]
     (v11, v12), (v21, v22) = (yT * eT).T, (dT * eT).T
     dets = {  # name: the factors (a1, b1, a2, b2) of a1 b1 - a2 b2
         "delta1": (u11, v12, u12, v11), "delta2": (u21, v12, u22, v11),
         "delta11": (u11, v22, u12, v21), "delta21": (u21, v22, u22, v21),
     }
-    return {"omega": omega, **{name: _safe_det(*f) for name, f in dets.items()}}
+    cb = CharBatch(fam.lam, route=route, T=T, **{name: _safe_det(*f) for name, f in dets.items()})
+    cb.omega = _safe_det(u11, u22, u12, u21)
+    return cb
 
 
 def _discretize(spec: ProblemSpec, grid_spec: GridSpec | None, q_list=None) -> Discretization:
@@ -261,9 +270,7 @@ def _discretize(spec: ProblemSpec, grid_spec: GridSpec | None, q_list=None) -> D
 
 def _batch(disc: Discretization, T: float, lam, route: str = "Z", q_index=None) -> CharBatch:
     """The CharBatch of one sweep over `disc` from `route`'s side."""
-    lam = _lam_batch(lam)
-    fam = integrate_family(disc, lam, route, q_index=q_index)
-    return CharBatch(lam=lam, route=route, T=T, **_route_values(fam, route))
+    return _char_batch(integrate_family(disc, _lam_batch(lam), route, q_index=q_index), route, T)
 
 
 def char_batch(
@@ -395,7 +402,7 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
     if set(need) & {"psi", "Phi", "v1", "v2"}:  # phi and theta are X combinations alone
         _, (Z1, Z2) = _traces(disc, p.lam, "Z")
     (u11, u12), (u21, u22) = _form_values(fam)[:, 0]
-    cb = CharBatch(lam=fam.lam, route="X", T=spec.T, **_route_values(fam, "X"))
+    cb = _char_batch(fam, "X", spec.T)
     values = {name: complex(getattr(cb, name)[0]) for name in _NAMES}
     d1, d11 = values["delta1"], values["delta11"]
     M, N = (complex(v[0]) if ok[0] else None for v, ok in (cb.weyl_M_values(), cb.weyl_N_values()))

@@ -19,8 +19,12 @@ equation.  Neither rule needs a step tied to |rho|, so the step law
 (K_q bounds |q'| + |q''|) gives one grid per potential, tolerance and set of
 required points, the same for every lambda.  A sweep multiplies out blocks
 of L = ceil(sqrt(N)) steps, all blocks at once, and carries the state across
-the block starts, renormalizing it there into a per-lambda log-scale s (held
-values are the true solution times exp(-s)).  Boundary forms enter as node
+the B block starts by an inclusive pairwise prefix scan of the block maps
+(Hillis and Steele 1986; Blelloch 1990): ceil(log2 B) levels, each one
+product over all blocks at once, whose results are renormalized into a
+per-lambda log-scale s (held values are the true solution times exp(-s)).
+The scan's order follows from B, which the grid alone fixes, so a value
+still does not depend on its batch.  Boundary forms enter as node
 weights on y and y' and per-cell density values: while a block's partial
 products are multiplied out, they fold into two coefficients per block that
 act on the block-start state, so a form costs no node storage.  The cells,
@@ -577,6 +581,7 @@ class _Layout:
             self.used[:, 1:] |= cells
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises RangeError in pass 2
 def integrate_family(
     disc: Discretization,
     lam,
@@ -610,6 +615,15 @@ def integrate_family(
     rows (offset, block).  The loop over offsets keeps only the block
     products and the folds into the forms' coefficients, in offset order, so
     every value is the same whatever the chunking and the batch.
+
+    The second pass gives the state at every block start as a prefix product
+    of the block maps, by an inclusive pairwise (Hillis and Steele) scan:
+    level s = 1, 2, 4, ... multiplies each block's partial product by the one
+    s blocks earlier, all blocks and lambdas in one product, and rescales each
+    result per lambda by the power of 2 of max(|y|, |y'| / max(1, |rho|)),
+    adding its exponent.  ceil(log2 B) levels replace a loop over the B
+    blocks; their order depends on B alone.  A non-finite product after the
+    last level raises RangeError, with no numpy warning on the way.
     """
     spec, grid = disc.spec, disc.grid
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -621,8 +635,6 @@ def integrate_family(
     m = len(lam)
     N = len(grid) - 1
     k = 2
-    Y = np.zeros((2, m, k), dtype=complex)  # (y, y') of every column
-    Y[0, :, 0] = Y[1, :, 1] = 1.0
 
     # everything below runs in sweep order: step t goes from sweep node t to t+1
     cols = slice(None) if q_index is None else np.asarray(q_index)
@@ -718,22 +730,36 @@ def integrate_family(
         cy[:, 1:] += carry[0]
         cd[:, 1:] += carry[1]
 
-    # pass 2: carry the state over the block starts, renormalizing by powers of 2
+    # pass 2: the state at block start b + 1 is the prefix product T_b = P_b ... P_0
+    # of the block maps, as the sweep starts from the identity; level s of the
+    # scan sets T_b = T_b T_(b-s) for every b >= s at once
     rho_div = np.maximum(1.0, np.abs(rho))
-    YD = np.empty((B + 1, 2, m, k), dtype=complex)  # (y, y') at each block start
-    Es = np.zeros((B + 1, m), dtype=np.int64)
-    YD[0] = Y
-    for b, (p0, p1) in enumerate(np.stack(P).reshape(2, 2, B, m).transpose(2, 1, 0, 3)[..., None]):
-        Y = p0 * Y[0] + p1 * Y[1]  # p0, p1: the columns of block b's product
-        peak = np.abs(Y).max(axis=2)
+
+    def renormalized(maps):
+        """Scale `maps`, shape (2, 2, blocks, m), in place by 2^-e and return e."""
+        a = np.abs(maps)
+        peak = np.maximum(a[:, 0], a[:, 1])  # (y, y') rows: the larger of the two columns
         peak[1] /= rho_div
-        mag = peak.max(axis=0)
-        if not np.isfinite(mag).all():
-            raise RangeError("solution overflow within one block of steps")
-        e = np.frexp(mag)[1]
-        Y = Y * np.ldexp(1.0, -e)[:, None]
-        YD[b + 1], Es[b + 1] = Y, Es[b] + e
-    Ys, Ds = YD[:, 0], YD[:, 1]
+        e = np.frexp(np.maximum(peak[0], peak[1]))[1]
+        maps *= np.ldexp(1.0, -e)
+        return e
+
+    T = np.stack(P).reshape(2, 2, B, m)  # T[r, c, b]: row r, column c of block b's map
+    E = renormalized(T)
+    s = 1
+    while s < B:
+        later = T[:, :, s:]
+        Tn = later[:, 0, None] * T[0, :, :-s]
+        Tn += later[:, 1, None] * T[1, :, :-s]
+        E[s:] += E[:-s] + renormalized(Tn)
+        T[:, :, s:] = Tn
+        s *= 2
+    if not np.isfinite(T).all():
+        raise RangeError("solution overflow within one block of steps")
+    # (y, y') at each block start, the identity at the first, each of shape (B + 1, m, k)
+    start = np.broadcast_to(np.eye(k)[:, :, None, None], (2, k, 1, m))
+    Ys, Ds = np.concatenate([start, T], axis=2).transpose(0, 2, 3, 1)
+    Es = np.concatenate([np.zeros((1, m), dtype=np.int64), E])
     Ss = Es * log(2.0)
 
     # each form's sum is scaled to the largest block-start exponent it weighs

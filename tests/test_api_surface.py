@@ -91,9 +91,7 @@ SURFACE = {
     "asymptotics.ScaledComplex.rel_error_vs": ("other",),
     "asymptotics.asym_report": ("quantity", "x", "rays", "spec", "*order="),
     "asymptotics.predict": ("quantity", "x", "p", "spec", "order="),
-    "characteristic.CharBatch": (
-        "lam", "omega", "delta1", "delta2", "delta11", "delta21", "route", "T",
-    ),
+    "characteristic.CharBatch": ("lam", "delta1", "delta2", "delta11", "delta21", "route", "T"),
     "characteristic.CharBatch.scale": (),
     "characteristic.CharBatch.weyl_M_values": (),
     "characteristic.CharBatch.weyl_N_values": (),

@@ -416,7 +416,7 @@ class TestDistinguishability:
         sweeps = _count_calls(monkeypatch, "integrate_family", (characteristic,))
         score = distinguishability(spec, mirror, "weyl_pair_with_D", lam, xi=xi)
         assert len(sweeps) == 2
-        assert score == 0.15711996366437864
+        assert score == 0.15711996366437786
 
 
     def test_identical_problems_score_zero(self, truth):

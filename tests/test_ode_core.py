@@ -7,6 +7,8 @@ spectral-shift relation.  Traces are read at their grid nodes only, so each
 test asks for its probe points as required grid points.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,17 @@ def test_tau_budget_guard():
     p = _point(-4.0e6)  # rho = 2000i, tau * T far beyond the default budget
     with pytest.raises(RangeError):
         _sweep(q, p.lam, "X")
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_overflow_within_one_block_raises_without_warnings(side):
+    # a raised budget admits rho = 2000i, but one block of 8 steps, T / 8 long,
+    # grows by about exp(785), past the float range
+    disc = Discretization.build([Potential.zero(T)], GridSpec(tau_T_budget=1e4), [], None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="solution overflow within one block of steps"):
+            integrate_family(disc, [-4.0e6], side)
 
 
 def test_budget_can_be_raised():

@@ -8,8 +8,9 @@ rescaling on the way; the two agree to rounding once values are compared at
 a common log-scale.  Every side, kind of node weights (dense, sparse, on y'
 only, at either end node), a density (against the fitted rule's weights at
 each lambda, one lambda at a time), stored and unstored sweeps and every
-kind of input the library uses are covered, plus a zero-step grid and a
-strongly growing case, whose cells pass the series range.
+kind of input the library uses are covered, plus a zero-step grid, a
+strongly growing case, whose cells pass the series range, and a grid of 67
+blocks, whose block starts take seven levels of the sweep's pairwise scan.
 """
 
 import numpy as np
@@ -232,3 +233,16 @@ def test_strong_growth_near_the_budget(side):
     assert fam.end[2].max() > 800.0
     with pytest.raises(RangeError):
         integrate_family(_disc([q], grid, GridSpec()), lam, side)
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_deep_scan_near_the_budget(side):
+    # 4,500 steps make 67 blocks of 68: the block starts take seven levels of
+    # the pairwise scan, and 67 is no power of two
+    spec = GridSpec(tol=1e-6, n_min=4500, tau_T_budget=900.0)
+    q = _cosine()
+    grid = solver_grid(q, spec)
+    lay = _disc([q], grid, spec)._layout(side)
+    assert (lay.L, lay.B) == (68, 67)
+    lam = np.array([(1.5 + 1j * 890.0 / T) ** 2])
+    _check_all_modes(q, lam, side, grid, spec=spec)
