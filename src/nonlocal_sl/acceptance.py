@@ -155,7 +155,7 @@ def _identity_residuals(spec: ProblemSpec, lam: complex) -> dict:
     sc = modulus_scale(lam, spec.T)
     out = {}
 
-    bz = char_batch(spec, [lam], route="Z")
+    bz = char_batch(spec, [lam])
     out["det_route_agreement"] = abs(complex(bz.omega[0]) - c.omega) / sc  # c holds the X route's
 
     w, m = _wronskian(c.theta, c.phi)

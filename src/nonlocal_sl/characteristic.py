@@ -14,7 +14,8 @@ Because the T-side fundamental system Z1, Z2 has unit Wronskian, each of
 these is also a plain form value of Z-solutions: delta_1 = -U_1(Z_2),
 delta_2 = -U_2(Z_2), delta_11 = U_1(Z_1), and omega = det [U_j(Z_k)].  The
 Z route needs one sweep and, for the deltas, no subtraction of near-equal
-products, so it is the default; the determinant route is the cross-check.
+products, so `char_batch` takes it; the determinant route, which
+`combo_solutions` reads, is the cross-check.
 The sweep also yields delta_21 = U_2(Z_1) = det [U_2(X_k); V_2(X_k)], which
 completes the form rows (U_j(Z_1), U_j(Z_2)).
 
@@ -201,7 +202,6 @@ class CharBatch:
     delta2: np.ndarray
     delta11: np.ndarray
     delta21: np.ndarray
-    route: str
     T: float
 
     @cached_property
@@ -240,14 +240,14 @@ def _char_batch(fam, route: str, T: float) -> CharBatch:
     """The CharBatch of a weighted sweep from `route`'s side."""
     (u11, u12), (u21, u22) = (u.T for u in _form_values(fam))
     if route == "Z":
-        return CharBatch(fam.lam, delta1=-u12, delta2=-u22, delta11=u11, delta21=u21, route=route, T=T)
+        return CharBatch(fam.lam, delta1=-u12, delta2=-u22, delta11=u11, delta21=u21, T=T)
     yT, dT, eT = fam.end[0], fam.end[1], np.exp(fam.end[2])[:, None]
     (v11, v12), (v21, v22) = (yT * eT).T, (dT * eT).T
     dets = {  # name: the factors (a1, b1, a2, b2) of a1 b1 - a2 b2
         "delta1": (u11, v12, u12, v11), "delta2": (u21, v12, u22, v11),
         "delta11": (u11, v22, u12, v21), "delta21": (u21, v22, u22, v21),
     }
-    cb = CharBatch(fam.lam, route=route, T=T, **{name: _safe_det(*f) for name, f in dets.items()})
+    cb = CharBatch(fam.lam, T=T, **{name: _safe_det(*f) for name, f in dets.items()})
     cb.omega = _safe_det(u11, u22, u12, u21)
     return cb
 
@@ -268,31 +268,24 @@ def _discretize(spec: ProblemSpec, grid_spec: GridSpec | None, q_list=None) -> D
     return held[key]
 
 
-def _batch(disc: Discretization, T: float, lam, route: str = "Z", q_index=None) -> CharBatch:
-    """The CharBatch of one sweep over `disc` from `route`'s side."""
-    return _char_batch(integrate_family(disc, _lam_batch(lam), route, q_index=q_index), route, T)
+def _batch(disc: Discretization, T: float, lam, q_index=None) -> CharBatch:
+    """The CharBatch of one Z-side sweep over `disc`."""
+    return _char_batch(integrate_family(disc, _lam_batch(lam), "Z", q_index=q_index), "Z", T)
 
 
-def char_batch(
-    spec: ProblemSpec,
-    lam,
-    grid_spec: GridSpec | None = None,
-    route: str = "Z",
-) -> CharBatch:
+def char_batch(spec: ProblemSpec, lam) -> CharBatch:
     """Evaluate omega, delta_1, delta_2, delta_11 and delta_21 at a batch of lambda values.
 
-    route "Z" (default) uses one T-side sweep; "X" uses the defining
-    determinants.  The sweep's grid depends on the problem and grid_spec
-    only, so a value is a function of its lambda alone, whatever else the
-    batch holds.  The two routes are one discrete system on that grid (the
-    Magnus cell run backwards is its inverse, and the density rule is
-    symmetric in a cell's ends), so they differ by rounding only:
-    cancellation in the X route's determinants and growth through its
-    propagation, both like exp(Im rho * T).
+    One T-side sweep on the grid the problem holds for the default GridSpec
+    gives them all as form values.  The grid depends on the problem only,
+    so a value is a function of its lambda alone, whatever else the batch
+    holds.  The determinant route (`combo_solutions`' values) is the same
+    discrete system run from 0 (the Magnus cell run backwards is its
+    inverse, and the density rule is symmetric in a cell's ends), so the two
+    differ by rounding only: cancellation in the X route's determinants and
+    growth through its propagation, both like exp(Im rho * T).
     """
-    if route not in ("Z", "X"):
-        raise InputError(f"unknown route {route!r}")
-    return _batch(_discretize(spec, grid_spec), spec.T, lam, route)
+    return _batch(_discretize(spec, None), spec.T, lam)
 
 
 def char_handle(spec: ProblemSpec, which: str, grid_spec: GridSpec | None = None):
@@ -327,10 +320,12 @@ def char_batch_multi(
     as much as one forward evaluation: the inversion's finite-difference
     columns of Weyl data, or, for eigenvalue data, f at fixed roots under
     each perturbed potential, which gives df/dc_k for the implicit-function
-    derivative -(df/dc_k)/(df/dlambda) of every root.  The step
-    law takes the largest derivative bound K_q over q_list and the other
-    step caps from q_list[0]; keep the candidates structurally alike (same
-    basis) so one grid suits them all.
+    derivative -(df/dc_k)/(df/dlambda) of every root.  The sweep runs on
+    q_list[0]'s grid for grid_spec (holding every candidate's required
+    points), so the first candidate's values do not depend on the others:
+    with the default grid_spec they are `char_batch`'s values of the problem
+    with that potential, bit for bit.  Keep the candidates structurally
+    alike (same basis, nearby coefficients) so that grid suits them all.
     """
     lam = _lam_batch(lam)
     q_list = list(q_list)
@@ -343,38 +338,34 @@ def char_batch_multi(
     for qq in q_list:
         if abs(qq.T - T) > 1e-12 * max(1.0, T):
             raise InputError("every candidate potential must live on (0, T)")
-    return _batch(_discretize(spec, grid_spec, q_list), T, lam, "Z", q_index)
+    return _batch(_discretize(spec, grid_spec, q_list), T, lam, q_index)
 
 
 # ---------------------------------------------------------------------------
 # Combination solutions
 
 
-_ALL_COMBOS = ("phi", "theta", "psi", "Phi", "v1", "v2")
-
-
 @dataclass(frozen=True, eq=False)
 class ComboSolutions:
-    """The named combination solutions at one spectral point.
+    """The six combination solutions at one spectral point.
 
-    Traces not requested (or blocked by a pole guard when not requested)
-    are None.  boundary_values[name] maps each of U1, U2, V1, V2 to its
-    value on that trace.
+    boundary_values[name] maps each of U1, U2, V1, V2 to its value on that
+    trace.
     """
 
     point: SpectralPoint
-    phi: SolutionTrace | None
-    theta: SolutionTrace | None
-    psi: SolutionTrace | None
-    Phi: SolutionTrace | None
-    v1: SolutionTrace | None
-    v2: SolutionTrace | None
+    phi: SolutionTrace
+    theta: SolutionTrace
+    psi: SolutionTrace
+    Phi: SolutionTrace
+    v1: SolutionTrace
+    v2: SolutionTrace
     omega: complex
     delta1: complex
     delta2: complex
     delta11: complex
-    M: complex | None
-    N: complex | None
+    M: complex
+    N: complex
     boundary_values: dict
 
 
@@ -383,52 +374,39 @@ def _form_on_trace(form: LinearForm, trace: SolutionTrace) -> complex:
     return form.apply_sampled(trace.grid, trace.y * f, trace.dy * f, trace.cbar)
 
 
-def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) -> ComboSolutions:
-    """Build the requested combination solutions on a shared grid.
+def combo_solutions(spec: ProblemSpec, p: SpectralPoint) -> ComboSolutions:
+    """Build phi, theta, psi, Phi, v1 and v2 on a shared grid.
 
-    omega, the deltas, M and N are the route-X `char_batch` values, read from
-    the stored sweep that also gives the traces X1, X2.  The defining linear
+    omega, the deltas, M and N are read by the determinant route from the
+    stored sweep that also gives the traces X1, X2; psi, Phi, v1 and v2
+    combine the Z traces of a second sweep.  The defining linear
     combinations of X1, X2 lose accuracy once exp(2 Im rho T) meets machine
     precision; intended for desk-scale lambda.  At large |rho|, `asymptotics`
     reads phi, Phi, v1 and v2 at a point as form values of sweeps anchored
     there, with no combination.
     """
-    need = tuple(need)
-    unknown = set(need) - set(_ALL_COMBOS)
-    if unknown:
-        raise InputError(f"unknown combination solutions {sorted(unknown)}")
     disc = _discretize(spec, None)
     fam, (X1, X2) = _traces(disc, p.lam, "X")
-    if set(need) & {"psi", "Phi", "v1", "v2"}:  # phi and theta are X combinations alone
-        _, (Z1, Z2) = _traces(disc, p.lam, "Z")
+    _, (Z1, Z2) = _traces(disc, p.lam, "Z")
     (u11, u12), (u21, u22) = _form_values(fam)[:, 0]
     cb = _char_batch(fam, "X", spec.T)
     values = {name: complex(getattr(cb, name)[0]) for name in _NAMES}
-    d1, d11 = values["delta1"], values["delta11"]
-    M, N = (complex(v[0]) if ok[0] else None for v, ok in (cb.weyl_M_values(), cb.weyl_N_values()))
-
-    traces = {}
-    if "phi" in need:
-        traces["phi"] = combine_traces([X2, X1], [u11, -u12])
-    if "theta" in need:
-        traces["theta"] = combine_traces([X1, X2], [u22, -u21])
-    if "psi" in need:
-        traces["psi"] = combine_traces([Z2], [-1.0])
-    if "Phi" in need:
-        if M is None:
+    (M,), (m_ok,) = cb.weyl_M_values()
+    (N,), (n_ok,) = cb.weyl_N_values()
+    for ok, name, den, sol in ((m_ok, "delta_1", "delta1", "Phi"), (n_ok, "delta_11", "delta11", "v2")):
+        if not ok:
             raise PoleProximityError(
-                f"delta_1({p.lam:.6g}) = {d1:.3e} is under the pole guard; Phi undefined here"
+                f"{name}({p.lam:.6g}) = {values[den]:.3e} is under the pole guard; {sol} undefined here"
             )
-        traces["Phi"] = combine_traces([Z2], [-1.0 / d1])
-    if "v1" in need:
-        traces["v1"] = Z1
-    if "v2" in need:
-        if N is None:
-            raise PoleProximityError(
-                f"delta_11({p.lam:.6g}) = {d11:.3e} is under the pole guard; v2 undefined here"
-            )
-        traces["v2"] = combine_traces([Z2, Z1], [1.0, N])
 
+    traces = {
+        "phi": combine_traces([X2, X1], [u11, -u12]),
+        "theta": combine_traces([X1, X2], [u22, -u21]),
+        "psi": combine_traces([Z2], [-1.0]),
+        "Phi": combine_traces([Z2], [-1.0 / values["delta1"]]),
+        "v1": Z1,
+        "v2": combine_traces([Z2, Z1], [1.0, N]),
+    }
     bv = {}
     for name, tr in traces.items():
         yT, dyT = tr.value_at(spec.T)
@@ -436,9 +414,7 @@ def combo_solutions(spec: ProblemSpec, p: SpectralPoint, *, need=_ALL_COMBOS) ->
         U1, U2 = (_form_on_trace(form, tr) for form in (spec.form1, spec.form2))
         bv[name] = {"U1": U1, "U2": U2, "V1": yT * f, "V2": dyT * f}
 
-    return ComboSolutions(
-        point=p, **{name: traces.get(name) for name in _ALL_COMBOS}, **values, M=M, N=N, boundary_values=bv
-    )
+    return ComboSolutions(point=p, **traces, **values, M=complex(M), N=complex(N), boundary_values=bv)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def _sec_scenario(ctx, d, path):
     # every builder parameter but the potential q, which JSON cannot express
     if ctx.obj(out["params"], f"{path}.params", _PARAM_KEYS[name] - {"q"}):
         for k, v in out["params"].items():
-            _number(ctx, v, f"{path}.params.{k}")
+            _number(ctx, v, f"{path}.params.{k}", integer=k == "n_cells")
         out["params"] = dict(out["params"])  # never the module default itself
     grid, out["grid"] = out["grid"], dict(_SCENARIO_DEFAULTS["grid"])
     if ctx.obj(grid, f"{path}.grid", out["grid"]):

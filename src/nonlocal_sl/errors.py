@@ -11,6 +11,7 @@ helpers below read numbers, orders and [re, im] pairs into it.
 """
 
 import math
+from numbers import Integral
 
 
 class InputError(ValueError):
@@ -91,6 +92,15 @@ def _read(reader, d, *args):
     if ctx.errors:
         raise ConfigError(ctx.errors)
     return out
+
+
+def _integer(name: str, v, low: int):
+    """v if it is an integer of at least `low`; else an InputError naming `name` (booleans are not integers)."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise InputError(f"{name} must be an integer, got {v!r}")
+    if v < low:
+        raise InputError(f"{name} must be at least {low}")
+    return v
 
 
 def _real(v) -> bool:

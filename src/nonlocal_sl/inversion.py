@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristic import ProblemSpec, _batch, _discretize, _ratios_at, _row_ratios, char_batch, char_batch_multi
 from .characteristic import d_sequence  # noqa: F401  (bench/tracing.py wraps it here)
-from .errors import InputError, NumericalError, _is_pair, _read, _real, _reals
+from .errors import InputError, NumericalError, _integer, _is_pair, _read, _real, _reals
 from .ode_core import GridSpec, modulus_scale
 from .potential import Potential
 from .spectrum_finder import _LAMBDA_STEP, ConditionReport, SearchBox, _batched_newton, condition_S, problem_spectrum
@@ -52,6 +52,7 @@ _PENALTY = 1e3
 _ROOT_F_TOL = 1e-4  # |f| <= this * modulus scale accepts a refined root
 _DATA_TOL = 1e-9  # the data builders' zeros meet |f| <= this * modulus scale
 _DATA_GRID_TOL = 1e-10  # grid tolerance of `residual`: the one the builders polish their zeros on
+_GRID_TOL = 1e-7  # grid tolerance of `reconstruct`'s optimizer
 _SEPARATION_TOL = 1e-6  # least gap of the three-spectra disjointness certificate
 _SPREAD = 0.5  # standard deviation of the random starts around the initial coefficients
 _LM_STEP_TOL = 1e-10  # relative LM step counted as converged
@@ -74,15 +75,14 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in _BASES:
             raise InputError(f"unknown basis {self.kind!r}; expected cosine or piecewise")
-        if self.dim < 1:
-            raise InputError("basis dimension must be at least 1")
+        _integer("dim", self.dim, 1)
         if not self.T > 0:
             raise InputError("basis needs a positive interval length")
 
     @classmethod
     def cosine(cls, T: float, dim: int) -> "BasisSpec":
         """Coefficients of cos(k pi x / T), k = 0 .. dim-1."""
-        return cls(kind="cosine", T=float(T), dim=int(dim))
+        return cls(kind="cosine", T=float(T), dim=dim)
 
     def potential(self, coeffs) -> Potential:
         c = np.asarray(coeffs, dtype=float)
@@ -377,7 +377,7 @@ class _Engine:
         target: InverseTarget,
         template: ProblemSpec,
         basis: BasisSpec,
-        grid_tol: float = 1e-7,
+        grid_tol: float = _GRID_TOL,
     ):
         self.target = t = target
         self.template = template
@@ -451,7 +451,7 @@ class _Engine:
         disc = _discretize(self.template, self.gs, q_list)
 
         def f(lam, idx):
-            cb = _batch(disc, self.template.T, lam, "Z", idx // n)
+            cb = _batch(disc, self.template.T, lam, idx // n)
             col = idx % n
             out = np.empty(len(lam), dtype=complex)
             for which, sl in self.blocks:
@@ -530,8 +530,8 @@ def residual(
 
     It runs on the data builders' grid tolerance, 1e-10, so a candidate
     equal to the generating potential scores essentially zero.  The
-    optimizer runs a coarser grid (see ReconstructOptions.grid_tol); its
-    small forward bias is far below the coefficient tolerances of interest.
+    optimizer runs a coarser grid, 1e-7; its small forward bias is far
+    below the coefficient tolerances of interest.
     """
     c = np.asarray(coeffs, dtype=float)
     basis = basis or BasisSpec.cosine(template.T, len(c))
@@ -552,16 +552,13 @@ class ReconstructOptions:
     tol: float = 1e-9
     max_iter: int = 60
     seed: int = 0
-    _: KW_ONLY
-    grid_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise InputError("starts must be at least 1")
+        _integer("starts", self.starts, 1)
         if not self.tol >= 0:  # NaN fails too
             raise InputError("tol must be a non-negative number")
-        if self.max_iter < 0:
-            raise InputError("max_iter must be at least 0")
+        _integer("max_iter", self.max_iter, 0)
+        _integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -658,7 +655,7 @@ def reconstruct(
         raise InputError(
             f"{basis.dim} parameters exceed the {2 * target.n_data} real scalar data"
         )
-    engine = _Engine(target, options.template, basis, options.grid_tol)
+    engine = _Engine(target, options.template, basis, _GRID_TOL)
     rng = np.random.default_rng(options.seed)
     starts = [c0]
     for _ in range(max(0, options.starts - 1)):

@@ -113,11 +113,6 @@ class SpectralPoint:
             raise InputError(f"lambda must be finite, got {lam}")
         return cls(lam=lam, rho=complex(principal_rho(lam)))
 
-    @property
-    def tau(self) -> float:
-        """Im rho, the exponential growth rate of solutions."""
-        return self.rho.imag
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -137,20 +132,14 @@ class GridSpec:
             raise InputError(f"GridSpec.n_min must be an integer of at least 1, got {self.n_min!r}")
 
 
-def solver_grid(
-    q: Potential,
-    spec: GridSpec | None = None,
-    extra_required=(),
-    k_q: float | None = None,
-) -> np.ndarray:
+def solver_grid(q: Potential, spec: GridSpec | None = None, extra_required=()) -> np.ndarray:
     """Node grid on [0, T] resolving q and holding all marked points, for every lambda.
 
     The step is h = min(T / n_min, q.suggested_hmax(), h_q), where
-    h_q = (720 tol / (T K_q))^(1/4) holds the Magnus cell's error from the
-    variation of q under tol, with K_q = q.derivative_bound() unless `k_q`
-    gives it (a sweep over several potentials passes their largest).  Both
-    the cell and the density rule are exact for constant q, so the step
-    does not depend on |rho|.
+    h_q = (720 tol / (T K_q))^(1/4) with K_q = q.derivative_bound() holds
+    the Magnus cell's error from the variation of q under tol.  Both the
+    cell and the density rule are exact for constant q, so the step does
+    not depend on |rho|.
     """
     spec = spec or GridSpec()
     T = q.T
@@ -158,7 +147,7 @@ def solver_grid(
     q_hmax = q.suggested_hmax()
     if q_hmax is not None:
         h = min(h, q_hmax)
-    k_q = q.derivative_bound() if k_q is None else k_q
+    k_q = q.derivative_bound()
     if k_q > 0:
         h = min(h, (720.0 * spec.tol / (T * k_q)) ** 0.25)
     n = max(spec.n_min, ceil(T / h))
@@ -247,7 +236,7 @@ class FamilyStore:
     node is its block's prefix product times the block's start, the products
     the forms fold with.  `end` is always kept: the state where the sweep
     ends, at T on side X and at 0 on side Z.  With `forms` it gives the X
-    route's characteristic values, to `char_batch` and `combo_solutions` alike.
+    route's characteristic values, to `combo_solutions`.
     """
 
     grid: np.ndarray
@@ -520,13 +509,14 @@ class Discretization:
         """The discretization of the potentials `qs`: one, or candidates sharing a grid.
 
         The grid is `solver_grid` of qs[0] holding the `required` points and
-        every other candidate's own, with K_q the largest over qs; `weigh`,
-        unless None, maps the grid to the forms' node weights.
+        every other candidate's own, so qs[0]'s columns are its values alone
+        on that grid; `weigh`, unless None, maps the grid to the forms' node
+        weights.
         """
         spec = spec or GridSpec()
         qs = list(qs)
         extra = [*required, *(q.required_points() for q in qs[1:])]
-        grid = solver_grid(qs[0], spec, extra, max(q.derivative_bound() for q in qs))
+        grid = solver_grid(qs[0], spec, extra)
         samples = [q.step_samples(grid) for q in qs]
         samples = tuple(np.stack([s[i] for s in samples], axis=1) for i in range(3))
         return cls(grid, spec, samples, tuple(weigh(grid)) if weigh else ())

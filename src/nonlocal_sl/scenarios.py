@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristic import ProblemSpec, char_batch
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _integer
 from .measure import BVMeasure, LinearForm
 from .potential import Potential
 from .spectrum_finder import ConditionReport, SearchBox, condition_S, problem_spectrum
@@ -82,7 +82,7 @@ def _check_mirror_asymmetry(q: Potential, floor: float):
 
 
 def _build_counterexample1(params: dict) -> ScenarioConfig:
-    n_cells = int(params.get("n_cells", 1024))
+    n_cells = _integer("n_cells", params.get("n_cells", 1024), 1)
     q = params.get("q") or counterexample1_preset(n_cells)
     if abs(q.T - _T) > 1e-12:
         raise InputError("counterexample 1 lives on (0, pi)")
@@ -124,7 +124,7 @@ def _build_counterexample2(params: dict) -> ScenarioConfig:
     alpha0 = float(params.get("alpha0", 0.6))
     if not 0.0 < alpha0 < _T / 2.0:
         raise InputError("alpha0 must lie in (0, pi/2)")
-    n_cells = int(params.get("n_cells", 1024))
+    n_cells = _integer("n_cells", params.get("n_cells", 1024), 1)
     q = params.get("q") or counterexample2_preset(alpha0, n_cells)
     if abs(q.T - _T) > 1e-12:
         raise InputError("counterexample 2 lives on (0, pi)")
@@ -230,16 +230,11 @@ class CounterexampleReport:
     lambda2_containment: float | None
 
 
-def verify_counterexample(
-    cfg: ScenarioConfig,
-    lam_grid,
-    tol: float = 1e-6,
-    *,
-    s_box: SearchBox | None = None,
-) -> CounterexampleReport:
+def verify_counterexample(cfg: ScenarioConfig, lam_grid, tol: float = 1e-6) -> CounterexampleReport:
     """Deviation maxima over the grid, sup distance of the potentials, and
     the disjointness report; deviations are divided by the local modulus
-    scale so `tol`-style thresholds apply directly."""
+    scale so `tol`-style thresholds apply directly.  The disjointness and
+    containment checks search the box [-3, max Re lambda + 10] x [-1, 1]."""
     if cfg.spec_mirror is None:
         raise InputError("verification needs a mirror pair scenario")
     lam = np.asarray(lam_grid, dtype=complex)
@@ -256,7 +251,7 @@ def verify_counterexample(
     dev = lambda u, v: float(np.max(np.abs(u - v) / scale))
     m_dev = float(np.max(np.abs(ma - mb) / (1.0 + np.abs(ma) + np.abs(mb))))
     hi = float(np.max(lam.real)) + 10.0
-    box = s_box or SearchBox(re_min=-3.0, re_max=hi, im_min=-1.0, im_max=1.0)
+    box = SearchBox(re_min=-3.0, re_max=hi, im_min=-1.0, im_max=1.0)
     report = condition_S(cfg.spec, box, 10.0 * tol, real_axis=cfg.spec.is_real)
     containment = None
     if cfg.name == "counterexample2":

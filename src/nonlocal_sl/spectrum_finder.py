@@ -55,6 +55,7 @@ from .characteristic import ProblemSpec, char_handle
 from .errors import ContourError, InputError
 from .ode_core import GridSpec, modulus_scale
 
+_EDGE_SAMPLES = 64  # contour samples per edge of a box before refinement
 _MAX_CONTOUR_POINTS = 20000
 _MAX_REFINE = 9  # midpoint refinements of one contour before its count is given up
 _MAX_DEPTH = 48  # bisection depth at which a box is no longer split
@@ -73,13 +74,12 @@ _MAX_DEGREE = 256  # a real-axis window not resolved at this degree is searched 
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Closed lambda rectangle with contour sampling and subdivision limits."""
+    """Closed lambda rectangle."""
 
     re_min: float
     re_max: float
     im_min: float
     im_max: float
-    n_samples: int = 64
 
     def __post_init__(self):
         vals = (self.re_min, self.re_max, self.im_min, self.im_max)
@@ -87,8 +87,6 @@ class SearchBox:
             raise InputError("box corners must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise InputError("box must have positive width and height")
-        if self.n_samples < 8:
-            raise InputError("need at least 8 contour samples per edge")
 
     @property
     def width(self) -> float:
@@ -119,11 +117,8 @@ class SearchBox:
         cut = self.im_min + fraction * self.height
         return replace(self, im_max=cut), replace(self, im_min=cut)
 
-    def contains(self, z: complex, pad: float = 0.0) -> bool:
-        return (
-            self.re_min - pad <= z.real <= self.re_max + pad
-            and self.im_min - pad <= z.imag <= self.im_max + pad
-        )
+    def contains(self, z: complex) -> bool:
+        return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
 
 
 @dataclass(frozen=True)
@@ -131,8 +126,6 @@ class Spectrum:
     """Eigenvalues with multiplicities found inside a search box."""
 
     entries: tuple
-    source: str
-    box: SearchBox
     winding_total: int
 
     @property
@@ -164,10 +157,10 @@ def _corners(box: SearchBox) -> list:
     return [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
 
 
-def _contour_points(box: SearchBox, n: int) -> np.ndarray:
-    """n points per edge, counterclockwise from the lower left corner (n = 1: the corners)."""
+def _contour_points(box: SearchBox) -> np.ndarray:
+    """_EDGE_SAMPLES points per edge, counterclockwise from the lower left corner."""
     c = _corners(box)
-    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES, endpoint=False)
     return np.concatenate([a + t * (b - a) for a, b in zip(c, c[1:] + c[:1])])
 
 
@@ -191,7 +184,7 @@ def _quadrature_winding(vals: np.ndarray) -> float:
 def _winding(f: Callable, box: SearchBox) -> _ContourResult:
     for nudge in range(_MAX_NUDGE + 1):
         used = box if nudge == 0 else box.inflated(1.01**nudge)
-        pts = _contour_points(used, used.n_samples)
+        pts = _contour_points(used)
         vals = _eval(f, pts, "contour count")
         dipped = False
         for _ in range(_MAX_REFINE + 1):
@@ -377,7 +370,7 @@ def find_spectrum(
             )
         roots = np.sort(roots.real)  # a zero on a halving cut is found by both halves, and kept once
         roots = roots[np.diff(roots, prepend=-np.inf) > 10.0 * tol * (1.0 + np.abs(roots))]
-        return Spectrum(tuple((complex(r), 1) for r in roots), source, box, len(roots))
+        return Spectrum(tuple((complex(r), 1) for r in roots), len(roots))
 
     root = _winding(f, box)
     floor = max(tol, 1e-10)
@@ -433,7 +426,7 @@ def find_spectrum(
         else:
             merged.append([complex(r), int(m)])
     entries = tuple((r, m) for r, m in merged)
-    return Spectrum(entries=entries, source=source, box=box, winding_total=root.winding)
+    return Spectrum(entries=entries, winding_total=root.winding)
 
 
 def _proxy_seeds(f: Callable, box: SearchBox):

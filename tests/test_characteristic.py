@@ -21,6 +21,8 @@ from nonlocal_sl.acceptance import _c8_spec, _c9_truth, _truncation_residual, _w
 from nonlocal_sl.asymptotics import _anchored
 from nonlocal_sl.characteristic import (
     _NAMES,
+    _char_batch,
+    _discretize,
     char_batch,
     char_batch_multi,
     char_handle,
@@ -28,7 +30,7 @@ from nonlocal_sl.characteristic import (
     d_sequence,
     node_weights,
 )
-from nonlocal_sl.errors import CollinearityError, InputError, RangeError
+from nonlocal_sl.errors import CollinearityError, InputError, PoleProximityError, RangeError
 from nonlocal_sl.inversion import _first_n_real
 from nonlocal_sl.ode_core import (
     _Z_MAX,
@@ -36,6 +38,7 @@ from nonlocal_sl.ode_core import (
     GridSpec,
     SpectralPoint,
     _traces,
+    combine_traces,
     integrate_family,
     modulus_scale,
     principal_rho,
@@ -49,6 +52,11 @@ ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 
 def _point(lam):
     return SpectralPoint(complex(lam), complex(principal_rho([lam])[0]))
+
+
+def _x_batch(spec, lam):
+    """The determinant route's CharBatch: one X-side sweep of the problem's held discretization."""
+    return _char_batch(integrate_family(_discretize(spec, None), np.asarray(lam, dtype=complex), "X"), "X", spec.T)
 
 
 def _dirichlet():
@@ -106,7 +114,7 @@ class TestClosedForms:
         spec = _dirichlet()
         lam = 6.3 + 0.8j
         b = char_batch(spec, [lam])
-        x = char_batch(spec, [lam], route="X")
+        x = _x_batch(spec, [lam])
         assert complex(x.omega[0]) == pytest.approx(complex(b.omega[0]), rel=1e-9)
         assert complex(x.delta1[0]) == pytest.approx(complex(b.delta1[0]), rel=1e-9)
         assert complex(x.delta2[0]) == pytest.approx(complex(b.delta2[0]), rel=1e-9)
@@ -120,18 +128,14 @@ class TestRouteAgreement:
         lam = np.array([1.5, 9.0, -4.0 + 3.0j, 25.0 + 1.0j])
         for _ in range(5):
             spec = _random_spec(rng)
-            z, x = (char_batch(spec, lam, route=route) for route in ("Z", "X"))
+            z, x = char_batch(spec, lam), _x_batch(spec, lam)
             sc = modulus_scale(lam, T)
             for name in ("omega", "delta1", "delta2", "delta11", "delta21"):
                 assert np.max(np.abs(getattr(z, name) - getattr(x, name)) / sc) < TOL
 
-    def test_bad_route_rejected(self):
-        with pytest.raises(InputError):
-            char_batch(_dirichlet(), [1.0], route="Y")
-
     @pytest.mark.parametrize("route", ["Z", "X"])
     def test_empty_batch(self, route):
-        b = char_batch(_dirichlet(), np.array([], dtype=complex), route=route)
+        b = (char_batch if route == "Z" else _x_batch)(_dirichlet(), np.array([], dtype=complex))
         for name in ("omega", "delta1", "delta2", "delta11", "delta21"):
             assert getattr(b, name).shape == (0,)
 
@@ -196,33 +200,12 @@ class TestSolutionFamily:
             assert ok[0]
             assert complex(vals[0]) == pytest.approx(want, rel=1e-7)
 
-    def test_z_sweep_runs_only_for_psi_Phi_v1_v2(self, monkeypatch):
-        import nonlocal_sl.ode_core as ode_core
-
-        calls = []
-        real = ode_core.integrate_family
-        monkeypatch.setattr(ode_core, "integrate_family", lambda *a, **k: calls.append(a) or real(*a, **k))
-        spec, p = _random_spec(np.random.default_rng(4)), _point(3.7 + 0.9j)
-        full = combo_solutions(spec, p)
-        assert len(calls) == 2
-        calls.clear()
-        part = combo_solutions(spec, p, need=("phi", "theta"))
-        assert len(calls) == 1
-        for name in ("omega", "delta1", "delta2", "delta11", "M", "N"):
-            assert getattr(part, name) == getattr(full, name)
-        for name in ("phi", "theta"):
-            a, b = getattr(part, name), getattr(full, name)
-            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("grid", "y", "dy", "cbar"))
-            assert a.log_scale == b.log_scale
-            assert part.boundary_values[name] == full.boundary_values[name]
-        assert part.psi is part.Phi is part.v1 is part.v2 is None
-
     def test_anchored_phi_matches_combo(self):
         # phi(x) = -U_1(W_2) and phi'(x) = U_1(W_1) on the fundamental system at x
         rng = np.random.default_rng(13)
         spec = _random_spec(rng)
         lam = 30.0 + 12.0j
-        c = combo_solutions(spec, _point(lam), need=("phi",))
+        c = combo_solutions(spec, _point(lam))
         grid = c.phi.grid
         for x in grid[np.abs(grid[:, None] - [0.3, 1.5, 2.8]).argmin(axis=0)]:  # the nearest nodes
             ya, da = c.phi.value_at(x)
@@ -243,15 +226,27 @@ class TestRatioPoles:
         vals, ok = char_batch(_dirichlet(), [0.25]).weyl_N_values()
         assert not ok[0] and np.isnan(vals[0])
 
+    @pytest.mark.parametrize("lam, message", [(1.0, "delta_1.*Phi undefined"), (0.25, "delta_11.*v2 undefined")])
+    def test_combo_solutions_name_the_pole(self, lam, message):
+        with pytest.raises(PoleProximityError, match=message):
+            combo_solutions(_dirichlet(), _point(lam))
+
 
 def _trace_fit_ratio(spec, lam) -> complex:
-    """d with phi = d * theta, fitted by trapezoid-weighted least squares over stored traces."""
-    c = combo_solutions(spec, SpectralPoint.from_lambda(lam), need=("phi", "theta"))
-    dx = np.diff(c.phi.grid)
+    """d with phi = d * theta, fitted by trapezoid-weighted least squares over stored traces.
+
+    phi = u11 X2 - u12 X1 and theta = u22 X1 - u21 X2 are combined from the X traces as
+    `combo_solutions` combines them; it needs delta_1 off its pole guard, and at some of
+    these omega zeros delta_1 vanishes too.
+    """
+    fam, (X1, X2) = _traces(_discretize(spec, None), lam, "X")
+    (u11, u12), (u21, u22) = (fam.forms * np.exp(fam.forms_s)[..., None])[:, 0]
+    phi, theta = combine_traces([X2, X1], [u11, -u12]), combine_traces([X1, X2], [u22, -u21])
+    dx = np.diff(phi.grid)
     w = np.concatenate([dx, [0.0]]) / 2.0 + np.concatenate([[0.0], dx]) / 2.0
-    f, t = c.phi.y, c.theta.y
+    f, t = phi.y, theta.y
     r = np.sum(w * np.conj(t) * f) / np.sum(w * np.abs(t) ** 2)
-    return complex(r * np.exp(c.phi.log_scale - c.theta.log_scale))
+    return complex(r * np.exp(phi.log_scale - theta.log_scale))
 
 
 def _x_row_ratios(spec, xi) -> np.ndarray:
@@ -425,7 +420,8 @@ def test_default_grid_meets_its_tolerance(tol, lam):
     # together hold the error to the grid's tol, relative to the largest term of the form;
     # delta21 = U2(Z1) is the point value Z1(T/2), relative to its own size
     (u11, u12, s11, s12), (u21, _, s21, _) = _c9_reference(lam)
-    b = char_batch(_c9_truth(), [lam], GridSpec(tol=tol))
+    spec = _c9_truth()
+    b = char_batch_multi(spec, [lam], [spec.q], 0, GridSpec(tol=tol))  # the one-candidate list
     assert abs(b.delta11[0] - u11) <= 10 * tol * s11
     assert abs(-b.delta1[0] - u12) <= 10 * tol * s12
     assert abs(b.delta21[0] - u21) <= 10 * tol * s21
@@ -449,6 +445,19 @@ def test_value_does_not_depend_on_its_batch(lam, others, pos):
     for name in (*_NAMES, "delta21"):
         a, b = complex(getattr(alone, name)[0]), complex(getattr(batch, name)[pos])
         assert abs(b - a) <= 1e-14 * abs(a)
+
+
+def test_first_candidate_values_are_its_values_alone():
+    # a candidate list sweeps the grid of its first candidate: next to 3 cos(6 pi x / T), whose
+    # K_q is over 20 times criterion 9's, q0's columns are char_batch's values, bit for bit
+    spec = _c9_truth()
+    rough = Potential.from_cosine(T, [0.0] * 6 + [3.0])
+    assert rough.derivative_bound() > 20.0 * spec.q.derivative_bound()
+    lam = np.array(_C9_LAMS)
+    multi = char_batch_multi(spec, np.concatenate([lam, lam]), [spec.q, rough], np.repeat([0, 1], len(lam)))
+    alone = char_batch(spec, lam)
+    for name in (*_NAMES, "delta21"):
+        assert np.array_equal(getattr(multi, name)[: len(lam)], getattr(alone, name))
 
 
 @pytest.mark.parametrize("lam", [1.167, 400.0, 1e4, 900.0 + 30.0j])
@@ -498,7 +507,7 @@ def test_density_rule_pole_raises():
         char_batch(spec, [lam])
     # at 1e-3 relative distance the rounding is amplified ~460-fold and the values hold
     near = lam * (1.0 + 1e-3)
-    got, want = char_batch(spec, [near]), char_batch(spec, [near], GridSpec(n_min=1024))
+    got, want = char_batch(spec, [near]), char_batch_multi(spec, [near], [spec.q], 0, GridSpec(n_min=1024))
     for name in ("delta1", "delta2", "delta11"):
         a, b = getattr(got, name)[0], getattr(want, name)[0]
         assert abs(a - b) <= 1e-11 * abs(b)

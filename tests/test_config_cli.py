@@ -325,8 +325,9 @@ def _nonlocal_u1(**measure):
 
 
 # One malformed config per validator branch, with the exact stderr lines
-# ("config error at " is dropped from each).  The last five rows were faults:
-# text breakpoints and a list among the quantities escaped as tracebacks, and
+# ("config error at " is dropped from each).  The n_cells row and the last
+# five rows were faults: a fractional cell count ran truncated, text
+# breakpoints and a list among the quantities escaped as tracebacks, and
 # true or 1.0 passed as an order.
 ERROR_LINES = [
     ("unknown_top", "spectrum", _bad(extra=1), [".extra: unknown field"]),
@@ -436,6 +437,8 @@ ERROR_LINES = [
       ".scenario.box: expected an object with re and im ranges"]),
     ("scenario_q", "scenario", {"scenario": {"name": "three_spectra", "params": {"q": 1}}},
      [".scenario.params.q: unknown field"]),
+    ("scenario_n_cells", "scenario", {"scenario": {"name": "counterexample1", "params": {"n_cells": 1000.5}}},
+     [".scenario.params.n_cells: expected an integer"]),
     ("density_text", "spectrum", _nonlocal_u1(density={"breakpoints": ["a", 1.0], "values": [[1, 0], [1, 0]]}),
      [".U1.measure.density.breakpoints: expected at least two numbers"]),
     ("order_true", "spectrum", _bad(U1={"type": "point", "x": 0.0, "order": True}), [".U1.order: expected 0 or 1"]),

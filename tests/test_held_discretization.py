@@ -18,6 +18,7 @@ from nonlocal_sl import characteristic, ode_core
 from nonlocal_sl.acceptance import _c8_spec
 from nonlocal_sl.characteristic import (
     _NAMES,
+    _char_batch,
     _discretize,
     char_batch,
     char_batch_multi,
@@ -51,8 +52,9 @@ def xi():
 
 def _evaluate(op, spec, xi):
     """One evaluation of `spec` by `op`, as a value that compares with ==."""
-    if op == "char_batch":  # both routes; every field of each batch
-        batches = [char_batch(spec, _LAM, route=route) for route in ("Z", "X")]
+    if op == "char_batch":  # with the determinant route on the held grid; every field of each batch
+        x = _char_batch(ode_core.integrate_family(_discretize(spec, None), _LAM, "X"), "X", spec.T)
+        batches = [char_batch(spec, _LAM), x]
         return [getattr(cb, name).tolist() for cb in batches for name in _FIELDS]
     if op == "char_handle":
         return char_handle(spec, "delta2")(_LAM).tolist()
@@ -166,11 +168,11 @@ def test_combo_solutions_sweep_the_held_grid(lam, monkeypatch):
 
 @pytest.mark.parametrize("lam", [6.0 + 2.0j, 30.0 - 1.0j])
 def test_combo_values_are_the_x_route_batch(lam):
-    # omega, the deltas, M and N come from the combination's own X sweep, which is the sweep
-    # of char_batch(route="X"): the same values, bit for bit
+    # omega, the deltas, M and N come from the combination's own X sweep, a stored sweep of the
+    # held discretization: the same values as an unstored X sweep of it, bit for bit
     spec = _density_spec()
     c = combo_solutions(spec, SpectralPoint.from_lambda(lam))
-    cb = char_batch(spec, [lam], route="X")
+    cb = _char_batch(ode_core.integrate_family(_discretize(spec, None), [lam], "X"), "X", spec.T)
     for name in _NAMES:
         assert getattr(c, name) == getattr(cb, name)[0]
     for got, (vals, ok) in ((c.M, cb.weyl_M_values()), (c.N, cb.weyl_N_values())):

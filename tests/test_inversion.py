@@ -215,12 +215,33 @@ def test_recovery_from_two_spectra(truth, target):
         ({"tol": -1.0}, "tol must be a non-negative number"),
         ({"tol": float("nan")}, "tol must be a non-negative number"),
         ({"max_iter": -1}, "max_iter must be at least 0"),
+        ({"seed": -1}, "seed must be at least 0"),
     ],
-    ids=["starts", "tol_negative", "tol_nan", "max_iter"],
+    ids=["starts", "tol_negative", "tol_nan", "max_iter", "seed"],
 )
 def test_reconstruct_options_reject_bad_values(truth, bad, message):
     with pytest.raises(InputError, match=message):
         ReconstructOptions(template=truth, **bad)
+
+
+INTEGER_FIELDS = [  # (id, a call given a number that is not an integer, the field it names)
+    ("starts", lambda spec: ReconstructOptions(template=spec, starts=2.5), "starts"),
+    ("starts_true", lambda spec: ReconstructOptions(template=spec, starts=True), "starts"),
+    ("max_iter", lambda spec: ReconstructOptions(template=spec, max_iter=1.5), "max_iter"),
+    ("seed", lambda spec: ReconstructOptions(template=spec, seed=0.5), "seed"),
+    ("dim", lambda spec: BasisSpec("cosine", T, 2.5), "dim"),
+    ("dim_true", lambda spec: BasisSpec("cosine", T, True), "dim"),
+    ("cosine_dim", lambda spec: BasisSpec.cosine(T, 2.5), "dim"),
+    ("n_cells_1", lambda spec: scenarios.build_scenario("counterexample1", {"n_cells": 1000.5}), "n_cells"),
+    ("n_cells_2", lambda spec: scenarios.build_scenario("counterexample2", {"n_cells": 1000.5}), "n_cells"),
+]
+
+
+@pytest.mark.parametrize("make, field", [c[1:] for c in INTEGER_FIELDS], ids=[c[0] for c in INTEGER_FIELDS])
+def test_integer_fields_reject_other_numbers(truth, make, field):
+    # each used to pass and then fail in reconstruct with a TypeError, or run truncated
+    with pytest.raises(InputError, match=f"^{field} must be an integer, got"):
+        make(truth)
 
 
 def test_tied_starts_report_the_converged_run(truth, target, monkeypatch):
@@ -245,11 +266,10 @@ def test_tied_starts_report_the_converged_run(truth, target, monkeypatch):
     assert res.coeffs == (0.1, 0.2) and not res.convergence_flag
 
 
-def _stop_at_start(target, template, c0):
+def _stop_at_start(monkeypatch, target, template, c0):
     """Reconstruction that stops at its start, on the grid that residual() uses."""
-    opts = ReconstructOptions(
-        template=template, basis=BasisSpec.cosine(T, 2), starts=1, max_iter=0, grid_tol=1e-10
-    )
+    monkeypatch.setattr(inversion, "_GRID_TOL", 1e-10)
+    opts = ReconstructOptions(template=template, basis=BasisSpec.cosine(T, 2), starts=1, max_iter=0)
     return reconstruct(target, np.asarray(c0, dtype=float), opts)
 
 
@@ -268,7 +288,7 @@ def _second_root_invalid(engine, z, valid):
 class TestPenalty:
     """Invalid data read w * _PENALTY * (1 + |t|) in both slots, t the target value."""
 
-    def test_m_datum_on_a_delta1_zero_of_the_candidate(self, truth):
+    def test_m_datum_on_a_delta1_zero_of_the_candidate(self, truth, monkeypatch):
         # an interior second form, so that M is not identically zero
         spec = dataclasses.replace(truth, form2=LinearForm.point_value(2.0, 0))
         cand = [1.5, 0.0]
@@ -284,7 +304,7 @@ class TestPenalty:
         pen = 2.5 * _PENALTY * (1.0 + abs(t.m_values[2]))
         assert r[8] == pytest.approx(pen, rel=1e-12)
         assert r[9] == pytest.approx(pen, rel=1e-12)
-        assert _stop_at_start(t, spec, cand).invalid_data == (4,)
+        assert _stop_at_start(monkeypatch, t, spec, cand).invalid_data == (4,)
 
     def test_eigenvalue_datum_with_an_invalid_root(self, truth, target, monkeypatch):
         _patch_roots(monkeypatch, _second_root_invalid)
@@ -296,7 +316,7 @@ class TestPenalty:
         assert r[2] == pytest.approx(pen, rel=1e-12)
         assert r[3] == pytest.approx(pen, rel=1e-12)
         assert np.max(np.abs(np.delete(r, [2, 3]))) < 1e-7
-        assert _stop_at_start(weighted, truth, TRUTH_COEFFS).invalid_data == (1,)
+        assert _stop_at_start(monkeypatch, weighted, truth, TRUTH_COEFFS).invalid_data == (1,)
 
 
 def _ift_jacobian(engine, c):

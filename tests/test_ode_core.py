@@ -257,7 +257,8 @@ def test_step_law():
     grid_q = Potential.from_grid(np.linspace(0.0, T, 3), [0.0, 40.0, 0.0])  # K_q = 80 / pi
     h_q = (720.0 * gs.tol / (T * grid_q.derivative_bound())) ** 0.25
     assert len(solver_grid(grid_q, gs)) - 1 == int(np.ceil(T / h_q))
-    assert np.array_equal(solver_grid(grid_q, gs, k_q=0.0), np.union1d(plain, [T / 2]))
+    piecewise = Potential.from_piecewise([0.0, T / 2, T], [0.0, 40.0])  # K_q = 0
+    assert np.array_equal(solver_grid(piecewise, gs), np.union1d(plain, [T / 2]))
 
 
 def _cell_sums(z, closed):

@@ -5,7 +5,6 @@ and residual polishing.  Problem-level searches are checked against the
 trigonometric spectra of point boundary forms.
 """
 
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -380,11 +379,11 @@ def test_shared_newton_polishes_a_double_zero(double, other, offset):
 
 
 @pytest.mark.parametrize("n_samples, edge_gap", [(64, 0.05), (10, None)])
-def test_seeds_no_worse_than_the_midpoint_rule(n_samples, edge_gap):
+def test_seeds_no_worse_than_the_midpoint_rule(n_samples, edge_gap, monkeypatch):
     # refined contours (one zero within edge_gap of the top edge) and a coarse n_samples = 10:
     # over 40 fixed draws of 1-4 zeros the by-parts seeds miss by less in the median
     rng = np.random.default_rng(12)
-    box = replace(_SEED_BOX, n_samples=n_samples)
+    monkeypatch.setattr(spectrum_finder, "_EDGE_SAMPLES", n_samples)
     errors = []
     while len(errors) < 40:
         k = rng.integers(1, 5)
@@ -393,7 +392,7 @@ def test_seeds_no_worse_than_the_midpoint_rule(n_samples, edge_gap):
             roots[0] = roots[0].real + 1j * (2.0 - rng.uniform(0.01, edge_gap))
         if not _apart(roots):
             continue
-        cr = spectrum_finder._winding(lambda lam: _exp_poly(roots, lam), box)
+        cr = spectrum_finder._winding(lambda lam: _exp_poly(roots, lam), _SEED_BOX)
         if edge_gap is not None and len(cr.points) == 4 * n_samples:
             continue  # not refined
         errors.append([_seed_error(roots, f(cr)) for f in (spectrum_finder._moment_seeds, _midpoint_seeds)])
