@@ -554,7 +554,10 @@ def _run_scenario(cfg: RunConfig, args):
         return payload, (["lambda_re", "lambda_im", "count", "members"], rows)
     g = opts["grid"]
     lam = np.linspace(g["start"], g["stop"], int(g["count"])) + 1j * g["imag"]
-    rep = scenarios.verify_counterexample(built, lam, tol=opts["tol"])
+    try:
+        rep = scenarios.verify_counterexample(built, lam, tol=opts["tol"])
+    except InputError as e:  # the grid's reach or a grid point under a pole guard
+        raise ConfigError([(".scenario.grid", str(e))]) from None
     payload = {
         "name": built.name,
         "params": built.params,

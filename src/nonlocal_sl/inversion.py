@@ -76,7 +76,7 @@ class BasisSpec:
         if self.kind not in _BASES:
             raise InputError(f"unknown basis {self.kind!r}; expected cosine or piecewise")
         _integer("dim", self.dim, 1)
-        if not self.T > 0:
+        if isinstance(self.T, bool) or not self.T > 0:
             raise InputError("basis needs a positive interval length")
 
     @classmethod
@@ -555,7 +555,7 @@ class ReconstructOptions:
 
     def __post_init__(self):
         _integer("starts", self.starts, 1)
-        if not self.tol >= 0:  # NaN fails too
+        if isinstance(self.tol, bool) or not self.tol >= 0:  # NaN fails too
             raise InputError("tol must be a non-negative number")
         _integer("max_iter", self.max_iter, 0)
         _integer("seed", self.seed, 0)

@@ -42,6 +42,17 @@ blocked layout) is one `Discretization`, so lambda enters only the sweep; a
 problem (`characteristic.ProblemSpec`) holds one per GridSpec for as long as
 it lives, so repeat evaluations of it skip all of that.
 
+A discretization stores q's samples and the forms' weights as float64 when
+their imaginary parts are all exactly zero, and a sweep computes in the
+result dtype of those arrays and its lambda: real arithmetic for a real
+problem at real lambda, promoted to complex only in what the sweep returns.
+Complex arithmetic keeps a zero imaginary part exactly zero, and its real
+parts of sums, products, abs, frexp and ldexp are the real results, so both
+paths give the same bits.  Where numpy's real and complex kernels round
+differently, the sweep computes as the complex path does: the layout scales
+by 1/6 and 1/12 (complex division by a real multiplies by the reciprocal),
+and the forms' contraction and the closed-form sums run in complex.
+
 Branch convention: rho = sqrt(lambda) with Im rho >= 0, and rho >= 0 when
 lambda is real non-negative.
 """
@@ -275,14 +286,19 @@ def _series_coefficients(z_bound: np.ndarray) -> np.ndarray:
 
 
 def _closed_sums(z: np.ndarray) -> np.ndarray:
-    """Q2, Q3, NC and ND at z from cosh and sinh, shape (4,) + z.shape; for |z| > _Z_MAX."""
-    z = np.asarray(z, dtype=complex)
-    x = np.sqrt(z)
+    """Q2, Q3, NC and ND at z from cosh and sinh, shape (4,) + z.shape; for |z| > _Z_MAX.
+
+    They are evaluated in complex, where sqrt(z) of a real z < 0 lives, and
+    returned in z's own dtype: the real parts for a real z.
+    """
+    zc = np.asarray(z, dtype=complex)
+    x = np.sqrt(zc)
     C = np.cosh(x)
     S = np.sinh(x) / x
-    q2 = (C - 1.0) / z
-    q3 = (S - 1.0) / z
-    return np.stack([q2, q3, (4.0 * q2 - 12.0 * q3) / z, (4.0 * q2 - S - 1.0) / (z * z)])
+    q2 = (C - 1.0) / zc
+    q3 = (S - 1.0) / zc
+    sums = np.stack([q2, q3, (4.0 * q2 - 12.0 * q3) / zc, (4.0 * q2 - S - 1.0) / (zc * zc)])
+    return sums if np.iscomplexobj(z) else sums.real
 
 
 def _sums(z: np.ndarray, coef: np.ndarray, wide=None) -> np.ndarray:
@@ -364,7 +380,7 @@ def _guard_rule_poles(z: np.ndarray, tol: float, label):
     big = np.abs(z) > _Z_MAX
     if not big.any():
         return
-    x = np.sqrt(z[big])
+    x = np.sqrt(z[big].astype(complex))  # complex: a real z < 0 has an imaginary root
     S = np.sinh(x) / x
     amp = np.zeros(z.shape)
     with np.errstate(divide="ignore"):
@@ -375,7 +391,7 @@ def _guard_rule_poles(z: np.ndarray, tol: float, label):
         i = int(np.argmax(amp[r]))
         raise RangeError(
             f"{label(i % z.shape[2])}: a density cell (h^2 cbar = "
-            f"{z[r].flat[i]:.6g}) sits next to a pole of the fitted rule, whose rounding there "
+            f"{complex(z[r].flat[i]):.6g}) sits next to a pole of the fitted rule, whose rounding there "
             f"({_EPS * amp[r].flat[i]:.1e}) exceeds the grid tolerance {tol:.0e}"
         )
 
@@ -450,7 +466,7 @@ def _blocked(ws, reverse: bool, N: int, L: int, B: int):
     """
     if all(w is None for w in ws):
         return None
-    out = np.zeros((len(ws), (B + 1) * L), dtype=complex)
+    out = np.zeros((len(ws), (B + 1) * L), dtype=np.result_type(*(w for w in ws if w is not None)))
     for f, w in enumerate(ws):
         if w is not None:
             w = np.asarray(w)[::-1] if reverse else np.asarray(w)
@@ -469,7 +485,7 @@ def _cells_blocked(ds, reverse: bool, h: np.ndarray, N: int, L: int, B: int):
     """
     if all(d is None for d in ds):
         return None
-    out = np.zeros((4, len(ds), B * L), dtype=complex)
+    out = np.zeros((4, len(ds), B * L), dtype=np.result_type(h, *(d for d in ds if d is not None)))
     for f, d in enumerate(ds):
         if d is not None:
             d0, d1 = np.asarray(d)
@@ -479,6 +495,13 @@ def _cells_blocked(ds, reverse: bool, h: np.ndarray, N: int, L: int, B: int):
     return np.ascontiguousarray(out.reshape(4, len(ds), B, L).transpose(0, 1, 3, 2))
 
 
+def _exact_real(a):
+    """`a` as a float64 copy when every imaginary part is exactly zero, else `a` itself."""
+    if a is None or a.dtype.kind != "c" or np.count_nonzero(a.imag):
+        return a
+    return a.real.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """Everything a sweep needs but lambda: the grid, q's step samples and the forms' node weights.
@@ -486,8 +509,11 @@ class Discretization:
     `samples` holds (q_left, q_mid, q_right) per step, each of shape (n-1, P)
     with one column per candidate potential (P = 1 for one q).
     `weights` lists forms, each (Wy, Wd, D) as `integrate_family` reads them.
-    Each side's sweep layout, everything the sweep derives from these, is
-    built on its first use and kept, so a caller that holds one
+    Each of these arrays is stored as float64 when all its imaginary parts
+    are exactly zero, as for a real q and real measures, and keeps its
+    complex dtype otherwise; a sweep at real lambda then runs in real
+    arithmetic.  Each side's sweep layout, everything the sweep derives
+    from these, is built on its first use and kept, so a caller that holds one
     discretization per problem pays for it once.  Every sweep of the
     problem shares these arrays, so they are made read-only here: a caller
     that writes into one fails at once instead of moving later values.
@@ -500,6 +526,8 @@ class Discretization:
     _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "samples", tuple(_exact_real(v) for v in self.samples))
+        object.__setattr__(self, "weights", tuple(tuple(_exact_real(w) for w in form) for form in self.weights))
         for a in (self.grid, *self.samples, *(w for form in self.weights for w in form)):
             if a is not None:
                 a.flags.writeable = False
@@ -549,8 +577,10 @@ class _Layout:
         qa, qm, qb = disc.samples
         sa, sm, sb = (qb[::-1], qm[::-1], qa[::-1]) if reverse else (qa, qm, qb)
         pad = np.zeros((1, sm.shape[1]))
-        self.qbar = np.concatenate([(sa + 4.0 * sm + sb) / 6.0, pad])  # (N + 1, P)
-        self.a = -(h**2) * np.concatenate([sb - sa, pad]) / 12.0  # lambda cancels in c_b - c_a
+        # times 1/6 and 1/12 rather than divided by 6 and 12: complex division by a real
+        # multiplies by its reciprocal, so real and complex samples round alike
+        self.qbar = np.concatenate([(sa + 4.0 * sm + sb) * (1.0 / 6.0), pad])  # (N + 1, P)
+        self.a = -(h**2) * np.concatenate([sb - sa, pad]) * (1.0 / 12.0)  # lambda cancels in c_b - c_a
         # per column, the lambda-free part of the series bound, and the largest |a|
         self.z_free = (np.abs(self.a) ** 2 + h**2 * np.abs(self.qbar)).max(axis=0)
         self.h2_max, self.a_max = float(np.max(h**2)), np.abs(self.a).max(axis=0)
@@ -599,6 +629,13 @@ def integrate_family(
     times that start: no cell is evaluated twice.  Lambda enters only
     here: the grid, the samples and the blocked weights come from `disc`.
 
+    The cells, the rule's weights, both passes and the stored nodes are
+    computed in np.result_type of `disc`'s samples and weights and of lambda,
+    taken as real when every lambda of the batch is: float64 for a real
+    problem at real lambda.  `forms`, `end` and the stored `y`/`dy` are
+    complex either way, and equal the complex path's bit for bit (see the
+    module docstring).
+
     The first pass takes the block offsets in chunks (see _CHUNK), cut where
     offsets with and without density cells meet: the cells, the rule's
     weights and each node's summed weight come from one call per chunk, on
@@ -637,11 +674,14 @@ def integrate_family(
     shift = float(lay.a_max[cols].max(initial=0.0)) ** 2 <= _A2_SHIFT
     L, B, steps, F = lay.L, lay.B, lay.steps, len(disc.weights)
     Wy, Wd, dens, rule_at, nodes = lay.Wy, lay.Wd, lay.dens, lay.rule_at, lay.nodes
+    # the working dtype: float64 when lambda, the samples and the forms are all real
+    lam_w = lam if np.count_nonzero(lam.imag) else lam.real
+    dt = np.result_type(qbar, lam_w, *(x for x in (Wy, Wd, dens) if x is not None))
 
     def step_cells(t, rule=False):
         """`_cell` at the steps t, rows of `steps`, in the order of t.ravel()."""
         t = t.ravel()
-        cbar = qbar[t] - lam
+        cbar = qbar[t] - lam_w
         if rule and wide is not None:
             z = (h_sw[t] ** 2 * cbar[:, wide]).reshape(-1, B, np.count_nonzero(wide))
             _guard_rule_poles(z, spec.tol, lambda k: f"lambda = {lam[wide][k]:.10g}")
@@ -656,8 +696,8 @@ def integrate_family(
     # for a chunk of offsets at once, offset j's blocks in rows
     # (j - j0) B to (j - j0 + 1) B (see _CHUNK); a chunk's offsets either all
     # have density cells or none does.
-    cy = np.zeros((F, B + 1, m), dtype=complex)
-    cd = np.zeros((F, B + 1, m), dtype=complex)
+    cy = np.zeros((F, B + 1, m), dtype=dt)
+    cd = np.zeros((F, B + 1, m), dtype=dt)
     if Wy is not None:
         cy += Wy[:, :, 0, None]
     if Wd is not None:
@@ -751,6 +791,8 @@ def integrate_family(
     Ys, Ds = np.concatenate([start, T], axis=2).transpose(0, 2, 3, 1)
     Es = np.concatenate([np.zeros((1, m), dtype=np.int64), E])
     Ss = Es * log(2.0)
+    # the forms' contraction runs in complex whatever dt is: numpy's real einsum sums in another order
+    Yc, Dc = Ys.astype(complex, copy=False), Ds.astype(complex, copy=False)
 
     # each form's sum is scaled to the largest block-start exponent it weighs
     forms = forms_s = None
@@ -759,7 +801,8 @@ def integrate_family(
         top = np.where(lay.used[..., None], Es, low).max(axis=1)
         top = np.where(top == low, 0, top)
         f = np.ldexp(1.0, np.minimum(Es - top[:, None], 0))
-        forms = np.einsum("fbm,bmk->fmk", cy * f, Ys) + np.einsum("fbm,bmk->fmk", cd * f, Ds)
+        forms = np.einsum("fbm,bmk->fmk", (cy * f).astype(complex, copy=False), Yc)
+        forms += np.einsum("fbm,bmk->fmk", (cd * f).astype(complex, copy=False), Dc)
         forms_s = top * log(2.0)
 
     # a stored sweep reads node b L + j as P_j of block b times the block's start
@@ -772,6 +815,7 @@ def integrate_family(
             np.concatenate([(p0 * Yb + p1 * Db).reshape(B * L, m, k)[:N], e[B:]])
             for p0, p1, e in ((Pj[0], Pj[1], Ys), (Pj[2], Pj[3], Ds))
         )
+        y_st, dy_st = y_st.astype(complex, copy=False), dy_st.astype(complex, copy=False)
         s_st = np.concatenate([np.repeat(Ss[:B], L, axis=0)[:N], Ss[B:]])
         if side == "Z":
             y_st, dy_st, s_st = y_st[::-1], dy_st[::-1], s_st[::-1]
@@ -784,7 +828,7 @@ def integrate_family(
         y=y_st,
         dy=dy_st,
         s=s_st,
-        end=tuple(a[B].copy() for a in (Ys, Ds, Ss)),
+        end=tuple(a[B].copy() for a in (Yc, Dc, Ss)),
     )
 
 

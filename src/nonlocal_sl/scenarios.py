@@ -234,12 +234,20 @@ def verify_counterexample(cfg: ScenarioConfig, lam_grid, tol: float = 1e-6) -> C
     """Deviation maxima over the grid, sup distance of the potentials, and
     the disjointness report; deviations are divided by the local modulus
     scale so `tol`-style thresholds apply directly.  The disjointness and
-    containment checks search the box [-3, max Re lambda + 10] x [-1, 1]."""
+    containment checks search the box [-3, max Re lambda + 10] x [-1, 1], so
+    a grid with max Re lambda <= -13 raises InputError."""
     if cfg.spec_mirror is None:
         raise InputError("verification needs a mirror pair scenario")
     lam = np.asarray(lam_grid, dtype=complex)
     if lam.size == 0:
         raise InputError("the lambda grid is empty")
+    top = float(np.max(lam.real))
+    hi = top + 10.0
+    if hi <= -3.0:
+        raise InputError(
+            f"the lambda grid's largest Re lambda is {top:.6g}, so the box [-3, {hi:.6g}] x [-1, 1] "
+            "searched for condition S is empty; the grid needs a point with Re lambda > -13"
+        )
     ca = char_batch(cfg.spec, lam)
     cb = char_batch(cfg.spec_mirror, lam)
     ma, oka = ca.weyl_M_values()
@@ -250,7 +258,6 @@ def verify_counterexample(cfg: ScenarioConfig, lam_grid, tol: float = 1e-6) -> C
     scale = ca.scale()
     dev = lambda u, v: float(np.max(np.abs(u - v) / scale))
     m_dev = float(np.max(np.abs(ma - mb) / (1.0 + np.abs(ma) + np.abs(mb))))
-    hi = float(np.max(lam.real)) + 10.0
     box = SearchBox(re_min=-3.0, re_max=hi, im_min=-1.0, im_max=1.0)
     report = condition_S(cfg.spec, box, 10.0 * tol, real_axis=cfg.spec.is_real)
     containment = None

@@ -325,10 +325,11 @@ def _nonlocal_u1(**measure):
 
 
 # One malformed config per validator branch, with the exact stderr lines
-# ("config error at " is dropped from each).  The n_cells row and the last
-# five rows were faults: a fractional cell count ran truncated, text
-# breakpoints and a list among the quantities escaped as tracebacks, and
-# true or 1.0 passed as an order.
+# ("config error at " is dropped from each).  The n_cells row, the grid
+# reach row and the last five rows were faults: a fractional cell count ran
+# truncated, a grid below Re lambda = -13 failed on an empty search box that
+# named neither, text breakpoints and a list among the quantities escaped as
+# tracebacks, and true or 1.0 passed as an order.
 ERROR_LINES = [
     ("unknown_top", "spectrum", _bad(extra=1), [".extra: unknown field"]),
     ("missing_fields", "spectrum", {"T": 3.0, "spectrum": {"box": BOX}},
@@ -439,6 +440,10 @@ ERROR_LINES = [
      [".scenario.params.q: unknown field"]),
     ("scenario_n_cells", "scenario", {"scenario": {"name": "counterexample1", "params": {"n_cells": 1000.5}}},
      [".scenario.params.n_cells: expected an integer"]),
+    ("scenario_grid_reach", "scenario",
+     {"scenario": {"name": "counterexample1", "grid": {"start": -30.0, "stop": -20.0, "count": 5}}},
+     [".scenario.grid: the lambda grid's largest Re lambda is -20, so the box [-3, -10] x [-1, 1] searched for "
+      "condition S is empty; the grid needs a point with Re lambda > -13"]),
     ("density_text", "spectrum", _nonlocal_u1(density={"breakpoints": ["a", 1.0], "values": [[1, 0], [1, 0]]}),
      [".U1.measure.density.breakpoints: expected at least two numbers"]),
     ("order_true", "spectrum", _bad(U1={"type": "point", "x": 0.0, "order": True}), [".U1.order: expected 0 or 1"]),

@@ -214,10 +214,11 @@ def test_recovery_from_two_spectra(truth, target):
         ({"starts": 0}, "starts must be at least 1"),
         ({"tol": -1.0}, "tol must be a non-negative number"),
         ({"tol": float("nan")}, "tol must be a non-negative number"),
+        ({"tol": True}, "tol must be a non-negative number"),  # not read as 1
         ({"max_iter": -1}, "max_iter must be at least 0"),
         ({"seed": -1}, "seed must be at least 0"),
     ],
-    ids=["starts", "tol_negative", "tol_nan", "max_iter", "seed"],
+    ids=["starts", "tol_negative", "tol_nan", "tol_true", "max_iter", "seed"],
 )
 def test_reconstruct_options_reject_bad_values(truth, bad, message):
     with pytest.raises(InputError, match=message):
@@ -242,6 +243,12 @@ def test_integer_fields_reject_other_numbers(truth, make, field):
     # each used to pass and then fail in reconstruct with a TypeError, or run truncated
     with pytest.raises(InputError, match=f"^{field} must be an integer, got"):
         make(truth)
+
+
+def test_basis_rejects_a_boolean_length():
+    # not a basis on [0, 1]
+    with pytest.raises(InputError, match="basis needs a positive interval length"):
+        BasisSpec("cosine", True, 2)
 
 
 def test_tied_starts_report_the_converged_run(truth, target, monkeypatch):

@@ -113,6 +113,18 @@ class TestTruncatedSupportPair:
         assert rep.lambda2_containment is not None
         assert rep.lambda2_containment < 1e-8
 
+    @pytest.mark.parametrize("stop", [-20.0, -13.0])
+    def test_grid_that_leaves_the_s_box_empty_is_named(self, ctrex2, stop):
+        # condition S is searched on [-3, max Re lambda + 10] x [-1, 1]; a grid that leaves it
+        # empty is named with its reach and the box, before any sweep
+        cfg, _, _ = ctrex2
+        want = (
+            f"the lambda grid's largest Re lambda is {stop:g}, so the box \\[-3, {stop + 10:g}\\] x \\[-1, 1\\] "
+            "searched for condition S is empty"
+        )
+        with pytest.raises(InputError, match=want):
+            verify_counterexample(cfg, np.linspace(-30.0, stop, 5) + 0.5j)
+
 
 class TestOverlapRule:
     def test_commensurate_point_splits_one_or_all(self):
