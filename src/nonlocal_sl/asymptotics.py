@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristic import ProblemSpec, char_batch, node_weights
-from .errors import InputError, RangeError
+from .errors import InputError, RangeError, _order, _pair_list, _reals, _scalar
 from .measure import LinearForm
 from .ode_core import Discretization, SpectralPoint, _node_index, integrate_family, principal_rho
 
@@ -113,20 +113,21 @@ class RaySpec:
         if self.kind not in ("Pi_delta", "G_delta"):
             raise InputError(f"unknown ray domain {self.kind!r}")
         if not self.delta > 0:
-            raise InputError("delta must be positive")
+            raise InputError("delta must be positive", field="delta")
         r = np.asarray(self.radii, dtype=float)
-        if len(r) == 0 or np.any(r <= 0) or np.any(np.diff(r) <= 0):
-            raise InputError("radii must be positive and strictly increasing")
+        if len(r) == 0 or not np.all(np.isfinite(r)) or np.any(r <= 0) or np.any(np.diff(r) <= 0):
+            raise InputError("radii must be finite, positive and strictly increasing", field="radii")
         if self.kind == "Pi_delta":
             if not self.delta < math.pi / 2:
-                raise InputError("Pi_delta needs delta in (0, pi/2)")
+                raise InputError("Pi_delta needs delta in (0, pi/2)", field="delta")
             if not (self.delta - 1e-12 <= self.angle <= math.pi - self.delta + 1e-12):
                 raise InputError(
-                    f"arg rho = {self.angle} is outside [delta, pi - delta] for delta={self.delta}"
+                    f"arg rho = {self.angle} is outside [delta, pi - delta] for delta={self.delta}",
+                    field="angle",
                 )
         else:
             if not (0.0 <= self.angle <= math.pi):
-                raise InputError("G_delta rays live in the closed upper half-plane")
+                raise InputError("G_delta rays live in the closed upper half-plane", field="angle")
             if self.reference:
                 ref = np.asarray(self.reference, dtype=complex)
                 pts = r * np.exp(1j * self.angle)
@@ -135,7 +136,8 @@ class RaySpec:
                 if len(bad):
                     raise InputError(
                         f"ray point |rho|={r[bad[0]]} is within delta={self.delta} "
-                        "of a spectral point; adjust the radii"
+                        "of a spectral point; adjust the radii",
+                        field="radii",
                     )
 
     @classmethod
@@ -157,50 +159,80 @@ class RaySpec:
         return np.asarray(self.radii, dtype=float) * np.exp(1j * self.angle)
 
 
-def _check_args(quantity: str, x, spec: ProblemSpec, order: int) -> float | None:
-    """The checks `predict` and `asym_report` share: quantity, order and x.
+def _read_ray(ctx, d, path: str):
+    """The RaySpec that d at `path` describes, or None after any problem: its kind (Pi_delta unless
+    given), angle, delta and radii where given, and a G_delta ray's reference eigenvalues."""
+    if not ctx.obj(d, path, ("kind", "angle", "delta", "radii", "reference")):
+        return None
+    kind, reference = d.get("kind", "Pi_delta"), None
+    if kind not in ("Pi_delta", "G_delta"):
+        ctx.err(f"{path}.kind", "expected Pi_delta or G_delta")
+    kw = {"angle": _scalar(ctx, d.get("angle"), f"{path}.angle")}
+    if "delta" in d:
+        kw["delta"] = _scalar(ctx, d["delta"], f"{path}.delta")
+    if "radii" in d:
+        kw["radii"] = d["radii"]
+        if not _reals(d["radii"]):
+            ctx.err(f"{path}.radii", "expected a list of numbers")
+    if kind == "G_delta" and "reference" not in d:
+        ctx.err(f"{path}.reference", "G_delta needs reference eigenvalues")
+    elif kind == "G_delta":
+        reference = _pair_list(ctx, d["reference"], f"{path}.reference")
+    elif "reference" in d:
+        ctx.err(f"{path}.reference", "only meaningful for G_delta")
+    if ctx.errors:
+        return None
+    if reference is None:
+        return ctx.build(path, lambda: RaySpec.pi_delta(**kw))
+    return ctx.build(path, lambda: RaySpec.g_delta(reference=reference, **kw))
+
+
+def _check_args(quantity: str, x, spec: ProblemSpec, order: int, kind: str = "Pi_delta") -> float | None:
+    """The checks `predict` and `asym_report` share: quantity, order and x, pointwise on a G_delta ray.
 
     Returns x as a float (None for Delta1 and Delta11).
     """
+    if kind == "G_delta" and quantity in ("Delta1", "Delta11"):
+        raise InputError("G_delta bounds cover Phi, v1, varphi and v2 only", field="quantity")
     if quantity not in _QUANTITIES:
-        raise InputError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+        raise InputError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}", field="quantity")
     if order not in (0, 1):
-        raise InputError("order must be 0 or 1")
+        raise InputError("order must be 0 or 1", field="order")
     T = spec.T
     if quantity in ("Delta1", "Delta11"):
         if order != 0:
-            raise InputError(f"{quantity} has no derivative orders")
+            raise InputError(f"{quantity} has no derivative orders", field="order")
         if x is not None:
-            raise InputError(f"{quantity} prediction takes no evaluation point x")
+            raise InputError(f"{quantity} prediction takes no evaluation point x", field="x")
         return None
     if x is None:
-        raise InputError(f"{quantity} prediction needs an evaluation point x")
+        raise InputError(f"{quantity} prediction needs an evaluation point x", field="x")
     try:
         x = float(x)
     except (TypeError, ValueError):
-        raise InputError(f"evaluation point x must be a real number, got {x!r}") from None
+        raise InputError(f"evaluation point x must be a real number, got {x!r}", field="x") from None
     a = spec.form1.support_end
     if quantity == "Phi":
         if not (0.0 <= x < T):
-            raise InputError("Phi leading term holds for x in [0, T)")
+            raise InputError("Phi leading term holds for x in [0, T)", field="x")
     elif quantity == "v1":
         # The open right end is the stated range; the endpoint value stays
         # within a bounded factor of the prediction, so x = T is allowed.
         if not (0.0 <= x <= T):
-            raise InputError("v1 leading term holds for x in [0, T]")
+            raise InputError("v1 leading term holds for x in [0, T]", field="x")
     elif quantity == "varphi":
         if not (0.0 < x <= T):
-            raise InputError("varphi leading term holds for x in (0, T]")
+            raise InputError("varphi leading term holds for x in (0, T]", field="x")
         if x < a / 2:
             raise InputError(
-                f"varphi leading term needs x >= a/2 = {a / 2} (support end a = {a})"
+                f"varphi leading term needs x >= a/2 = {a / 2} (support end a = {a})", field="x"
             )
     else:  # v2
         if not (0.0 <= x < T):
-            raise InputError("v2 leading term holds for x in [0, T)")
+            raise InputError("v2 leading term holds for x in [0, T)", field="x")
         if x < a / 2:
             raise InputError(
-                f"v2 leading term needs x >= a/2 = {a / 2} (support end a = {a})"
+                f"v2 leading term needs x >= a/2 = {a / 2} (support end a = {a})", field="x"
             )
     return x
 
@@ -424,9 +456,7 @@ def asym_report(
     `rel_error` is meaningful; for G_delta rays it is the bound envelope
     (no constants) and `ratio` is the boundedness proxy.
     """
-    if rays.kind == "G_delta" and quantity in ("Delta1", "Delta11"):
-        raise InputError("G_delta bounds cover Phi, v1, varphi and v2 only")
-    x = _check_args(quantity, x, spec, order)
+    x = _check_args(quantity, x, spec, order, rays.kind)
     pts = rays.points()
     lams = pts**2
     computed = _computed_values(quantity, x, lams, spec, order)
@@ -451,3 +481,19 @@ def asym_report(
             )
         )
     return AsymReport(quantity=quantity, x=None if x is None else float(x), order=order, ray=rays, rows=tuple(rows))
+
+
+def _read_asym(ctx, d, path: str, spec: ProblemSpec | None):
+    """`asym_report`'s arguments but the problem, from d at `path` (quantity, x, order and a ray
+    object that `_read_ray` reads), or None after any problem; checked against `spec` where given."""
+    if not ctx.obj(d, path, ("quantity", "x", "order", "ray")):
+        return None
+    args = {
+        "quantity": d.get("quantity"),
+        "x": None if d.get("x") is None else _scalar(ctx, d["x"], f"{path}.x"),
+        "order": _order(ctx, d.get("order", 0), f"{path}.order"),
+        "rays": _read_ray(ctx, d.get("ray"), f"{path}.ray"),
+    }
+    if not ctx.errors and spec is not None:
+        ctx.build(path, _check_args, args["quantity"], args["x"], spec, args["order"], args["rays"].kind)
+    return None if ctx.errors else args

@@ -5,11 +5,15 @@ fields are rejected with their path, so a typo in a measure cannot silently
 change the problem.  All outputs are byte-stable across reruns with the
 same config and seed.
 
-The library reads the problem's schema: `q`, `U1` and `U2` go through the
-reader behind `ProblemSpec.from_dict`, whose paths are the config's own, and
-a target through `InverseTarget.from_dict`.  This module checks what is its
-own: the top-level `T` (required once any problem field is present, and
-matched by `q.T`), seed, threads, output and the command sections.
+The library reads every value it takes, by the readers beside its types, so
+each value rule and default is stated once: the problem (`q`, `U1`, `U2`,
+with the config's paths), a target, and the section fields that make a
+SearchBox, RaySpec, BasisSpec, ReconstructOptions or named scenario.  This
+module owns the rest: the command names and flags; the top-level `T`
+(required once any problem field is present, and matched by `q.T`), seed,
+threads and output; and the section fields no library type takes (`which`,
+`kind`, `n_each`, `dim`, `basis`, the scenario grid, `d_count` and box, and
+a `tol` whose function states no rule).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure,
 4 failed regression criterion.
@@ -29,9 +33,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import ConfigError, InputError, NumericalError, _Ctx, _number, _order, _pair_list, _reals, _whole
+from .errors import ConfigError, InputError, NumericalError, _Ctx, _number, _pair_list, _reals, _whole
 
 # argparse checks these choices before any numerics load, so they cannot be
 # read from the library; they serve argparse only, and a test pins them to
@@ -45,33 +49,7 @@ _PROBLEM = ("q", "U1", "U2")  # with T, the config's problem fields
 # Schema validation
 
 
-def _interval(ctx, v, path):
-    if not (_reals(v) and len(v) == 2):
-        ctx.err(path, "expected [low, high]")
-        return None
-    if not v[0] < v[1]:
-        ctx.err(path, "low must be below high")
-        return None
-    return float(v[0]), float(v[1])
-
-
-def _box(ctx, v, path):
-    """A search box {re: [lo, hi], im: [lo, hi]} as (re_min, re_max, im_min, im_max)."""
-    if not isinstance(v, dict):
-        ctx.err(path, "expected an object with re and im ranges")
-        return None
-    ctx.strict(v, path, {"re", "im"})
-    re = _interval(ctx, v.get("re"), f"{path}.re")
-    im = _interval(ctx, v.get("im"), f"{path}.im")
-    return None if re is None or im is None else (*re, *im)
-
-
-def _threads(ctx, raw):
-    threads = raw.get("threads")
-    return None if threads is None else _whole(ctx, threads, ".threads", 1)
-
-
-def _sec_forward(ctx, d, path):
+def _sec_forward(ctx, d, path, cfg):
     from .characteristic import _NAMES
 
     ctx.strict(d, path, {"lambdas", "quantities"})
@@ -89,22 +67,24 @@ def _sec_forward(ctx, d, path):
     return {"lambdas": lam, "quantities": quantities}
 
 
-def _sec_spectrum(ctx, d, path):
+def _sec_spectrum(ctx, d, path, cfg):
+    """`problem_spectrum`'s arguments but the problem; tol and real_axis only where given."""
     from .characteristic import _NAMES
+    from .spectrum_finder import _read_box
 
     ctx.strict(d, path, {"which", "box", "tol", "real_axis"})
-    which = d.get("which", "delta1")
-    if which not in _NAMES:
+    out = {"which": "delta1", **d}
+    if out["which"] not in _NAMES:
         ctx.err(f"{path}.which", f"expected one of {_NAMES}")
-    box = _box(ctx, d.get("box"), f"{path}.box")
-    tol = _number(ctx, d.get("tol", 1e-8), f"{path}.tol", positive=True)
-    real_axis = d.get("real_axis", False)
-    if not isinstance(real_axis, bool):
+    out["box"] = _read_box(ctx, d.get("box"), f"{path}.box")
+    if "tol" in d:
+        _number(ctx, d["tol"], f"{path}.tol", positive=True)
+    if not isinstance(out.get("real_axis", False), bool):
         ctx.err(f"{path}.real_axis", "expected true or false")
-    return {"which": which, "box": box, "tol": tol, "real_axis": real_axis}
+    return out
 
 
-def _sec_weyl(ctx, d, path):
+def _sec_weyl(ctx, d, path, cfg):
     ctx.strict(d, path, {"lambdas", "which", "xi_count"})
     lam = _pair_list(ctx, d.get("lambdas"), f"{path}.lambdas")
     which = d.get("which", "M")
@@ -114,75 +94,33 @@ def _sec_weyl(ctx, d, path):
     return {"lambdas": lam, "which": which, "xi_count": n_xi}
 
 
-def _sec_asym(ctx, d, path):
-    from .asymptotics import _DEFAULT_RADII, _QUANTITIES
+def _sec_asym(ctx, d, path, cfg):
+    from .asymptotics import _read_asym
 
-    ctx.strict(d, path, {"quantity", "x", "order", "ray"})
-    quantity = d.get("quantity")
-    if quantity not in _QUANTITIES:
-        ctx.err(f"{path}.quantity", f"expected one of {_QUANTITIES}")
-    x = None
-    if d.get("x") is not None:
-        x = _number(ctx, d["x"], f"{path}.x")
-    order = _order(ctx, d.get("order", 0), f"{path}.order")
-    ray, p = d.get("ray"), f"{path}.ray"
-    if not ctx.obj(ray, p, {"kind", "angle", "delta", "radii", "reference"}):
-        return None
-    kind = ray.get("kind", "Pi_delta")
-    if kind not in ("Pi_delta", "G_delta"):
-        ctx.err(f"{p}.kind", "expected Pi_delta or G_delta")
-    angle = _number(ctx, ray.get("angle"), f"{p}.angle")
-    delta = _number(ctx, ray.get("delta", 0.1), f"{p}.delta", positive=True)
-    radii = ray.get("radii", list(_DEFAULT_RADII))
-    if not _reals(radii, 2) or any(a >= b for a, b in zip(radii, radii[1:])):
-        ctx.err(f"{p}.radii", "expected an increasing list of at least two radii")
-    reference = None
-    if kind == "G_delta":
-        if "reference" not in ray:
-            ctx.err(f"{p}.reference", "G_delta needs reference eigenvalues")
-        else:
-            reference = _pair_list(ctx, ray["reference"], f"{p}.reference")
-    elif "reference" in ray:
-        ctx.err(f"{p}.reference", "only meaningful for G_delta")
-    ray = {"kind": kind, "angle": angle, "delta": delta, "radii": radii, "reference": reference}
-    return {"quantity": quantity, "x": x, "order": order, "ray": ray}
+    return _read_asym(ctx, d, path, cfg.problem)
 
 
-# The section's defaults; its keys are also the fields the section accepts.
-_INVERT_DEFAULTS = {
-    "kind": "two_spectra",
-    "n_each": 8,
-    "lambdas": None,
-    "xi_count": 6,
-    "data": None,
-    "basis": "cosine",
-    "dim": 4,
-    "starts": 5,
-    "tol": 1e-9,
-    "max_iter": 60,
-    "initial": None,
-}
+# The section's own defaults; its other fields default in the library (xi_count
+# in make_weyl_target, starts, tol and max_iter in ReconstructOptions).
+_INVERT_DEFAULTS = {"kind": "two_spectra", "n_each": 8, "basis": "cosine", "dim": 4}
+_INVERT_FIELDS = {*_INVERT_DEFAULTS, "lambdas", "xi_count", "data", "starts", "tol", "max_iter", "initial"}
 
 
-def _sec_invert(ctx, d, path):
-    from .inversion import _BASES, _KINDS
+def _sec_invert(ctx, d, path, cfg):
+    from .inversion import _KINDS, _read_options
 
-    ctx.strict(d, path, _INVERT_DEFAULTS)
-    out = {**_INVERT_DEFAULTS, **d}
+    ctx.strict(d, path, _INVERT_FIELDS)
+    out = {**_INVERT_DEFAULTS, "lambdas": None, "data": None, "initial": None, **d}
     if out["kind"] not in _KINDS:
         ctx.err(f"{path}.kind", f"expected one of {_KINDS}")
     out["n_each"] = _number(ctx, out["n_each"], f"{path}.n_each", integer=True, minimum=1)
     if "lambdas" in d:
         out["lambdas"] = _pair_list(ctx, d["lambdas"], f"{path}.lambdas")
-    out["xi_count"] = _number(ctx, out["xi_count"], f"{path}.xi_count", integer=True, minimum=1)
+    if "xi_count" in d:
+        out["xi_count"] = _number(ctx, d["xi_count"], f"{path}.xi_count", integer=True, minimum=1)
     if out["data"] is not None and not isinstance(out["data"], dict):
         ctx.err(f"{path}.data", "expected a serialized target object")
-    if out["basis"] not in _BASES:
-        ctx.err(f"{path}.basis", "expected cosine or piecewise")
-    out["dim"] = _number(ctx, out["dim"], f"{path}.dim", integer=True, minimum=1)
-    out["starts"] = _number(ctx, out["starts"], f"{path}.starts", integer=True, minimum=1)
-    out["tol"] = _number(ctx, out["tol"], f"{path}.tol", positive=True)
-    out["max_iter"] = _number(ctx, out["max_iter"], f"{path}.max_iter", integer=True, minimum=0)
+    out["options"] = _read_options(ctx, out, path, cfg.problem, cfg.seed)
     if "initial" in d:
         if _reals(d["initial"]):
             out["initial"] = [float(u) for u in d["initial"]]
@@ -191,44 +129,29 @@ def _sec_invert(ctx, d, path):
     return out
 
 
-# The section's defaults; its keys are also the fields the section accepts.
+# The section's own defaults; name and params are the library's to read, and
+# tol defaults in verify_counterexample.
 _SCENARIO_DEFAULTS = {
-    "name": None,
-    "params": {},
     "grid": {"start": 1.0, "stop": 90.0, "count": 50, "imag": 0.5},
-    "tol": 1e-6,
     "d_count": 6,
-    "box": (0.5, 60.0, -1.0, 1.0),
+    "box": {"re": [0.5, 60.0], "im": [-1.0, 1.0]},
 }
 
 
-def _sec_scenario(ctx, d, path):
-    from .scenarios import _NAMES, _PARAM_KEYS
+def _sec_scenario(ctx, d, path, cfg):
+    from .scenarios import _read_scenario
+    from .spectrum_finder import _read_box
 
-    ctx.strict(d, path, _SCENARIO_DEFAULTS)
-    out = {**_SCENARIO_DEFAULTS, **d}
-    name = out["name"]
-    if name not in _NAMES:
-        ctx.err(f"{path}.name", f"expected one of {_NAMES}")
-        return None
-    # every builder parameter but the potential q, which JSON cannot express
-    if ctx.obj(out["params"], f"{path}.params", _PARAM_KEYS[name] - {"q"}):
-        for k, v in out["params"].items():
-            _number(ctx, v, f"{path}.params.{k}", integer=k == "n_cells")
-        out["params"] = dict(out["params"])  # never the module default itself
-    grid, out["grid"] = out["grid"], dict(_SCENARIO_DEFAULTS["grid"])
-    if ctx.obj(grid, f"{path}.grid", out["grid"]):
-        for k in out["grid"]:
-            if k in grid:
-                count = k == "count"
-                at = f"{path}.grid.{k}"
-                v = _number(ctx, grid[k], at, integer=count, minimum=1 if count else None)
-                if v is not None:
-                    out["grid"][k] = v
-    out["tol"] = _number(ctx, out["tol"], f"{path}.tol", positive=True)
+    ctx.strict(d, path, {"name", "params", "tol", *_SCENARIO_DEFAULTS})
+    out = {**_SCENARIO_DEFAULTS, **d, "built": _read_scenario(ctx, d, path)}
+    if ctx.obj(out["grid"], f"{path}.grid", _SCENARIO_DEFAULTS["grid"]):
+        out["grid"] = {k: out["grid"].get(k, v) for k, v in _SCENARIO_DEFAULTS["grid"].items()}
+        for k, v in out["grid"].items():
+            _number(ctx, v, f"{path}.grid.{k}", integer=k == "count", minimum=1 if k == "count" else None)
+    if "tol" in d:
+        _number(ctx, d["tol"], f"{path}.tol", positive=True)
     out["d_count"] = _number(ctx, out["d_count"], f"{path}.d_count", integer=True, minimum=1)
-    if "box" in d:
-        out["box"] = _box(ctx, d["box"], f"{path}.box")
+    out["box"] = _read_box(ctx, out["box"], f"{path}.box")
     return out
 
 
@@ -246,17 +169,20 @@ _SECTION_CHECKS = {
 class RunConfig:
     """A validated configuration: the problem plus per-command options."""
 
-    problem: object | None = None
-    seed: int = 0
-    threads: int | None = None
-    output_path: str | None = None
-    output_format: str | None = None
+    problem: object | None
+    seed: int
+    output_path: str | None
+    output_format: str | None
     sections: dict = field(default_factory=dict)
 
 
-def _load(text: str, where: str = ".") -> dict:
+def _load(path: str, where: str, what: str) -> dict:
+    """The JSON object in the `what` file at `path`; a ConfigError at `where` if there is none."""
     try:
-        raw = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.loads(fh.read())
+    except OSError as e:
+        raise ConfigError([(where, f"cannot read {what} file: {e}")])
     except json.JSONDecodeError as e:
         raise ConfigError([(where, f"not valid JSON: {e}")])
     if not isinstance(raw, dict):
@@ -264,10 +190,14 @@ def _load(text: str, where: str = ".") -> dict:
     return raw
 
 
-def _validate(raw: dict) -> RunConfig:
-    """The RunConfig of a config object; raises ConfigError listing every problem."""
+def _validate(raw: dict, flags: dict | None = None) -> RunConfig:
+    """The RunConfig of a config object, its `threads` cap applied before any numerics load;
+    raises ConfigError listing every problem, a value that a flag set named by the flag
+    (`flags` maps its config path to the flag)."""
     ctx = _Ctx()
     ctx.strict(raw, "", {"T", *_PROBLEM, "seed", "threads", "output", *_SECTION_CHECKS})
+    if "threads" in raw:
+        _apply_threads(_whole(ctx, raw["threads"], ".threads", 1))
     problem = None
     missing = [k for k in ("T", *_PROBLEM) if k not in raw]
     if len(missing) <= len(_PROBLEM):  # some problem field is present
@@ -286,7 +216,6 @@ def _validate(raw: dict) -> RunConfig:
             problem = _read_problem(ctx, {k: raw[k] for k in _PROBLEM}, "", T)
 
     seed = _whole(ctx, raw.get("seed", 0), ".seed", 0)
-    threads = _threads(ctx, raw)
     out = raw.get("output", {})
     if not ctx.obj(out, ".output", {"path", "format"}):
         out = {}
@@ -295,14 +224,14 @@ def _validate(raw: dict) -> RunConfig:
     if out.get("format") is not None and out["format"] not in ("json", "csv"):
         ctx.err(".output.format", "expected json or csv")
 
-    sections = {}
+    cfg = RunConfig(problem, seed, out.get("path"), out.get("format"))
     for name, check in _SECTION_CHECKS.items():
         if name in raw and ctx.obj(raw[name], f".{name}"):
-            sections[name] = check(ctx, raw[name], f".{name}")
+            cfg.sections[name] = check(ctx, raw[name], f".{name}", cfg)
 
     if ctx.errors:
-        raise ConfigError(ctx.errors)
-    return RunConfig(problem, seed, threads, out.get("path"), out.get("format"), sections)
+        raise ConfigError([((flags or {}).get(p, p), m) for p, m in ctx.errors])
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +313,11 @@ def _run_forward(cfg: RunConfig, args):
 
 
 def _run_spectrum(cfg: RunConfig, args):
-    from .spectrum_finder import SearchBox, problem_spectrum
+    from .spectrum_finder import problem_spectrum
 
     spec = _need_problem(cfg)
     opts = _need(cfg, "spectrum")
-    box = SearchBox(*opts["box"])
-    sp = problem_spectrum(spec, opts["which"], box, tol=opts["tol"], real_axis=opts["real_axis"])
+    sp = problem_spectrum(spec, **opts)
     eig = [[float(z.real), float(z.imag), int(m)] for z, m in sp.entries]
     payload = {"which": opts["which"], "eigenvalues": eig, "winding_total": sp.winding_total}
     return payload, (["lambda_re", "lambda_im", "multiplicity"], eig)
@@ -427,17 +355,10 @@ def _run_weyl(cfg: RunConfig, args):
 
 
 def _run_asym(cfg: RunConfig, args):
-    from .asymptotics import RaySpec, asym_report
+    from .asymptotics import asym_report
 
     spec = _need_problem(cfg)
-    opts = _need(cfg, "asym")
-    r = opts["ray"]
-    kw = {"angle": r["angle"], "delta": r["delta"], "radii": tuple(r["radii"])}
-    if r["kind"] == "Pi_delta":
-        ray = RaySpec.pi_delta(**kw)
-    else:
-        ray = RaySpec.g_delta(reference=r["reference"], **kw)
-    rep = asym_report(opts["quantity"], opts["x"], ray, spec, order=opts["order"])
+    rep = asym_report(spec=spec, **_need(cfg, "asym"))
     table = rep.csv_rows()
     payload = {
         k: (None if isinstance(v, float) and not math.isfinite(v) else v)
@@ -474,44 +395,27 @@ def _build_target(spec, opts):
             [(".invert.lambdas", "generating Weyl-type data needs a lambda grid")]
         )
     lam = np.asarray(opts["lambdas"], dtype=complex)
-    return make_weyl_target(
-        spec, lam, with_d=(kind == "weyl_pair_with_D"), n_xi=int(opts["xi_count"])
-    )
+    n_xi = {"n_xi": opts["xi_count"]} if "xi_count" in opts else {}
+    return make_weyl_target(spec, lam, with_d=(kind == "weyl_pair_with_D"), **n_xi)
 
 
 def _run_invert(cfg: RunConfig, args):
     import numpy as np
 
-    from .inversion import BasisSpec, ReconstructOptions, reconstruct
+    from .inversion import reconstruct
 
     spec = _need_problem(cfg)
     opts = dict(_need(cfg, "invert"))
     if args.target is not None:
-        try:
-            with open(args.target, encoding="utf-8") as fh:
-                opts["data"] = _load(fh.read(), "--target")
-        except OSError as e:
-            raise ConfigError([("--target", f"cannot read target file: {e}")])
-    for key in ("basis", "dim", "starts", "tol"):
-        if getattr(args, key) is not None:
-            opts[key] = getattr(args, key)
+        opts["data"] = _load(args.target, "--target", "target")
     target = _build_target(spec, opts)
-    dim = int(opts["dim"])
-    basis = BasisSpec(opts["basis"], spec.T, dim)
+    basis = opts["options"].basis
     initial = opts["initial"]
-    c0 = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float)
-    ro = ReconstructOptions(
-        template=spec,
-        basis=basis,
-        starts=int(opts["starts"]),
-        tol=float(opts["tol"]),
-        max_iter=int(opts["max_iter"]),
-        seed=cfg.seed,
-    )
-    result = reconstruct(target, c0, ro)
+    c0 = np.zeros(basis.dim) if initial is None else np.asarray(initial, dtype=float)
+    result = reconstruct(target, c0, opts["options"])
     payload = result.to_dict()
     payload["data_kind"] = target.kind
-    payload["basis"] = {"type": opts["basis"], "dim": dim}
+    payload["basis"] = {"type": basis.kind, "dim": basis.dim}
     rows = [[i, float(c)] for i, c in enumerate(result.coeffs)]
     return payload, (["index", "coefficient"], rows)
 
@@ -521,20 +425,11 @@ def _run_scenario(cfg: RunConfig, args):
 
     from . import scenarios
     from .inversion import _certificate_to_dict, _first_n_real, distinguishability
-    from .spectrum_finder import SearchBox
 
-    if args.name is not None:
-        opts = {**cfg.sections.get("scenario", _SCENARIO_DEFAULTS), "name": args.name}
-        opts["params"], opts["grid"] = dict(opts["params"]), dict(opts["grid"])
-        if args.name == "three_spectra" and not opts["params"]:
-            opts["params"] = {"a": 1.0}
-    else:
-        opts = _need(cfg, "scenario")
-    built, _ = scenarios.build_scenario(opts["name"], opts["params"])
-    if opts["name"] == "three_spectra":
-        rep = scenarios.three_spectra_overlap_rule(
-            built.spec, built.params["a"], SearchBox(*opts["box"])
-        )
+    opts = _need(cfg, "scenario")
+    built = opts["built"]
+    if built.name == "three_spectra":
+        rep = scenarios.three_spectra_overlap_rule(built.spec, built.params["a"], opts["box"])
         entries = [
             [[e.lam.real, e.lam.imag], list(e.members)] for e in rep.entries
         ]
@@ -554,8 +449,9 @@ def _run_scenario(cfg: RunConfig, args):
         return payload, (["lambda_re", "lambda_im", "count", "members"], rows)
     g = opts["grid"]
     lam = np.linspace(g["start"], g["stop"], int(g["count"])) + 1j * g["imag"]
+    tol = {"tol": opts["tol"]} if "tol" in opts else {}
     try:
-        rep = scenarios.verify_counterexample(built, lam, tol=opts["tol"])
+        rep = scenarios.verify_counterexample(built, lam, **tol)
     except InputError as e:  # the grid's reach or a grid point under a pole guard
         raise ConfigError([(".scenario.grid", str(e))]) from None
     payload = {
@@ -657,51 +553,52 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Each numeric flag given, by the rule of the config key it overrides."""
+    """--seed and --threads, by the rule of the config key each overrides, before the cap applies."""
     ctx = _Ctx()
-    for key, low in (("seed", 0), ("threads", 1), ("dim", 1), ("starts", 1)):
+    for key, low in (("seed", 0), ("threads", 1)):
         if getattr(args, key, None) is not None:
             _whole(ctx, getattr(args, key), f"--{key}", low)
-    if getattr(args, "tol", None) is not None:
-        _number(ctx, args.tol, "--tol", positive=True)
     if ctx.errors:
         raise ConfigError(ctx.errors)
 
 
+# the section holding the config key that each section flag overrides
+_FLAG_SECTIONS = {"basis": "invert", "dim": "invert", "starts": "invert", "tol": "invert", "name": "scenario"}
+
+
+def _with_flags(raw: dict, args) -> tuple:
+    """raw with each flag given set at the config key it overrides (--name makes the scenario
+    section when there is none), and {that key's path: the flag}."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    raw = dict(raw, **{k: given[k] for k in ("seed", "threads") if k in given})
+    if "name" in given:
+        raw.setdefault("scenario", {})
+    flags = {}
+    for key, section in _FLAG_SECTIONS.items():
+        if key in given and isinstance(raw.get(section), dict):
+            raw[section] = {**raw[section], key: given[key]}
+            flags[f".{section}.{key}"] = f"--{key}"
+    return raw, flags
+
+
 def _apply_threads(n: int | None) -> None:
-    if n is None:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(n)
+    """Cap the numerics libraries' thread pools at n (None: leave them be)."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        if n is not None:
+            os.environ[var] = str(n)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        _apply_threads(args.threads)
         if args.command == "regress":
+            _apply_threads(args.threads)
             return _run_regress(args)
-        cfg = RunConfig()
-        if args.config is not None:
-            try:
-                with open(args.config, encoding="utf-8") as fh:
-                    raw = _load(fh.read())
-            except OSError as e:
-                raise ConfigError([(".", f"cannot read config file: {e}")])
-            if args.threads is None:
-                # the validators load the numerics; a bad value is reported by them
-                _apply_threads(_threads(_Ctx(), raw))
-            cfg = _validate(raw)
-        elif args.command != "scenario" or args.name is None:
+        if args.config is None and (args.command != "scenario" or args.name is None):
             raise ConfigError([(".", "a config file is required")])
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        raw = {} if args.config is None else _load(args.config, ".", "config")
+        cfg = _validate(*_with_flags(raw, args))
         payload, table = _HANDLERS[args.command](cfg, args)
     except ConfigError as e:
         for path, msg in e.errors:

@@ -7,7 +7,9 @@ themselves and map to exit code 3.
 The readers behind every `from_dict` and the CLI's config checks live here
 too, in the standard library alone (the CLI reads a config before its thread
 cap lets numpy load): `_Ctx` collects each problem with its path, and the
-helpers below read numbers, orders and [re, im] pairs into it.
+helpers below read numbers, orders and [re, im] pairs into it.  An
+InputError may name the argument it rejects (`field`), so a reader reports
+a constructor's value rule at that argument's path.
 """
 
 import math
@@ -15,7 +17,11 @@ from numbers import Integral
 
 
 class InputError(ValueError):
-    """Invalid argument, state, or configuration."""
+    """Invalid argument, state, or configuration; `field`, where given, names the argument at fault."""
+
+    def __init__(self, message: str = "", *, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(InputError):
@@ -75,13 +81,14 @@ class _Ctx:
 
     def build(self, path: str, make, *args, at: str | None = None):
         """make(*args), or None with its problems reported: a ConfigError's fields below `path`,
-        where the made object's dict sits, and any other InputError at `at` (default `path`)."""
+        where the made object's dict sits, an InputError naming its field at that field below
+        `path`, and any other InputError at `at` (default `path`)."""
         try:
             return make(*args)
         except ConfigError as e:
             self.errors.extend((path + p, m) for p, m in e.errors)
         except InputError as e:
-            self.err(path if at is None else at, str(e))
+            self.err(f"{path}.{e.field}" if e.field else path if at is None else at, str(e))
         return None
 
 
@@ -97,9 +104,9 @@ def _read(reader, d, *args):
 def _integer(name: str, v, low: int):
     """v if it is an integer of at least `low`; else an InputError naming `name` (booleans are not integers)."""
     if isinstance(v, bool) or not isinstance(v, Integral):
-        raise InputError(f"{name} must be an integer, got {v!r}")
+        raise InputError(f"{name} must be an integer, got {v!r}", field=name)
     if v < low:
-        raise InputError(f"{name} must be at least {low}")
+        raise InputError(f"{name} must be at least {low}", field=name)
     return v
 
 
@@ -112,12 +119,16 @@ def _reals(v, min_len=0) -> bool:
     return isinstance(v, list) and len(v) >= min_len and all(_real(u) for u in v)
 
 
-def _number(ctx, v, path, positive=False, integer=False, minimum=None):
-    if not _real(v):
-        ctx.err(path, "expected a number")
+def _scalar(ctx, v, path, integer=False):
+    """v if it is a number (an integer, when asked), whatever its value; else None, reported."""
+    if not _real(v) or integer and not isinstance(v, int):
+        ctx.err(path, "expected an integer" if _real(v) else "expected a number")
         return None
-    if integer and not isinstance(v, int):
-        ctx.err(path, "expected an integer")
+    return v
+
+
+def _number(ctx, v, path, positive=False, integer=False, minimum=None):
+    if _scalar(ctx, v, path, integer) is None:
         return None
     if not math.isfinite(v):
         ctx.err(path, "must be finite")

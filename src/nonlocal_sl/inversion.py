@@ -41,7 +41,7 @@ import numpy as np
 
 from .characteristic import ProblemSpec, _batch, _discretize, _ratios_at, _row_ratios, char_batch, char_batch_multi
 from .characteristic import d_sequence  # noqa: F401  (bench/tracing.py wraps it here)
-from .errors import InputError, NumericalError, _integer, _is_pair, _read, _real, _reals
+from .errors import InputError, NumericalError, _integer, _is_pair, _read, _real, _reals, _scalar
 from .ode_core import GridSpec, modulus_scale
 from .potential import Potential
 from .spectrum_finder import _LAMBDA_STEP, ConditionReport, SearchBox, _batched_newton, condition_S, problem_spectrum
@@ -556,9 +556,20 @@ class ReconstructOptions:
     def __post_init__(self):
         _integer("starts", self.starts, 1)
         if isinstance(self.tol, bool) or not self.tol >= 0:  # NaN fails too
-            raise InputError("tol must be a non-negative number")
+            raise InputError("tol must be a non-negative number", field="tol")
         _integer("max_iter", self.max_iter, 0)
         _integer("seed", self.seed, 0)
+
+
+def _read_options(ctx, d, path: str, template: ProblemSpec | None, seed: int):
+    """The ReconstructOptions on `template` that d at `path` sets, or None after any problem: `basis`
+    and `dim` make its BasisSpec, and `starts`, `tol` and `max_iter` replace the defaults where given."""
+    dim = _scalar(ctx, d.get("dim"), f"{path}.dim", integer=True)
+    kw = {k: _scalar(ctx, d[k], f"{path}.{k}", integer=k != "tol") for k in ("starts", "tol", "max_iter") if k in d}
+    if ctx.errors or template is None:
+        return None
+    basis = ctx.build(path, BasisSpec, d.get("basis"), template.T, dim, at=f"{path}.basis")
+    return None if basis is None else ctx.build(path, lambda: ReconstructOptions(template, basis, seed=seed, **kw))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristic import ProblemSpec, char_batch
-from .errors import InputError, NumericalError, _integer
+from .errors import InputError, NumericalError, _integer, _scalar
 from .measure import BVMeasure, LinearForm
 from .potential import Potential
 from .spectrum_finder import ConditionReport, SearchBox, condition_S, problem_spectrum
@@ -123,7 +123,7 @@ def _ctrex2_spec(q: Potential, alpha: float) -> ProblemSpec:
 def _build_counterexample2(params: dict) -> ScenarioConfig:
     alpha0 = float(params.get("alpha0", 0.6))
     if not 0.0 < alpha0 < _T / 2.0:
-        raise InputError("alpha0 must lie in (0, pi/2)")
+        raise InputError("alpha0 must lie in (0, pi/2)", field="alpha0")
     n_cells = _integer("n_cells", params.get("n_cells", 1024), 1)
     q = params.get("q") or counterexample2_preset(alpha0, n_cells)
     if abs(q.T - _T) > 1e-12:
@@ -137,12 +137,13 @@ def _build_counterexample2(params: dict) -> ScenarioConfig:
     if alpha is not None:
         alpha = float(alpha)
         if not 0.0 < alpha < alpha0:
-            raise InputError("alpha must lie in (0, alpha0)")
+            raise InputError("alpha must lie in (0, alpha0)", field="alpha")
         report = condition_S(_ctrex2_spec(q, alpha), box, separation_tol, real_axis=True)
         if not report.holds:
             raise InputError(
                 f"alpha={alpha:g} leaves the spectra too close "
-                f"(min gap {report.min_gap:.3g}); pick a smaller alpha"
+                f"(min gap {report.min_gap:.3g}); pick a smaller alpha",
+                field="alpha",
             )
     else:
         # shrink geometrically until the disjointness condition holds
@@ -171,7 +172,7 @@ def _build_three_spectra(params: dict) -> ScenarioConfig:
     T = float(params.get("T", _T))
     a = float(params["a"])
     if not 0.0 < a < T:
-        raise InputError("the split point must lie inside (0, T)")
+        raise InputError("the split point must lie inside (0, T)", field="a")
     q = params.get("q") or Potential.zero(T)
     if abs(q.T - T) > 1e-12 * max(1.0, T):
         raise InputError("potential and split frame must share the interval")
@@ -210,6 +211,21 @@ def build_scenario(name: str, params: dict | None = None):
     else:
         cfg = _build_three_spectra(params)
     return cfg, (cfg.spec, cfg.spec_mirror)
+
+
+def _read_scenario(ctx, d, path: str):
+    """The ScenarioConfig that d at `path` names, or None after any problem: `name` and its builder's
+    `params` but q, which JSON cannot express; three_spectra's split point a is 1 unless given."""
+    name = d.get("name")
+    if name not in _NAMES:
+        ctx.err(f"{path}.name", f"expected one of {_NAMES}")
+        return None
+    params, at = d.get("params", {}), f"{path}.params"
+    if ctx.obj(params, at, _PARAM_KEYS[name] - {"q"}):
+        for k, v in params.items():
+            _scalar(ctx, v, f"{at}.{k}", integer=k == "n_cells")
+        params = {"a": 1.0, **params} if name == "three_spectra" else params
+    return None if ctx.errors else ctx.build(at, lambda: build_scenario(name, params)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .characteristic import ProblemSpec, char_handle
-from .errors import ContourError, InputError
+from .errors import ContourError, InputError, _is_pair
 from .ode_core import GridSpec, modulus_scale
 
 _EDGE_SAMPLES = 64  # contour samples per edge of a box before refinement
@@ -119,6 +119,18 @@ class SearchBox:
 
     def contains(self, z: complex) -> bool:
         return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
+
+
+def _read_box(ctx, d, path: str):
+    """The SearchBox that {re: [low, high], im: [low, high]} at `path` describes, or None after any problem."""
+    if not isinstance(d, dict):
+        ctx.err(path, "expected an object with re and im ranges")
+        return None
+    ctx.strict(d, path, ("re", "im"))
+    for key in ("re", "im"):
+        if not _is_pair(d.get(key)):
+            ctx.err(f"{path}.{key}", "expected [low, high]")
+    return None if ctx.errors else ctx.build(path, SearchBox, *map(float, d["re"] + d["im"]))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ and byte-identical reruns.  Subprocess checks pin the lazy import that lets
 stack loads.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -16,10 +17,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_sl import LinearForm, ProblemSpec
-from nonlocal_sl.cli import _validate, main
-from nonlocal_sl.errors import ConfigError, InputError
+from nonlocal_sl.asymptotics import RaySpec, _read_asym
+from nonlocal_sl.cli import _INVERT_DEFAULTS, _build_parser, _validate, _with_flags, main
+from nonlocal_sl.errors import ConfigError, InputError, _read
+from nonlocal_sl.inversion import BasisSpec, ReconstructOptions, _read_options
+from nonlocal_sl.scenarios import _read_scenario
+from nonlocal_sl.spectrum_finder import SearchBox, _read_box, problem_spectrum
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -51,7 +58,9 @@ class TestConfigValidation:
     def test_minimal_config_parses(self):
         cfg = _validate(_config("spectrum", {"which": "delta1", "box": {"re": [0.5, 10.0], "im": [-1.0, 1.0]}}))
         assert cfg.problem is not None
-        assert cfg.sections["spectrum"]["tol"] == 1e-8
+        # an omitted tol is problem_spectrum's own default
+        assert cfg.sections["spectrum"] == {"which": "delta1", "box": SearchBox(0.5, 10.0, -1.0, 1.0)}
+        assert inspect.signature(problem_spectrum).parameters["tol"].default == 1e-8
 
     def test_negative_T_reports_exact_path(self):
         bad = dict(BASE_PROBLEM, T=-1.0)
@@ -98,10 +107,10 @@ class TestConfigValidation:
 
     def test_invert_max_iter_takes_the_library_minimum(self):
         # ReconstructOptions(max_iter=0) scores the starts without an LM step; the section agrees
-        assert _validate(_config("invert", {"max_iter": 0})).sections["invert"]["max_iter"] == 0
+        assert _validate(_config("invert", {"max_iter": 0})).sections["invert"]["options"].max_iter == 0
         with pytest.raises(ConfigError) as exc:
             _validate(_config("invert", {"max_iter": -1}))
-        assert exc.value.errors == [(".invert.max_iter", "must be at least 0")]
+        assert exc.value.errors == [(".invert.max_iter", "max_iter must be at least 0")]
 
     def test_booleans_are_not_numbers(self):
         bad = dict(BASE_PROBLEM, T=True)
@@ -394,17 +403,14 @@ ERROR_LINES = [
       ".spectrum.real_axis: expected true or false"]),
     ("spectrum_box", "spectrum", _bad(spectrum={}), [".spectrum.box: expected an object with re and im ranges"]),
     ("spectrum_ranges", "spectrum", _bad(spectrum={"box": {"re": [2.0, 1.0], "im": [0, True], "x": 1}}),
-     [".spectrum.box.x: unknown field", ".spectrum.box.re: low must be below high",
-      ".spectrum.box.im: expected [low, high]"]),
+     [".spectrum.box.x: unknown field", ".spectrum.box.im: expected [low, high]"]),
     ("weyl_fields", "weyl", _config("weyl", {"lambdas": [[1, 0]], "which": "D", "xi_count": -1}),
      [".weyl.which: expected M or N", ".weyl.xi_count: must be at least 0"]),
     ("asym_fields", "asym", _config("asym", {"quantity": "Q", "x": "1", "order": 3, "ray": 1}),
-     [".asym.quantity: expected one of ('Delta1', 'Delta11', 'Phi', 'v1', 'varphi', 'v2')",
-      ".asym.x: expected a number", ".asym.order: expected 0 or 1", ".asym.ray: expected an object"]),
+     [".asym.x: expected a number", ".asym.order: expected 0 or 1", ".asym.ray: expected an object"]),
     ("asym_ray", "asym",
      _config("asym", {"quantity": "Phi", "ray": {"kind": "P", "angle": None, "delta": -1, "radii": [5, 4], "w": 0}}),
-     [".asym.ray.w: unknown field", ".asym.ray.kind: expected Pi_delta or G_delta", ".asym.ray.angle: expected a number",
-      ".asym.ray.delta: must be positive", ".asym.ray.radii: expected an increasing list of at least two radii"]),
+     [".asym.ray.w: unknown field", ".asym.ray.kind: expected Pi_delta or G_delta", ".asym.ray.angle: expected a number"]),
     ("asym_reference_missing", "asym", _config("asym", {"quantity": "Phi", "ray": {"kind": "G_delta", "angle": 0.1}}),
      [".asym.ray.reference: G_delta needs reference eigenvalues"]),
     ("asym_reference_extra", "asym", _config("asym", {"quantity": "Phi", "ray": {"angle": 0.1, "reference": [[1, 0]]}}),
@@ -416,8 +422,7 @@ ERROR_LINES = [
       ".invert.kind: expected one of ('two_spectra', 'weyl_pair', 'weyl_pair_with_D', 'three_spectra')",
       ".invert.n_each: must be at least 1", ".invert.lambdas: expected a list of at least 1 [re, im] pairs",
       ".invert.xi_count: expected an integer", ".invert.data: expected a serialized target object",
-      ".invert.basis: expected cosine or piecewise", ".invert.dim: expected a number",
-      ".invert.starts: must be at least 1", ".invert.tol: must be positive", ".invert.max_iter: expected a number",
+      ".invert.dim: expected a number", ".invert.max_iter: expected a number",
       ".invert.initial: expected a list of real coefficients"]),
     ("invert_nulls", "invert", _config("invert", {"lambdas": None, "initial": None, "data": None}),
      [".invert.lambdas: expected a list of at least 1 [re, im] pairs",
@@ -432,7 +437,7 @@ ERROR_LINES = [
       ".scenario.params.n_cells: expected a number", ".scenario.grid.step: unknown field",
       ".scenario.grid.count: must be at least 1", ".scenario.grid.imag: expected a number",
       ".scenario.tol: must be positive", ".scenario.d_count: must be at least 1",
-      ".scenario.box.re: low must be below high", ".scenario.box.im: expected [low, high]"]),
+      ".scenario.box.im: expected [low, high]"]),
     ("scenario_notobj", "scenario", {"scenario": {"name": "three_spectra", "params": [], "grid": [], "box": 1}},
      [".scenario.params: expected an object", ".scenario.grid: expected an object",
       ".scenario.box: expected an object with re and im ranges"]),
@@ -453,6 +458,30 @@ ERROR_LINES = [
     ("asym_order_true", "asym",
      _config("asym", {"quantity": "Phi", "x": 1.0, "order": True, "ray": {"angle": 0.1, "radii": [5.0, 10.0]}}),
      [".asym.order: expected 0 or 1"]),
+    # value rules that the library's constructors apply, at the paths of the fields they reject
+    ("asym_radii", "asym", _config("asym", {"quantity": "Delta1", "ray": {"angle": 1.0, "radii": [-1, 2]}}),
+     [".asym.ray.radii: radii must be finite, positive and strictly increasing"]),
+    ("asym_delta", "asym", _config("asym", {"quantity": "Delta1", "ray": {"angle": 1.0, "delta": 2.0}}),
+     [".asym.ray.delta: Pi_delta needs delta in (0, pi/2)"]),
+    ("asym_angle", "asym", _config("asym", {"quantity": "Delta1", "ray": {"angle": 0.0}}),
+     [".asym.ray.angle: arg rho = 0.0 is outside [delta, pi - delta] for delta=0.1"]),
+    ("asym_quantity", "asym", _config("asym", {"quantity": "Q", "ray": {"angle": 1.0}}),
+     [".asym.quantity: unknown quantity 'Q'; expected one of ('Delta1', 'Delta11', 'Phi', 'v1', 'varphi', 'v2')"]),
+    ("asym_g_delta_quantity", "asym",
+     _config("asym", {"quantity": "Delta1", "ray": {"kind": "G_delta", "angle": 1.0, "reference": [[1, 0]]}}),
+     [".asym.quantity: G_delta bounds cover Phi, v1, varphi and v2 only"]),
+    ("spectrum_box_inf", "spectrum", _bad(spectrum={"box": {"re": [0, 1e400], "im": [-1, 1]}}),
+     [".spectrum.box: box corners must be finite"]),
+    ("spectrum_box_empty", "spectrum", _bad(spectrum={"box": {"re": [2.0, 1.0], "im": [-1, 1]}}),
+     [".spectrum.box: box must have positive width and height"]),
+    ("invert_basis", "invert", _config("invert", {"basis": "b"}),
+     [".invert.basis: unknown basis 'b'; expected cosine or piecewise"]),
+    ("invert_starts", "invert", _config("invert", {"starts": 0}), [".invert.starts: starts must be at least 1"]),
+    ("invert_tol", "invert", _config("invert", {"tol": -1}), [".invert.tol: tol must be a non-negative number"]),
+    ("scenario_alpha0", "scenario", {"scenario": {"name": "counterexample2", "params": {"alpha0": 3.0}}},
+     [".scenario.params.alpha0: alpha0 must lie in (0, pi/2)"]),
+    ("scenario_split", "scenario", {"scenario": {"name": "three_spectra", "params": {"a": 9.0}}},
+     [".scenario.params.a: the split point must lie inside (0, T)"]),
 ]
 
 
@@ -473,8 +502,53 @@ PROBLEM_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("config, lines", [c[2:] for c in PROBLEM_ROWS], ids=[c[0] for c in PROBLEM_ROWS])
-def test_library_reader_reports_the_config_lines(config, lines):
+BASE_SPEC = ProblemSpec.from_dict({"q": {"T": BASE_PROBLEM["T"], "type": "zero"}, "U1": BASE_PROBLEM["U1"],
+                                   "U2": BASE_PROBLEM["U2"]})
+# The library reads these parts of a section for the CLI: (where the part sits, the fields of the
+# section it reads, None for all, and the reader on the part, through errors._read).
+SECTION_READERS = [
+    (".asym", None, lambda d: _read(_read_asym, d, BASE_SPEC)),
+    (".spectrum.box", None, lambda d: _read(_read_box, d)),
+    (".scenario", ("name", "params"), lambda d: _read(_read_scenario, d)),
+    (".invert", ("basis", "dim", "starts", "tol", "max_iter"),
+     lambda d: _read(_read_options, {**_INVERT_DEFAULTS, **d}, BASE_SPEC, 0)),
+]
+
+
+def _read_by(prefix, fields, line):
+    path = line.split(": ")[0]
+    if fields is None:
+        return path == prefix or path.startswith((f"{prefix}.", f"{prefix}["))
+    return any(path == f"{prefix}.{f}" or path.startswith(f"{prefix}.{f}.") for f in fields)
+
+
+SECTION_ROWS = [
+    (c[0], c[2], c[3], (prefix, read))
+    for c in ERROR_LINES
+    for prefix, fields, read in SECTION_READERS
+    if all(_read_by(prefix, fields, line) for line in c[3])
+]
+
+
+def _part(config, prefix):
+    for key in prefix[1:].split("."):
+        config = config.get(key)
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, lines, reader",
+    [(c[2], c[3], None) for c in PROBLEM_ROWS] + [c[1:] for c in SECTION_ROWS],
+    ids=[c[0] for c in PROBLEM_ROWS + SECTION_ROWS],
+)
+def test_library_reader_reports_the_config_lines(config, lines, reader):
+    # a section row's lines, their section's prefix dropped
+    if reader is not None:
+        prefix, read = reader
+        with pytest.raises(ConfigError) as exc:
+            read(_part(config, prefix))
+        assert exc.value.errors == [(p[len(prefix):] or ".", m) for p, m in (line.split(": ", 1) for line in lines)]
+        return
     q = config["q"]
     data = {"q": {"T": config["T"], **q} if isinstance(q, dict) else q, "U1": config["U1"], "U2": config["U2"]}
     with pytest.raises(ConfigError) as exc:
@@ -554,17 +628,17 @@ def test_malformed_invert_data_is_one_line(tmp_path, capsys, section, target, li
     assert capsys.readouterr().err == line.format(path=path) + "\n"
 
 
-# Bad command-line values, each with its one stderr line: a flag is checked by the rule of
-# the config key it overrides, before the thread cap is applied or any numerics run.
+# Bad command-line values, each with its one stderr line: a flag is read as the config key it
+# overrides, by the same rule, and --seed and --threads before the thread cap is applied.
 INVERT = _config("invert", {"dim": 1, "starts": 1})
 KNOWN = "known: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11"
 BAD_FLAGS = [
     ("criteria_number", None, ["regress", "--criteria", "99"], f"--criteria: unknown criterion '99'; {KNOWN}"),
     ("criteria_text", None, ["regress", "--criteria", "1,abc"], f"--criteria: unknown criterion 'abc'; {KNOWN}"),
     ("seed", INVERT, ["invert", "--seed", "-1"], "--seed: expected a non-negative integer"),
-    ("tol", INVERT, ["invert", "--tol", "-1"], "--tol: must be positive"),
-    ("starts", INVERT, ["invert", "--starts", "0"], "--starts: expected a positive integer"),
-    ("dim", INVERT, ["invert", "--dim", "0"], "--dim: expected a positive integer"),
+    ("tol", INVERT, ["invert", "--tol", "-1"], "--tol: tol must be a non-negative number"),
+    ("starts", INVERT, ["invert", "--starts", "0"], "--starts: starts must be at least 1"),
+    ("dim", INVERT, ["invert", "--dim", "0"], "--dim: dim must be at least 1"),
     ("threads", _bad(), ["spectrum", "--threads", "0"], "--threads: expected a positive integer"),
 ]
 
@@ -578,6 +652,106 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, config,
     assert main(argv) == 2
     assert capsys.readouterr().err == f"config error at {line}\n"
     assert "OMP_NUM_THREADS" not in os.environ
+
+
+def test_library_values_pass_validation(tmp_path, capsys):
+    # a one-radius ray and tol 0 are valid library values, from the config and from --tol alike
+    section = {"quantity": "Delta1", "ray": {"angle": 1.2, "radii": [5]}}
+    assert main(["asym", _write(tmp_path, "a.json", _config("asym", section))]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 1
+    assert _validate(_config("invert", {"tol": 0})).sections["invert"]["options"].tol == 0
+    args = _build_parser().parse_args(["invert", "c.json", "--tol", "0", "--starts", "2"])
+    options = _validate(*_with_flags(INVERT, args)).sections["invert"]["options"]
+    assert (options.tol, options.starts) == (0, 2)
+
+
+class TestScenarioName:
+    def test_a_config_section_takes_the_split_point_default(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "s.json", {"scenario": {"name": "three_spectra"}})
+        assert main(["scenario", cfg]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["scenario", "--name", "three_spectra"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert json.loads(from_config)["params"]["a"] == 1.0
+
+    def test_name_is_read_with_the_section(self, tmp_path, capsys):
+        # --name replaces the section's name before the one reader checks its params
+        section = {"name": "counterexample1", "params": {"n_cells": 4}}
+        cfg = _write(tmp_path, "s.json", {"scenario": section})
+        assert main(["scenario", cfg, "--name", "counterexample2"]) == 2
+        assert capsys.readouterr().err == (
+            "config error at .scenario.params: the potential must differ from its reflection "
+            "(sup difference 0.0505, needed > 0.1)\n"
+        )
+
+
+# The CLI section accepts a drawn value exactly when the library's constructor does.
+def _near(low, high):
+    """Floats mostly in [low, high], where valid and invalid values both occur, else infinite or NaN."""
+    return st.one_of(*[st.floats(low, high)] * 3, st.sampled_from([-np.inf, np.inf, np.nan]))
+
+
+def _accepts(config) -> bool:
+    try:
+        _validate(config)
+    except ConfigError:
+        return False
+    return True
+
+
+def _builds(make) -> bool:
+    try:
+        make()
+    except InputError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["Pi_delta", "G_delta"]),
+    angle=_near(-0.5, 3.7),
+    extra=st.fixed_dictionaries({}, optional={"delta": _near(-0.5, 2.0), "radii": st.lists(_near(-5, 60), max_size=4)}),
+    reference=st.lists(st.tuples(_near(-10, 400), _near(-1, 1)), min_size=1, max_size=2),
+)
+def test_ray_section_accepts_what_rayspec_does(kind, angle, extra, reference):
+    ray = {"kind": kind, "angle": angle, **extra}
+    if kind == "G_delta":
+        ray["reference"] = [list(p) for p in reference]
+        make = lambda: RaySpec.g_delta(angle, [complex(*p) for p in reference], **extra)
+    else:
+        make = lambda: RaySpec.pi_delta(angle, **extra)
+    assert _accepts(_config("asym", {"quantity": "Phi", "x": 1.0, "ray": ray})) == _builds(make)
+
+
+@settings(max_examples=100, deadline=None)
+@given(re=st.tuples(_near(-5, 5), _near(-5, 5)), im=st.tuples(_near(-5, 5), _near(-5, 5)))
+def test_box_section_accepts_what_searchbox_does(re, im):
+    box = {"re": list(re), "im": list(im)}
+    assert _accepts(_config("spectrum", {"box": box})) == _builds(lambda: SearchBox(*re, *im))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    section=st.fixed_dictionaries(
+        {},
+        optional={
+            "basis": st.sampled_from(["cosine", "piecewise", "spline"]),
+            "dim": st.integers(-2, 6),
+            "starts": st.integers(-2, 6),
+            "tol": _near(-1, 1),
+            "max_iter": st.integers(-2, 6),
+        },
+    )
+)
+def test_invert_section_accepts_what_the_options_do(section):
+    T, given_options = BASE_PROBLEM["T"], {k: v for k, v in section.items() if k not in ("basis", "dim")}
+
+    def make():
+        basis = BasisSpec(section.get("basis", "cosine"), T, section.get("dim", 4))
+        ReconstructOptions(BASE_SPEC, basis, **given_options)
+
+    assert _accepts(_config("invert", section)) == _builds(make)
 
 
 class TestExitCodes:
