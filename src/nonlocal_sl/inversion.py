@@ -22,10 +22,11 @@ the seeds still moving.  Their Jacobian needs no further Newton: a root z
 of the datum's characteristic function f moves by
 dz/dc_k = -(df/dc_k)/(df/dlambda) (the implicit function theorem, as in
 Poeschel & Trubowitz, Inverse Spectral Theory, 1987), and one batched sweep
-(`char_batch_multi`) at the fixed roots gives every difference quotient.
-The Weyl kinds take finite-difference Jacobian columns, all in one such
-sweep; targets carrying d_n data put the xi_n into that same sweep and read
-each candidate's d_n from its form rows there.
+at the fixed roots gives every difference quotient: it runs on the
+refinement's discretization, the perturbed candidates' samples added as
+columns.  The Weyl kinds take finite-difference Jacobian columns, all in one
+`char_batch_multi` sweep; targets carrying d_n data put the xi_n into that
+same sweep and read each candidate's d_n from its form rows there.
 
 Data here are self-generated by the same forward solver (the usual inverse
 crime); noise robustness is out of scope.
@@ -298,6 +299,7 @@ def make_weyl_target(spec: ProblemSpec, lam_grid, with_d: bool = False, n_xi: in
     With d_n data, M, omega and the d_n come from one sweep over the grid
     and the omega zeros xi_n together.
     """
+    _integer("n_xi", n_xi, 1)
     lam = np.asarray(lam_grid, dtype=complex)
     xi = _first_n_real(spec, "omega", n_xi) if with_d else ()
     cb = char_batch(spec, np.concatenate([np.atleast_1d(lam), np.asarray(xi, dtype=complex)]))
@@ -399,6 +401,7 @@ class _Engine:
             m_pen = _PENALTY * (1.0 + np.abs(np.asarray(t.m_values, dtype=complex)))
             pen = np.stack([m_pen, np.zeros_like(m_pen)], axis=1).ravel()
             self.pen = np.concatenate([pen, np.full(len(t.xi), _PENALTY)])
+        self._held = (None, None)  # (coefficient rows, the discretization `_refined_roots` built for them)
 
     def residuals(self, C) -> tuple[np.ndarray, np.ndarray]:
         """(residual rows (B, 2*n_data), invalid-datum flags (B, n_data))."""
@@ -408,9 +411,8 @@ class _Engine:
     def evaluate(self, C):
         """`residuals` plus the matched roots (B, n_data) of eigenvalue data, else None."""
         C = np.atleast_2d(np.asarray(C, dtype=float))
-        q_list = [self.basis.potential(c) for c in C]
         mismatch = self._spectra_mismatch if self.blocks else self._weyl_mismatch
-        diff, invalid, roots = mismatch(q_list)
+        diff, invalid, roots = mismatch(C)
         diff = np.where(invalid, self.pen * (1 + 1j), diff)
         return diff.view(float) * self.w2, invalid, roots
 
@@ -421,15 +423,18 @@ class _Engine:
         The root z of datum j's characteristic function f moves by
         dz/dc_k = -(df/dc_k)/(df/dlambda).  One sweep at fixed lambda gives
         both by forward differences: q(c) at z and at z + dlambda, and
-        q(c + h_k e_k) at z.  An invalid datum reads a constant penalty, so
-        its rows are 0.
+        q(c + h_k e_k) at z.  It runs on the discretization that `evaluate`
+        built for c, with the perturbed candidates' samples as more columns,
+        so its values are `char_batch_multi`'s on that list.  An invalid
+        datum reads a constant penalty, so its rows are 0.
         """
         K, n = len(c), len(roots)
         z = np.where(invalid, self.seeds, roots)  # keeps the sweep finite
         dlam = _LAMBDA_STEP * (1.0 + np.abs(z))
-        q_list = [self.basis.potential(row) for row in np.vstack([c, c + np.diag(h)])]
+        disc = self._held[1] if np.array_equal(self._held[0], [c]) else self._discretization([c])
+        disc = disc._widened([self.basis.potential(row) for row in c + np.diag(h)])
         lam = np.concatenate([z, z + dlam, np.tile(z, K)])
-        cb = char_batch_multi(self.template, lam, q_list, np.repeat([0, 0, *range(1, K + 1)], n), self.gs)
+        cb = _batch(disc, self.template.T, lam, np.repeat([0, 0, *range(1, K + 1)], n))
         f = np.empty((K + 2, n), dtype=complex)
         for which, sl in self.blocks:
             f[:, sl] = getattr(cb, which).reshape(K + 2, n)[:, sl]
@@ -440,15 +445,21 @@ class _Engine:
 
     # -- eigenvalue targets --------------------------------------------------
 
-    def _refined_roots(self, q_list: list[Potential]):
-        """Newton-refined roots seeded at the targets, per candidate potential.
+    def _discretization(self, C):
+        """One discretization of the candidates with coefficient rows C, on the first one's grid."""
+        return _discretize(self.template, self.gs, [self.basis.potential(c) for c in C])
 
-        One discretization of the candidates serves every round; a point of
-        seed idx sweeps candidate idx // n and reads its datum's block
-        function.  Returns (roots (B, n), valid (B, n)) in target order.
+    def _refined_roots(self, C):
+        """Newton-refined roots seeded at the targets, per row of coefficients C.
+
+        One discretization of the candidates serves every round, and is held
+        for `root_jacobian`; a point of seed idx sweeps candidate idx // n and
+        reads its datum's block function.  Returns (roots (B, n), valid
+        (B, n)) in target order.
         """
-        B, n = len(q_list), len(self.seeds)
-        disc = _discretize(self.template, self.gs, q_list)
+        B, n = len(C), len(self.seeds)
+        disc = self._discretization(C)
+        self._held = (C, disc)
 
         def f(lam, idx):
             cb = _batch(disc, self.template.T, lam, idx // n)
@@ -465,14 +476,14 @@ class _Engine:
         valid = np.isfinite(z) & (resid <= _ROOT_F_TOL * np.abs(modulus_scale(z, self.template.T)))
         return z, valid
 
-    def _spectra_mismatch(self, q_list):
+    def _spectra_mismatch(self, C):
         """Refined roots matched to each block's targets by optimal assignment.
 
         Returns (mismatch, invalid, matched roots), all in target order.
         """
         from scipy.optimize import linear_sum_assignment  # here, so importing the package does not load scipy
 
-        roots, valid = self._refined_roots(q_list)
+        roots, valid = self._refined_roots(C)
         matched = np.empty_like(roots)
         invalid = np.empty(roots.shape, dtype=bool)
         for b in range(len(roots)):
@@ -487,7 +498,7 @@ class _Engine:
 
     # -- Weyl targets ----------------------------------------------------------
 
-    def _weyl_mismatch(self, q_list):
+    def _weyl_mismatch(self, C):
         """M and omega on the lambda grid, interleaved per point, then d_n.
 
         The xi_n ride the grid's sweep.  There d_n is the least-squares ratio
@@ -495,10 +506,11 @@ class _Engine:
         smoothly with the coefficients and equals the target at the truth.
         """
         t = self.target
-        B = len(q_list)
+        B = len(C)
         ng = len(t.lam_grid)
         lam = np.concatenate([np.asarray(t.lam_grid, dtype=complex), np.asarray(t.xi, dtype=complex)])
         n = len(lam)
+        q_list = [self.basis.potential(c) for c in C]
         cb = char_batch_multi(self.template, np.tile(lam, B), q_list, np.repeat(np.arange(B), n), self.gs)
         m_vals, ok = cb.weyl_M_values()
         dm = m_vals.reshape(B, n)[:, :ng] - np.asarray(t.m_values, dtype=complex)

@@ -59,6 +59,7 @@ lambda is real non-negative.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import KW_ONLY, dataclass, field
 from math import ceil, factorial, inf, log
 from numbers import Integral, Real
@@ -560,6 +561,21 @@ class Discretization:
             self._layouts[side] = _Layout(self, side == "Z")
         return self._layouts[side]
 
+    def _widened(self, qs) -> "Discretization":
+        """This discretization with the step samples of the potentials `qs` on its grid as more columns.
+
+        Its first columns and forms are this one's, so they sweep to the same
+        values bit for bit, and each layout this one has built lends the new
+        one everything but q's parts.
+        """
+        new = [q.step_samples(self.grid) for q in qs]
+        samples = tuple(
+            np.concatenate([v, np.stack([s[i] for s in new], axis=1)], axis=1) for i, v in enumerate(self.samples)
+        )
+        out = Discretization(self.grid, self.spec, samples, self.weights)
+        out._layouts.update((side, lay.resampled(out.samples)) for side, lay in self._layouts.items())
+        return out
+
 
 class _Layout:
     """The lambda-free part of a sweep from one side, in sweep order.
@@ -573,17 +589,10 @@ class _Layout:
     def __init__(self, disc: Discretization, reverse: bool):
         grid, ws = disc.grid, disc.weights
         N = len(grid) - 1
+        self.reverse = reverse
         self.h = h = np.append(-np.diff(grid)[::-1] if reverse else np.diff(grid), 0.0)[:, None]
-        qa, qm, qb = disc.samples
-        sa, sm, sb = (qb[::-1], qm[::-1], qa[::-1]) if reverse else (qa, qm, qb)
-        pad = np.zeros((1, sm.shape[1]))
-        # times 1/6 and 1/12 rather than divided by 6 and 12: complex division by a real
-        # multiplies by its reciprocal, so real and complex samples round alike
-        self.qbar = np.concatenate([(sa + 4.0 * sm + sb) * (1.0 / 6.0), pad])  # (N + 1, P)
-        self.a = -(h**2) * np.concatenate([sb - sa, pad]) * (1.0 / 12.0)  # lambda cancels in c_b - c_a
-        # per column, the lambda-free part of the series bound, and the largest |a|
-        self.z_free = (np.abs(self.a) ** 2 + h**2 * np.abs(self.qbar)).max(axis=0)
-        self.h2_max, self.a_max = float(np.max(h**2)), np.abs(self.a).max(axis=0)
+        self.h2_max = float(np.max(h**2))
+        self._sample(disc.samples)
         self.L = L = max(1, ceil(N**0.5))
         self.B = B = -(-N // L)
         self.steps = np.minimum(np.arange(L)[:, None] + np.arange(B) * L, N)
@@ -599,6 +608,26 @@ class _Layout:
             cells = dens.any(axis=(0, 2))  # blocks holding a density cell, which weighs the next start too
             self.used[:, :B] |= cells
             self.used[:, 1:] |= cells
+
+    def _sample(self, samples):
+        """The parts that q's step samples give: qbar, a and, per column, the series bounds."""
+        h = self.h
+        qa, qm, qb = samples
+        sa, sm, sb = (qb[::-1], qm[::-1], qa[::-1]) if self.reverse else (qa, qm, qb)
+        pad = np.zeros((1, sm.shape[1]))
+        # times 1/6 and 1/12 rather than divided by 6 and 12: complex division by a real
+        # multiplies by its reciprocal, so real and complex samples round alike
+        self.qbar = np.concatenate([(sa + 4.0 * sm + sb) * (1.0 / 6.0), pad])  # (N + 1, P)
+        self.a = -(h**2) * np.concatenate([sb - sa, pad]) * (1.0 / 12.0)  # lambda cancels in c_b - c_a
+        # per column, the lambda-free part of the series bound, and the largest |a|
+        self.z_free = (np.abs(self.a) ** 2 + h**2 * np.abs(self.qbar)).max(axis=0)
+        self.a_max = np.abs(self.a).max(axis=0)
+
+    def resampled(self, samples) -> "_Layout":
+        """This layout with q's parts from `samples`, step samples on the same grid; the rest is shared."""
+        out = copy(self)
+        out._sample(samples)
+        return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises RangeError in pass 2

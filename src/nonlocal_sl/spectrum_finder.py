@@ -15,11 +15,11 @@ Barel 2000).  The moments are integrated by parts against the branch of
 log f that the count tracks along the contour, by a sixth-order rule on the
 counting samples themselves (on each sample interval, the quintic through
 the six samples of its edge around it): seeding evaluates nothing beyond the
-count, and a refined stretch is integrated at its own spacing.  All seeds
-are polished in one batched damped Newton (below).  A box whose seeds or
-roots leave it, come close together or miss the residual bound is bisected
-instead (long-side splits, retried at shifted fractions until the counts add
-up) and polished in a next round.  Single zeros and clusters that no cut
+count, and a refined stretch is integrated at its own spacing; a singular
+pencil gives NaN seeds.  All seeds are polished in one batched damped Halley
+iteration (below).  A box whose seeds or roots leave it, come close together
+or miss the residual bound is bisected instead (long-side splits, retried at
+shifted fractions until the counts add up) and polished in a next round.  Single zeros and clusters that no cut
 separates are polished from the first moment with their multiplicity.
 problem_spectrum runs a contour search on one grid, so no value depends on
 the batch it is in.
@@ -36,12 +36,17 @@ contour search (a partial certificate: a non-real zero beyond that ellipse
 is not seen).  A window not resolved at degree 256 is searched as two halves.
 Every stage names itself and the first lambda where a value is not finite.
 
-`_batched_newton` is the package's one Newton for zeros in lambda; the
-inversion refines its candidate eigenvalues with it too.  Each round
-evaluates only the seeds still moving, at z and z + h with
-h = _LAMBDA_STEP (1 + |z|), and takes f' as the forward difference: two
-points per seed and round.  A seed stops on a small step or a small |f|
-and keeps the |f| of its last round, so no point is evaluated twice.
+`_batched_newton` is the package's one Newton-type polish for zeros in
+lambda; the inversion refines its candidate eigenvalues with it too.  Each
+round evaluates only the seeds still moving, at z and z +- h with
+h = _LAMBDA_STEP (1 + |z|), and takes f' and f'' as central differences:
+three points per seed and round.  It steps by Halley's rule for a zero of
+known multiplicity m, which converges cubically there (Traub, Iterative
+Methods for the Solution of Equations, 1964, ch. 5): a simple zero takes
+one round fewer than Newton's, and a double zero polished with m = 2 ends
+near the rounding level instead of a forward difference's bias.  A seed
+stops on a small step or a small |f| and keeps the |f| of its last round,
+so no point is evaluated twice.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ _DIP_FLOOR = 1e-3
 _MAX_NUDGE = 5
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.42, 0.58)
 _SEED_GAP = 1e-2
-_LAMBDA_STEP = 1e-6  # relative lambda step of the forward difference df/dlambda
+_LAMBDA_STEP = 1e-6  # relative lambda step of the difference quotients in lambda
 _GAUSS_T = (1.0 + np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])) / 2  # three-point Gauss on [0, 1]
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 _SCAN_GRID = GridSpec(tol=1e-8)  # problem_spectrum counts on this grid
@@ -268,8 +273,6 @@ def _moment_seeds(cr: _ContourResult, n: int | None = None) -> np.ndarray:
     `_contour_weights` on the samples.  n = w gives every enclosed zero;
     n = 1 gives the first moment, their mean.
     """
-    from scipy.linalg import eigvals  # here, so importing the package does not load scipy
-
     n = cr.winding if n is None else n
     b, r = cr.box_used, cr.box_used.diag / 2.0
     u = (np.append(cr.points, cr.points[0]) - b.center) / r  # the last edge closes at z_0
@@ -282,8 +285,11 @@ def _moment_seeds(cr: _ContourResult, n: int | None = None) -> np.ndarray:
     s[1:] = cr.winding * u[0] ** p
     s[1:] -= p * ((u[None, :] ** (p - 1)[:, None]) @ (_contour_weights(u, ends) * ell)) / (2j * np.pi)
     hankel = np.add.outer(np.arange(n), np.arange(n))
-    eig = eigvals(s[hankel + 1], s[hankel])
-    return b.center + r * np.where(np.isfinite(eig), eig, np.nan)  # nan where the pencil is singular
+    try:
+        eig = np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
+    except np.linalg.LinAlgError:  # a singular pencil: nan seeds, which the certificate refuses
+        eig = np.full(n, np.nan)
+    return b.center + r * eig
 
 
 def _certified(z: np.ndarray, box: SearchBox, gap) -> bool:
@@ -307,12 +313,17 @@ def _split(f: Callable, b: SearchBox, cr: _ContourResult, depth: int, seeded: bo
 
 
 def _batched_newton(f, seeds, mults, caps, rounds, step_tol, f_stop):
-    """Damped Newton from every seed at once: (points, |f| at each seed's last evaluated point).
+    """Damped Halley iteration from every seed at once: (points, |f| at each seed's last evaluated point).
 
-    A round evaluates only the seeds still active, at z and at z + h with
-    h = _LAMBDA_STEP (1 + |z|), in one call f(lambda, seed index).  It steps
-    by mults f / f', with f' the forward difference, clipped to each seed's
-    cap.  A seed stops when its step is at most step_tol (1 + |z|) or when
+    A round evaluates only the seeds still active, at z, z + h and z - h with
+    h = _LAMBDA_STEP (1 + |z|), in one call f(lambda, seed index).  With f'
+    and f'' the central differences and m the seed's multiplicity (`mults`),
+    it steps by
+
+        f / (((m + 1) / (2 m)) f' - f f'' / (2 f')),
+
+    which is exact on (z - r)^m, clipped to each seed's cap.  A seed stops
+    when its step is at most step_tol (1 + |z|) or when
     |f| <= f_stop(z); it returns the point after that last step, with |f| at
     the point before it, so no point is evaluated twice.  A non-finite step
     counts as none.  This needs f(lambda) not to depend on the batch lambda
@@ -326,13 +337,13 @@ def _batched_newton(f, seeds, mults, caps, rounds, step_tol, f_stop):
     for _ in range(rounds):
         if not len(active):
             break
-        za = z[active]
+        za, ma = z[active], m[active]
         h = _LAMBDA_STEP * (1.0 + np.abs(za))
-        vals = np.asarray(f(np.concatenate([za, za + h]), np.tile(active, 2)), dtype=complex)
-        v0 = vals[: len(za)]
-        fp = (vals[len(za) :] - v0) / h
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = m[active] * v0 / fp
+        vals = np.asarray(f(np.concatenate([za, za + h, za - h]), np.tile(active, 3)), dtype=complex)
+        v0, vp, vm = vals.reshape(3, len(za))
+        fp, fpp = (vp - vm) / (2.0 * h), (vp - 2.0 * v0 + vm) / h**2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = v0 / ((ma + 1.0) / (2.0 * ma) * fp - v0 * fpp / (2.0 * fp))
         step = np.where(np.isfinite(step), step, 0.0)
         step *= caps[active] / np.maximum(np.abs(step), caps[active])
         z[active] = za - step

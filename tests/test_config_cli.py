@@ -823,6 +823,17 @@ def test_inversion_import_does_not_load_scipy():
     assert res.stdout.strip() == "False"
 
 
+def test_contour_search_does_not_load_scipy():
+    # the moment seeds' Hankel pencil is solved by numpy alone
+    res = _run_python(
+        "import sys; from nonlocal_sl.spectrum_finder import SearchBox, find_spectrum; "
+        "s = find_spectrum(lambda z: (z - 2.0) * (z - 7.0 - 0.5j) * (z - 4.0), SearchBox(0.0, 10.0, -2.0, 2.0)); "
+        "print(s.winding_total, 'scipy' in sys.modules)"
+    )
+    assert res.returncode == 0
+    assert res.stdout.split() == ["3", "False"]
+
+
 def test_python_m_runs_the_cli():
     res = _run_python(None, "-m", "nonlocal_sl", "--help")
     assert res.returncode == 0

@@ -187,6 +187,15 @@ def test_weyl_target_with_d_chart(truth):
     assert np.linalg.norm(r) < 1e-6
 
 
+@pytest.mark.parametrize("n_xi, message", [(0, "at least 1"), (-2, "at least 1"), (True, "an integer, got True")])
+def test_weyl_target_rejects_a_bad_zero_count(truth, n_xi, message, monkeypatch):
+    # before any sweep: 0 and -2 used to fail after the zero search, as unaligned xi and d_values
+    sweeps = _count_calls(monkeypatch, "integrate_family", (characteristic,))
+    with pytest.raises(InputError, match=f"^n_xi must be {message}"):
+        make_weyl_target(truth, [2.0 + 0.6j], with_d=True, n_xi=n_xi)
+    assert not sweeps
+
+
 def test_three_spectra_target_needs_plain_jump_form(truth):
     # the first form carries an atom, which this data set does not allow
     with pytest.raises(InputError):
@@ -381,19 +390,44 @@ class TestRootJacobian:
         engine.root_jacobian(c, roots[0], invalid[0], _FD_STEP * (1.0 + np.abs(c)))
         assert len(calls) == 1
 
+    def test_sweeps_the_discretization_the_roots_were_refined_on(self, case, monkeypatch):
+        # one build serves a residual call and the Jacobian after it: the perturbed candidates'
+        # samples join the refinement's discretization as columns, and every value of the sweep
+        # equals char_batch_multi's on the same candidate list
+        engine, coeffs = case
+        c = self._start(coeffs)
+        h = _FD_STEP * (1.0 + np.abs(c))
+        builds = _count_calls(monkeypatch, "build", (ode_core.Discretization,))
+        batch, sweeps = inversion._batch, []
+
+        def recording(*args):
+            sweeps.append((args, batch(*args)))
+            return sweeps[-1][1]
+
+        monkeypatch.setattr(inversion, "_batch", recording)
+        _, invalid, roots = engine.evaluate(c[None, :])
+        engine.root_jacobian(c, roots[0], invalid[0], h)
+        assert len(builds) == 1
+        (_, _, lam, idx), got = sweeps[-1]
+        q_list = [engine.basis.potential(row) for row in np.vstack([c, c + np.diag(h)])]
+        want = characteristic.char_batch_multi(engine.template, lam, q_list, idx, engine.gs)
+        for name in ("delta1", "delta2", "delta11", "delta21"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
     def test_root_newton_sweeps_only_unconverged_seeds(self, case, monkeypatch):
-        # a residual call 0.15 from the truth: the first round sweeps every seed at z and z + h,
-        # each later round only the seeds still moving
+        # a residual call at the truth and 0.15 from it: the first round sweeps every seed at z and
+        # z +- h, each later round only the seeds still moving (the truth's seeds stop a round early;
+        # from 0.15 off alone, the three_spectra seeds all stop in the same round)
         engine, coeffs = case
         sweep = characteristic.integrate_family
         sizes = []
         monkeypatch.setattr(
             characteristic, "integrate_family", lambda d, lam, *a, **k: sizes.append(len(lam)) or sweep(d, lam, *a, **k)
         )
-        engine.residuals(self._start(coeffs)[None, :])
-        n = len(engine.seeds)
-        assert sizes[0] == 2 * n and all(a >= b for a, b in zip(sizes, sizes[1:]))
-        assert sum(sizes) < len(sizes) * 2 * n
+        engine.residuals(np.vstack([coeffs, self._start(coeffs)]))
+        n = 2 * len(engine.seeds)
+        assert sizes[0] == 3 * n and all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert sum(sizes) < len(sizes) * 3 * n
 
     def test_invalid_datum_gives_zero_rows(self, case, monkeypatch):
         engine, coeffs = case

@@ -77,7 +77,8 @@ class TestSyntheticHandles:
     def test_seed_and_root_batches_evaluated_once(self, real_axis):
         # the seeds are evaluated only at the head of the first Newton round, and the
         # residual check reuses the last round's values: every polish call is a round
-        # (k iterates, then each one lambda step further), so none follows the last round
+        # (k iterates, then each one lambda step above, then each one below), so none follows
+        # the last round
         roots = np.array([np.sqrt(5.0), 7.0 + np.pi / 30.0])
 
         def f(lam):
@@ -95,8 +96,9 @@ class TestSyntheticHandles:
         seeds = calls[0][: len(roots)]
         assert sum(bool(np.isin(seeds, c).all()) for c in calls) == 1
         for c in calls:
-            k = len(c) // 2
-            assert len(c) == 2 * k and np.all(c[k:] == c[:k] + spectrum_finder._LAMBDA_STEP * (1.0 + np.abs(c[:k])))
+            k = len(c) // 3
+            h = spectrum_finder._LAMBDA_STEP * (1.0 + np.abs(c[:k]))
+            assert len(c) == 3 * k and np.all(c[k : 2 * k] == c[:k] + h) and np.all(c[2 * k :] == c[:k] - h)
 
     @pytest.mark.parametrize("real_axis", [False, True])
     def test_no_point_is_evaluated_twice(self, real_axis):
@@ -271,19 +273,20 @@ class TestSyntheticHandles:
 
         s = find_spectrum(f, _SEED_BOX)
         # the box's own contour, no child boxes; then Newton rounds from the pencil's seeds
-        assert len(calls) == 4 and len(calls[0]) == 256
+        assert len(calls) == 3 and len(calls[0]) == 256
         assert np.max(np.abs(np.sort_complex(calls[1][:4]) - roots)) <= 1e-4
         assert s.winding_total == 4 and list(s.multiplicities) == [1] * 4
         got = np.array(sorted(s.eigenvalues, key=lambda z: z.real))
         assert np.max(np.abs(got - roots)) <= 1e-8
 
     def test_failed_certificate_falls_back_to_bisection(self, monkeypatch):
-        # nine zeros on a long box: the pencil seeds polish onto
-        # repeated zeros, so the box is split and its children bisected
+        # nine zeros on a long box: the pencil seeds pass the certificate but polish onto
+        # repeated zeros, so the box is split and its children bisected (on [0.5, 9.5] the
+        # Halley polish takes all nine seeds to distinct zeros)
         def f(lam):
             return np.sin(np.pi * np.asarray(lam, dtype=complex))
 
-        box = SearchBox(0.5, 9.5, -1.0, 1.0)
+        box = SearchBox(0.4, 9.6, -1.0, 1.0)
         batches = []
         newton = spectrum_finder._batched_newton
 
@@ -303,6 +306,26 @@ class TestSyntheticHandles:
         assert list(s.multiplicities) == list(bisected.multiplicities) == [1] * 9
         assert np.max(np.abs(s.eigenvalues - bisected.eigenvalues)) <= 1e-12
         assert np.max(np.abs(s.eigenvalues - np.arange(1, 10))) <= 1e-8
+
+    def test_singular_pencil_falls_back_to_bisection(self, monkeypatch):
+        # a constant handle has all moments exactly 0, so its Hankel matrix H0 is exactly singular:
+        # every seed is nan, which the certificate refuses
+        cr = spectrum_finder._winding(lambda lam: np.ones(len(lam), dtype=complex), _SEED_BOX)
+        seeds = spectrum_finder._moment_seeds(cr, 2)
+        assert np.all(np.isnan(seeds)) and not spectrum_finder._certified(seeds, _SEED_BOX, 0.0)
+
+        # a search whose H0 is made exactly singular (last row zeroed) bisects the box instead
+        def f(lam):
+            lam = np.asarray(lam, dtype=complex)
+            return (lam - 2.0) * (lam - 7.0 - 0.5j) * np.exp(0.2 * lam)
+
+        solve = np.linalg.solve
+        singular = lambda a, b: solve(np.concatenate([a[:-1], 0.0 * a[-1:]]) if len(a) > 1 else a, b)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        splits = _count_calls(monkeypatch, "_split", (spectrum_finder,))
+        s = find_spectrum(f, _SEED_BOX)
+        assert len(splits) == 1 and s.winding_total == 2 and list(s.multiplicities) == [1, 1]
+        assert np.max(np.abs(s.eigenvalues - [2.0, 7.0 + 0.5j])) <= 1e-8
 
     def test_empty_box(self):
         def f(lam):
@@ -376,6 +399,19 @@ def test_shared_newton_polishes_a_double_zero(double, other, offset):
     )
     assert len(rounds) < 20 and resid[0] in seen[0]
     assert resid[0] <= 1e-11 * (2.0 + abs(double)) ** 0.5 and abs(z[0] - double) <= 1e-6 * (1.0 + abs(double))
+
+
+@settings(max_examples=100)
+@given(double=_inner, other=_inner, offset=_offset)
+def test_halley_polish_reaches_a_double_zero(double, other, offset):
+    # the Halley step at multiplicity 2 converges cubically on a double zero, so a seed within 0.05
+    # ends within 1e-10 (1 + |r|) of it under the contour polish's |f| stop and under the step stop
+    # alone (a forward-difference Newton left about 1e-7 and 1e-8 (1 + |r|) there)
+    assume(abs(double - other) >= 0.5)
+    f, _ = _recorded(np.array([double, double, other]))
+    for f_stop in (lambda z: 1e-11 * (1.0 + np.abs(z)) ** 0.5, lambda z: 0.0):
+        z, _ = spectrum_finder._batched_newton(f, [double + offset], 2.0, 1.0, 60, 1e-13, f_stop)
+        assert abs(z[0] - double) <= 1e-10 * (1.0 + abs(double))
 
 
 @pytest.mark.parametrize("n_samples, edge_gap", [(64, 0.05), (10, None)])
